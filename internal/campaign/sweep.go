@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -59,9 +60,19 @@ func ParseSweep(s string) (Sweep, error) {
 	return sw, sw.check()
 }
 
+// maxSweepValues caps how many values one sweep may expand to, whatever
+// a server allows per request, so a range can never expand without bound.
+const maxSweepValues = 1 << 16
+
 func (sw Sweep) check() error {
 	if sw.Field == "" {
 		return fmt.Errorf("sweep: empty field name")
+	}
+	for _, v := range []float64{sw.From, sw.To, sw.Step} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("sweep %s: from, to and step must be finite (got %v..%v step %v)",
+				sw.Field, sw.From, sw.To, sw.Step)
+		}
 	}
 	if sw.Step <= 0 {
 		return fmt.Errorf("sweep %s: step must be positive (got %v)", sw.Field, sw.Step)
@@ -69,19 +80,30 @@ func (sw Sweep) check() error {
 	if sw.To < sw.From {
 		return fmt.Errorf("sweep %s: to %v is below from %v", sw.Field, sw.To, sw.From)
 	}
+	if n := sw.count(); n > maxSweepValues {
+		return fmt.Errorf("sweep %s: %v..%v step %v has %.0f values, over the limit of %d",
+			sw.Field, sw.From, sw.To, sw.Step, n, maxSweepValues)
+	}
 	return nil
 }
 
-// Values expands the inclusive range. A small tolerance keeps the upper
-// bound included when repeated float addition lands epsilon past it.
+// count is the number of values in the inclusive range. The 1e-9 step
+// tolerance keeps the upper bound included when (To-From)/Step lands a
+// rounding error below an integer.
+func (sw Sweep) count() float64 {
+	return math.Floor((sw.To-sw.From)/sw.Step+1e-9) + 1
+}
+
+// Values expands the inclusive range as From + i*Step; computing each
+// value from its index means a step too small to move a large bound
+// cannot loop forever.
 func (sw Sweep) Values() []float64 {
 	if sw.check() != nil {
 		return nil
 	}
-	var vs []float64
-	tol := sw.Step * 1e-9
-	for v := sw.From; v <= sw.To+tol; v += sw.Step {
-		vs = append(vs, v)
+	vs := make([]float64, int(sw.count()))
+	for i := range vs {
+		vs[i] = sw.From + float64(i)*sw.Step
 	}
 	return vs
 }

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -27,6 +28,14 @@ func TestParseSweep(t *testing.T) {
 		{in: "f: 1..2 step -1", wantErr: "step must be positive"},
 		{in: "f: 5..2 step 1", wantErr: "below from"},
 		{in: ": 1..2 step 1", wantErr: "empty field"},
+		// A step below the float spacing at 1e17 used to spin forever
+		// in Values; an infinite bound used to expand until memory ran out.
+		{in: "linkRate: 1e17..1.0000001e17 step 1", wantErr: "over the limit"},
+		{in: "linkRate: 0..Inf step 1e9", wantErr: "finite"},
+		{in: "linkRate: -Inf..0 step 1", wantErr: "finite"},
+		{in: "linkRate: 0..1 step NaN", wantErr: "finite"},
+		{in: "f: 0..65536 step 1", wantErr: "over the limit"},
+		{in: "f: 0..65535 step 1", want: Sweep{Field: "f", From: 0, To: 65535, Step: 1}},
 	}
 	for _, c := range cases {
 		got, err := ParseSweep(c.in)
@@ -55,6 +64,9 @@ func TestSweepValues(t *testing.T) {
 		{Sweep{Field: "f", From: 1, To: 1, Step: 1}, []float64{1}},
 		{Sweep{Field: "f", From: 0.1, To: 0.3, Step: 0.1}, []float64{0.1, 0.2, 0.3}}, // fp accumulation must not drop the bound
 		{Sweep{Field: "f", From: 1, To: 2.5, Step: 1}, []float64{1, 2}},
+		// Rejected ranges expand to nothing, and return at once.
+		{Sweep{Field: "linkRate", From: 1e17, To: 1.0000001e17, Step: 1}, nil},
+		{Sweep{Field: "linkRate", From: 0, To: math.Inf(1), Step: 1e9}, nil},
 	}
 	for _, c := range cases {
 		got := c.sw.Values()
@@ -67,6 +79,12 @@ func TestSweepValues(t *testing.T) {
 				t.Errorf("%+v.Values()[%d] = %v, want %v", c.sw, i, got[i], c.want[i])
 			}
 		}
+	}
+	// The CI smoke sweep's three link rates stay bit-identical: they key
+	// the variants' cached results.
+	ci := Sweep{Field: "linkRate", From: 1.25e10, To: 2.5e10, Step: 6.25e9}.Values()
+	if want := []float64{1.25e10, 1.875e10, 2.5e10}; !slices.Equal(ci, want) {
+		t.Errorf("CI smoke sweep values = %v, want %v", ci, want)
 	}
 }
 

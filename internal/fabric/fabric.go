@@ -352,6 +352,27 @@ func (f *Fabric) NodeEndpoint(n, i int) int {
 	return n*f.Cfg.NICsPerNode + i%f.Cfg.NICsPerNode
 }
 
+// NodeGroup returns the dragonfly group of compute node n: the group of
+// its first NIC. It is the one node→group mapping communicators,
+// placement signatures and the scheduler share.
+func (f *Fabric) NodeGroup(n int) int {
+	return f.SwitchGroup[f.endpointSwitch[n*f.Cfg.NICsPerNode]]
+}
+
+// GroupsSpanned returns how many distinct dragonfly groups the compute
+// nodes touch.
+func (f *Fabric) GroupsSpanned(nodes []int) int {
+	seen := make([]bool, f.numGroups)
+	groups := 0
+	for _, n := range nodes {
+		if g := f.NodeGroup(n); !seen[g] {
+			seen[g] = true
+			groups++
+		}
+	}
+	return groups
+}
+
 // GroupClassOf returns a group's class.
 func (f *Fabric) GroupClassOf(g int) GroupClass { return f.groupClass[g] }
 
@@ -397,17 +418,20 @@ func (f *Fabric) FailSwitch(sw int) {
 
 // linkUp reports whether a link and its switches are usable.
 func (f *Fabric) linkUp(id int) bool {
-	l := f.Links[id]
-	if !l.Up {
-		return false
-	}
+	l := &f.Links[id]
+	return l.Up && l.endsHealthy(f.SwitchHealthy)
+}
+
+// endsHealthy reports whether the switches at the link's ends are healthy
+// according to healthy, a per-switch table.
+func (l *Link) endsHealthy(healthy []bool) bool {
 	switch l.Kind {
 	case Injection:
-		return f.SwitchHealthy[l.To]
+		return healthy[l.To]
 	case Ejection:
-		return f.SwitchHealthy[l.From]
+		return healthy[l.From]
 	default:
-		return f.SwitchHealthy[l.From] && f.SwitchHealthy[l.To]
+		return healthy[l.From] && healthy[l.To]
 	}
 }
 

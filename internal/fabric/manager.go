@@ -10,7 +10,10 @@ import (
 // fabric for failures or topology changes and sends updated routing
 // tables to affected switches. In the model a "routing table push" is a
 // bump of the routing epoch: path construction always consults current
-// link state, so routes recompute lazily after each sweep.
+// link state, so routes recompute lazily after each sweep. The pushed
+// tables themselves are built only when Tables reads them, from the state
+// the last sweep observed, so they equal what an eager push would have
+// produced without every system build paying for them.
 type Manager struct {
 	F *Fabric
 	// SweepInterval is how often the manager polls every switch.
@@ -20,8 +23,9 @@ type Manager struct {
 	// RoutesPushed counts routing-table updates sent to switches.
 	RoutesPushed int
 
-	// Tables is the forwarding state most recently pushed to switches.
-	Tables map[int]RoutingTable
+	// tables holds the pushed tables once built; nil after construction
+	// and after every sweep that saw a change.
+	tables map[int]RoutingTable
 
 	lastLinkUp   []bool
 	lastSwHealth []bool
@@ -33,7 +37,6 @@ type Manager struct {
 func NewManager(f *Fabric, sweepInterval units.Seconds) *Manager {
 	m := &Manager{F: f, SweepInterval: sweepInterval}
 	m.snapshot()
-	m.Tables = f.BuildAllRoutingTables()
 	return m
 }
 
@@ -43,6 +46,23 @@ func (m *Manager) snapshot() {
 		m.lastLinkUp[i] = m.F.Links[i].Up
 	}
 	m.lastSwHealth = append([]bool(nil), m.F.SwitchHealthy...)
+}
+
+// Tables returns the forwarding state most recently pushed to switches:
+// a table for every switch healthy at the last sweep (or at
+// construction), computed from the link state that sweep observed.
+// Failures since then are not in it until the next sweep sees them.
+func (m *Manager) Tables() map[int]RoutingTable {
+	if m.tables == nil {
+		m.tables = m.F.buildAllRoutingTables(m.lastSwHealth, m.sweptUp)
+	}
+	return m.tables
+}
+
+// sweptUp reports whether a link and its switches were usable when the
+// last sweep observed them.
+func (m *Manager) sweptUp(id int) bool {
+	return m.lastLinkUp[id] && m.F.Links[id].endsHealthy(m.lastSwHealth)
 }
 
 // Sweep polls all switches once and returns the number of observed state
@@ -74,11 +94,11 @@ func (m *Manager) Sweep() int {
 	if changes > 0 {
 		m.Epoch++
 		m.RoutesPushed += len(affected)
-		// Recompute and push forwarding tables. Affected switches get
-		// new tables; group-mates of failed hardware also change (their
-		// fallback candidates moved), so the manager rebuilds the lot —
-		// the real implementation diffs, the effect is the same.
-		m.Tables = m.F.BuildAllRoutingTables()
+		// Push new forwarding tables. Affected switches get new tables;
+		// group-mates of failed hardware also change (their fallback
+		// candidates moved), so the manager rebuilds the lot on the next
+		// read — the real implementation diffs, the effect is the same.
+		m.tables = nil
 	}
 	return changes
 }

@@ -23,6 +23,12 @@ type RoutingTable struct {
 // BuildRoutingTable computes the current table for one switch from live
 // link state.
 func (f *Fabric) BuildRoutingTable(sw int) RoutingTable {
+	return f.buildRoutingTable(sw, f.linkUp)
+}
+
+// buildRoutingTable computes one switch's table, asking up whether a
+// link and its switches are usable.
+func (f *Fabric) buildRoutingTable(sw int, up func(id int) bool) RoutingTable {
 	rt := RoutingTable{Switch: sw, LocalNext: map[int]int{}, GlobalNext: map[int][]int{}}
 	if f.Kind == FatTree {
 		return rt // leaves forward everything to the core
@@ -32,7 +38,7 @@ func (f *Fabric) BuildRoutingTable(sw int) RoutingTable {
 		if peer == sw {
 			continue
 		}
-		if id, ok := f.intraUp(sw, peer); ok {
+		if id, ok := f.intraLink(sw, peer); ok && up(id) {
 			rt.LocalNext[peer] = id
 		}
 	}
@@ -42,7 +48,7 @@ func (f *Fabric) BuildRoutingTable(sw int) RoutingTable {
 		}
 		var direct, viaPeer []int
 		for _, id := range f.GlobalLinks(g, dst) {
-			if !f.linkUp(id) {
+			if !up(id) {
 				continue
 			}
 			l := f.Links[id]
@@ -58,12 +64,19 @@ func (f *Fabric) BuildRoutingTable(sw int) RoutingTable {
 	return rt
 }
 
-// BuildAllRoutingTables computes tables for every healthy switch.
+// BuildAllRoutingTables computes tables for every healthy switch from
+// live link state.
 func (f *Fabric) BuildAllRoutingTables() map[int]RoutingTable {
+	return f.buildAllRoutingTables(f.SwitchHealthy, f.linkUp)
+}
+
+// buildAllRoutingTables computes tables for every switch healthy reports,
+// asking up whether a link and its switches are usable.
+func (f *Fabric) buildAllRoutingTables(healthy []bool, up func(id int) bool) map[int]RoutingTable {
 	out := make(map[int]RoutingTable, f.NumSwitches)
 	for sw := 0; sw < f.NumSwitches; sw++ {
-		if f.SwitchHealthy[sw] {
-			out[sw] = f.BuildRoutingTable(sw)
+		if healthy[sw] {
+			out[sw] = f.buildRoutingTable(sw, up)
 		}
 	}
 	return out

@@ -2,6 +2,8 @@ package fabric
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -75,7 +77,7 @@ func TestTablesRerouteAroundFailures(t *testing.T) {
 	if m.Sweep() == 0 && killed > 0 {
 		t.Fatal("sweep missed the failures")
 	}
-	path, err := f.ForwardMinimal(m.Tables, 0, 40)
+	path, err := f.ForwardMinimal(m.Tables(), 0, 40)
 	if err != nil {
 		t.Fatalf("reroute failed: %v", err)
 	}
@@ -119,13 +121,13 @@ func TestClosTablesEmpty(t *testing.T) {
 func TestManagerPushesTablesOnChange(t *testing.T) {
 	f := small(t)
 	m := NewManager(f, 10)
-	before := m.Tables
+	if _, ok := m.Tables()[5]; !ok {
+		t.Fatal("healthy switch 5 has no table before the failure")
+	}
 	f.FailSwitch(5)
 	m.Sweep()
-	if &m.Tables == &before {
-		t.Log("tables replaced by value; checking content")
-	}
-	if _, ok := m.Tables[5]; ok {
+	tables := m.Tables()
+	if _, ok := tables[5]; ok {
 		t.Error("failed switch should not receive a table")
 	}
 	// Surviving switches in the same group must have dropped their
@@ -135,9 +137,38 @@ func TestManagerPushesTablesOnChange(t *testing.T) {
 		if sw == 5 {
 			continue
 		}
-		if _, ok := m.Tables[sw].LocalNext[5]; ok {
+		if _, ok := tables[sw].LocalNext[5]; ok {
 			t.Errorf("switch %d still routes to dead switch 5", sw)
 		}
+	}
+}
+
+// Tables are built on first read, from the state the last sweep saw: a
+// link that fails after that sweep stays in them until the next sweep
+// observes the failure, exactly as in tables pushed eagerly at sweep time.
+func TestManagerTablesReflectLastSweep(t *testing.T) {
+	f := small(t)
+	m := NewManager(f, 10)
+	pushed := f.BuildAllRoutingTables()
+	dead := f.GlobalLinks(0, 1)[0]
+	sw := f.Links[dead].From
+	f.FailLink(dead)
+
+	tables := m.Tables()
+	if !slices.Contains(tables[sw].GlobalNext[1], dead) {
+		t.Error("link failed after the last sweep is missing from the tables before the next sweep")
+	}
+	if !reflect.DeepEqual(tables, pushed) {
+		t.Error("tables read after a failure differ from those pushed at construction")
+	}
+
+	m.Sweep()
+	tables = m.Tables()
+	if slices.Contains(tables[sw].GlobalNext[1], dead) {
+		t.Error("failed link still in the tables after the sweep that saw it")
+	}
+	if !reflect.DeepEqual(tables, f.BuildAllRoutingTables()) {
+		t.Error("tables after a sweep differ from an eager build at sweep time")
 	}
 }
 

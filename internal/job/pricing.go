@@ -24,10 +24,10 @@ import (
 // The counterexample that keeps the signature honest: group sequences
 // [0,0,1] and [0,1,1] have the same per-group occupancy multiset, but
 // their rank-0 contiguous subgroups span different group counts, so a
-// sorted occupancy shape alone is NOT a sound key — the signature hashes
+// sorted occupancy shape alone is NOT a sound key — the signature encodes
 // the full relabeled sequence.
 
-// Sig is a content signature used as a pricing-cache key component.
+// Sig is a program's content signature, a pricing-cache key component.
 type Sig [sha256.Size]byte
 
 // ProgramSignature hashes exactly the program content pricing reads:
@@ -86,52 +86,49 @@ func ProgramSignature(p *Program) Sig {
 	return s
 }
 
-// PlacementSignature canonicalizes a placement for pricing: the
-// per-node dragonfly-group sequence with groups relabeled by first
-// appearance (the same EndpointGroup mapping mpi.NewComm uses), plus
-// the node count. Placements that are isomorphic under group relabeling
-// share a signature; placements whose ranks interleave groups
-// differently (different comm-group layout) do not. ok is false when a
-// node is outside the machine — callers fall back to the uncached path
-// so Bind surfaces its canonical error.
-func (e *Env) PlacementSignature(nodes []int) (Sig, bool) {
-	var s Sig
+// PlacementSignature canonicalizes a placement for pricing: the node
+// count, then the per-node dragonfly-group sequence (Fabric.NodeGroup,
+// the mapping mpi.NewComm uses) with groups relabeled by first
+// appearance, run-length encoded as (label, run length) pairs. Every
+// value is a uvarint. The encoding is lossless, so two placements share
+// a signature exactly when their relabeled sequences are equal:
+// placements isomorphic under group relabeling do, placements whose ranks
+// interleave groups differently (different comm-group layout) do not. A
+// scheduler allocation is sorted, so each group is one run and the key is
+// at most 2×groups+1 varints. ok is false when a node is outside the
+// machine — callers fall back to the uncached path so Bind surfaces its
+// canonical error.
+func (e *Env) PlacementSignature(nodes []int) (string, bool) {
 	f := e.Fabric
 	total := f.Cfg.ComputeNodes()
-	labels := make([]int32, f.Cfg.ComputeGroups+f.Cfg.IOGroups+f.Cfg.MgmtGroups)
+	labels := make([]int32, f.Cfg.TotalGroups())
 	for i := range labels {
 		labels[i] = -1
 	}
 	next := int32(0)
-	h := sha256.New()
-	var buf [1024]byte
-	n := 0
-	put := func(v uint32) {
-		if n+4 > len(buf) {
-			h.Write(buf[:n])
-			n = 0
-		}
-		binary.LittleEndian.PutUint32(buf[n:], v)
-		n += 4
-	}
-	put(uint32(len(nodes)))
+	key := binary.AppendUvarint(make([]byte, 0, 256), uint64(len(nodes)))
+	run, runLen := int32(-1), uint64(0)
 	for _, node := range nodes {
 		if node < 0 || node >= total {
-			return s, false
+			return "", false
 		}
-		g := f.EndpointGroup(f.NodeEndpoint(node, 0))
-		if g < 0 || g >= len(labels) {
-			return s, false
-		}
+		g := f.NodeGroup(node)
 		if labels[g] < 0 {
 			labels[g] = next
 			next++
 		}
-		put(uint32(labels[g]))
+		if labels[g] != run {
+			if runLen > 0 {
+				key = binary.AppendUvarint(binary.AppendUvarint(key, uint64(run)), runLen)
+			}
+			run, runLen = labels[g], 0
+		}
+		runLen++
 	}
-	h.Write(buf[:n])
-	h.Sum(s[:0])
-	return s, true
+	if runLen > 0 {
+		key = binary.AppendUvarint(binary.AppendUvarint(key, uint64(run)), runLen)
+	}
+	return string(key), true
 }
 
 // pricingKey identifies one priced (program, placement, machine)
@@ -139,7 +136,7 @@ func (e *Env) PlacementSignature(nodes []int) (Sig, bool) {
 type pricingKey struct {
 	env   string
 	prog  Sig
-	place Sig
+	place string
 }
 
 // pricedProgram is the machine-dependent, iteration-independent part of

@@ -93,7 +93,7 @@ func TestPricingCacheBitIdentical(t *testing.T) {
 // placements spanning different group counts price differently.
 func TestPlacementSignatureCanonicalization(t *testing.T) {
 	env := testEnv(t) // Scaled(4,4,4): 16 nodes, 4 per group
-	sig := func(nodes []int) job.Sig {
+	sig := func(nodes []int) string {
 		s, ok := env.PlacementSignature(nodes)
 		if !ok {
 			t.Fatalf("signature rejected in-range placement %v", nodes)
@@ -108,6 +108,16 @@ func TestPlacementSignatureCanonicalization(t *testing.T) {
 	}
 	if a == c {
 		t.Error("different group interleavings share a signature (occupancy multiset is not a sound key)")
+	}
+	// Non-monotone sequences: a group that recurs after another starts a
+	// new run, and relabeling by first appearance still applies.
+	d := sig([]int{0, 4, 1}) // groups 0,1,0
+	e := sig([]int{4, 0, 5}) // groups 1,0,1 — relabels to 0,1,0
+	if d == c {
+		t.Error("group sequences [0,1,0] and [0,1,1] share a signature")
+	}
+	if d != e {
+		t.Error("group sequences [0,1,0] and [1,0,1] (isomorphic) do not share a signature")
 	}
 
 	if s1, s2 := sig([]int{0, 1, 2}), sig([]int{0, 4, 8}); s1 == s2 {

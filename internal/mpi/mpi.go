@@ -42,7 +42,8 @@ type Comm struct {
 	Nodes []int
 	PPN   int
 
-	groups map[int]bool
+	// groups is the number of distinct dragonfly groups Nodes touch.
+	groups int
 }
 
 // NewComm creates a communicator over the given compute nodes with ppn
@@ -52,14 +53,12 @@ func NewComm(f *fabric.Fabric, nodes []int, ppn int) (*Comm, error) {
 		return nil, fmt.Errorf("mpi: communicator needs nodes and ppn >= 1")
 	}
 	maxNode := f.Cfg.ComputeNodes()
-	groups := make(map[int]bool)
 	for _, n := range nodes {
 		if n < 0 || n >= maxNode {
 			return nil, fmt.Errorf("mpi: node %d outside fabric (0..%d)", n, maxNode-1)
 		}
-		groups[f.EndpointGroup(f.NodeEndpoints(n)[0])] = true
 	}
-	return &Comm{F: f, Nodes: nodes, PPN: ppn, groups: groups}, nil
+	return &Comm{F: f, Nodes: nodes, PPN: ppn, groups: f.GroupsSpanned(nodes)}, nil
 }
 
 // Size returns the rank count.
@@ -70,13 +69,11 @@ func (c *Comm) NodeOf(rank int) int { return c.Nodes[rank/c.PPN] }
 
 // EndpointOf returns the NIC endpoint a rank injects through.
 func (c *Comm) EndpointOf(rank int) int {
-	local := rank % c.PPN
-	eps := c.F.NodeEndpoints(c.NodeOf(rank))
-	return eps[local%len(eps)]
+	return c.F.NodeEndpoint(c.NodeOf(rank), rank%c.PPN)
 }
 
 // GroupsSpanned reports how many dragonfly groups the job covers.
-func (c *Comm) GroupsSpanned() int { return len(c.groups) }
+func (c *Comm) GroupsSpanned() int { return c.groups }
 
 // ranksPerNIC is how many ranks share one NIC.
 func (c *Comm) ranksPerNIC() float64 {
@@ -259,18 +256,19 @@ func (c *Comm) Split(color func(rank int) int) (map[int]*Comm, error) {
 // the result prices bit-identically to Split(color)[col]. The pricing
 // path uses it because congruent-subgroup collectives only ever price
 // the rank-0 subgroup, and a full Split of a hero-job communicator
-// builds thousands of discarded sub-communicators.
+// builds thousands of discarded sub-communicators. Ranks are
+// block-distributed, so each node's ranks are one contiguous block and a
+// node joins once, when a rank of its block has the color; no set of seen
+// nodes is needed because a communicator's nodes are distinct (allocations
+// are exclusive).
 func (c *Comm) SplitOne(color func(rank int) int, col int) (*Comm, error) {
 	var nodes []int
-	seen := map[int]bool{}
-	for r := 0; r < c.Size(); r++ {
-		if color(r) != col {
-			continue
-		}
-		n := c.NodeOf(r)
-		if !seen[n] {
-			seen[n] = true
-			nodes = append(nodes, n)
+	for i, n := range c.Nodes {
+		for r := i * c.PPN; r < (i+1)*c.PPN; r++ {
+			if color(r) == col {
+				nodes = append(nodes, n)
+				break
+			}
 		}
 	}
 	if len(nodes) == 0 {

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -187,6 +188,46 @@ func TestSplitRowColumns(t *testing.T) {
 	// same per-pair bytes (fewer partners).
 	if rows[0].AllToAll(64*units.KiB) >= c.AllToAll(64*units.KiB) {
 		t.Error("sub-communicator alltoall should be cheaper")
+	}
+}
+
+// SplitOne must return exactly the sub-communicator Split builds for the
+// color: same nodes in the same order, same PPN and group span, for the
+// contiguous and strided colorings job pricing uses.
+func TestSplitOneMatchesSplit(t *testing.T) {
+	f := testFabric(t)
+	nodes := []int{40, 3, 17, 8, 25, 0, 33, 12, 47, 21}
+	for _, ppn := range []int{1, 3, 8} {
+		c, err := NewComm(f, nodes, ppn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 2, 5, 8, 13} {
+			colorings := map[string]func(int) int{
+				"block":   func(r int) int { return r / k },
+				"strided": func(r int) int { return r % k },
+			}
+			for name, color := range colorings {
+				all, err := c.Split(color)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for col, want := range all {
+					got, err := c.SplitOne(color, col)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got.Nodes, want.Nodes) || got.PPN != want.PPN ||
+						got.GroupsSpanned() != want.GroupsSpanned() {
+						t.Fatalf("ppn=%d %s/%d color %d: SplitOne nodes %v groups %d, Split nodes %v groups %d",
+							ppn, name, k, col, got.Nodes, got.GroupsSpanned(), want.Nodes, want.GroupsSpanned())
+					}
+				}
+				if got, err := c.SplitOne(color, -1); got != nil || err != nil {
+					t.Fatalf("absent color: got %v, %v; want nil, nil", got, err)
+				}
+			}
+		}
 	}
 }
 

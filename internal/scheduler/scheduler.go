@@ -113,13 +113,7 @@ func (j *Job) Class() string {
 }
 
 // GroupsSpanned reports how many dragonfly groups the allocation touches.
-func (j *Job) GroupsSpanned(f *fabric.Fabric) int {
-	gs := map[int]bool{}
-	for _, n := range j.Alloc {
-		gs[f.EndpointGroup(f.NodeEndpoints(n)[0])] = true
-	}
-	return len(gs)
-}
+func (j *Job) GroupsSpanned(f *fabric.Fabric) int { return f.GroupsSpanned(j.Alloc) }
 
 // Scheduler is the system-level batch scheduler.
 type Scheduler struct {
@@ -156,17 +150,15 @@ type Scheduler struct {
 	running   map[int]*Job
 	nextJobID int
 	vni       *vniPool
-	// scratch is a per-node membership bitmap reused by place's second
-	// pass; it is always all-false between calls.
-	scratch []bool
-	// gfScratch is place's reusable (group, free) working slice.
-	gfScratch []groupFreeCount
+	// Spread placement's reusable scratch: take holds per-group node
+	// counts (all zero between calls), order the groups with free nodes
+	// by (free desc, id asc), and bucket the counting-sort offsets indexed
+	// by free count.
+	take, order, bucket []int
 
 	// Stats.
 	Started, Finished, FailedJobs, HealthRejects int
 }
-
-type groupFreeCount struct{ id, free int }
 
 // New builds a scheduler over the compute nodes of fabric f.
 func New(k *sim.Kernel, f *fabric.Fabric) *Scheduler {
@@ -186,8 +178,9 @@ func New(k *sim.Kernel, f *fabric.Fabric) *Scheduler {
 		running:       map[int]*Job{},
 		nextJobID:     1,
 		vni:           newVNIPool(1, 65535),
-		scratch:       make([]bool, total),
-		gfScratch:     make([]groupFreeCount, 0, f.Cfg.ComputeGroups),
+		take:          make([]int, f.Cfg.ComputeGroups),
+		order:         make([]int, f.Cfg.ComputeGroups),
+		bucket:        make([]int, f.Cfg.NodesPerGroup()+1),
 	}
 	for i := range s.free {
 		s.free[i] = true
@@ -487,8 +480,9 @@ func (s *Scheduler) finish(j *Job, state JobState) {
 	s.trySchedule()
 }
 
-// place chooses nodes for a job of size n, or nil if it cannot fit now.
-// It only reads the scheduling index; start() commits the allocation.
+// place chooses nodes for a job of size n, in ascending node order, or
+// nil if it cannot fit now. It only reads the scheduling index; start()
+// commits the allocation.
 func (s *Scheduler) place(n int) []int {
 	if n <= s.nodesPerGroup {
 		// Pack: best-fit group (smallest free count that fits) to keep
@@ -501,96 +495,78 @@ func (s *Scheduler) place(n int) []int {
 			}
 		}
 		if best >= 0 {
-			return s.takeFromGroup(best, n)
+			return s.appendFromGroup(make([]int, 0, n), best, n)
 		}
 		// No single group fits; fall through to spreading.
 	}
 	if s.freeHealthy < n {
 		return nil
 	}
-	// Spread: allocate round-robin from the groups with the most free
-	// nodes so the job touches as many groups as evenly as possible.
-	gf := s.gfScratch[:0]
-	for g := 0; g < s.groups; g++ {
-		gf = append(gf, groupFreeCount{id: g, free: s.groupFree[g]})
-	}
-	sort.Slice(gf, func(i, k int) bool {
-		if gf[i].free != gf[k].free {
-			return gf[i].free > gf[k].free
-		}
-		return gf[i].id < gf[k].id
-	})
-	var alloc []int
+	// Spread: take from the groups with the most free nodes so the job
+	// touches as many groups as evenly as possible. First pass: an equal
+	// share per group, in (free desc, id asc) order.
+	order := s.groupsByFree()
+	share := (n + len(order) - 1) / len(order)
 	remaining := n
-	// First pass: equal share per group.
-	groupsWithFree := 0
-	for _, g := range gf {
-		if g.free > 0 {
-			groupsWithFree++
-		}
-	}
-	share := (n + groupsWithFree - 1) / groupsWithFree
-	for _, g := range gf {
+	for _, g := range order {
 		if remaining == 0 {
 			break
 		}
-		take := share
-		if take > g.free {
-			take = g.free
-		}
-		if take > remaining {
-			take = remaining
-		}
-		alloc = append(alloc, s.takeFromGroup(g.id, take)...)
-		remaining -= take
+		t := min(share, s.groupFree[g], remaining)
+		s.take[g] = t
+		remaining -= t
 	}
-	// Second pass: whatever is left, wherever it fits, in ascending node
-	// order off the free bitmap; the scratch bitmap keeps the membership
-	// check O(1) per node.
-	if remaining > 0 {
-		taken := s.scratch
-		for _, a := range alloc {
-			taken[a] = true
-		}
-		for node := 0; node < s.totalNodes && remaining > 0; {
-			w := s.freeBits[node>>6] >> (node & 63)
-			if w == 0 {
-				node = (node &^ 63) + 64
-				continue
-			}
-			node += bits.TrailingZeros64(w)
-			if node >= s.totalNodes {
-				break
-			}
-			if !taken[node] {
-				taken[node] = true
-				alloc = append(alloc, node)
-				remaining--
-			}
-			node++
-		}
-		for _, a := range alloc {
-			taken[a] = false
+	// Second pass: the rest goes to the lowest free nodes not yet taken.
+	// Each group gives its lowest free nodes and groups are contiguous
+	// node ranges, so those are the next free nodes of each group in
+	// ascending group order. freeHealthy >= n keeps g inside the machine.
+	for g := 0; remaining > 0; g++ {
+		t := min(s.groupFree[g]-s.take[g], remaining)
+		s.take[g] += t
+		remaining -= t
+	}
+	// Collecting groups in id order yields the allocation already sorted.
+	alloc := make([]int, 0, n)
+	for g, t := range s.take {
+		if t > 0 {
+			alloc = s.appendFromGroup(alloc, g, t)
+			s.take[g] = 0
 		}
 	}
-	if remaining > 0 {
-		return nil
-	}
-	sort.Ints(alloc)
 	return alloc
 }
 
-// takeFromGroup collects up to n free healthy nodes from group g in
-// ascending node order — the same order the old linear scan produced,
-// now walked off the free bitmap.
-func (s *Scheduler) takeFromGroup(g, n int) []int {
-	out := make([]int, 0, n)
-	start := g * s.nodesPerGroup
-	end := start + s.nodesPerGroup
-	if end > s.totalNodes {
-		end = s.totalNodes
+// groupsByFree returns the groups with free nodes ordered by free count
+// descending, then id ascending. Free counts are at most nodesPerGroup,
+// so a stable counting sort does it in O(groups + nodesPerGroup).
+func (s *Scheduler) groupsByFree() []int {
+	clear(s.bucket)
+	for _, f := range s.groupFree {
+		s.bucket[f]++
 	}
-	for node := start; node < end && len(out) < n; {
+	// bucket[f] becomes the first slot for free count f.
+	pos := 0
+	for f := s.nodesPerGroup; f > 0; f-- {
+		c := s.bucket[f]
+		s.bucket[f] = pos
+		pos += c
+	}
+	order := s.order[:pos]
+	for g, f := range s.groupFree {
+		if f > 0 {
+			order[s.bucket[f]] = g
+			s.bucket[f]++
+		}
+	}
+	return order
+}
+
+// appendFromGroup appends the lowest n free healthy nodes of group g to
+// dst in ascending node order, walking the free bitmap.
+func (s *Scheduler) appendFromGroup(dst []int, g, n int) []int {
+	start := g * s.nodesPerGroup
+	end := min(start+s.nodesPerGroup, s.totalNodes)
+	for node := start; node < end && n > 0; {
 		w := s.freeBits[node>>6] >> (node & 63)
 		if w == 0 {
 			node = (node &^ 63) + 64
@@ -600,10 +576,11 @@ func (s *Scheduler) takeFromGroup(g, n int) []int {
 		if node >= end {
 			break
 		}
-		out = append(out, node)
+		dst = append(dst, node)
+		n--
 		node++
 	}
-	return out
+	return dst
 }
 
 // jobQueue is the pending queue: FIFO order with O(1) removal anywhere.
