@@ -19,15 +19,14 @@
 // status is 3. ns/op is normally reported but not flagged — wall time on
 // shared CI runners is too noisy to gate on — except for the kernel,
 // transport and solver benchmarks (BenchmarkKernel*, BenchmarkTransport*,
-// BenchmarkFig6FullScale*, BenchmarkSolverDelta*,
-// BenchmarkSolutionCache*, BenchmarkLLMTrainStep, BenchmarkCampaign*):
-// those are the event-calendar and incremental-solver hot paths whose
-// throughput the perf trajectory exists to protect, and their inner
-// loops are long enough that a >threshold ns/op increase is signal, not
-// noise. The kernel and transport families additionally gate their
-// events/sec column: a >threshold throughput decrease there fails the
-// comparison even when ns/op moved for benign reasons (iteration-shape
-// changes).
+// BenchmarkFig6FullScale*, BenchmarkSolutionCache*,
+// BenchmarkLLMTrainStep, BenchmarkCampaign*): those are the
+// event-calendar and solver hot paths whose throughput the perf
+// trajectory exists to protect, and their inner loops are long enough
+// that a >threshold ns/op increase is signal, not noise. The kernel and
+// transport families additionally gate their events/sec column: a
+// >threshold throughput decrease there fails the comparison even when
+// ns/op moved for benign reasons (iteration-shape changes).
 package main
 
 import (
@@ -52,8 +51,8 @@ type Benchmark struct {
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 	// EventsPerSec promotes the kernel benchmarks' "events/sec"
-	// ReportMetric to a first-class column: it is the throughput number
-	// the sharded-kernel speedup targets are stated in, and scripts
+	// ReportMetric to a first-class column: it is the event-engine
+	// throughput number the perf trajectory tracks, and scripts
 	// shouldn't have to dig through Metrics for it. The raw entry stays
 	// in Metrics too, so older tooling keeps working.
 	EventsPerSec float64            `json:"events_per_sec,omitempty"`
@@ -201,21 +200,20 @@ func runCompare(paths []string, threshold float64) int {
 // nsGated reports whether a benchmark's ns/op is gated in compare mode.
 // Two families are stable enough to gate on wall time: the
 // event-calendar hot path (kernel and transport benchmarks), and the
-// incremental max-min solver (the full-scale census plus the
-// delta-solve and solution-cache micro-benchmarks) — long, single-path
-// inner loops where a >threshold ns/op increase is a real solver
-// regression, not runner noise. Names are matched after the -procs
-// suffix has been stripped by parseLine; sub-benchmarks keep their
-// slash-separated path, so the prefixes cover BenchmarkSolverDelta/clean
-// and friends. The phase-structured job layer adds more: the LLM
-// train-step Bind pricing micro-benchmark and the campaign replays
-// (BenchmarkCampaignWeek and the year-at-scale BenchmarkCampaignYear),
-// all deterministic single-path loops over the job/env hot path.
+// max-min solver (the full-scale census plus the solution-cache
+// micro-benchmarks) — long, single-path inner loops where a >threshold
+// ns/op increase is a real solver regression, not runner noise. Names
+// are matched after the -procs suffix has been stripped by parseLine;
+// sub-benchmarks keep their slash-separated path, so the prefixes cover
+// BenchmarkSolutionCache/hit and friends. The phase-structured job layer
+// adds more: the LLM train-step Bind pricing micro-benchmark and the
+// campaign replays (BenchmarkCampaignWeek and the year-at-scale
+// BenchmarkCampaignYear), all deterministic single-path loops over the
+// job/env hot path.
 func nsGated(name string) bool {
 	return strings.HasPrefix(name, "BenchmarkKernel") ||
 		strings.HasPrefix(name, "BenchmarkTransport") ||
 		strings.HasPrefix(name, "BenchmarkFig6FullScale") ||
-		strings.HasPrefix(name, "BenchmarkSolverDelta") ||
 		strings.HasPrefix(name, "BenchmarkSolutionCache") ||
 		strings.HasPrefix(name, "BenchmarkLLMTrainStep") ||
 		strings.HasPrefix(name, "BenchmarkCampaign")

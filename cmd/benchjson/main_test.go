@@ -78,10 +78,10 @@ func TestNsGated(t *testing.T) {
 
 func TestEpsGated(t *testing.T) {
 	for name, want := range map[string]bool{
-		"BenchmarkKernelSchedule":                 true,
-		"BenchmarkTransportStormSharded/shards=8": true,
-		"BenchmarkCampaignYear":                   false,
-		"BenchmarkResiliencyYearSharded/shards=8": false,
+		"BenchmarkKernelSchedule":     true,
+		"BenchmarkTransportStorm/big": true,
+		"BenchmarkCampaignYear":       false,
+		"BenchmarkResiliencyYear":     false,
 	} {
 		if got := epsGated(name); got != want {
 			t.Errorf("epsGated(%q) = %v, want %v", name, got, want)
@@ -92,9 +92,9 @@ func TestEpsGated(t *testing.T) {
 func TestCompareGatesEventsPerSecDrop(t *testing.T) {
 	dir := t.TempDir()
 	oldRep := writeReport(t, dir, "old",
-		Benchmark{Name: "BenchmarkTransportStormSharded/shards=8", EventsPerSec: 4000000})
+		Benchmark{Name: "BenchmarkTransportStorm/big", EventsPerSec: 4000000})
 	newRep := writeReport(t, dir, "new",
-		Benchmark{Name: "BenchmarkTransportStormSharded/shards=8", EventsPerSec: 3000000})
+		Benchmark{Name: "BenchmarkTransportStorm/big", EventsPerSec: 3000000})
 	if got := runCompare([]string{oldRep, newRep}, 0.20); got != 3 {
 		t.Errorf("-25%% events/sec on a transport benchmark: exit %d, want 3", got)
 	}
@@ -195,11 +195,11 @@ func TestParseLineBenchmemWithExtraMetric(t *testing.T) {
 }
 
 func TestParseLinePromotesEventsPerSec(t *testing.T) {
-	b, ok := parseLine("BenchmarkTransportStormSharded/shards=8-8  \t      92\t  12706269 ns/op\t   4148339 events/sec\t  290192 B/op\t    1918 allocs/op")
+	b, ok := parseLine("BenchmarkTransportStorm/big-8  \t      92\t  12706269 ns/op\t   4148339 events/sec\t  290192 B/op\t    1918 allocs/op")
 	if !ok {
 		t.Fatal("line did not parse")
 	}
-	if b.Name != "BenchmarkTransportStormSharded/shards=8" {
+	if b.Name != "BenchmarkTransportStorm/big" {
 		t.Errorf("name = %q (sub-benchmark path must survive, -procs suffix must not)", b.Name)
 	}
 	if b.EventsPerSec != 4148339 {
@@ -225,9 +225,9 @@ func TestCompareReportsEventsPerSecWithoutGating(t *testing.T) {
 	// by name prefix still apply, so use an ungated name here.
 	dir := t.TempDir()
 	oldRep := writeReport(t, dir, "old",
-		Benchmark{Name: "BenchmarkResiliencyYearSharded/shards=8", EventsPerSec: 4000000})
+		Benchmark{Name: "BenchmarkResiliencyYear", EventsPerSec: 4000000})
 	newRep := writeReport(t, dir, "new",
-		Benchmark{Name: "BenchmarkResiliencyYearSharded/shards=8", EventsPerSec: 2000000})
+		Benchmark{Name: "BenchmarkResiliencyYear", EventsPerSec: 2000000})
 	if got := runCompare([]string{oldRep, newRep}, 0.20); got != 0 {
 		t.Errorf("events/sec drop alone: exit %d, want 0 (reported, not gated)", got)
 	}

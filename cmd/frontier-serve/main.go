@@ -41,7 +41,6 @@ func run() int {
 	cacheBytes := flag.Int64("cache-bytes", 256<<20, "in-memory result-cache budget in bytes (0 = unbounded)")
 	cacheDir := flag.String("cache-dir", "", "persist results to this directory (survives restarts; empty = memory only)")
 	maxSweep := flag.Int("max-sweep", 256, "max variants in one sweep request")
-	shards := flag.Int("shards", 0, "kernel worker shards per simulation (0 or 1 = one worker; results are identical at any value)")
 	solutionBytes := flag.Int64("solution-cache-bytes", 0, "solver solution-cache budget in bytes shared across simulations (0 = 256 MiB default)")
 	pricingEntries := flag.Int("pricing-cache-entries", 0, "per-simulation placement-signature pricing cache for campaign experiments: 0 = unbounded (default), N > 0 = LRU entry cap, -1 = disabled; campaign results are identical at any setting")
 	flag.Parse()
@@ -56,7 +55,6 @@ func run() int {
 		CacheBytes:         *cacheBytes,
 		CacheDir:           *cacheDir,
 		MaxSweepVariants:   *maxSweep,
-		Shards:             *shards,
 		SolutionCacheBytes: *solutionBytes,
 		PricingEntries:     *pricingEntries,
 	})

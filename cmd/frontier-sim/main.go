@@ -16,7 +16,6 @@
 //	frontier-sim -markdown run all    # emit markdown (EXPERIMENTS.md body)
 //	frontier-sim -quick run all       # reduced sampling for smoke tests
 //	frontier-sim -jobs=1 run all      # serial (same output as -jobs=8)
-//	frontier-sim -shards=8 run all    # 8 kernel shards (same output as -shards=1)
 //	frontier-sim -machine spec.json run fig6   # what-if machine under test
 //	frontier-sim -dump-spec frontier  # emit a built-in spec as JSON
 //	frontier-sim verify               # check reproduction envelopes
@@ -49,12 +48,11 @@ func run() int {
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "max experiments run concurrently (1 = serial)")
 	timeout := flag.Duration("timeout", 0, "abort the whole run after this duration (0 = none)")
 	keepGoing := flag.Bool("keepgoing", false, "run every experiment even after a failure")
-	shards := flag.Int("shards", 0, "worker shards for sharded-kernel experiments (0 or 1 = one worker; output is identical at any value)")
 	pricingCache := flag.Int("pricing-cache", 0, "placement-signature pricing cache for the campaign experiments: 0 = unbounded (default), N > 0 = LRU entry cap, -1 = disabled; hits are bit-identical, so campaign results never change (only the reported hit-rate row)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	mutexprofile := flag.String("mutexprofile", "", "write a contended-mutex profile to this file on exit")
-	blockprofile := flag.String("blockprofile", "", "write a goroutine-blocking profile to this file on exit (shard barriers show here)")
+	blockprofile := flag.String("blockprofile", "", "write a goroutine-blocking profile to this file on exit (worker-pool waits show here)")
 	machineArg := flag.String("machine", "", "machine under test: a built-in name or a JSON spec file (default: frontier)")
 	dumpSpec := flag.String("dump-spec", "", "print a machine spec as JSON and exit (a built-in name or a spec file)")
 	flag.Usage = usage
@@ -96,7 +94,7 @@ func run() int {
 	// One solver solution cache for the whole invocation: ablation arms
 	// sharing a traffic matrix (CC on/off) reuse solved allocations, and
 	// reuse is bit-exact, so output stays byte-identical with or without.
-	opts := experiments.Options{Quick: *quick, Seed: *seed, Shards: *shards,
+	opts := experiments.Options{Quick: *quick, Seed: *seed,
 		Solutions: network.NewSolutionCache(0), PricingEntries: *pricingCache}
 	if *machineArg != "" {
 		spec, err := machine.Resolve(*machineArg)

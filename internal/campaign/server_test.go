@@ -389,79 +389,24 @@ func TestConcurrentIdenticalRuns(t *testing.T) {
 	}
 }
 
-// TestStatsReportsSharding pins the /v1/stats "sharding" section: the
-// configured shard count plus the process-wide per-shard executed-event
-// counters, which go live once a sharded-kernel experiment has run.
-func TestStatsReportsSharding(t *testing.T) {
-	srv, err := New(Config{Jobs: 2, CodeVersion: "test", Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-
-	resp := post(t, ts.URL+"/v1/run", `{"experiment":"ext-sharded","seed":42,"quick":true}`)
-	body := readAll(t, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ext-sharded run: %d %s", resp.StatusCode, body)
-	}
-
-	stats, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got struct {
-		Sharding struct {
-			Shards         int      `json:"shards"`
-			ExecutedEvents []uint64 `json:"executedEvents"`
-		} `json:"sharding"`
-	}
-	if err := json.NewDecoder(stats.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	stats.Body.Close()
-	if got.Sharding.Shards != 4 {
-		t.Errorf("sharding.shards = %d, want 4", got.Sharding.Shards)
-	}
-	var total uint64
-	for _, n := range got.Sharding.ExecutedEvents {
-		total += n
-	}
-	if total == 0 {
-		t.Errorf("sharding.executedEvents all zero after a sharded run: %v", got.Sharding.ExecutedEvents)
-	}
-}
-
-// TestShardsExcludedFromCacheKey pins the cache-sharing contract:
-// servers configured with different shard counts derive the same result
-// key for the same request (results are shard-invariant, so a shard-
-// dependent key would only fragment the cache) and serve byte-identical
-// bodies.
-func TestShardsExcludedFromCacheKey(t *testing.T) {
-	req := JobRequest{Experiment: "ext-sharded", Quick: true}
-	var keys []string
-	var bodies [][]byte
-	for _, shards := range []int{1, 8} {
-		srv, err := New(Config{Jobs: 2, CodeVersion: "test", Shards: shards})
-		if err != nil {
-			t.Fatal(err)
+// Request bodies are capped at maxBodyBytes: an oversized post to any
+// decoding endpoint is refused with 413 and the usual JSON error instead
+// of being buffered.
+func TestOversizedBodyRejected(t *testing.T) {
+	_, ts := newTestServer(t)
+	body := `{"experiment":"table2","machine":"` + strings.Repeat("x", 2<<20) + `"}`
+	for _, path := range []string{"/v1/run", "/v1/jobs", "/v1/sweep"} {
+		resp := post(t, ts.URL+path, body)
+		var got struct {
+			Error string `json:"error"`
 		}
-		res, err := srv.resolve(req)
-		if err != nil {
-			t.Fatal(err)
+		err := json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s: status %d, want 413", path, resp.StatusCode)
 		}
-		keys = append(keys, string(res.key))
-		b, _, err := srv.runCached(res, nil)
-		if err != nil {
-			t.Fatal(err)
+		if err != nil || !strings.Contains(got.Error, "too large") {
+			t.Errorf("POST %s: error body %+v (decode err %v), want a JSON \"too large\" error", path, got, err)
 		}
-		bodies = append(bodies, b)
-	}
-	if keys[0] != keys[1] {
-		t.Errorf("cache keys differ across shard configs: %s vs %s", keys[0], keys[1])
-	}
-	if !bytes.Equal(bodies[0], bodies[1]) {
-		t.Errorf("result bodies differ between shards=1 and shards=8 servers")
 	}
 }

@@ -80,9 +80,15 @@ func (sw Sweep) check() error {
 	if sw.To < sw.From {
 		return fmt.Errorf("sweep %s: to %v is below from %v", sw.Field, sw.To, sw.From)
 	}
-	if n := sw.count(); n > maxSweepValues {
+	n := sw.count()
+	if n > maxSweepValues {
 		return fmt.Errorf("sweep %s: %v..%v step %v has %.0f values, over the limit of %d",
 			sw.Field, sw.From, sw.To, sw.Step, n, maxSweepValues)
+	}
+	// The last value From+(n-1)*Step can round past To; near the top of
+	// the float64 range that is +Inf.
+	if last := sw.From + (n-1)*sw.Step; math.IsInf(last, 0) {
+		return fmt.Errorf("sweep %s: %v..%v step %v overflows float64", sw.Field, sw.From, sw.To, sw.Step)
 	}
 	return nil
 }

@@ -88,6 +88,35 @@ func TestSweepValues(t *testing.T) {
 	}
 }
 
+// FuzzParseSweep holds the sweep DSL to its contract on any input:
+// ParseSweep never panics, and a sweep it accepts expands to between 1
+// and maxSweepValues finite, non-decreasing values starting at From.
+// The seed corpus in testdata/fuzz/FuzzParseSweep holds the CI smoke
+// sweep and the two inputs that once hung or exhausted the server.
+func FuzzParseSweep(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		sw, err := ParseSweep(s)
+		if err != nil {
+			return
+		}
+		vs := sw.Values()
+		if len(vs) < 1 || len(vs) > maxSweepValues {
+			t.Fatalf("ParseSweep(%q) accepted a sweep of %d values, want 1..%d", s, len(vs), maxSweepValues)
+		}
+		if vs[0] != sw.From {
+			t.Fatalf("ParseSweep(%q): first value %v, want From %v", s, vs[0], sw.From)
+		}
+		for i, v := range vs {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("ParseSweep(%q): value %d is %v", s, i, v)
+			}
+			if i > 0 && v < vs[i-1] {
+				t.Fatalf("ParseSweep(%q): value %d (%v) below value %d (%v)", s, i, v, i-1, vs[i-1])
+			}
+		}
+	})
+}
+
 func TestSweepApply(t *testing.T) {
 	spec := machine.Frontier()
 	half := float64(spec.Topology.LinkRate) / 2

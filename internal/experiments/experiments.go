@@ -31,27 +31,19 @@ type Options struct {
 	// application tables' named platforms — stay canonical regardless,
 	// since their paper values are tied to those specific systems.
 	Machine *machine.Spec
-	// Shards is the worker count for experiments built on the sharded
-	// event kernel (sim.NewSharded): 0 or 1 runs the windowed engine
-	// inline on one goroutine. The determinism contract guarantees
-	// byte-identical tables at any value, so Shards — like Quick's jobs
-	// sibling on the CLI — is purely a speed knob and never enters
-	// result content or the campaign cache key.
-	Shards int
 	// Solutions optionally shares a max-min solver solution cache across
 	// the network experiments (and, on the campaign server, across
 	// repeated what-ifs). A cache hit applies the bit-exact allocation
-	// the skipped solve would have produced, so — like Shards — it is
-	// purely a speed knob that never enters result content or cache
-	// keys. nil disables reuse.
+	// the skipped solve would have produced, so it is purely a speed knob
+	// that never enters result content or cache keys. nil disables reuse.
 	Solutions *network.SolutionCache
 	// PricingEntries sizes the per-run placement-signature pricing cache
 	// the campaign experiments attach to their job environment: 0 (the
 	// default) keeps it unbounded, so the reported hit rate is a pure
 	// function of the job stream; > 0 caps the LRU; < 0 disables the
-	// cache. Cache hits reproduce cold pricing bit-for-bit, so — like
-	// Shards — this is purely a speed knob that never changes result
-	// content and never enters campaign cache keys.
+	// cache. Cache hits reproduce cold pricing bit-for-bit, so this is
+	// purely a speed knob that never changes result content and never
+	// enters campaign cache keys.
 	PricingEntries int
 }
 
@@ -134,7 +126,6 @@ func Registry() []Runner {
 		{"ext-operations", "Extension: a simulated week of operations", ExtOperations, 0.4},
 		{"ext-inventory", "Extension: dragonfly vs Clos ports and cables", ExtInventory, 0.1},
 		{"ext-miniapps", "Extension: real kernels validated + roofline-predicted", ExtMiniapps, 0.1},
-		{"ext-sharded", "Extension: sharded parallel kernel (per-group LPs, conservative lookahead)", ExtSharded, 0.3},
 		{"ext-llm", "Extension: LLM training scaling, phase-structured programs", ExtLLM, 0.5},
 		{"ext-campaign", "Extension: a campaign week of phase-structured jobs", ExtCampaign, 0.5},
 		{"ext-year", "Extension: a year of operations on full Frontier (pricing cache, indexed scheduler)", ExtYear, 2.0},

@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -50,6 +53,31 @@ func TestByID(t *testing.T) {
 	}
 	if len(IDs()) != len(Registry()) {
 		t.Error("IDs() length mismatch")
+	}
+}
+
+// EXPERIMENTS.md carries exactly one "### <id> — " section per
+// registered experiment, in registry order, and none for an unregistered
+// id, so adding or removing an experiment without regenerating the file
+// (frontier-sim -markdown run all) fails here.
+func TestExperimentsMarkdownMatchesRegistry(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sections []string
+	for _, line := range strings.Split(string(doc), "\n") {
+		if heading, ok := strings.CutPrefix(line, "### "); ok {
+			id, _, _ := strings.Cut(heading, " — ")
+			sections = append(sections, id)
+		}
+	}
+	var ids []string
+	for _, r := range Registry() {
+		ids = append(ids, r.ID)
+	}
+	if !slices.Equal(sections, ids) {
+		t.Errorf("EXPERIMENTS.md sections %v\ndo not match the registry %v", sections, ids)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // few dozen distinct programs, so repeat placements price as cache hits),
 // the scheduler's indexed free lists with bounded backfill, and batched
 // arrival/failure sampling. All three are bit-exact accelerations, so the
-// table is byte-identical across -jobs and -shards settings, and the
+// table is byte-identical across -jobs settings, and the
 // pricing-cache hit rate itself is deterministic. Quick mode shortens the
 // year to a fortnight on the same machine.
 func ExtYear(o Options) (*report.Table, error) {

@@ -114,69 +114,13 @@ type Fabric struct {
 	// RestoreLink, FailSwitch). Caches keyed on routing inputs — notably
 	// PathCache — compare it to detect that their entries went stale.
 	stateEpoch uint64
-
-	// stateLog journals which links each epoch bump touched, so
-	// incremental consumers (the delta solver) can ask "what changed since
-	// epoch e" instead of assuming everything did. logFloor is the newest
-	// epoch whose changes have been dropped from the journal: queries
-	// reaching at or below it are incomplete and answer ok=false.
-	stateLog []stateChange
-	logFloor uint64
 }
-
-// stateChange is one journaled link-state transition.
-type stateChange struct {
-	epoch uint64
-	link  int32
-}
-
-// maxStateLog bounds the state journal. A fabric that has seen more
-// transitions than this since a consumer's last visit has effectively
-// changed wholesale; the consumer falls back to a cold rebuild.
-const maxStateLog = 4096
 
 // StateEpoch returns the link-state epoch: a counter that advances on
 // every link or switch state transition. Two calls returning the same
 // value bracket a window in which every path the fabric computed is
 // still valid.
 func (f *Fabric) StateEpoch() uint64 { return f.stateEpoch }
-
-// logChange journals one link touched by the current epoch bump. When
-// the journal would outgrow its bound the whole history is dropped:
-// ChangedSince then reports ok=false for every epoch before the drop,
-// which callers treat as "assume everything changed".
-func (f *Fabric) logChange(id int) {
-	if len(f.stateLog) >= maxStateLog {
-		f.stateLog = f.stateLog[:0]
-		f.logFloor = f.stateEpoch
-		return
-	}
-	f.stateLog = append(f.stateLog, stateChange{epoch: f.stateEpoch, link: int32(id)})
-}
-
-// ChangedSince reports the ids of links whose up/down state may have
-// changed after epoch e (exclusive) up to the current StateEpoch. ok is
-// false when the journal no longer covers that span — the caller must
-// then assume any link may have changed. Ids may repeat when a link
-// toggled more than once; consumers treat the list as a dirty set.
-func (f *Fabric) ChangedSince(e uint64) (links []int, ok bool) {
-	if e >= f.stateEpoch {
-		return nil, true
-	}
-	if e < f.logFloor {
-		return nil, false
-	}
-	// Transitions are appended in epoch order; walk back to the first
-	// entry inside the window.
-	i := len(f.stateLog)
-	for i > 0 && f.stateLog[i-1].epoch > e {
-		i--
-	}
-	for _, c := range f.stateLog[i:] {
-		links = append(links, int(c.link))
-	}
-	return links, true
-}
 
 // key packs two non-negative ints into a cache key.
 func key(a, b int) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }
@@ -391,14 +335,12 @@ func (f *Fabric) GlobalLinks(a, b int) []int {
 func (f *Fabric) FailLink(id int) {
 	f.Links[id].Up = false
 	f.stateEpoch++
-	f.logChange(id)
 }
 
 // RestoreLink marks a link up again.
 func (f *Fabric) RestoreLink(id int) {
 	f.Links[id].Up = true
 	f.stateEpoch++
-	f.logChange(id)
 }
 
 // FailSwitch marks a switch unhealthy and all links touching it down.
@@ -411,7 +353,6 @@ func (f *Fabric) FailSwitch(sw int) {
 			(l.Kind == Injection && l.To == sw) || (l.Kind == Ejection && l.From == sw)
 		if touches {
 			l.Up = false
-			f.logChange(i)
 		}
 	}
 }

@@ -114,6 +114,21 @@ func TestNodeEndpoints(t *testing.T) {
 	}
 }
 
+// NodeEndpoint maps (node, rank-ish index) onto the node's NICs,
+// wrapping the index round-robin.
+func TestNodeEndpoint(t *testing.T) {
+	f := small(t)
+	per := f.Cfg.NICsPerNode
+	for n := 0; n < 3; n++ {
+		for i := 0; i < 2*per; i++ {
+			want := n*per + i%per
+			if got := f.NodeEndpoint(n, i); got != want {
+				t.Errorf("NodeEndpoint(%d, %d) = %d, want %d", n, i, got, want)
+			}
+		}
+	}
+}
+
 func TestMinimalPathSameSwitch(t *testing.T) {
 	f := small(t)
 	p, err := f.MinimalPath(0, 1, nil)

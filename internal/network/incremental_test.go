@@ -10,7 +10,7 @@ import (
 )
 
 // randomDemands builds a reusable demand set spanning the fabric, with a
-// mix of multi-path and capped demands, for the delta-solve tests.
+// mix of multi-path and capped demands, for the solver and cache tests.
 func randomDemands(t *testing.T, f *fabric.Fabric, rng *rand.Rand, n int) []*Demand {
 	t.Helper()
 	var demands []*Demand
@@ -49,13 +49,13 @@ func problemLinks(demands []*Demand) []int {
 	return ids
 }
 
-// assertSameSolve compares the delta-solved demands against a cold
+// assertSameSolve compares the reused solver's demands against a cold
 // oracle solve bit-for-bit, including the error path (where both sides
 // must leave every demand zeroed).
 func assertSameSolve(t *testing.T, round int, demands, ref []*Demand, err, refErr error) {
 	t.Helper()
 	if (err == nil) != (refErr == nil) {
-		t.Fatalf("round %d: delta err %v, cold err %v", round, err, refErr)
+		t.Fatalf("round %d: reused err %v, cold err %v", round, err, refErr)
 	}
 	if err != nil {
 		for i, d := range demands {
@@ -72,21 +72,21 @@ func assertSameSolve(t *testing.T, round int, demands, ref []*Demand, err, refEr
 	}
 	for i := range demands {
 		if demands[i].Rate != ref[i].Rate {
-			t.Fatalf("round %d demand %d: delta rate %v != cold %v", round, i, demands[i].Rate, ref[i].Rate)
+			t.Fatalf("round %d demand %d: reused rate %v != cold %v", round, i, demands[i].Rate, ref[i].Rate)
 		}
 		for pi := range demands[i].SubRates {
 			if demands[i].SubRates[pi] != ref[i].SubRates[pi] {
-				t.Fatalf("round %d demand %d path %d: delta %v != cold %v",
+				t.Fatalf("round %d demand %d path %d: reused %v != cold %v",
 					round, i, pi, demands[i].SubRates[pi], ref[i].SubRates[pi])
 			}
 		}
 	}
 }
 
-// The delta-solve contract: after an arbitrary FailLink / RestoreLink /
-// FailSwitch sequence, SolveDelta driven by the fabric's change journal
-// (changed == nil) matches a cold Solve bit-for-bit — including the
-// "routed over down link" error path, where both must zero every demand.
+// A solver arena reused across an arbitrary FailLink / RestoreLink /
+// FailSwitch sequence matches a fresh arena bit-for-bit on every round —
+// including the "routed over down link" error path, where both must zero
+// every demand.
 func TestSolverMatchesReferenceDeltaSequences(t *testing.T) {
 	f := smallFabric(t)
 	rng := rand.New(rand.NewSource(50))
@@ -110,8 +110,7 @@ func TestSolverMatchesReferenceDeltaSequences(t *testing.T) {
 
 	for round := 0; round < 80; round++ {
 		// Mutate the fabric: restore a down link, fail an in-problem or
-		// random link, fail a whole switch, or change nothing (the clean
-		// path must still answer correctly).
+		// random link, fail a whole switch, or change nothing.
 		switch down := downLinks(); {
 		case len(down) > 0 && rng.Intn(3) == 0:
 			f.RestoreLink(down[rng.Intn(len(down))])
@@ -131,11 +130,11 @@ func TestSolverMatchesReferenceDeltaSequences(t *testing.T) {
 
 		ref := cloneDemands(demands)
 		refErr := NewSolver().Solve(f, ref)
-		err := s.SolveDelta(f, demands, nil)
+		err := s.Solve(f, demands)
 		assertSameSolve(t, round, demands, ref, err, refErr)
 	}
 
-	// Restore everything and check the final delta solve heals.
+	// Restore everything and check the reused solver heals.
 	for _, lid := range downLinks() {
 		f.RestoreLink(lid)
 	}
@@ -143,108 +142,10 @@ func TestSolverMatchesReferenceDeltaSequences(t *testing.T) {
 	if err := NewSolver().Solve(f, ref); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SolveDelta(f, demands, nil); err != nil {
+	if err := s.Solve(f, demands); err != nil {
 		t.Fatal(err)
 	}
 	assertSameSolve(t, -1, demands, ref, nil, nil)
-}
-
-// Same contract with caller-supplied changed lists instead of the
-// journal: the caller tracks exactly which links it touched.
-func TestSolveDeltaExplicitChangedList(t *testing.T) {
-	f := smallFabric(t)
-	rng := rand.New(rand.NewSource(51))
-	demands := randomDemands(t, f, rng, 24)
-	inProblem := problemLinks(demands)
-
-	s := NewSolver()
-	if err := s.Solve(f, demands); err != nil {
-		t.Fatal(err)
-	}
-
-	var changed []int
-	var failed []int
-	for round := 0; round < 60; round++ {
-		switch {
-		case len(failed) > 0 && rng.Intn(2) == 0:
-			i := rng.Intn(len(failed))
-			f.RestoreLink(failed[i])
-			changed = append(changed, failed[i])
-			failed = append(failed[:i], failed[i+1:]...)
-		default:
-			lid := inProblem[rng.Intn(len(inProblem))]
-			if rng.Intn(3) == 0 {
-				lid = rng.Intn(len(f.Links))
-			}
-			if f.Links[lid].Up {
-				f.FailLink(lid)
-				changed = append(changed, lid)
-				failed = append(failed, lid)
-			}
-		}
-
-		ref := cloneDemands(demands)
-		refErr := NewSolver().Solve(f, ref)
-		err := s.SolveDelta(f, demands, changed)
-		assertSameSolve(t, round, demands, ref, err, refErr)
-		// Either the solver is now current (success) or it dropped its
-		// state (error) and the next call re-solves cold; both ways the
-		// caller's changed list starts over.
-		changed = changed[:0]
-	}
-}
-
-// When the change journal overflows (more transitions than it tracks),
-// ChangedSince answers ok=false and SolveDelta must fall back to a cold
-// solve rather than trust stale state.
-func TestSolveDeltaJournalOverflow(t *testing.T) {
-	f := smallFabric(t)
-	rng := rand.New(rand.NewSource(52))
-	demands := randomDemands(t, f, rng, 16)
-	lid := demands[0].Paths[0][0]
-
-	s := NewSolver()
-	if err := s.Solve(f, demands); err != nil {
-		t.Fatal(err)
-	}
-	// 3000 bounce pairs = 6000 journal appends, past any journal bound.
-	for i := 0; i < 3000; i++ {
-		f.FailLink(lid)
-		f.RestoreLink(lid)
-	}
-	if _, ok := f.ChangedSince(0); ok {
-		t.Fatal("journal should have overflowed")
-	}
-	ref := cloneDemands(demands)
-	if err := NewSolver().Solve(f, ref); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SolveDelta(f, demands, nil); err != nil {
-		t.Fatal(err)
-	}
-	assertSameSolve(t, 0, demands, ref, nil, nil)
-}
-
-// A different demand slice (same contents, different pointers) must not
-// be treated as the warm set: SolveDelta re-solves cold and still gets
-// the right answer.
-func TestSolveDeltaDemandSetChange(t *testing.T) {
-	f := smallFabric(t)
-	rng := rand.New(rand.NewSource(53))
-	demands := randomDemands(t, f, rng, 12)
-	s := NewSolver()
-	if err := s.Solve(f, demands); err != nil {
-		t.Fatal(err)
-	}
-	other := cloneDemands(demands)
-	if err := s.SolveDelta(f, other, nil); err != nil {
-		t.Fatal(err)
-	}
-	for i := range demands {
-		if other[i].Rate != demands[i].Rate {
-			t.Fatalf("demand %d: cloned-set delta rate %v != original %v", i, other[i].Rate, demands[i].Rate)
-		}
-	}
 }
 
 // Satellite regression: a Solve that errors mid-validation must leave

@@ -21,10 +21,6 @@ import (
 // with an epoch-stamped dense slice: fabric link ids are dense ints, so a
 // versioned slice gives O(1) lookup with no clearing between solves — a
 // slot is valid only when its stamp matches the current solve's epoch.
-//
-// A Solver also remembers the problem it last built (fabric, demand set,
-// CSR adjacency, degree snapshot), which is what SolveDelta warm-starts
-// from after fabric link-state changes.
 type Solver struct {
 	// idx[lid] is the arena index of fabric link lid, valid iff
 	// stamp[lid] == epoch. Neither slice is cleared between solves.
@@ -34,13 +30,12 @@ type Solver struct {
 
 	// Per-link state, indexed by arena link index. Demand-cap
 	// pseudo-links live in the same space as real fabric links.
-	linkCap    []float64
-	linkUsed   []float64
-	linkCount  []int32 // unfrozen subflows crossing the link
-	linkCount0 []int32 // degree snapshot taken at build time, for re-fills
-	linkStart  []int32 // CSR offsets into linkSubs (len nlinks+1)
-	linkSubs   []int32 // subflow indices, grouped by link
-	cursor     []int32 // scratch fill cursor for the CSR pass
+	linkCap   []float64
+	linkUsed  []float64
+	linkCount []int32 // unfrozen subflows crossing the link
+	linkStart []int32 // CSR offsets into linkSubs (len nlinks+1)
+	linkSubs  []int32 // subflow indices, grouped by link
+	cursor    []int32 // scratch fill cursor for the CSR pass
 
 	// Per-subflow state, indexed by subflow index.
 	subDemand []int32
@@ -51,14 +46,6 @@ type Solver struct {
 	frozen    []bool
 
 	heap []boundEntry
-
-	// Warm-start tracking for SolveDelta: the fabric and demand set the
-	// CSR currently encodes, and the fabric state epoch it was built
-	// against. built is false until a solve succeeds end to end.
-	built       bool
-	lastFabric  *fabric.Fabric
-	lastEpoch   uint64
-	lastDemands []*Demand
 }
 
 // NewSolver returns an empty solver arena.
@@ -128,7 +115,6 @@ func zeroDemandRates(demands []*Demand) {
 //
 // On error every demand is left with Rate 0 and all SubRates zeroed.
 func (s *Solver) Solve(f *fabric.Fabric, demands []*Demand) error {
-	s.built = false
 	s.reset(len(f.Links))
 	if err := s.build(f, demands); err != nil {
 		zeroDemandRates(demands)
@@ -138,97 +124,13 @@ func (s *Solver) Solve(f *fabric.Fabric, demands []*Demand) error {
 		zeroDemandRates(demands)
 		return err
 	}
-	s.built = true
-	s.lastFabric = f
-	s.lastEpoch = f.StateEpoch()
-	s.lastDemands = append(s.lastDemands[:0], demands...)
 	return nil
-}
-
-// SolveDelta re-solves the demand set most recently solved on this
-// Solver, reusing the built CSR adjacency instead of rebuilding it.
-// changed lists the fabric link ids whose state may have changed since
-// that solve; nil means "ask the fabric", via the change journal that
-// f.ChangedSince keeps between state epochs.
-//
-// Three outcomes, all byte-identical to a cold Solve on the current
-// fabric state:
-//
-//   - No changed link is part of the problem: the previous solution is
-//     still exact, the demands already hold it verbatim, and SolveDelta
-//     returns without touching the heap at all.
-//   - A changed problem link is up: its capacity is refreshed and the
-//     water-filling fill pass re-runs over the preserved CSR arrays.
-//     The fill performs the same floating-point operations in the same
-//     order as a cold solve of the identical problem, so the result is
-//     bit-for-bit what Solve would produce.
-//   - A changed problem link is down: the demand set no longer routes,
-//     and SolveDelta falls back to a cold Solve to surface the canonical
-//     "routed over down link" error (zeroing all demands).
-//
-// The caller must not have mutated the demands' Src/Dst/Cap/Paths since
-// the previous solve; SolveDelta falls back to a cold Solve whenever the
-// fabric or demand identity doesn't match what was built.
-func (s *Solver) SolveDelta(f *fabric.Fabric, demands []*Demand, changed []int) error {
-	if !s.built || s.lastFabric != f || !sameDemands(s.lastDemands, demands) {
-		return s.Solve(f, demands)
-	}
-	if changed == nil {
-		links, ok := f.ChangedSince(s.lastEpoch)
-		if !ok {
-			// Journal overflowed since the build; no cheap answer to
-			// "what changed", so rebuild from scratch.
-			return s.Solve(f, demands)
-		}
-		changed = links
-	}
-	dirty := false
-	for _, lid := range changed {
-		if lid < 0 || lid >= len(s.stamp) || s.stamp[lid] != s.epoch {
-			continue // link carries no subflow of this problem
-		}
-		if !f.Links[lid].Up {
-			return s.Solve(f, demands)
-		}
-		// Conservative: a problem link that bounced (failed and was
-		// restored) is treated as dirty even though its capacity is
-		// unchanged today — the re-fill is bit-identical either way, and
-		// future cap-mutating fabric events stay correct for free.
-		s.linkCap[s.idx[lid]] = f.Links[lid].Cap
-		dirty = true
-	}
-	s.lastEpoch = f.StateEpoch()
-	if !dirty {
-		return nil
-	}
-	if err := s.fill(demands); err != nil {
-		s.built = false
-		zeroDemandRates(demands)
-		return err
-	}
-	return nil
-}
-
-// sameDemands reports whether the two demand sets are the identical
-// sequence of Demand objects.
-func sameDemands(a, b []*Demand) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // build runs the two construction passes: validate demands, assign arena
 // link indices in first-encounter order (pseudo-links interleave after
 // each capped path, exactly as the original append order did), count
 // per-link degrees, and fill the link→subflow / subflow→link CSR arrays.
-// On success linkCount0 snapshots the degrees so fill can re-run without
-// rebuilding.
 func (s *Solver) build(f *fabric.Fabric, demands []*Demand) error {
 	for di, d := range demands {
 		if len(d.Paths) == 0 {
@@ -303,24 +205,17 @@ func (s *Solver) build(f *fabric.Fabric, demands []*Demand) error {
 		}
 	}
 	s.subStart[nsubs] = int32(len(s.subLinks))
-
-	s.linkCount0 = growI32(s.linkCount0, nlinks)
-	copy(s.linkCount0, s.linkCount)
 	return nil
 }
 
-// fill runs the water-filling freeze loop over the built CSR arrays:
-// restore per-link degrees from the build-time snapshot, zero usage and
+// fill runs the water-filling freeze loop over the CSR arrays build just
+// produced, consuming the per-link degrees as it freezes: zero usage and
 // every demand's rates, then repeatedly freeze the subflows crossing the
-// tightest bottleneck. Both Solve and SolveDelta funnel through here, so
-// a re-fill after a delta performs exactly the floating-point operation
-// sequence a cold solve of the same problem would.
+// tightest bottleneck.
 func (s *Solver) fill(demands []*Demand) error {
 	nlinks := len(s.linkCap)
 	nsubs := len(s.subDemand)
 
-	s.linkCount = growI32(s.linkCount, nlinks)
-	copy(s.linkCount, s.linkCount0[:nlinks])
 	s.linkUsed = growF64(s.linkUsed, nlinks)
 	for li := range s.linkUsed {
 		s.linkUsed[li] = 0

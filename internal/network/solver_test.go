@@ -138,12 +138,10 @@ func cloneDemands(demands []*Demand) []*Demand {
 }
 
 // The arena solver must be bit-identical to the pre-arena implementation
-// on randomised demand sets, including repeated solves reusing one arena
-// and delta solves layered on top: a clean SolveDelta must keep the
-// reference answer verbatim, and a dirty one (an in-problem link
-// bounced down and up) must refill to the same bits. Full random
-// fail/restore sequences are covered by
-// TestSolverMatchesReferenceDeltaSequences.
+// on randomised demand sets, including repeated solves reusing one arena:
+// re-solving the same demands must reproduce the reference answer, also
+// after an in-problem link bounced down and up. Full random fail/restore
+// sequences are covered by TestSolverMatchesReferenceDeltaSequences.
 func TestSolverMatchesReference(t *testing.T) {
 	f := smallFabric(t)
 	rng := rand.New(rand.NewSource(42))
@@ -188,21 +186,21 @@ func TestSolverMatchesReference(t *testing.T) {
 			}
 		}
 		compare("cold")
-		// Clean delta: nothing changed, the previous answer stands.
-		if err := s.SolveDelta(f, demands, nil); err != nil {
+		// Re-solve: nothing changed, the previous answer stands.
+		if err := s.Solve(f, demands); err != nil {
 			t.Fatal(err)
 		}
-		compare("clean delta")
-		// Dirty delta: bounce an in-problem link down and up. The link's
-		// state is back to what the reference solved against, so the
-		// refill must land on the same bits.
+		compare("re-solve")
+		// Bounce an in-problem link down and up. The link's state is back
+		// to what the reference solved against, so the re-solve must land
+		// on the same bits.
 		lid := demands[0].Paths[0][0]
 		f.FailLink(lid)
 		f.RestoreLink(lid)
-		if err := s.SolveDelta(f, demands, nil); err != nil {
+		if err := s.Solve(f, demands); err != nil {
 			t.Fatal(err)
 		}
-		compare("dirty delta")
+		compare("bounced re-solve")
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package profiling wires the standard -cpuprofile/-memprofile flags —
-// and, for the sharded parallel kernel, -mutexprofile/-blockprofile —
-// into the simulator's command-line tools, so hot-path work (like the
-// RNG seeding tax this repo's PR 3 removed, or barrier contention in
-// the windowed kernel) can be found with `go tool pprof` instead of
-// guesswork. See README's "Profiling the simulator" section for the
-// workflow.
+// and, for the harness worker pool and the caches its workers share,
+// -mutexprofile/-blockprofile — into the simulator's command-line tools,
+// so hot-path work (like the RNG seeding tax internal/rng removed, or
+// workers waiting on a shared cache's lock) can be found with
+// `go tool pprof` instead of guesswork. See README's "Profiling the
+// simulator" section for the workflow.
 package profiling
 
 import (
@@ -19,7 +19,7 @@ type Config struct {
 	CPU   string // pprof CPU profile
 	Mem   string // heap profile, written at stop
 	Mutex string // contended-mutex profile (SetMutexProfileFraction(1))
-	Block string // blocking profile (SetBlockProfileRate(1)) — barriers show here
+	Block string // blocking profile (SetBlockProfileRate(1)) — channel and lock waits show here
 }
 
 // Start begins CPU profiling (if cpuPath is non-empty) and returns a

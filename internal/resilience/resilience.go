@@ -147,14 +147,6 @@ func injectNext(arg any) {
 	in.handle(f)
 }
 
-// Inject schedules the failure trace onto a simulation kernel, invoking
-// handle for each event. A year-long trace over Frontier's component
-// classes is tens of thousands of events; scheduling them costs two
-// allocations total (the trace itself and the shared cursor).
-func (m Model) Inject(k *sim.Kernel, horizon units.Seconds, rng *rand.Rand, handle func(Failure)) int {
-	return InjectTrace(k, m.Simulate(horizon, rng), handle)
-}
-
 // InjectTrace schedules an already-simulated failure trace, pre-loading
 // the whole calendar — the historical discipline, kept for callers whose
 // traces are short.

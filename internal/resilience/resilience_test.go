@@ -93,7 +93,7 @@ func TestInject(t *testing.T) {
 	m := Frontier()
 	k := sim.NewKernel(3)
 	var seen []Failure
-	n := m.Inject(k, 5*units.Day, k.Stream("failures"), func(f Failure) { seen = append(seen, f) })
+	n := InjectTrace(k, m.Simulate(5*units.Day, k.Stream("failures")), func(f Failure) { seen = append(seen, f) })
 	k.Run()
 	if len(seen) != n {
 		t.Errorf("handled %d of %d failures", len(seen), n)

@@ -297,53 +297,6 @@ func (k *Kernel) RunUntil(horizon Time) {
 	}
 }
 
-// RunBefore dispatches events with timestamps strictly before bound and
-// leaves the clock at the last dispatched event's time — it never jumps
-// the clock forward to the bound. Events at or after bound stay queued.
-// If a callback calls Stop, RunBefore returns immediately. This is the
-// window primitive of the sharded kernel: each logical process drains
-// its calendar up to (but excluding) the window edge, so an event landing
-// exactly on the boundary belongs to the next window.
-func (k *Kernel) RunBefore(bound Time) {
-	k.stopped = false
-	for len(k.heap) > 0 {
-		e := k.heap[0]
-		if s := &k.arena[e.idx]; s.state != slotPending {
-			// Skip-and-free cancelled garbage without counting it.
-			k.popMin()
-			k.freeSlot(e.idx, s.state)
-			continue
-		}
-		if e.at >= bound {
-			break
-		}
-		k.dispatch(k.popMin())
-		if k.stopped {
-			return
-		}
-	}
-}
-
-// PeekTime returns the timestamp of the earliest pending event, or false
-// when the calendar is empty. Cancelled garbage encountered at the top is
-// freed in passing, exactly as Run would.
-func (k *Kernel) PeekTime() (Time, bool) {
-	for len(k.heap) > 0 {
-		e := k.heap[0]
-		if s := &k.arena[e.idx]; s.state != slotPending {
-			k.popMin()
-			k.freeSlot(e.idx, s.state)
-			continue
-		}
-		return e.at, true
-	}
-	return 0, false
-}
-
-// Stopped reports whether the last Run/RunUntil/RunBefore ended because a
-// callback called Stop.
-func (k *Kernel) Stopped() bool { return k.stopped }
-
 // Pending reports the number of queued events. Cancelled events are
 // removed from the calendar eagerly, so they never count.
 func (k *Kernel) Pending() int { return len(k.heap) }
