@@ -177,29 +177,6 @@ func BenchmarkSolverArenaReuse(b *testing.B) {
 	}
 }
 
-// BenchmarkAdaptivePathsCached measures route lookup through the
-// epoch-cached path sets that back the parallel mpiGraph census.
-func BenchmarkAdaptivePathsCached(b *testing.B) {
-	f, err := machine.Scaled(16, 16, 8).NewFabric()
-	if err != nil {
-		b.Fatal(err)
-	}
-	cache := fabric.NewPathCache(f, 4, 1)
-	n := f.Cfg.ComputeEndpoints()
-	rng := rand.New(rand.NewSource(3))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src, dst := rng.Intn(n), rng.Intn(n)
-		if src == dst {
-			continue
-		}
-		if _, err := cache.Paths(src, dst); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkStreamDerivation measures the cost of minting a named
 // random stream from a kernel — the seeding tax the internal/rng
 // package exists to kill. With the legacy lagged-Fibonacci source this
@@ -217,58 +194,13 @@ func BenchmarkStreamDerivation(b *testing.B) {
 	}
 }
 
-// BenchmarkPathCacheFill measures the adaptive-route path-set fill that
-// dominates the full-scale census. The cold case pays the whole fill —
-// per-pair stream derivation plus the CSR path build — on every
-// iteration (a fresh cache per pass over the endpoints); the warm case
-// is the steady-state cache hit.
-func BenchmarkPathCacheFill(b *testing.B) {
-	f, err := machine.Scaled(16, 16, 8).NewFabric()
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := f.Cfg.ComputeEndpoints()
-	const pairs = 64
-	b.Run("cold", func(b *testing.B) {
-		cache := fabric.NewPathCache(f, 4, 1)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			src := i % pairs
-			dst := (src + n/2) % n
-			if src == 0 {
-				cache.Invalidate()
-			}
-			if _, err := cache.Paths(src, dst); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		cache := fabric.NewPathCache(f, 4, 1)
-		for src := 0; src < pairs; src++ {
-			if _, err := cache.Paths(src, (src+n/2)%n); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			src := i % pairs
-			dst := (src + n/2) % n
-			if _, err := cache.Paths(src, dst); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkFig6FullScale runs the full-machine mpiGraph census — 9,408
 // nodes, 8 shift permutations, 4 ranks per node — through the parallel
 // harness in its steady operating state: the campaign server's repeated
 // what-ifs, where the solution cache serves each shift by pattern
-// signature and the shared path cache is warm. The warm-up run before
-// the timer is the cold first encounter; every timed iteration is the
-// interactive-latency regime the incremental solver exists for.
+// signature. The warm-up run before the timer is the cold first
+// encounter; every timed iteration is the interactive-latency regime the
+// incremental solver exists for.
 // BenchmarkFig6FullScaleCold below keeps the uncached trajectory.
 func BenchmarkFig6FullScale(b *testing.B) {
 	if testing.Short() {
@@ -281,15 +213,14 @@ func BenchmarkFig6FullScale(b *testing.B) {
 	cfg := network.DefaultMpiGraphConfig()
 	cfg.Nodes = 9408
 	pcfg := network.ParallelConfig{Seed: 1, Solutions: network.NewSolutionCache(0)}
-	pcfg.Paths = network.NewMpiGraphPathCache(f, cfg, pcfg)
-	warm, err := network.RunMpiGraphParallel(context.Background(), f, cfg, pcfg)
+	warm, err := network.RunMpiGraph(context.Background(), f, cfg, pcfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := network.RunMpiGraphParallel(context.Background(), f, cfg, pcfg)
+		res, err := network.RunMpiGraph(context.Background(), f, cfg, pcfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -320,7 +251,7 @@ func BenchmarkFig6FullScaleCold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := network.RunMpiGraphParallel(context.Background(), f, cfg,
+		res, err := network.RunMpiGraph(context.Background(), f, cfg,
 			network.ParallelConfig{Seed: 1})
 		if err != nil {
 			b.Fatal(err)

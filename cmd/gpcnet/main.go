@@ -7,10 +7,11 @@
 //	gpcnet [-nodes N] [-ppn P] [-cc=false] [-trials T] [-jobs J]
 //	       [-cpuprofile cpu.out] [-memprofile mem.out]
 //
-// With -trials > 1 the repetitions run concurrently on a bounded worker
-// pool, one derived rng stream per trial; the first trial's table is
-// printed plus per-trial impact factors. Results are byte-identical at
-// any -jobs setting for a fixed seed.
+// With -trials > 1 the repetitions run concurrently on the harness
+// worker pool, one derived rng stream per trial; the first trial's table
+// is printed plus per-trial impact factors. A single trial draws from
+// -seed directly. Results are byte-identical at any -jobs setting for a
+// fixed seed.
 package main
 
 import (
@@ -19,6 +20,8 @@ import (
 	"fmt"
 	"os"
 
+	"frontiersim/internal/fabric"
+	"frontiersim/internal/harness"
 	"frontiersim/internal/machine"
 	"frontiersim/internal/network"
 	"frontiersim/internal/profiling"
@@ -58,21 +61,12 @@ func run() int {
 	cfg.Nodes = *nodes
 	cfg.PPN = *ppn
 	cfg.CongestionControl = *cc
-	var res network.GPCNeTResult
-	var all []network.GPCNeTResult
-	if *trials > 1 {
-		all, err = network.RunGPCNeTTrials(context.Background(), f, cfg, *trials,
-			network.ParallelConfig{Jobs: *jobs, Seed: *seed})
-		if err == nil {
-			res = all[0]
-		}
-	} else {
-		res, err = network.RunGPCNeT(f, cfg, rng.New(*seed))
-	}
+	all, err := runTrials(f, cfg, *trials, *jobs, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gpcnet:", err)
 		return 1
 	}
+	res := all[0]
 	fmt.Printf("GPCNeT on %d nodes, %d PPN, congestion control %v\n\n", *nodes, *ppn, *cc)
 	fmt.Printf("%-32s %10s %10s\n", "test", "isolated", "congested")
 	row := func(name, iso, con string) { fmt.Printf("%-32s %10s %10s\n", name, iso, con) }
@@ -101,4 +95,36 @@ func run() int {
 		fmt.Printf("  mean:    bandwidth %.2fx, latency %.2fx, allreduce %.2fx\n", bw/n, lat/n, ar/n)
 	}
 	return 0
+}
+
+// runTrials runs trials independent repetitions of the benchmark and
+// returns them in trial order. Several trials fan out on the harness
+// pool, each drawing from its own stream derived from seed; the fabric
+// is shared read-only across workers.
+func runTrials(f *fabric.Fabric, cfg network.GPCNeTConfig, trials, jobs int, seed int64) ([]network.GPCNeTResult, error) {
+	if trials < 1 {
+		return nil, fmt.Errorf("need at least one trial, got %d", trials)
+	}
+	if trials == 1 {
+		res, err := network.RunGPCNeT(f, cfg, rng.New(seed), nil, "")
+		return []network.GPCNeTResult{res}, err
+	}
+	tasks := make([]harness.Task[network.GPCNeTResult], trials)
+	for i := range tasks {
+		tasks[i] = harness.Task[network.GPCNeTResult]{
+			ID: fmt.Sprintf("trial-%d", i),
+			Run: func(_ context.Context, seed int64) (network.GPCNeTResult, error) {
+				return network.RunGPCNeT(f, cfg, rng.New(seed), nil, "")
+			},
+		}
+	}
+	results, err := harness.Run(context.Background(), harness.Config{Jobs: jobs, FailFast: true, RootSeed: seed}, tasks, nil)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]network.GPCNeTResult, len(results))
+	for i, r := range results {
+		out[i] = r.Value
+	}
+	return out, nil
 }

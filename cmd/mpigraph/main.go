@@ -7,9 +7,9 @@
 //	mpigraph -fabric frontier|summit [-nodes N] [-shifts S] [-bins B] [-jobs J]
 //	         [-cpuprofile cpu.out] [-memprofile mem.out]
 //
-// Shifts are evaluated concurrently on a bounded worker pool with
-// epoch-cached adaptive routes; the census is byte-identical at any
-// -jobs setting for a fixed seed.
+// Shifts are evaluated concurrently on a bounded worker pool, each with
+// its own derived path and jitter streams; the census is byte-identical
+// at any -jobs setting for a fixed seed.
 package main
 
 import (
@@ -67,7 +67,7 @@ func run() int {
 	}
 	cfg.Nodes = *nodes
 	cfg.Shifts = *shifts
-	res, err := network.RunMpiGraphParallel(context.Background(), f, cfg,
+	res, err := network.RunMpiGraph(context.Background(), f, cfg,
 		network.ParallelConfig{Jobs: *jobs, Seed: *seed})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mpigraph:", err)

@@ -81,7 +81,7 @@ func AblationRouting(o Options) (*report.Table, error) {
 		cfg.Shifts = 2
 		cfg.ValiantPaths = valiant
 		cfg.MeasureJitter = 0
-		res, err := network.RunMpiGraphWithCache(f, cfg, rng.New(o.Seed), o.Solutions, topoKey(o.machine()))
+		res, err := runCensus(f, cfg, o, topoKey(o.machine()))
 		if err != nil {
 			return nil, err
 		}
@@ -111,7 +111,7 @@ func AblationCC(o Options) (*report.Table, error) {
 		if o.Quick {
 			cfg.LatencySamples = 600
 		}
-		res, err := network.RunGPCNeTWithCache(f, cfg, rng.New(o.Seed), o.Solutions, topoKey(o.machine()))
+		res, err := network.RunGPCNeT(f, cfg, rng.New(o.Seed), o.Solutions, topoKey(o.machine()))
 		if err != nil {
 			return nil, err
 		}

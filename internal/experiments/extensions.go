@@ -35,7 +35,7 @@ func AblationPPN(o Options) (*report.Table, error) {
 		if o.Quick {
 			cfg.LatencySamples = 600
 		}
-		res, err := network.RunGPCNeTWithCache(f, cfg, rng.New(o.Seed), o.Solutions, topoKey(o.machine()))
+		res, err := network.RunGPCNeT(f, cfg, rng.New(o.Seed), o.Solutions, topoKey(o.machine()))
 		if err != nil {
 			return nil, err
 		}

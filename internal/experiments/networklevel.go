@@ -1,19 +1,20 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
-	"frontiersim/internal/rng"
 
+	"frontiersim/internal/fabric"
 	"frontiersim/internal/machine"
 	"frontiersim/internal/network"
 	"frontiersim/internal/report"
+	"frontiersim/internal/rng"
 )
 
 // Fig6 reproduces the mpiGraph histograms for Frontier's dragonfly and
 // Summit's fat tree.
 func Fig6(o Options) (*report.Table, error) {
 	t := &report.Table{ID: "fig6", Title: "mpiGraph per-NIC receive bandwidth census"}
-	r := rng.New(o.Seed)
 
 	// The machine under test (canonically Frontier's dragonfly).
 	df, err := o.machine().NewFabric()
@@ -24,7 +25,7 @@ func Fig6(o Options) (*report.Table, error) {
 	if o.Quick {
 		dcfg.Shifts = 3
 	}
-	dres, err := network.RunMpiGraphWithCache(df, dcfg, r, o.Solutions, topoKey(o.machine()))
+	dres, err := runCensus(df, dcfg, o, topoKey(o.machine()))
 	if err != nil {
 		return nil, err
 	}
@@ -43,7 +44,7 @@ func Fig6(o Options) (*report.Table, error) {
 	if o.Quick {
 		scfg.Shifts = 3
 	}
-	sres, err := network.RunMpiGraphWithCache(cl, scfg, r, o.Solutions, topoKey(machine.Summit()))
+	sres, err := runCensus(cl, scfg, o, topoKey(machine.Summit()))
 	if err != nil {
 		return nil, err
 	}
@@ -57,6 +58,15 @@ func Fig6(o Options) (*report.Table, error) {
 		}
 	}
 	return t, nil
+}
+
+// runCensus runs the mpiGraph census for an experiment. Jobs is 1
+// because the experiment harness already spreads experiments over the
+// cores.
+func runCensus(f *fabric.Fabric, cfg network.MpiGraphConfig, o Options, topo string) (network.MpiGraphResult, error) {
+	return network.RunMpiGraph(context.Background(), f, cfg, network.ParallelConfig{
+		Jobs: 1, Seed: o.Seed, Solutions: o.Solutions, TopoKey: topo,
+	})
 }
 
 // Table5 reproduces GPCNeT at 9,400 nodes and 8 PPN with congestion
@@ -73,7 +83,7 @@ func Table5(o Options) (*report.Table, error) {
 	if o.Quick {
 		cfg.LatencySamples = 800
 	}
-	res, err := network.RunGPCNeTWithCache(f, cfg, rng.New(o.Seed), o.Solutions, topoKey(o.machine()))
+	res, err := network.RunGPCNeT(f, cfg, rng.New(o.Seed), o.Solutions, topoKey(o.machine()))
 	if err != nil {
 		return nil, err
 	}

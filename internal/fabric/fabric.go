@@ -112,7 +112,7 @@ type Fabric struct {
 
 	// stateEpoch counts link/switch state transitions (FailLink,
 	// RestoreLink, FailSwitch). Caches keyed on routing inputs — notably
-	// PathCache — compare it to detect that their entries went stale.
+	// network.SolutionCache — compare it to detect stale entries.
 	stateEpoch uint64
 }
 
@@ -121,9 +121,6 @@ type Fabric struct {
 // value bracket a window in which every path the fabric computed is
 // still valid.
 func (f *Fabric) StateEpoch() uint64 { return f.stateEpoch }
-
-// key packs two non-negative ints into a cache key.
-func key(a, b int) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }
 
 // initRoutingIndex sizes the dense routing lookups once groups and
 // switches exist. Constructors must call it before adding intra or

@@ -263,8 +263,12 @@ func TestLinkFailureReroutes(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	// Kill 3 of the 4 global links from group 0 to group 1.
 	ids := f.GlobalLinks(0, 1)
+	before := f.StateEpoch()
 	for _, id := range ids[:3] {
 		f.FailLink(id)
+	}
+	if f.StateEpoch() == before {
+		t.Error("FailLink did not advance the state epoch")
 	}
 	p, err := f.MinimalPath(0, 40, rng)
 	if err != nil {
@@ -285,7 +289,11 @@ func TestLinkFailureReroutes(t *testing.T) {
 	if err != nil || len(ps.Paths) == 0 {
 		t.Fatalf("adaptive should survive direct-link loss: %v", err)
 	}
+	before = f.StateEpoch()
 	f.RestoreLink(ids[0])
+	if f.StateEpoch() == before {
+		t.Error("RestoreLink did not advance the state epoch")
+	}
 	if _, err := f.MinimalPath(0, 40, rng); err != nil {
 		t.Errorf("restore failed: %v", err)
 	}
@@ -301,6 +309,15 @@ func TestSwitchFailure(t *testing.T) {
 	// Endpoints on other switches still work.
 	if _, err := f.MinimalPath(8, 40, rand.New(rand.NewSource(5))); err != nil {
 		t.Errorf("unrelated endpoints should route: %v", err)
+	}
+}
+
+func TestPathCacheSwitchFailureAdvancesEpoch(t *testing.T) {
+	f := small(t)
+	before := f.StateEpoch()
+	f.FailSwitch(5)
+	if f.StateEpoch() == before {
+		t.Error("FailSwitch did not advance the state epoch")
 	}
 }
 

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -55,7 +56,7 @@ func TestMpiGraphScaledDragonfly(t *testing.T) {
 	f := smallFabric(t)
 	cfg := DefaultMpiGraphConfig()
 	cfg.Shifts = 6
-	res, err := RunMpiGraph(f, cfg, rand.New(rand.NewSource(3)))
+	res, err := RunMpiGraph(context.Background(), f, cfg, ParallelConfig{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestMpiGraphClosTight(t *testing.T) {
 	mcfg := DefaultMpiGraphConfig()
 	mcfg.RanksPerNode = 1
 	mcfg.Shifts = 6
-	res, err := RunMpiGraph(f, mcfg, rand.New(rand.NewSource(4)))
+	res, err := RunMpiGraph(context.Background(), f, mcfg, ParallelConfig{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestMpiGraphClosTight(t *testing.T) {
 func TestMpiGraphDragonflyWiderThanClos(t *testing.T) {
 	// The headline qualitative claim of Figure 6.
 	df := smallFabric(t)
-	dfRes, err := RunMpiGraph(df, DefaultMpiGraphConfig(), rand.New(rand.NewSource(5)))
+	dfRes, err := RunMpiGraph(context.Background(), df, DefaultMpiGraphConfig(), ParallelConfig{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestMpiGraphDragonflyWiderThanClos(t *testing.T) {
 	cl, _ := fabric.NewClos(cc)
 	clCfg := DefaultMpiGraphConfig()
 	clCfg.RanksPerNode = 1
-	clRes, err := RunMpiGraph(cl, clCfg, rand.New(rand.NewSource(5)))
+	clRes, err := RunMpiGraph(context.Background(), cl, clCfg, ParallelConfig{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +143,11 @@ func TestMpiGraphErrors(t *testing.T) {
 	f := smallFabric(t)
 	cfg := DefaultMpiGraphConfig()
 	cfg.Nodes = 10000
-	if _, err := RunMpiGraph(f, cfg, rand.New(rand.NewSource(6))); err == nil {
+	if _, err := RunMpiGraph(context.Background(), f, cfg, ParallelConfig{Seed: 6}); err == nil {
 		t.Error("too many nodes should error")
 	}
 	cfg.Nodes = 1
-	if _, err := RunMpiGraph(f, cfg, rand.New(rand.NewSource(6))); err == nil {
+	if _, err := RunMpiGraph(context.Background(), f, cfg, ParallelConfig{Seed: 6}); err == nil {
 		t.Error("one node should error")
 	}
 }
@@ -156,7 +157,7 @@ func TestGPCNeTCongestionControlProtects(t *testing.T) {
 	cfg := DefaultGPCNeTConfig()
 	cfg.Nodes = 45
 	cfg.LatencySamples = 1500
-	res, err := RunGPCNeT(f, cfg, rand.New(rand.NewSource(7)))
+	res, err := RunGPCNeT(f, cfg, rand.New(rand.NewSource(7)), nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestGPCNeTWithoutCCDegrades(t *testing.T) {
 	cfg.Nodes = 45
 	cfg.LatencySamples = 1500
 	cfg.CongestionControl = false
-	res, err := RunGPCNeT(f, cfg, rand.New(rand.NewSource(8)))
+	res, err := RunGPCNeT(f, cfg, rand.New(rand.NewSource(8)), nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestGPCNeTHighPPNPartialDegradation(t *testing.T) {
 
 	high := base
 	high.PPN = 32
-	resHigh, err := RunGPCNeT(f, high, rand.New(rand.NewSource(9)))
+	resHigh, err := RunGPCNeT(f, high, rand.New(rand.NewSource(9)), nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,12 +221,28 @@ func TestGPCNeTHighPPNPartialDegradation(t *testing.T) {
 func TestGPCNeTErrors(t *testing.T) {
 	f := smallFabric(t)
 	cfg := DefaultGPCNeTConfig()
-	if _, err := RunGPCNeT(f, cfg, rand.New(rand.NewSource(10))); err == nil {
+	if _, err := RunGPCNeT(f, cfg, rand.New(rand.NewSource(10)), nil, ""); err == nil {
 		t.Error("9400 nodes on a 48-node fabric should error")
 	}
 	cfg.Nodes = 4
-	if _, err := RunGPCNeT(f, cfg, rand.New(rand.NewSource(10))); err == nil {
+	if _, err := RunGPCNeT(f, cfg, rand.New(rand.NewSource(10)), nil, ""); err == nil {
 		t.Error("too few nodes should error")
+	}
+	cfg.Nodes = 20
+	for _, ppn := range []int{0, -1} {
+		cfg.PPN = ppn
+		if _, err := RunGPCNeT(f, cfg, rand.New(rand.NewSource(10)), nil, ""); err == nil {
+			t.Errorf("PPN %d should error", ppn)
+		}
+	}
+	cfg.PPN = 8
+	cfg.LatencySamples = 0
+	if _, err := RunGPCNeT(f, cfg, rand.New(rand.NewSource(10)), nil, ""); err == nil {
+		t.Error("zero latency samples should error")
+	}
+	m := NewLatencyModel(f, rand.New(rand.NewSource(10)))
+	if _, err := m.MeasureLatency(f.NodeEndpoints(0), 0); err == nil {
+		t.Error("zero-sample latency measurement should error")
 	}
 }
 

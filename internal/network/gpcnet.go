@@ -76,23 +76,27 @@ type GPCNeTPhase struct {
 	Allreduce LatencyStats
 }
 
-// RunGPCNeT executes the benchmark on fabric f.
-func RunGPCNeT(f *fabric.Fabric, cfg GPCNeTConfig, rng *rand.Rand) (GPCNeTResult, error) {
-	return RunGPCNeTWithCache(f, cfg, rng, nil, "")
-}
-
-// RunGPCNeTWithCache is RunGPCNeT with a solution cache: each phase's
-// combined solve is served by literal demand signature when possible.
-// The solve is independent of the CongestionControl flag (CC only
-// shapes the post-solve head-of-line derating), so ablation arms that
-// differ only in CC — and repeated trials at the same seed — share one
-// stored allocation. Output is byte-identical with or without the cache.
-func RunGPCNeTWithCache(f *fabric.Fabric, cfg GPCNeTConfig, rng *rand.Rand, solutions *SolutionCache, topo string) (GPCNeTResult, error) {
+// RunGPCNeT executes the benchmark on fabric f. With a non-nil
+// solutions cache each phase's combined solve is served by literal
+// demand signature when possible; nil means no cache. The solve is
+// independent of the CongestionControl flag (CC only shapes the
+// post-solve head-of-line derating), so ablation arms that differ only
+// in CC — and repeated trials at the same seed — share one stored
+// allocation. Output is byte-identical with or without the cache. topo
+// is the canonical topology address (machine.Hash) used in cache keys,
+// or "" to restrict hits to this exact fabric instance.
+func RunGPCNeT(f *fabric.Fabric, cfg GPCNeTConfig, rng *rand.Rand, solutions *SolutionCache, topo string) (GPCNeTResult, error) {
 	if cfg.Nodes > f.Cfg.ComputeNodes() {
 		return GPCNeTResult{}, fmt.Errorf("network: %d nodes exceeds fabric's %d", cfg.Nodes, f.Cfg.ComputeNodes())
 	}
 	if cfg.Nodes < 10 {
 		return GPCNeTResult{}, fmt.Errorf("network: GPCNeT needs at least 10 nodes")
+	}
+	if cfg.PPN < 1 {
+		return GPCNeTResult{}, fmt.Errorf("network: GPCNeT needs at least one process per node, got %d", cfg.PPN)
+	}
+	if cfg.LatencySamples < 1 {
+		return GPCNeTResult{}, fmt.Errorf("network: GPCNeT needs at least one latency sample, got %d", cfg.LatencySamples)
 	}
 	// 20% victims, spread across the machine like a real allocation.
 	var victims, congestors []int

@@ -17,8 +17,7 @@ import (
 // what-ifs, ablation arms that share a traffic matrix) return stored
 // allocations without touching the water-filling heap. Cache entries are
 // keyed by (topology, fabric state epoch, demand signature) and so are
-// invalidated by the same FailLink/RestoreLink/FailSwitch epoch bumps
-// that already invalidate fabric.PathCache.
+// invalidated by every FailLink/RestoreLink/FailSwitch epoch bump.
 
 // Signature identifies a demand set (or a pattern that fully determines
 // one) for solution caching. It is a SHA-256 in the style of the
@@ -78,9 +77,9 @@ func DemandSignature(demands []*Demand) Signature {
 }
 
 // PatternSignature hashes a short tuple that fully determines a demand
-// set without building it — e.g. the parallel census signs
-// (path-cache seed, valiant fanout, nodes, ranks, shift) because the
-// PathCache makes every path set a pure function of those values. The
+// set without building it — e.g. the census signs (path seed, valiant
+// fanout, nodes, ranks, shift) because each shift draws its paths from a
+// stream derived from the path seed and the shift alone. The
 // tag namespaces patterns so two callers hashing coincidentally equal
 // tuples can't collide.
 func PatternSignature(tag string, vals ...uint64) Signature {

@@ -411,75 +411,102 @@ func TestSolveCachedBitIdentical(t *testing.T) {
 	}
 }
 
+// equalSamples fails the test unless got matches want sample for sample.
+func equalSamples(t *testing.T, name string, got, want MpiGraphResult) {
+	t.Helper()
+	if len(got.Samples) != len(want.Samples) {
+		t.Fatalf("%s: %d samples, want %d", name, len(got.Samples), len(want.Samples))
+	}
+	for i := range want.Samples {
+		if got.Samples[i] != want.Samples[i] {
+			t.Fatalf("%s sample %d: %v != %v", name, i, got.Samples[i], want.Samples[i])
+		}
+	}
+}
+
 // The census with a solution cache — cold and warm — must be
 // byte-identical to the uncached census.
 func TestMpiGraphCachedMatchesUncached(t *testing.T) {
 	f := smallFabric(t)
 	cfg := DefaultMpiGraphConfig()
 	cfg.Shifts = 5
-	base, err := RunMpiGraph(f, cfg, rand.New(rand.NewSource(9)))
+	base, err := RunMpiGraph(context.Background(), f, cfg, ParallelConfig{Jobs: 1, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := NewSolutionCache(0)
 	for pass, name := range []string{"cold", "warm"} {
-		res, err := RunMpiGraphWithCache(f, cfg, rand.New(rand.NewSource(9)), c, "")
+		res, err := RunMpiGraph(context.Background(), f, cfg, ParallelConfig{Jobs: 1, Seed: 9, Solutions: c})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Samples) != len(base.Samples) {
-			t.Fatalf("%s pass: %d samples, want %d", name, len(res.Samples), len(base.Samples))
-		}
-		for i := range base.Samples {
-			if res.Samples[i] != base.Samples[i] {
-				t.Fatalf("%s pass sample %d: %v != uncached %v", name, i, res.Samples[i], base.Samples[i])
-			}
-		}
+		equalSamples(t, name+" pass", res, base)
 		if pass == 1 && c.Stats().Hits == 0 {
 			t.Error("warm pass should have served shifts from the cache")
 		}
 	}
 }
 
-// Parallel census: supplying Solutions (and a prebuilt path cache) must
-// not change a single sample, across cold and warm cache states.
+// With a topology key and several workers, a shared cache must not
+// change a single sample either, and a warm pass must serve every
+// shift from its pattern signature.
 func TestMpiGraphParallelCachedMatchesUncached(t *testing.T) {
 	f := smallFabric(t)
 	cfg := DefaultMpiGraphConfig()
 	cfg.Shifts = 6
-	base, err := RunMpiGraphParallel(context.Background(), f, cfg, ParallelConfig{Jobs: 2, Seed: 7})
+	base, err := RunMpiGraph(context.Background(), f, cfg, ParallelConfig{Jobs: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pcfg := ParallelConfig{Jobs: 4, Seed: 7, Solutions: NewSolutionCache(0), TopoKey: "test-topo"}
-	pcfg.Paths = NewMpiGraphPathCache(f, cfg, pcfg)
 	for pass, name := range []string{"cold", "warm"} {
-		res, err := RunMpiGraphParallel(context.Background(), f, cfg, pcfg)
+		res, err := RunMpiGraph(context.Background(), f, cfg, pcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Samples) != len(base.Samples) {
-			t.Fatalf("%s pass: %d samples, want %d", name, len(res.Samples), len(base.Samples))
-		}
-		for i := range base.Samples {
-			if res.Samples[i] != base.Samples[i] {
-				t.Fatalf("%s pass sample %d: %v != uncached %v", name, i, res.Samples[i], base.Samples[i])
-			}
-		}
+		equalSamples(t, name+" pass", res, base)
 		if pass == 1 && pcfg.Solutions.Stats().Hits < uint64(cfg.Shifts) {
 			t.Errorf("warm pass hits = %d, want >= %d (every shift)", pcfg.Solutions.Stats().Hits, cfg.Shifts)
 		}
 	}
-	// A stale path cache (wrong seed) must be rejected, not silently used.
-	stale := ParallelConfig{Jobs: 2, Seed: 7, Paths: NewMpiGraphPathCache(f, cfg, ParallelConfig{Seed: 8})}
-	res, err := RunMpiGraphParallel(context.Background(), f, cfg, stale)
+}
+
+// A link failure on a fabric whose shifts are already cached must not
+// let any stored shift through: the rerun equals a cold census of the
+// failed fabric.
+func TestMpiGraphCacheInvalidatedByLinkState(t *testing.T) {
+	cfg := DefaultMpiGraphConfig()
+	cfg.Shifts = 4
+	f := smallFabric(t)
+	pcfg := ParallelConfig{Jobs: 2, Seed: 11, Solutions: NewSolutionCache(0), TopoKey: "test-topo"}
+	healthy, err := RunMpiGraph(context.Background(), f, cfg, pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range base.Samples {
-		if res.Samples[i] != base.Samples[i] {
-			t.Fatalf("stale-cache sample %d: %v != %v (wrong-seed path cache was trusted)", i, res.Samples[i], base.Samples[i])
-		}
+	failed := f.GlobalLinks(0, 1)[0]
+	f.FailLink(failed)
+	before := pcfg.Solutions.Stats()
+	res, err := RunMpiGraph(context.Background(), f, cfg, pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := pcfg.Solutions.Stats(); st.Hits != before.Hits {
+		t.Errorf("%d shifts served across the epoch bump", st.Hits-before.Hits)
+	}
+
+	cold := smallFabric(t)
+	cold.FailLink(failed)
+	want, err := RunMpiGraph(context.Background(), cold, cfg, ParallelConfig{Jobs: 1, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalSamples(t, "after FailLink", res, want)
+	same := len(res.Samples) == len(healthy.Samples)
+	for i := 0; same && i < len(res.Samples); i++ {
+		same = res.Samples[i] == healthy.Samples[i]
+	}
+	if same {
+		t.Error("failing a global link left the census unchanged")
 	}
 }
 
@@ -494,11 +521,11 @@ func TestGPCNeTCachedMatchesUncachedAcrossCCArms(t *testing.T) {
 	c := NewSolutionCache(0)
 	for _, cc := range []bool{true, false} {
 		cfg.CongestionControl = cc
-		base, err := RunGPCNeT(f, cfg, rand.New(rand.NewSource(21)))
+		base, err := RunGPCNeT(f, cfg, rand.New(rand.NewSource(21)), nil, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunGPCNeTWithCache(f, cfg, rand.New(rand.NewSource(21)), c, "")
+		res, err := RunGPCNeT(f, cfg, rand.New(rand.NewSource(21)), c, "")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -102,6 +102,9 @@ func (m *LatencyModel) MeasureLatency(endpoints []int, n int) (LatencyStats, err
 	if len(endpoints) < 2 {
 		return LatencyStats{}, errTooFewEndpoints
 	}
+	if n < 1 {
+		return LatencyStats{}, errNoSamples
+	}
 	samples := make([]float64, 0, n)
 	var sum float64
 	for len(samples) < n {
@@ -158,7 +161,10 @@ func (m *LatencyModel) AllreduceLatency(ranks int, trials int) LatencyStats {
 	}
 }
 
-var errTooFewEndpoints = errorString("network: need at least two endpoints")
+var (
+	errTooFewEndpoints = errorString("network: need at least two endpoints")
+	errNoSamples       = errorString("network: need at least one latency sample")
+)
 
 type errorString string
 

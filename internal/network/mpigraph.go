@@ -1,12 +1,15 @@
 package network
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 
 	"frontiersim/internal/fabric"
+	"frontiersim/internal/harness"
+	"frontiersim/internal/rng"
 )
 
 // MpiGraphConfig controls the mpiGraph census of Figure 6.
@@ -76,51 +79,103 @@ func (r MpiGraphResult) Histogram(n int) (edges []float64, counts []int) {
 	return edges, counts
 }
 
+// ParallelConfig tunes the census's parallel evaluation and caching.
+type ParallelConfig struct {
+	// Jobs bounds worker concurrency; <=0 means GOMAXPROCS.
+	Jobs int
+	// Seed is the root seed. Every per-shift stream derives from it via
+	// SplitMix64 (see harness.DeriveSeed), so results are byte-identical
+	// at any Jobs setting.
+	Seed int64
+
+	// Solutions, when non-nil, caches solved shifts across runs by
+	// pattern signature, so a repeated run skips path building and
+	// solving both; nil means no cache. Entries are invalidated by fabric
+	// state-epoch bumps; results are byte-identical with or without it.
+	Solutions *SolutionCache
+	// TopoKey is the canonical topology address (machine.Hash) used in
+	// Solutions keys; "" restricts hits to the exact fabric instance.
+	TopoKey string
+}
+
 // RunMpiGraph measures pairwise bandwidth under shift permutations: for
 // each sampled shift s, rank k of node i sends to rank k of node i+s,
 // all pairs simultaneously, and each pair's allocated rate is one sample.
 // This is mpiGraph's measurement structure and reproduces Figure 6: a
 // tight distribution on a non-blocking fat tree, a wide one on the
 // tapered dragonfly.
-func RunMpiGraph(f *fabric.Fabric, cfg MpiGraphConfig, rng *rand.Rand) (MpiGraphResult, error) {
-	return RunMpiGraphWithCache(f, cfg, rng, nil, "")
-}
-
-// RunMpiGraphWithCache is RunMpiGraph with a solution cache: each
-// shift's solve is served from (or stored into) solutions by literal
-// demand signature. Path building still threads the shared rng even on
-// a hit — the census's later draws (and therefore its byte-identical
-// output) depend on the stream having advanced exactly as if the shift
-// were computed cold; only the water-filling solve is skipped. topo is
-// the canonical topology address (machine.Hash) used in cache keys, or
-// "" to restrict hits to this exact fabric instance.
-func RunMpiGraphWithCache(f *fabric.Fabric, cfg MpiGraphConfig, rng *rand.Rand, solutions *SolutionCache, topo string) (MpiGraphResult, error) {
+//
+// Shifts are independent tasks on the harness worker pool. Each shift
+// draws its adaptive paths from its own stream, derived from the path
+// seed and the shift, and its measurement jitter from its task seed, so
+// a run at Jobs=1 and a run at Jobs=N return identical results.
+//
+// That purity is also what makes whole shifts cacheable: a shift's
+// demand set — and therefore its solved rates — is fully determined by
+// (path seed, valiant fanout, nodes, ranks, shift) on a given fabric
+// state, so with pcfg.Solutions set, a repeated shift is served straight
+// from its pattern signature without building paths or touching the
+// solver, and only the per-shift measurement jitter is re-drawn.
+func RunMpiGraph(ctx context.Context, f *fabric.Fabric, cfg MpiGraphConfig, pcfg ParallelConfig) (MpiGraphResult, error) {
 	nodes, ranks, shifts, err := cfg.resolve(f)
 	if err != nil {
 		return MpiGraphResult{}, err
 	}
-	order := sampleShifts(nodes, shifts, rng)
-	var result MpiGraphResult
-	for _, s := range order {
-		demands, err := buildShiftDemands(f, nodes, ranks, s, func(src, dst int) ([][]int, error) {
-			ps, err := f.AdaptivePaths(src, dst, cfg.ValiantPaths, rng)
-			return ps.Paths, err
-		})
-		if err != nil {
-			return MpiGraphResult{}, err
-		}
-		if err := solveCached(f, demands, solutions, topo); err != nil {
-			return MpiGraphResult{}, err
-		}
-		for _, d := range demands {
-			v := d.Rate * (1 + cfg.MeasureJitter*rng.NormFloat64())
-			if v < 0 {
-				v = 0
-			}
-			result.Samples = append(result.Samples, v)
+	order := sampleShifts(nodes, shifts, rng.New(pcfg.Seed))
+	pathSeed := harness.DeriveSeed(pcfg.Seed, "mpigraph-paths")
+
+	tasks := make([]harness.Task[[]float64], len(order))
+	for ti, s := range order {
+		tasks[ti] = harness.Task[[]float64]{
+			ID: fmt.Sprintf("shift-%d", s),
+			Run: func(_ context.Context, seed int64) ([]float64, error) {
+				sig := PatternSignature("mpigraph-shift",
+					uint64(pathSeed), uint64(cfg.ValiantPaths),
+					uint64(nodes), uint64(ranks), uint64(s))
+				r := rng.New(seed)
+				if sol, ok := pcfg.Solutions.Lookup(f, pcfg.TopoKey, sig); ok {
+					return sampleRates(sol.Rates, cfg.MeasureJitter, r), nil
+				}
+				paths := rng.New(rng.DeriveN(pathSeed, uint64(s)))
+				demands, err := buildShiftDemands(f, nodes, ranks, s, cfg.ValiantPaths, paths)
+				if err != nil {
+					return nil, err
+				}
+				if err := Solve(f, demands); err != nil {
+					return nil, err
+				}
+				sol := pcfg.Solutions.Store(f, pcfg.TopoKey, sig, demands)
+				if sol == nil {
+					sol = newSolution(demands)
+				}
+				return sampleRates(sol.Rates, cfg.MeasureJitter, r), nil
+			},
 		}
 	}
+	results, err := harness.Run(ctx, harness.Config{Jobs: pcfg.Jobs, FailFast: true, RootSeed: pcfg.Seed}, tasks, nil)
+	if err != nil {
+		return MpiGraphResult{}, err
+	}
+	var result MpiGraphResult
+	for _, r := range results {
+		result.Samples = append(result.Samples, r.Value...)
+	}
 	return finishMpiGraph(result)
+}
+
+// sampleRates applies per-sample measurement jitter to the solved rates.
+// Cache hits and misses both funnel through here, in demand order, so a
+// cached shift draws exactly the jitter sequence a computed one would.
+func sampleRates(rates []float64, jitter float64, r *rand.Rand) []float64 {
+	samples := make([]float64, 0, len(rates))
+	for _, rate := range rates {
+		v := rate * (1 + jitter*r.NormFloat64())
+		if v < 0 {
+			v = 0
+		}
+		samples = append(samples, v)
+	}
+	return samples
 }
 
 // resolve validates cfg against the fabric and applies defaults.
@@ -148,11 +203,15 @@ func (cfg MpiGraphConfig) resolve(f *fabric.Fabric) (nodes, ranks, shifts int, e
 
 // sampleShifts draws the set of shift permutations to measure, in sorted
 // order. Distinct shifts in [1, nodes): always include 1 (mostly
-// intra-group on Frontier's packed numbering) and a far shift. Sorted
-// iteration matters: map order would otherwise reshuffle later rng draws
-// between runs, making the census nondeterministic even at a fixed seed.
+// intra-group on Frontier's packed numbering) and, when at least two
+// shifts are asked for, the far shift nodes/2. Sorted iteration matters:
+// map order would otherwise reshuffle later rng draws between runs,
+// making the census nondeterministic even at a fixed seed.
 func sampleShifts(nodes, shifts int, rng *rand.Rand) []int {
-	chosen := map[int]bool{1: true, nodes / 2: true}
+	chosen := map[int]bool{1: true}
+	if shifts >= 2 {
+		chosen[nodes/2] = true
+	}
 	for len(chosen) < shifts {
 		chosen[1+rng.Intn(nodes-1)] = true
 	}
@@ -165,10 +224,9 @@ func sampleShifts(nodes, shifts int, rng *rand.Rand) []int {
 }
 
 // buildShiftDemands constructs one shift's demand set: rank k of node i
-// sends to rank k of node i+s. paths supplies the route set per endpoint
-// pair — the serial census threads a shared rng through AdaptivePaths,
-// the parallel census an epoch-cached PathCache.
-func buildShiftDemands(f *fabric.Fabric, nodes, ranks, s int, paths func(src, dst int) ([][]int, error)) ([]*Demand, error) {
+// sends to rank k of node i+s, each pair routed over adaptive paths with
+// valiant detours drawn from paths.
+func buildShiftDemands(f *fabric.Fabric, nodes, ranks, s, valiant int, paths *rand.Rand) ([]*Demand, error) {
 	// One slab allocation for the Demand objects themselves: a full-scale
 	// shift is ~75k demands, and a per-demand heap object apiece was a
 	// visible slice of the census's allocation bill. The slab is sized
@@ -184,11 +242,11 @@ func buildShiftDemands(f *fabric.Fabric, nodes, ranks, s int, paths func(src, ds
 		for k := 0; k < ranks; k++ {
 			src := f.NodeEndpoint(i, k)
 			dst := f.NodeEndpoint(j, k)
-			ps, err := paths(src, dst)
+			ps, err := f.AdaptivePaths(src, dst, valiant, paths)
 			if err != nil {
 				return nil, err
 			}
-			slab = append(slab, Demand{Src: src, Dst: dst, Paths: ps})
+			slab = append(slab, Demand{Src: src, Dst: dst, Paths: ps.Paths})
 			demands = append(demands, &slab[len(slab)-1])
 		}
 	}

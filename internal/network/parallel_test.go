@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// The paper-level guarantee of the parallel census: worker count is
+// The paper-level guarantee of the census: worker count is
 // invisible in the results. Serial (Jobs=1) and parallel (Jobs=8) runs
 // must agree sample-for-sample, not just statistically.
 func TestMpiGraphSerialParallelEquivalence(t *testing.T) {
@@ -13,7 +13,7 @@ func TestMpiGraphSerialParallelEquivalence(t *testing.T) {
 	cfg := DefaultMpiGraphConfig()
 	cfg.Shifts = 6
 	run := func(jobs int) MpiGraphResult {
-		res, err := RunMpiGraphParallel(context.Background(), f, cfg, ParallelConfig{Jobs: jobs, Seed: 7})
+		res, err := RunMpiGraph(context.Background(), f, cfg, ParallelConfig{Jobs: jobs, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,11 +44,11 @@ func TestMpiGraphParallelSeedSensitivity(t *testing.T) {
 	f := smallFabric(t)
 	cfg := DefaultMpiGraphConfig()
 	cfg.Shifts = 4
-	a, err := RunMpiGraphParallel(context.Background(), f, cfg, ParallelConfig{Jobs: 4, Seed: 1})
+	a, err := RunMpiGraph(context.Background(), f, cfg, ParallelConfig{Jobs: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunMpiGraphParallel(context.Background(), f, cfg, ParallelConfig{Jobs: 4, Seed: 2})
+	b, err := RunMpiGraph(context.Background(), f, cfg, ParallelConfig{Jobs: 4, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +66,11 @@ func TestMpiGraphParallelSeedSensitivity(t *testing.T) {
 	}
 }
 
-// The parallel census must stay inside the same physical envelope the
-// serial census is tested against.
+// The census on several workers must stay inside the physical envelope
+// the single-worker census is tested against.
 func TestMpiGraphParallelEnvelope(t *testing.T) {
 	f := smallFabric(t)
-	res, err := RunMpiGraphParallel(context.Background(), f, DefaultMpiGraphConfig(), ParallelConfig{Seed: 3})
+	res, err := RunMpiGraph(context.Background(), f, DefaultMpiGraphConfig(), ParallelConfig{Jobs: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,49 +90,31 @@ func TestMpiGraphParallelErrors(t *testing.T) {
 	f := smallFabric(t)
 	cfg := DefaultMpiGraphConfig()
 	cfg.Nodes = 10000
-	if _, err := RunMpiGraphParallel(context.Background(), f, cfg, ParallelConfig{Seed: 4}); err == nil {
+	if _, err := RunMpiGraph(context.Background(), f, cfg, ParallelConfig{Seed: 4}); err == nil {
 		t.Error("too many nodes should error")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := RunMpiGraph(ctx, f, DefaultMpiGraphConfig(), ParallelConfig{Seed: 4}); err == nil {
+		t.Error("cancelled context should error")
 	}
 }
 
-// GPCNeT trial sets: per-trial derived streams make the batch
-// worker-count invariant too.
-func TestGPCNeTTrialsSerialParallelEquivalence(t *testing.T) {
+// The census measures exactly the shifts it is asked for: one sample
+// per rank per node per shift, with no far shift added to a one-shift
+// census.
+func TestMpiGraphSampleCount(t *testing.T) {
 	f := smallFabric(t)
-	cfg := DefaultGPCNeTConfig()
-	cfg.Nodes = 45
-	cfg.LatencySamples = 400
-	run := func(jobs int) []GPCNeTResult {
-		res, err := RunGPCNeTTrials(context.Background(), f, cfg, 4, ParallelConfig{Jobs: jobs, Seed: 11})
+	cfg := DefaultMpiGraphConfig()
+	cfg.Nodes = 20
+	for _, shifts := range []int{1, 2, 3, 5} {
+		cfg.Shifts = shifts
+		res, err := RunMpiGraph(context.Background(), f, cfg, ParallelConfig{Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
-	}
-	serial := run(1)
-	parallel := run(4)
-	if len(serial) != 4 || len(parallel) != 4 {
-		t.Fatalf("want 4 trials, got %d and %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		s, p := serial[i], parallel[i]
-		if s.BandwidthImpact != p.BandwidthImpact || s.LatencyImpact != p.LatencyImpact ||
-			s.AllreduceImpact != p.AllreduceImpact ||
-			s.Isolated.Bandwidth.Average != p.Isolated.Bandwidth.Average ||
-			s.Congested.Latency.Average != p.Congested.Latency.Average {
-			t.Fatalf("trial %d differs between jobs=1 and jobs=4:\n%+v\n%+v", i, s, p)
+		if want := shifts * cfg.Nodes * cfg.RanksPerNode; len(res.Samples) != want {
+			t.Errorf("shifts=%d: %d samples, want %d", shifts, len(res.Samples), want)
 		}
-	}
-	// Independent trials should not all collapse to one value.
-	if serial[0].Isolated.Bandwidth.Average == serial[1].Isolated.Bandwidth.Average &&
-		serial[1].Isolated.Bandwidth.Average == serial[2].Isolated.Bandwidth.Average {
-		t.Error("distinct trials returned identical bandwidth averages; seeds look shared")
-	}
-}
-
-func TestGPCNeTTrialsErrors(t *testing.T) {
-	f := smallFabric(t)
-	if _, err := RunGPCNeTTrials(context.Background(), f, DefaultGPCNeTConfig(), 0, ParallelConfig{}); err == nil {
-		t.Error("zero trials should error")
 	}
 }
