@@ -11,7 +11,6 @@
 package campaign
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -175,14 +174,11 @@ func (s *Server) resolve(req JobRequest) (resolved, error) {
 	case len(req.Spec) > 0 && req.Machine != "":
 		return r, fmt.Errorf("request has both machine %q and an inline spec; pick one", req.Machine)
 	case len(req.Spec) > 0:
-		dec := json.NewDecoder(bytes.NewReader(req.Spec))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&r.spec); err != nil {
+		spec, err := machine.Decode(req.Spec)
+		if err != nil {
 			return r, fmt.Errorf("inline spec: %w", err)
 		}
-		if err := r.spec.Validate(); err != nil {
-			return r, err
-		}
+		r.spec = spec
 	case req.Machine != "":
 		spec, err := machine.ByName(req.Machine)
 		if err != nil {

@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -117,8 +116,8 @@ func (sw Sweep) Values() []float64 {
 // Apply returns a copy of spec with the sweep field set to v, validated.
 // It works on the spec's canonical JSON so "any numeric Spec field" is
 // literally any numeric leaf of the JSON document: the mutated document
-// is strict-decoded back into a Spec (unknown fields rejected, 150.5
-// into an int field rejected) and Spec.Validate gives the per-variant
+// goes back through machine.Decode — unknown fields rejected, 150.5 into
+// an int field rejected — whose Spec.Validate gives the per-variant
 // error when a value is out of range.
 func (sw Sweep) Apply(spec machine.Spec, v float64) (machine.Spec, error) {
 	b, err := machine.Dump(spec)
@@ -140,13 +139,8 @@ func (sw Sweep) Apply(spec machine.Spec, v float64) (machine.Spec, error) {
 	if err != nil {
 		return machine.Spec{}, fmt.Errorf("sweep: re-encoding spec %s: %w", spec.Name, err)
 	}
-	dec := json.NewDecoder(bytes.NewReader(mut))
-	dec.DisallowUnknownFields()
-	var out machine.Spec
-	if err := dec.Decode(&out); err != nil {
-		return machine.Spec{}, fmt.Errorf("sweep %s = %v: %w", strings.Join(path, "."), v, err)
-	}
-	if err := out.Validate(); err != nil {
+	out, err := machine.Decode(mut)
+	if err != nil {
 		return machine.Spec{}, fmt.Errorf("sweep %s = %v: %w", strings.Join(path, "."), v, err)
 	}
 	return out, nil

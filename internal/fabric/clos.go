@@ -26,8 +26,8 @@ type ClosConfig struct {
 // switch id Leaves is the idealised core (a folded multi-stage network
 // collapsed into one non-blocking stage).
 func NewClos(cfg ClosConfig) (*Fabric, error) {
-	if cfg.Leaves < 1 || cfg.EndpointsPerLeaf < 1 {
-		return nil, fmt.Errorf("fabric: clos needs leaves and endpoints")
+	if cfg.Leaves < 1 || cfg.EndpointsPerLeaf < 1 || cfg.NICsPerNode < 1 {
+		return nil, fmt.Errorf("fabric: clos needs leaves, endpoints and NICs per node")
 	}
 	if cfg.EndpointEfficiency <= 0 || cfg.EndpointEfficiency > 1 {
 		return nil, fmt.Errorf("fabric: endpoint efficiency %v out of (0,1]", cfg.EndpointEfficiency)
@@ -74,5 +74,6 @@ func NewClos(cfg ClosConfig) (*Fabric, error) {
 			f.ejectLink = append(f.ejectLink, f.addLink(Ejection, s, ep, epCap))
 		}
 	}
+	f.indexNodeGroups()
 	return f, nil
 }

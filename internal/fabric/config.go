@@ -81,6 +81,9 @@ func (c Config) Validate() error {
 	if c.EndpointsPerSwitch < 1 {
 		return fmt.Errorf("fabric: need endpoints")
 	}
+	if c.NICsPerNode < 1 {
+		return fmt.Errorf("fabric: need at least one NIC per node")
+	}
 	if c.EndpointEfficiency <= 0 || c.EndpointEfficiency > 1 {
 		return fmt.Errorf("fabric: endpoint efficiency %v out of (0,1]", c.EndpointEfficiency)
 	}

@@ -106,6 +106,9 @@ type Fabric struct {
 	endpointSwitch []int
 	injectLink     []int
 	ejectLink      []int
+	// nodeGroup[n] is compute node n's group, the group of its first
+	// NIC: placement signatures and communicators read it once per node.
+	nodeGroup []int32
 
 	// uplink and downlink join each leaf to the core in FatTree fabrics.
 	uplink, downlink []int
@@ -218,6 +221,7 @@ func NewDragonfly(cfg Config) (*Fabric, error) {
 			f.ejectLink = append(f.ejectLink, f.addLink(Ejection, sw, ep, epCap))
 		}
 	}
+	f.indexNodeGroups()
 	// Intra-group: full connectivity.
 	for _, ids := range f.groupSwitches {
 		for i := 0; i < len(ids); i++ {
@@ -293,11 +297,47 @@ func (f *Fabric) NodeEndpoint(n, i int) int {
 	return n*f.Cfg.NICsPerNode + i%f.Cfg.NICsPerNode
 }
 
+// indexNodeGroups fills the node→group table. Constructors call it once
+// every endpoint is cabled.
+func (f *Fabric) indexNodeGroups() {
+	k := f.Cfg.NICsPerNode
+	f.nodeGroup = make([]int32, f.Cfg.ComputeNodes())
+	for n := range f.nodeGroup {
+		f.nodeGroup[n] = int32(f.SwitchGroup[f.endpointSwitch[n*k]])
+	}
+}
+
 // NodeGroup returns the dragonfly group of compute node n: the group of
 // its first NIC. It is the one node→group mapping communicators,
 // placement signatures and the scheduler share.
-func (f *Fabric) NodeGroup(n int) int {
-	return f.SwitchGroup[f.endpointSwitch[n*f.Cfg.NICsPerNode]]
+func (f *Fabric) NodeGroup(n int) int { return int(f.nodeGroup[n]) }
+
+// CheckNodes reports the first node that is not a compute node of the
+// fabric or appears twice: the placements communicators and pricing
+// accept. Strictly increasing lists — every scheduler allocation — need
+// no set.
+func (f *Fabric) CheckNodes(nodes []int) error {
+	total := len(f.nodeGroup)
+	increasing := true
+	for i, n := range nodes {
+		if n < 0 || n >= total {
+			return fmt.Errorf("node %d outside fabric (0..%d)", n, total-1)
+		}
+		if i > 0 && n <= nodes[i-1] {
+			increasing = false
+		}
+	}
+	if increasing {
+		return nil
+	}
+	seen := make([]uint64, (total+63)/64)
+	for _, n := range nodes {
+		if seen[n/64]&(1<<(n%64)) != 0 {
+			return fmt.Errorf("node %d appears twice", n)
+		}
+		seen[n/64] |= 1 << (n % 64)
+	}
+	return nil
 }
 
 // GroupsSpanned returns how many distinct dragonfly groups the compute
@@ -306,7 +346,7 @@ func (f *Fabric) GroupsSpanned(nodes []int) int {
 	seen := make([]bool, f.numGroups)
 	groups := 0
 	for _, n := range nodes {
-		if g := f.NodeGroup(n); !seen[g] {
+		if g := f.nodeGroup[n]; !seen[g] {
 			seen[g] = true
 			groups++
 		}

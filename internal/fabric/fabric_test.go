@@ -73,6 +73,11 @@ func TestConfigValidation(t *testing.T) {
 	if err := c.Validate(); err == nil {
 		t.Error("want efficiency error")
 	}
+	c = FrontierConfig()
+	c.NICsPerNode = 0
+	if err := c.Validate(); err == nil {
+		t.Error("want NIC count error")
+	}
 }
 
 func TestDragonflyStructure(t *testing.T) {
@@ -111,6 +116,31 @@ func TestNodeEndpoints(t *testing.T) {
 	eps := f.NodeEndpoints(3)
 	if len(eps) != 4 || eps[0] != 12 || eps[3] != 15 {
 		t.Errorf("node 3 endpoints = %v, want [12 13 14 15]", eps)
+	}
+}
+
+// The dense node→group table must agree with the cabling it caches —
+// the group of each node's first NIC — for every node of both built
+// topologies.
+func TestNodeGroupTable(t *testing.T) {
+	frontier, err := NewDragonfly(FrontierConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	summit, err := NewClos(SummitClosConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []*Fabric{frontier, summit} {
+		nodes := f.Cfg.ComputeNodes()
+		if nodes < 4000 {
+			t.Fatalf("%s: %d compute nodes, want a full machine", f.Cfg.Name, nodes)
+		}
+		for n := 0; n < nodes; n++ {
+			if got, want := f.NodeGroup(n), f.SwitchGroup[f.EndpointSwitch(n*f.Cfg.NICsPerNode)]; got != want {
+				t.Fatalf("%s: NodeGroup(%d) = %d, want %d", f.Cfg.Name, n, got, want)
+			}
+		}
 	}
 }
 

@@ -56,10 +56,11 @@ type Env struct {
 	NodeLocal *storage.NodeLocalStore
 	Orion     *storage.Orion
 
-	// Cache, when non-nil, memoizes Bind's per-phase pricing keyed by
-	// (program signature, placement signature, CacheKey). Hits are
-	// bit-identical to cold binds but skip communicator construction;
-	// the served Bound shares the cached time slices and has a nil Comm.
+	// Cache, when non-nil, memoizes Bind's and Estimate's per-phase
+	// pricing keyed by (program signature, placement signature,
+	// CacheKey). Hits are bit-identical to cold binds but skip
+	// communicator construction; the served Bound shares the cached time
+	// slices and has a nil Comm.
 	Cache *PricingCache
 	// CacheKey distinguishes machines sharing one cache — conventionally
 	// the machine.Hash of the spec this env was derived from.
@@ -133,25 +134,30 @@ func (e *Env) Bind(p *Program, nodes []int) (*Bound, error) {
 	if len(nodes) != p.Nodes {
 		return nil, fmt.Errorf("job: program %s needs %d nodes, placement has %d", p.Name, p.Nodes, len(nodes))
 	}
-	var key pricingKey
-	keyed := false
 	if e.Cache != nil {
 		if place, ok := e.PlacementSignature(nodes); ok {
-			key = pricingKey{env: e.CacheKey, prog: ProgramSignature(p), place: place}
-			keyed = true
+			key := pricingKey{env: e.CacheKey, prog: ProgramSignature(p), place: place}
 			if pr, hit := e.Cache.lookup(key); hit {
 				return &Bound{Prog: p, Env: e, Nodes: nodes,
 					SetupTimes: pr.setupTimes, LoopTimes: pr.loopTimes,
-					Total: pr.setupSum + units.Seconds(p.Iterations)*pr.loopSum}, nil
+					Total: pr.total(p.Iterations)}, nil
 			}
+			return e.price(p, nodes, &key)
 		}
 	}
+	return e.price(p, nodes, nil)
+}
+
+// price is Bind past the cache lookup: it builds the placement's
+// communicator, prices every phase and, given the key of a cache miss,
+// stores the result under it.
+func (e *Env) price(p *Program, nodes []int, key *pricingKey) (*Bound, error) {
 	comm, err := mpi.NewComm(e.Fabric, nodes, p.PPN)
 	if err != nil {
 		return nil, fmt.Errorf("job: binding %s: %w", p.Name, err)
 	}
 	b := &Bound{Prog: p, Env: e, Nodes: nodes, Comm: comm, subs: map[Group]*mpi.Comm{}}
-	price := func(phases []Phase) ([]units.Seconds, units.Seconds, error) {
+	timed := func(phases []Phase) ([]units.Seconds, units.Seconds, error) {
 		times := make([]units.Seconds, len(phases))
 		var sum units.Seconds
 		for i, ph := range phases {
@@ -164,25 +170,25 @@ func (e *Env) Bind(p *Program, nodes []int) (*Bound, error) {
 		}
 		return times, sum, nil
 	}
-	var setupSum, loopSum units.Seconds
-	if b.SetupTimes, setupSum, err = price(p.Setup); err != nil {
+	var pr pricedProgram
+	if pr.setupTimes, pr.setupSum, err = timed(p.Setup); err != nil {
 		return nil, err
 	}
-	if b.LoopTimes, loopSum, err = price(p.Loop); err != nil {
+	if pr.loopTimes, pr.loopSum, err = timed(p.Loop); err != nil {
 		return nil, err
 	}
-	b.Total = setupSum + units.Seconds(p.Iterations)*loopSum
-	if keyed {
-		e.Cache.store(key, pricedProgram{
-			setupTimes: b.SetupTimes, loopTimes: b.LoopTimes,
-			setupSum: setupSum, loopSum: loopSum,
-		})
+	b.SetupTimes, b.LoopTimes, b.Total = pr.setupTimes, pr.loopTimes, pr.total(p.Iterations)
+	if key != nil {
+		e.Cache.store(*key, pr)
 	}
 	return b, nil
 }
 
 // Estimate prices a program on the nominal spread placement — the
-// number a scheduler can quote before any nodes are assigned.
+// number a scheduler can quote before any nodes are assigned. With a
+// cache, the nominal placement's signature is memoized per node count,
+// so a hit builds neither the placement nor a Bound; a miss prices the
+// placement exactly as Bind would.
 func (e *Env) Estimate(p *Program) (units.Seconds, error) {
 	if err := e.Validate(); err != nil {
 		return 0, err
@@ -191,7 +197,21 @@ func (e *Env) Estimate(p *Program) (units.Seconds, error) {
 		return 0, fmt.Errorf("job: program %s needs %d nodes, machine has %d",
 			p.Name, p.Nodes, e.Fabric.Cfg.ComputeNodes())
 	}
-	b, err := e.Bind(p, e.SpreadPlacement(p.Nodes))
+	if e.Cache == nil {
+		b, err := e.Bind(p, e.SpreadPlacement(p.Nodes))
+		if err != nil {
+			return 0, err
+		}
+		return b.Total, nil
+	}
+	if err := p.Validate(); err != nil {
+		return 0, err
+	}
+	key := pricingKey{env: e.CacheKey, prog: ProgramSignature(p), place: e.Cache.nominal(e, p.Nodes)}
+	if pr, hit := e.Cache.lookup(key); hit {
+		return pr.total(p.Iterations), nil
+	}
+	b, err := e.price(p, e.SpreadPlacement(p.Nodes), &key)
 	if err != nil {
 		return 0, err
 	}
@@ -270,10 +290,7 @@ func nodeLocalCollective(op Op, payload units.Bytes, p float64) (units.Seconds, 
 
 // collectiveTime prices the phase's operation on its (sub-)communicator.
 func (b *Bound) collectiveTime(ph Phase) (units.Seconds, error) {
-	c, err := b.groupComm(ph.Group)
-	if err != nil {
-		return 0, err
-	}
+	c := b.groupComm(ph.Group)
 	if len(c.Nodes) == 1 {
 		if d, ok := nodeLocalCollective(ph.Op, ph.Payload, float64(c.Size())); ok {
 			return d, nil
@@ -314,31 +331,16 @@ func (b *Bound) collectiveTime(ph Phase) (units.Seconds, error) {
 // caching it on first use. The representative subgroup is the one
 // containing rank 0; under the supported shapes all subgroups are
 // congruent, so one price serves the phase.
-func (b *Bound) groupComm(g Group) (*mpi.Comm, error) {
-	ranks := b.Comm.Size()
-	if g.whole(ranks) {
-		return b.Comm, nil
+func (b *Bound) groupComm(g Group) *mpi.Comm {
+	if g.whole(b.Comm.Size()) {
+		return b.Comm
 	}
-	if c, ok := b.subs[g]; ok {
-		return c, nil
+	c, ok := b.subs[g]
+	if !ok {
+		c = b.Comm.RankZeroGroup(g.Size, g.Stride)
+		b.subs[g] = c
 	}
-	var color func(int) int
-	if g.Stride <= 1 {
-		size := g.Size
-		color = func(r int) int { return r / size }
-	} else {
-		stride := g.Stride
-		color = func(r int) int { return r % stride }
-	}
-	c, err := b.Comm.SplitOne(color, 0)
-	if err != nil {
-		return nil, err
-	}
-	if c == nil {
-		return nil, fmt.Errorf("group %dx%d produced no rank-0 subgroup", g.Size, g.Stride)
-	}
-	b.subs[g] = c
-	return c, nil
+	return c
 }
 
 // ioTime prices a bulk I/O or checkpoint phase. Reads stream from the

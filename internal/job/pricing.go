@@ -96,21 +96,33 @@ func ProgramSignature(p *Program) Sig {
 // interleave groups differently (different comm-group layout) do not. A
 // scheduler allocation is sorted, so each group is one run and the key is
 // at most 2×groups+1 varints. ok is false when a node is outside the
-// machine — callers fall back to the uncached path so Bind surfaces its
-// canonical error.
+// machine or repeated — the relabeled sequence cannot tell [3,3] from
+// [3,2], which mpi.NewComm rejects and accepts — so callers fall back to
+// the uncached path, where Bind surfaces the canonical error.
 func (e *Env) PlacementSignature(nodes []int) (string, bool) {
 	f := e.Fabric
 	total := f.Cfg.ComputeNodes()
-	labels := make([]int32, f.Cfg.TotalGroups())
+	var stack [128]int32 // every canonical machine fits: no allocation
+	var labels []int32
+	if groups := f.Cfg.TotalGroups(); groups <= len(stack) {
+		labels = stack[:groups]
+	} else {
+		labels = make([]int32, groups)
+	}
 	for i := range labels {
 		labels[i] = -1
 	}
 	next := int32(0)
-	key := binary.AppendUvarint(make([]byte, 0, 256), uint64(len(nodes)))
+	var buf [64]byte
+	key := binary.AppendUvarint(buf[:0], uint64(len(nodes)))
 	run, runLen := int32(-1), uint64(0)
-	for _, node := range nodes {
+	increasing := true
+	for i, node := range nodes {
 		if node < 0 || node >= total {
 			return "", false
+		}
+		if i > 0 && node <= nodes[i-1] {
+			increasing = false
 		}
 		g := f.NodeGroup(node)
 		if labels[g] < 0 {
@@ -124,6 +136,11 @@ func (e *Env) PlacementSignature(nodes []int) (string, bool) {
 			run, runLen = labels[g], 0
 		}
 		runLen++
+	}
+	// A strictly increasing placement (every scheduler allocation) has
+	// no repeats; only other orders need the set check.
+	if !increasing && f.CheckNodes(nodes) != nil {
+		return "", false
 	}
 	if runLen > 0 {
 		key = binary.AppendUvarint(binary.AppendUvarint(key, uint64(run)), runLen)
@@ -146,6 +163,20 @@ type pricedProgram struct {
 	setupSum, loopSum     units.Seconds
 }
 
+// total is the program's runtime over iterations loop passes. Cold
+// binds, cache hits and cached estimates all compute it with this one
+// expression, which is what makes them bit-identical.
+func (pr pricedProgram) total(iterations int) units.Seconds {
+	return pr.setupSum + units.Seconds(iterations)*pr.loopSum
+}
+
+// nominalKey identifies a nominal spread placement: Estimate's
+// placement for an n-node program on one machine.
+type nominalKey struct {
+	env   string
+	nodes int
+}
+
 // PricingCache memoizes Bind's per-phase pricing keyed by (program
 // signature, placement signature, machine hash). A hit rebuilds the
 // Bound from the stored times without constructing an mpi.Comm; the
@@ -160,6 +191,10 @@ type PricingCache struct {
 	lru     list.List // of cacheSlot, front = most recent
 	hits    uint64
 	misses  uint64
+	// nominals memoizes the signature of each nominal spread placement
+	// Estimate quotes against. It holds one short key per (machine,
+	// node count), outside the LRU bound and the hit/miss counts.
+	nominals map[nominalKey]string
 }
 
 type cacheSlot struct {
@@ -174,9 +209,27 @@ type cacheSlot struct {
 // working set is small.
 func NewPricingCache(maxEntries int) *PricingCache {
 	return &PricingCache{
-		max:     maxEntries,
-		entries: make(map[pricingKey]*list.Element),
+		max:      maxEntries,
+		entries:  make(map[pricingKey]*list.Element),
+		nominals: make(map[nominalKey]string),
 	}
+}
+
+// nominal returns the placement signature of e.SpreadPlacement(n),
+// computing it on first use. A spread of 1 <= n <= nodes is strictly
+// increasing and inside the machine, so its signature always exists.
+func (c *PricingCache) nominal(e *Env, n int) string {
+	k := nominalKey{env: e.CacheKey, nodes: n}
+	c.mu.Lock()
+	place, ok := c.nominals[k]
+	c.mu.Unlock()
+	if !ok {
+		place, _ = e.PlacementSignature(e.SpreadPlacement(n))
+		c.mu.Lock()
+		c.nominals[k] = place
+		c.mu.Unlock()
+	}
+	return place
 }
 
 // lookup returns the priced program for a key, if present.

@@ -8,6 +8,7 @@ import (
 	"frontiersim/internal/job"
 	"frontiersim/internal/machine"
 	"frontiersim/internal/units"
+	"frontiersim/internal/workload"
 )
 
 // richProgram exercises every phase kind pricing touches: roofline
@@ -225,7 +226,120 @@ func TestPricingCacheEvictionAndNil(t *testing.T) {
 	}
 }
 
-// The cache is safe for concurrent binders (run under -race in CI).
+// A placement that repeats a node is not a placement: it used to price
+// its exchange as intra-node and, sharing a signature with the distinct
+// placement [3,2], poison the cache for it. Bind rejects it with or
+// without a cache, and the cache then serves [3,2] its cold price.
+func TestRepeatedNodeDoesNotPoisonCache(t *testing.T) {
+	cold := testEnv(t)
+	warm := testEnv(t)
+	warm.Cache = job.NewPricingCache(0)
+	p := &job.Program{Name: "pair", Nodes: 2, PPN: 1, Iterations: 1,
+		Loop: []job.Phase{{Kind: job.Collective, Op: job.SendRecv, Payload: units.MiB}}}
+	for _, env := range []*job.Env{cold, warm} {
+		if _, err := env.Bind(p, []int{3, 3}); err == nil {
+			t.Fatalf("cache %v: Bind accepted the repeated placement [3 3]", env.Cache != nil)
+		}
+	}
+	if _, ok := warm.PlacementSignature([]int{3, 3}); ok {
+		t.Error("signature accepted a repeated node")
+	}
+	if _, ok := warm.PlacementSignature([]int{5, 2, 9, 2}); ok {
+		t.Error("signature accepted a repeated node in an unsorted placement")
+	}
+	want := bindOrFatal(t, cold, p, []int{3, 2}).Total
+	if got := bindOrFatal(t, warm, p, []int{3, 2}).Total; got != want {
+		t.Errorf("cached [3 2] priced %v, cold %v", got, want)
+	}
+}
+
+// With a cache, Estimate serves hits from the memoized nominal key
+// without building a placement. Over every YearMix program shape it must
+// equal the uncached Estimate bit for bit, count exactly one hit or miss
+// per call, and agree with Bind on the spread placement through a twin
+// cache that sees the same keys. Bind on the estimating cache must hit
+// the spread entry and price any other placement cold.
+func TestEstimateCachedMatchesUncached(t *testing.T) {
+	spec := machine.Scaled(12, 16, 8)
+	f, err := spec.NewFabric()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := func(cache *job.PricingCache) *job.Env {
+		e, err := spec.JobEnv(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Cache, e.CacheKey = cache, "scaled"
+		return e
+	}
+	cold := env(nil)
+	cached := env(job.NewPricingCache(0))
+	twin := env(job.NewPricingCache(0))
+	machineNodes := f.Cfg.ComputeNodes()
+	programs := 0
+	for _, class := range workload.YearMix(spec.Platform(), spec.NodeModel()) {
+		if class.ProgramFor == nil {
+			continue
+		}
+		for n := 1; n <= machineNodes; n *= 2 {
+			for _, iters := range []int{1, 8, 64} {
+				p, err := class.ProgramFor(n, iters)
+				if err != nil || p.Nodes > machineNodes {
+					continue
+				}
+				programs++
+				want, err := cold.Estimate(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for pass := 0; pass < 2; pass++ {
+					h0, m0 := cached.Cache.Stats()
+					got, err := cached.Estimate(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if h1, m1 := cached.Cache.Stats(); h1+m1 != h0+m0+1 {
+						t.Fatalf("%s n=%d: one Estimate moved hits/misses %d/%d -> %d/%d", p.Name, p.Nodes, h0, m0, h1, m1)
+					}
+					if got != want {
+						t.Fatalf("%s n=%d iters=%d pass=%d: cached Estimate %v, uncached %v", p.Name, p.Nodes, iters, pass, got, want)
+					}
+					if bound := bindOrFatal(t, twin, p, twin.SpreadPlacement(p.Nodes)); bound.Total != want {
+						t.Fatalf("%s n=%d iters=%d pass=%d: Bind on the spread placement %v, Estimate %v", p.Name, p.Nodes, iters, pass, bound.Total, want)
+					}
+				}
+				// The entry Estimate stored is the spread placement's,
+				// and no other placement's: Bind on the spread hits it,
+				// a packed placement prices cold.
+				h0, _ := cached.Cache.Stats()
+				if bound := bindOrFatal(t, cached, p, cached.SpreadPlacement(p.Nodes)); bound.Total != want {
+					t.Fatalf("%s n=%d: cached Bind on the spread placement %v, Estimate %v", p.Name, p.Nodes, bound.Total, want)
+				}
+				if h1, _ := cached.Cache.Stats(); h1 != h0+1 {
+					t.Fatalf("%s n=%d: Bind on the spread placement missed the entry Estimate stored", p.Name, p.Nodes)
+				}
+				packed := contiguous(p.Nodes)
+				if got, cold := bindOrFatal(t, cached, p, packed).Total, bindOrFatal(t, cold, p, packed).Total; got != cold {
+					t.Fatalf("%s n=%d: cached Bind on a packed placement %v, cold %v", p.Name, p.Nodes, got, cold)
+				}
+				bindOrFatal(t, twin, p, twin.SpreadPlacement(p.Nodes))
+				bindOrFatal(t, twin, p, packed)
+			}
+		}
+	}
+	if programs < 20 {
+		t.Fatalf("only %d YearMix programs built", programs)
+	}
+	ch, cm := cached.Cache.Stats()
+	th, tm := twin.Cache.Stats()
+	if ch != th || cm != tm || ch == 0 {
+		t.Errorf("Estimate cache hits/misses %d/%d, twin Bind cache %d/%d: the nominal key differs from the spread placement's", ch, cm, th, tm)
+	}
+}
+
+// The cache is safe for concurrent binders and estimators (run under
+// -race in CI).
 func TestPricingCacheConcurrent(t *testing.T) {
 	env := testEnv(t)
 	env.Cache = job.NewPricingCache(2) // small: forces concurrent eviction
@@ -235,6 +349,10 @@ func TestPricingCacheConcurrent(t *testing.T) {
 	coldEnv := testEnv(t)
 	for i, nodes := range placements {
 		want[i] = bindOrFatal(t, coldEnv, p, nodes).Total
+	}
+	estimate, err := coldEnv.Estimate(p)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -250,6 +368,10 @@ func TestPricingCacheConcurrent(t *testing.T) {
 				}
 				if b.Total != want[i%len(placements)] {
 					t.Errorf("concurrent bind diverged on %v", nodes)
+					return
+				}
+				if got, err := env.Estimate(p); err != nil || got != estimate {
+					t.Errorf("concurrent estimate = %v, %v; want %v", got, err, estimate)
 					return
 				}
 			}

@@ -19,22 +19,32 @@ func Dump(s Spec) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// Load reads and validates a spec from a JSON file. Unknown fields are
-// rejected so a typo in a what-if spec fails loudly instead of silently
-// keeping a default.
+// Load reads and validates a spec from a JSON file.
 func Load(path string) (Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Spec{}, fmt.Errorf("machine: %w", err)
 	}
+	s, err := Decode(data)
+	if err != nil {
+		return Spec{}, fmt.Errorf("machine: %s: %w", path, err)
+	}
+	return s, nil
+}
+
+// Decode strictly parses one JSON spec and validates it: the one path
+// spec files (Load) and frontier-serve's inline specs take. Unknown
+// fields are rejected so a typo in a what-if spec fails loudly instead
+// of silently keeping a default.
+func Decode(data []byte) (Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var s Spec
 	if err := dec.Decode(&s); err != nil {
-		return Spec{}, fmt.Errorf("machine: parsing %s: %w", path, err)
+		return Spec{}, fmt.Errorf("parsing: %w", err)
 	}
 	if err := s.Validate(); err != nil {
-		return Spec{}, fmt.Errorf("machine: %s: %w", path, err)
+		return Spec{}, err
 	}
 	return s, nil
 }

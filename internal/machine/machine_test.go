@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -171,6 +172,18 @@ func TestValidationErrors(t *testing.T) {
 		{"inverted PFL", func(s *Spec) { s.Storage.Orion.PFLPerformanceLimit = 1 }, "PFL"},
 		{"zero metadata rate", func(s *Spec) { s.Storage.Orion.MetadataRead = 0 }, "bandwidth"},
 		{"one leader", func(s *Spec) { s.Mgmt.Leaders = 1 }, "leader"},
+		// Machine-size ceilings: a spec must not size the fabric's
+		// tables beyond what one process can hold.
+		{"million groups", func(s *Spec) { s.Topology.ComputeGroups = 1 << 20 }, "computeGroups"},
+		{"overflowing group sum", func(s *Spec) { s.Topology.IOGroups = math.MaxInt }, "ioGroups"},
+		{"overflowing endpoint product", func(s *Spec) {
+			// 74 × 2^62 × 16 wraps to 0; the node override kept it valid.
+			s.Topology.ComputeGroupSwitches = 1 << 62
+			s.Topology.Nodes = 9472
+		}, "computeGroupSwitches"},
+		{"huge node override", func(s *Spec) { s.Topology.Nodes = 1 << 40 }, "override"},
+		{"huge top-of-rack groups", func(s *Spec) { s.Topology.TORGroupSwitches = 4096 }, "torGroupSwitches"},
+		{"huge global bundle", func(s *Spec) { s.Topology.IOIOLinks = 1 << 30 }, "bundle"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -190,6 +203,11 @@ func TestValidationErrors(t *testing.T) {
 	s.Topology.Leaves = 0
 	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "leaves") {
 		t.Errorf("fat-tree leaf validation: %v", err)
+	}
+	s = Summit()
+	s.Topology.Leaves = 1 << 40
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "endpointsPerLeaf") {
+		t.Errorf("fat-tree size ceiling: %v", err)
 	}
 	// All built-ins validate clean.
 	for _, name := range Names() {

@@ -249,6 +249,73 @@ func (s Spec) Nodes() int {
 	return s.Topology.DerivedNodes()
 }
 
+// Machine-size ceilings. Validate rejects a spec beyond them before any
+// subsystem sizes a table from it — the fabric's group-pair index grows
+// with groups², its link list with endpoints and switches per group — so
+// one inline what-if spec cannot exhaust a server's memory. Each sits
+// well above every canonical machine (Frontier: 80 groups, 39,424
+// endpoints, about 180k directed links).
+const (
+	MaxGroups    = 1 << 10
+	MaxEndpoints = 1 << 20
+	MaxLinks     = 1 << 22
+)
+
+// capped multiplies counts, saturating at ceiling+1 so a product of
+// untrusted fields compares against its ceiling without overflowing. A
+// non-positive factor yields 0.
+func capped(ceiling int, factors ...int) int {
+	p := 1
+	for _, f := range factors {
+		if f <= 0 {
+			return 0
+		}
+		if p > ceiling/f {
+			return ceiling + 1
+		}
+		p *= f
+	}
+	return p
+}
+
+// checkSize holds the topology under the machine-size ceilings.
+func (t Topology) checkSize(name string) error {
+	if t.Nodes > MaxEndpoints {
+		return fmt.Errorf("machine %s: node-count override %d exceeds the ceiling of %d", name, t.Nodes, MaxEndpoints)
+	}
+	if t.Kind == FatTree {
+		if capped(MaxEndpoints, t.Leaves, t.EndpointsPerLeaf) > MaxEndpoints {
+			return fmt.Errorf("machine %s: leaves × endpointsPerLeaf (%d × %d) exceeds the ceiling of %d endpoints",
+				name, t.Leaves, t.EndpointsPerLeaf, MaxEndpoints)
+		}
+		return nil
+	}
+	groups := capped(MaxGroups, t.ComputeGroups) + capped(MaxGroups, t.IOGroups) + capped(MaxGroups, t.MgmtGroups)
+	if groups > MaxGroups {
+		return fmt.Errorf("machine %s: computeGroups + ioGroups + mgmtGroups (%d + %d + %d) exceeds the ceiling of %d groups",
+			name, t.ComputeGroups, t.IOGroups, t.MgmtGroups, MaxGroups)
+	}
+	tor := capped(MaxGroups, t.IOGroups) + capped(MaxGroups, t.MgmtGroups)
+	endpoints := capped(MaxEndpoints, t.ComputeGroups, t.ComputeGroupSwitches, t.EndpointsPerSwitch) +
+		capped(MaxEndpoints, tor, t.TORGroupSwitches, t.EndpointsPerSwitch)
+	if endpoints > MaxEndpoints {
+		return fmt.Errorf("machine %s: groups × computeGroupSwitches/torGroupSwitches × endpointsPerSwitch (%d × %d/%d × %d) exceeds the ceiling of %d endpoints",
+			name, groups, t.ComputeGroupSwitches, t.TORGroupSwitches, t.EndpointsPerSwitch, MaxEndpoints)
+	}
+	// Injection and ejection per endpoint, full intra-group connectivity,
+	// and at most the largest bundle between every ordered group pair.
+	bundle := max(t.ComputeComputeLinks, t.ComputeIOLinks, t.ComputeMgmtLinks, t.IOIOLinks, t.IOMgmtLinks)
+	links := 2*endpoints +
+		capped(MaxLinks, t.ComputeGroups, t.ComputeGroupSwitches, t.ComputeGroupSwitches-1) +
+		capped(MaxLinks, tor, t.TORGroupSwitches, t.TORGroupSwitches-1) +
+		capped(MaxLinks, groups, groups-1, bundle)
+	if links > MaxLinks {
+		return fmt.Errorf("machine %s: switches per group and global link bundles (computeGroupSwitches %d, torGroupSwitches %d, largest bundle %d over %d groups) exceed the ceiling of %d links",
+			name, t.ComputeGroupSwitches, t.TORGroupSwitches, bundle, groups, MaxLinks)
+	}
+	return nil
+}
+
 // Validate checks the spec for structural and numeric sanity, returning
 // a descriptive error naming the offending field.
 func (s Spec) Validate() error {
@@ -274,6 +341,9 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("machine %s: topology kind is empty (want %q or %q)", s.Name, Dragonfly, FatTree)
 	default:
 		return fmt.Errorf("machine %s: unknown topology kind %q (want %q or %q)", s.Name, t.Kind, Dragonfly, FatTree)
+	}
+	if err := t.checkSize(s.Name); err != nil {
+		return err
 	}
 	if t.NICsPerNode < 1 {
 		return fmt.Errorf("machine %s: NICsPerNode must be positive (got %d)", s.Name, t.NICsPerNode)

@@ -47,16 +47,14 @@ type Comm struct {
 }
 
 // NewComm creates a communicator over the given compute nodes with ppn
-// ranks per node.
+// ranks per node. A node may appear once: allocations are exclusive, and
+// a repeated node would price its cross-node exchanges as intra-node.
 func NewComm(f *fabric.Fabric, nodes []int, ppn int) (*Comm, error) {
 	if len(nodes) == 0 || ppn < 1 {
 		return nil, fmt.Errorf("mpi: communicator needs nodes and ppn >= 1")
 	}
-	maxNode := f.Cfg.ComputeNodes()
-	for _, n := range nodes {
-		if n < 0 || n >= maxNode {
-			return nil, fmt.Errorf("mpi: node %d outside fabric (0..%d)", n, maxNode-1)
-		}
+	if err := f.CheckNodes(nodes); err != nil {
+		return nil, fmt.Errorf("mpi: %w", err)
 	}
 	return &Comm{F: f, Nodes: nodes, PPN: ppn, groups: f.GroupsSpanned(nodes)}, nil
 }
@@ -250,35 +248,34 @@ func (c *Comm) Split(color func(rank int) int) (map[int]*Comm, error) {
 	return out, nil
 }
 
-// SplitOne builds the single sub-communicator Split would return for
-// the given color, without materializing the others: identical node
-// order (first appearance over ranks in rank order), identical PPN, so
-// the result prices bit-identically to Split(color)[col]. The pricing
-// path uses it because congruent-subgroup collectives only ever price
-// the rank-0 subgroup, and a full Split of a hero-job communicator
-// builds thousands of discarded sub-communicators. Ranks are
-// block-distributed, so each node's ranks are one contiguous block and a
-// node joins once, when a rank of its block has the color; no set of seen
-// nodes is needed because a communicator's nodes are distinct (allocations
-// are exclusive).
-func (c *Comm) SplitOne(color func(rank int) int, col int) (*Comm, error) {
+// RankZeroGroup returns the sub-communicator holding rank 0 of a
+// congruent decomposition: the size consecutive ranks 0..size-1 when
+// stride <= 1, else the size ranks 0, stride, 2·stride, …. It equals
+// Split(color)[0] for color r/size or r%stride respectively — the same
+// nodes in the same order and the same PPN, so it prices bit-identically
+// — but costs O(subgroup) instead of a color call per rank. Ranks are
+// block-distributed and a communicator's nodes are distinct, so a block
+// group is the first ceil(size/PPN) nodes, and a strided group visits
+// node indices in non-decreasing order, each node once. Job pricing uses
+// it because congruent-subgroup collectives only ever price the rank-0
+// subgroup.
+func (c *Comm) RankZeroGroup(size, stride int) *Comm {
+	size = min(max(size, 1), c.Size())
 	var nodes []int
-	for i, n := range c.Nodes {
-		for r := i * c.PPN; r < (i+1)*c.PPN; r++ {
-			if color(r) == col {
-				nodes = append(nodes, n)
-				break
+	if stride <= 1 {
+		k := (size + c.PPN - 1) / c.PPN
+		nodes = c.Nodes[:k:k]
+	} else {
+		nodes = make([]int, 0, min(size, len(c.Nodes)))
+		last := -1
+		for j := 0; j < size && j*stride < c.Size(); j++ {
+			if i := j * stride / c.PPN; i != last {
+				nodes = append(nodes, c.Nodes[i])
+				last = i
 			}
 		}
 	}
-	if len(nodes) == 0 {
-		return nil, nil
-	}
-	sub, err := NewComm(c.F, nodes, c.PPN)
-	if err != nil {
-		return nil, fmt.Errorf("mpi: split color %d: %w", col, err)
-	}
-	return sub, nil
+	return &Comm{F: c.F, Nodes: nodes, PPN: c.PPN, groups: c.F.GroupsSpanned(nodes)}
 }
 
 // AllGather models an allgather of b bytes contributed per rank: ring

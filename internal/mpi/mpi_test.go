@@ -2,7 +2,9 @@ package mpi
 
 import (
 	"math"
+	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -191,43 +193,63 @@ func TestSplitRowColumns(t *testing.T) {
 	}
 }
 
-// SplitOne must return exactly the sub-communicator Split builds for the
-// color: same nodes in the same order, same PPN and group span, for the
-// contiguous and strided colorings job pricing uses.
-func TestSplitOneMatchesSplit(t *testing.T) {
+// RankZeroGroup must return exactly the rank-0 sub-communicator Split
+// builds: same nodes in the same order, same PPN and group span, for
+// every block size and every full stride Program.Validate accepts, on
+// random (unsorted) placements.
+func TestRankZeroGroupMatchesSplit(t *testing.T) {
 	f := testFabric(t)
-	nodes := []int{40, 3, 17, 8, 25, 0, 33, 12, 47, 21}
-	for _, ppn := range []int{1, 3, 8} {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 60; trial++ {
+		nodes := rng.Perm(f.Cfg.ComputeNodes())[:1+rng.Intn(12)]
+		ppn := 1 + rng.Intn(8)
 		c, err := NewComm(f, nodes, ppn)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range []int{1, 2, 5, 8, 13} {
-			colorings := map[string]func(int) int{
-				"block":   func(r int) int { return r / k },
-				"strided": func(r int) int { return r % k },
+		ranks := c.Size()
+		for k := 1; k <= ranks; k++ {
+			if ranks%k != 0 {
+				continue
 			}
-			for name, color := range colorings {
-				all, err := c.Split(color)
+			shapes := []struct {
+				name         string
+				size, stride int
+				color        func(int) int
+			}{
+				{"block", k, 1, func(r int) int { return r / k }},
+				{"strided", ranks / k, k, func(r int) int { return r % k }},
+			}
+			for _, sh := range shapes {
+				if sh.name == "strided" && k < 2 {
+					continue
+				}
+				all, err := c.Split(sh.color)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for col, want := range all {
-					got, err := c.SplitOne(color, col)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !slices.Equal(got.Nodes, want.Nodes) || got.PPN != want.PPN ||
-						got.GroupsSpanned() != want.GroupsSpanned() {
-						t.Fatalf("ppn=%d %s/%d color %d: SplitOne nodes %v groups %d, Split nodes %v groups %d",
-							ppn, name, k, col, got.Nodes, got.GroupsSpanned(), want.Nodes, want.GroupsSpanned())
-					}
-				}
-				if got, err := c.SplitOne(color, -1); got != nil || err != nil {
-					t.Fatalf("absent color: got %v, %v; want nil, nil", got, err)
+				want, got := all[0], c.RankZeroGroup(sh.size, sh.stride)
+				if !slices.Equal(got.Nodes, want.Nodes) || got.PPN != want.PPN ||
+					got.GroupsSpanned() != want.GroupsSpanned() {
+					t.Fatalf("nodes %v ppn=%d %s %dx%d: RankZeroGroup nodes %v groups %d, Split nodes %v groups %d",
+						nodes, ppn, sh.name, sh.size, sh.stride, got.Nodes, got.GroupsSpanned(), want.Nodes, want.GroupsSpanned())
 				}
 			}
 		}
+	}
+}
+
+// A repeated node would price cross-node exchanges as intra-node, so
+// NewComm rejects it whether or not the placement is sorted.
+func TestCommRejectsRepeatedNode(t *testing.T) {
+	f := testFabric(t)
+	for _, nodes := range [][]int{{3, 3}, {5, 2, 9, 2}, {0, 1, 1, 2}} {
+		if _, err := NewComm(f, nodes, 4); err == nil || !strings.Contains(err.Error(), "twice") {
+			t.Errorf("NewComm(%v) = %v, want a repeated-node error", nodes, err)
+		}
+	}
+	if _, err := NewComm(f, []int{9, 2, 5}, 4); err != nil {
+		t.Errorf("distinct unsorted nodes rejected: %v", err)
 	}
 }
 
