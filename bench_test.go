@@ -414,7 +414,9 @@ func BenchmarkTransportStorm(b *testing.B) {
 
 // BenchmarkResiliencyYear injects a year of Frontier's Monte-Carlo
 // failure trace (§5.4's component classes: tens of thousands of events)
-// and dispatches it, the resiliency analogue of the storm benchmark.
+// through resilience.InjectTrace, which keeps one failure on the
+// calendar at a time, and dispatches it: the resiliency analogue of the
+// storm benchmark.
 func BenchmarkResiliencyYear(b *testing.B) {
 	m, err := machine.Frontier().ResilienceModel()
 	if err != nil {
@@ -571,8 +573,8 @@ func BenchmarkCampaignWeek(b *testing.B) { benchExperiment(b, "ext-campaign") }
 // BenchmarkCampaignYear is the scale target the campaign engine's hot
 // path is sized against: a simulated year on the full Frontier spec
 // (a fortnight in -short), every job phase-structured, with the
-// placement-signature pricing cache, the indexed scheduler, and batched
-// arrival/failure sampling all engaged. The run is deterministic end to
+// placement-signature pricing cache, the indexed scheduler, and paced
+// failure injection all engaged. The run is deterministic end to
 // end, so its ns/op is gated in benchjson compare mode; the rendered
 // table reports the pricing-cache hit rate alongside the campaign rows.
 func BenchmarkCampaignYear(b *testing.B) { benchExperiment(b, "ext-year") }

@@ -33,16 +33,23 @@ import (
 	"frontiersim/internal/campaign"
 )
 
+// Connection deadlines. A request body is at most 1 MiB, so a client
+// that needs longer than readTimeout to send one is stalling the
+// connection; idleTimeout reclaims keep-alive connections nobody reuses.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() { os.Exit(run()) }
 
 func run() int {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "max simulations running concurrently")
-	cacheBytes := flag.Int64("cache-bytes", 256<<20, "in-memory result-cache budget in bytes (0 = unbounded)")
+	cacheBytes := flag.Int64("cache-bytes", 256<<20, "in-memory result-cache budget in bytes (0 = unbounded); the solver solution cache has a fixed 256 MiB cap")
 	cacheDir := flag.String("cache-dir", "", "persist results to this directory (survives restarts; empty = memory only)")
 	maxSweep := flag.Int("max-sweep", 256, "max variants in one sweep request")
-	solutionBytes := flag.Int64("solution-cache-bytes", 0, "solver solution-cache budget in bytes shared across simulations (0 = 256 MiB default)")
-	pricingEntries := flag.Int("pricing-cache-entries", 0, "per-simulation placement-signature pricing cache for campaign experiments: 0 = unbounded (default), N > 0 = LRU entry cap, -1 = disabled; campaign results are identical at any setting")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "frontier-serve: unexpected arguments %v\n", flag.Args())
@@ -51,12 +58,10 @@ func run() int {
 	}
 
 	srv, err := campaign.New(campaign.Config{
-		Jobs:               *jobs,
-		CacheBytes:         *cacheBytes,
-		CacheDir:           *cacheDir,
-		MaxSweepVariants:   *maxSweep,
-		SolutionCacheBytes: *solutionBytes,
-		PricingEntries:     *pricingEntries,
+		Jobs:             *jobs,
+		CacheBytes:       *cacheBytes,
+		CacheDir:         *cacheDir,
+		MaxSweepVariants: *maxSweep,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "frontier-serve:", err)
@@ -68,9 +73,14 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "frontier-serve:", err)
 		return 1
 	}
+	// No WriteTimeout: an SSE progress stream and a synchronous /v1/run
+	// legitimately stay open for as long as their simulation runs, so no
+	// fixed write deadline fits them.
 	httpSrv := &http.Server{
 		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

@@ -48,7 +48,6 @@ func run() int {
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "max experiments run concurrently (1 = serial)")
 	timeout := flag.Duration("timeout", 0, "abort the whole run after this duration (0 = none)")
 	keepGoing := flag.Bool("keepgoing", false, "run every experiment even after a failure")
-	pricingCache := flag.Int("pricing-cache", 0, "placement-signature pricing cache for the campaign experiments: 0 = unbounded (default), N > 0 = LRU entry cap, -1 = disabled; hits are bit-identical, so campaign results never change (only the reported hit-rate row)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	mutexprofile := flag.String("mutexprofile", "", "write a contended-mutex profile to this file on exit")
@@ -94,8 +93,8 @@ func run() int {
 	// One solver solution cache for the whole invocation: ablation arms
 	// sharing a traffic matrix (CC on/off) reuse solved allocations, and
 	// reuse is bit-exact, so output stays byte-identical with or without.
-	opts := experiments.Options{Quick: *quick, Seed: *seed,
-		Solutions: network.NewSolutionCache(0), PricingEntries: *pricingCache}
+	// Each campaign experiment attaches its own unbounded pricing cache.
+	opts := experiments.Options{Quick: *quick, Seed: *seed, Solutions: network.NewSolutionCache(0)}
 	if *machineArg != "" {
 		spec, err := machine.Resolve(*machineArg)
 		if err != nil {

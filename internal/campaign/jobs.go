@@ -68,16 +68,25 @@ func (j *job) view(includeResult bool) jobView {
 	return v
 }
 
-// jobStore is the in-memory registry of submissions, newest last.
+// maxFinishedJobs bounds how many finished jobs, with their result
+// bytes, the store keeps for GET /v1/jobs/{id}. Older finished jobs are
+// evicted and 404; their results stay in the result cache, so
+// resubmitting the same request is a cache hit.
+const maxFinishedJobs = 1024
+
+// jobStore is the in-memory registry of submissions, newest last. It
+// keeps every queued or running job and at most maxFinished finished
+// ones, evicting the oldest finished job first.
 type jobStore struct {
-	mu   sync.Mutex
-	seq  int
-	byID map[string]*job
-	all  []*job
+	mu          sync.Mutex
+	seq         int
+	maxFinished int
+	byID        map[string]*job
+	all         []*job
 }
 
-func newJobStore() *jobStore {
-	return &jobStore{byID: make(map[string]*job)}
+func newJobStore(maxFinished int) *jobStore {
+	return &jobStore{maxFinished: maxFinished, byID: make(map[string]*job)}
 }
 
 // nextID mints a monotonically increasing job id.
@@ -88,11 +97,34 @@ func (s *jobStore) nextID() string {
 	return fmt.Sprintf("job-%06d", s.seq)
 }
 
+// add registers a job and evicts the oldest finished jobs beyond the
+// bound. The store only grows here, so between submissions it holds at
+// most maxFinished finished jobs plus those unfinished at the last add.
 func (s *jobStore) add(j *job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.byID[j.ID] = j
 	s.all = append(s.all, j)
+	excess := -s.maxFinished
+	for _, j := range s.all {
+		if j.handle.State().Finished() {
+			excess++
+		}
+	}
+	if excess <= 0 {
+		return
+	}
+	kept := s.all[:0]
+	for _, j := range s.all {
+		if excess > 0 && j.handle.State().Finished() {
+			delete(s.byID, j.ID)
+			excess--
+			continue
+		}
+		kept = append(kept, j)
+	}
+	clear(s.all[len(kept):])
+	s.all = kept
 }
 
 func (s *jobStore) get(id string) (*job, bool) {

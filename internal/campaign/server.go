@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -40,24 +41,6 @@ type Config struct {
 	CodeVersion string
 	// MaxSweepVariants caps one sweep's fan-out (<=0 means 256).
 	MaxSweepVariants int
-	// SolutionCacheBytes bounds the shared max-min solver solution cache
-	// threaded through every simulation this server runs (<=0 means the
-	// network package's 256 MiB default). Unlike the result cache, which
-	// deduplicates whole jobs, the solution cache deduplicates individual
-	// solves inside them — sweep variants and repeated what-ifs that share
-	// a topology and traffic matrix skip straight to stored allocations.
-	// Reuse is bit-exact, so it never changes result bytes or cache keys.
-	SolutionCacheBytes int64
-	// PricingEntries sizes the per-simulation placement-signature pricing
-	// cache the campaign experiments attach to their job environment:
-	// 0 = unbounded (the default), > 0 caps the LRU, < 0 disables it.
-	// Cache hits reproduce cold pricing bit-for-bit, so every campaign
-	// statistic is identical at any setting and the knob stays out of the
-	// result-cache key. The one informational surface it can move is the
-	// reported hit-rate row (a bounded LRU may evict and re-miss), so
-	// servers sharing a persistent cache directory should agree on this
-	// setting.
-	PricingEntries int
 }
 
 // Server is the campaign service. Build with New, serve Handler.
@@ -68,7 +51,6 @@ type Server struct {
 	jobs      *jobStore
 	version   string
 	maxVars   int
-	pricing   int
 	started   time.Time
 }
 
@@ -89,11 +71,10 @@ func New(cfg Config) (*Server, error) {
 	return &Server{
 		pool:      harness.NewPool(cfg.Jobs),
 		cache:     c,
-		solutions: network.NewSolutionCache(cfg.SolutionCacheBytes),
-		jobs:      newJobStore(),
+		solutions: network.NewSolutionCache(0),
+		jobs:      newJobStore(maxFinishedJobs),
 		version:   version,
 		maxVars:   maxVars,
-		pricing:   cfg.PricingEntries,
 		started:   time.Now(),
 	}, nil
 }
@@ -155,10 +136,7 @@ type resolved struct {
 	// options() but excluded from key: a hit applies bit-exact stored
 	// allocations, so including it would only fragment the cache.
 	solutions *network.SolutionCache
-	// pricing is the server's pricing-cache sizing, excluded from key for
-	// the same reason: hits are bit-identical, results never depend on it.
-	pricing int
-	key     cache.Key
+	key       cache.Key
 }
 
 func (s *Server) resolve(req JobRequest) (resolved, error) {
@@ -199,7 +177,6 @@ func (s *Server) resolve(req JobRequest) (resolved, error) {
 	r.quick = req.Quick
 	r.markdown = req.Markdown
 	r.solutions = s.solutions
-	r.pricing = s.pricing
 	r.key = cache.ResultKey(cache.KeyInputs{
 		SpecJSON:    specJSON,
 		Seed:        r.seed,
@@ -214,8 +191,7 @@ func (s *Server) resolve(req JobRequest) (resolved, error) {
 // options builds the experiment options for a resolved request.
 func (r resolved) options() experiments.Options {
 	spec := r.spec
-	return experiments.Options{Quick: r.quick, Seed: r.seed, Machine: &spec,
-		Solutions: r.solutions, PricingEntries: r.pricing}
+	return experiments.Options{Quick: r.quick, Seed: r.seed, Machine: &spec, Solutions: r.solutions}
 }
 
 // runCached is the one compute path every endpoint shares: at most one
@@ -577,9 +553,7 @@ const maxBodyBytes = 1 << 20
 // v. On failure it writes the error response — 413 for an oversized body,
 // 400 for anything else — and reports false.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), v); err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -589,6 +563,13 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 		return false
 	}
 	return true
+}
+
+// decodeStrict decodes one JSON value, rejecting unknown fields.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -37,24 +37,23 @@ type Options struct {
 	// the skipped solve would have produced, so it is purely a speed knob
 	// that never enters result content or cache keys. nil disables reuse.
 	Solutions *network.SolutionCache
-	// PricingEntries sizes the per-run placement-signature pricing cache
-	// the campaign experiments attach to their job environment: 0 (the
-	// default) keeps it unbounded, so the reported hit rate is a pure
-	// function of the job stream; > 0 caps the LRU; < 0 disables the
-	// cache. Cache hits reproduce cold pricing bit-for-bit, so this is
-	// purely a speed knob that never changes result content and never
-	// enters campaign cache keys.
-	PricingEntries int
+	// uncached runs the campaign experiments without their pricing
+	// cache. It exists so tests can compare cached and cold campaigns;
+	// nothing outside this package can set it.
+	uncached bool
 }
 
-// pricingCache builds the per-run pricing cache o asks for and attaches
-// it to the system's job environment, returning it for hit-rate
-// reporting (nil when disabled or the machine has no scheduler).
+// pricingCache attaches a fresh, unbounded placement-signature pricing
+// cache to the system's job environment and returns it for hit-rate
+// reporting (nil when the machine has no scheduler). Hits reproduce cold
+// pricing bit-for-bit, so the cache never changes a campaign statistic;
+// being unbounded and per run, its reported hit rate is a pure function
+// of the job stream.
 func (o Options) pricingCache(sys *core.System, spec machine.Spec) *job.PricingCache {
-	if o.PricingEntries < 0 || sys.Scheduler == nil || sys.Scheduler.Env == nil {
+	if o.uncached || sys.Scheduler == nil || sys.Scheduler.Env == nil {
 		return nil
 	}
-	cache := job.NewPricingCache(o.PricingEntries)
+	cache := job.NewPricingCache()
 	sys.Scheduler.Env.Cache = cache
 	sys.Scheduler.Env.CacheKey = topoKey(spec)
 	return cache

@@ -9,16 +9,20 @@ import (
 	"frontiersim/internal/workload"
 )
 
-// ExtYear runs a full simulated year of operations on the full 9,408-node
+// ExtYear runs a full simulated year of operations on the full 9,472-node
 // Frontier spec with every job phase-structured — the scale target the
-// campaign engine's hot-path work exists for. Three mechanisms carry it:
-// the placement-signature pricing cache (YearMix quantizes jobs onto a
-// few dozen distinct programs, so repeat placements price as cache hits),
-// the scheduler's indexed free lists with bounded backfill, and batched
-// arrival/failure sampling. All three are bit-exact accelerations, so the
-// table is byte-identical across -jobs settings, and the
-// pricing-cache hit rate itself is deterministic. Quick mode shortens the
-// year to a fortnight on the same machine.
+// campaign engine's hot-path work exists for. Every campaign shares the
+// mechanisms that carry it: the always-on, per-run placement-signature
+// pricing cache (YearMix quantizes jobs onto a few dozen distinct
+// programs, so repeat placements price as cache hits), the scheduler's
+// indexed free lists, interarrival gaps from their own derived stream,
+// and failure injection that keeps one trace entry on the calendar at a
+// time. Cache hits are bit-exact, so the table is byte-identical across
+// -jobs settings and the pricing cache hit rate itself is
+// deterministic. ExtYear alone bounds the EASY backfill scan to 64
+// pending jobs: that is a scheduling policy, not a speed knob, and it
+// changes which jobs start. Quick mode shortens the year to a fortnight
+// on the same machine.
 func ExtYear(o Options) (*report.Table, error) {
 	spec := o.machine()
 	sys, err := core.New(spec, o.Seed)
@@ -33,8 +37,6 @@ func ExtYear(o Options) (*report.Table, error) {
 	cfg.Mix = workload.YearMix(spec.Platform(), spec.NodeModel())
 	cfg.Duration = 365 * units.Day
 	cfg.MeanInterarrival = 30 * units.Minute
-	cfg.ArrivalBatch = 4096
-	cfg.PacedFailures = true
 	cfg.BackfillDepth = 64
 	if o.Quick {
 		cfg.Duration = 14 * units.Day

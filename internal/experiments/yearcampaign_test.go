@@ -3,73 +3,52 @@ package experiments
 import (
 	"reflect"
 	"testing"
+
+	"frontiersim/internal/report"
 )
 
-// The pricing cache must be invisible in results: an ext-year run with
-// the cache on (the default) and one with it disabled must produce
-// byte-identical tables, except for the hit-rate report row the cached
-// run appends. This is the campaign-level pin of the cache's
-// bit-identity contract — every delivered walltime, slowdown quantile,
-// and utilization figure flows through Bind totals, so a single ULP of
+// The pricing cache must be invisible in results: the campaign
+// experiments with their cache (always on) and with it removed must
+// produce identical tables, except for the hit-rate row the cached run
+// appends. This is the campaign-level pin of the cache's bit-identity
+// contract — every delivered walltime, slowdown quantile, and
+// utilization figure flows through Bind totals, so a single ULP of
 // pricing drift would surface here.
 func TestYearCampaignCachedMatchesUncached(t *testing.T) {
-	run := func(entries int) []interface{} {
-		o := quickOpts()
-		o.PricingEntries = entries
-		tab, err := ExtYear(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rows []interface{}
-		for _, r := range tab.Rows {
-			if r.Name == "pricing cache" {
-				continue
+	for _, exp := range []struct {
+		id  string
+		run func(Options) (*report.Table, error)
+	}{{"ext-year", ExtYear}, {"ext-campaign", ExtCampaign}} {
+		t.Run(exp.id, func(t *testing.T) {
+			run := func(uncached bool) (rows []report.Row, hitRate string) {
+				o := quickOpts()
+				o.uncached = uncached
+				tab, err := exp.run(o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range tab.Rows {
+					if r.Name == "pricing cache" {
+						hitRate = r.Measured
+						continue
+					}
+					rows = append(rows, r)
+				}
+				return rows, hitRate
 			}
-			rows = append(rows, r)
-		}
-		return rows
-	}
-	cached := run(0)
-	uncached := run(-1)
-	if !reflect.DeepEqual(cached, uncached) {
-		t.Errorf("cached and uncached campaigns diverge:\ncached:   %v\nuncached: %v", cached, uncached)
-	}
-
-	// The cached run must actually have exercised the cache: the year
-	// mix's whole point is that repeats dominate.
-	o := quickOpts()
-	tab, err := ExtYear(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, r := range tab.Rows {
-		if r.Name == "pricing cache" {
-			found = true
-			if r.Measured == "" || r.Measured[0] == '0' {
-				t.Errorf("suspicious hit-rate row: %q", r.Measured)
+			cached, hitRate := run(false)
+			uncached, none := run(true)
+			if !reflect.DeepEqual(cached, uncached) {
+				t.Errorf("cached and uncached campaigns diverge:\ncached:   %v\nuncached: %v", cached, uncached)
 			}
-		}
-	}
-	if !found {
-		t.Error("default ext-year run reports no pricing-cache row")
-	}
-
-	// A bounded cache changes speed, never content.
-	o = quickOpts()
-	o.PricingEntries = 16
-	small, err := ExtYear(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bounded []interface{}
-	for _, r := range small.Rows {
-		if r.Name == "pricing cache" {
-			continue
-		}
-		bounded = append(bounded, r)
-	}
-	if !reflect.DeepEqual(bounded, uncached) {
-		t.Error("LRU-bounded pricing cache changed campaign results")
+			// The cached run must actually have exercised the cache: the
+			// campaign mixes repeat placements by design.
+			if hitRate == "" || hitRate[0] == '0' {
+				t.Errorf("suspicious or missing hit-rate row: %q", hitRate)
+			}
+			if none != "" {
+				t.Errorf("uncached run reports a hit rate: %q", none)
+			}
+		})
 	}
 }

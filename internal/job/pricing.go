@@ -1,7 +1,6 @@
 package job
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"math"
@@ -27,7 +26,7 @@ import (
 // sorted occupancy shape alone is NOT a sound key — the signature encodes
 // the full relabeled sequence.
 
-// Sig is a program's content signature, a pricing-cache key component.
+// Sig is a program's content signature, a pricing cache key component.
 type Sig [sha256.Size]byte
 
 // ProgramSignature hashes exactly the program content pricing reads:
@@ -182,35 +181,25 @@ type nominalKey struct {
 // Bound from the stored times without constructing an mpi.Comm; the
 // result is bit-identical to a cold Bind because the stored values ARE
 // a cold Bind's values and Total is recomputed with the same
-// expression. Safe for concurrent use; a nil *PricingCache is a valid
-// always-miss cache.
+// expression. The cache is unbounded, which keeps the reported hit rate
+// a pure function of the job stream; an entry costs a few hundred bytes,
+// so even a year-scale campaign's working set is small. Safe for
+// concurrent use; a nil *PricingCache is a valid always-miss cache.
 type PricingCache struct {
 	mu      sync.Mutex
-	max     int
-	entries map[pricingKey]*list.Element
-	lru     list.List // of cacheSlot, front = most recent
+	entries map[pricingKey]pricedProgram
 	hits    uint64
 	misses  uint64
 	// nominals memoizes the signature of each nominal spread placement
 	// Estimate quotes against. It holds one short key per (machine,
-	// node count), outside the LRU bound and the hit/miss counts.
+	// node count), outside the hit/miss counts.
 	nominals map[nominalKey]string
 }
 
-type cacheSlot struct {
-	key pricingKey
-	val pricedProgram
-}
-
-// NewPricingCache returns a cache bounded to maxEntries priced
-// programs; maxEntries <= 0 means unbounded, which keeps the reported
-// hit rate a pure function of the job stream (no eviction noise). An
-// entry costs a few hundred bytes, so even a year-scale campaign's
-// working set is small.
-func NewPricingCache(maxEntries int) *PricingCache {
+// NewPricingCache returns an empty cache.
+func NewPricingCache() *PricingCache {
 	return &PricingCache{
-		max:      maxEntries,
-		entries:  make(map[pricingKey]*list.Element),
+		entries:  make(map[pricingKey]pricedProgram),
 		nominals: make(map[nominalKey]string),
 	}
 }
@@ -239,34 +228,23 @@ func (c *PricingCache) lookup(key pricingKey) (pricedProgram, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
+	val, ok := c.entries[key]
 	if !ok {
 		c.misses++
 		return pricedProgram{}, false
 	}
 	c.hits++
-	c.lru.MoveToFront(el)
-	return el.Value.(cacheSlot).val, true
+	return val, true
 }
 
-// store inserts a priced program, evicting the least recently used
-// entry when the cache is bounded and full.
+// store inserts a priced program.
 func (c *PricingCache) store(key pricingKey, val pricedProgram) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.lru.PushFront(cacheSlot{key: key, val: val})
-	if c.max > 0 && len(c.entries) > c.max {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(cacheSlot).key)
-	}
+	c.entries[key] = val
+	c.mu.Unlock()
 }
 
 // Stats returns the cumulative hit and miss counts.

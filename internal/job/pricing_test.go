@@ -61,7 +61,7 @@ func sameTimes(a, b []units.Seconds) bool {
 func TestPricingCacheBitIdentical(t *testing.T) {
 	cold := testEnv(t)
 	warm := testEnv(t)
-	warm.Cache = job.NewPricingCache(0)
+	warm.Cache = job.NewPricingCache()
 	warm.CacheKey = "test-machine"
 
 	placements := [][]int{
@@ -184,26 +184,26 @@ func TestProgramSignatureFields(t *testing.T) {
 	}
 }
 
-// A bounded cache evicts least-recently-used entries; a nil cache is a
-// valid always-miss cache; both stay safe under error paths.
-func TestPricingCacheEvictionAndNil(t *testing.T) {
+// The cache counts hits and misses and keeps every entry; a nil cache
+// is a valid always-miss cache; both stay safe under error paths.
+func TestPricingCacheCountsAndNil(t *testing.T) {
 	env := testEnv(t)
-	env.Cache = job.NewPricingCache(1)
+	env.Cache = job.NewPricingCache()
 	p := richProgram(env, 3, 5)
 	a, b := []int{0, 1, 2}, []int{0, 4, 8}
 	bindOrFatal(t, env, p, a) // miss, stored
-	bindOrFatal(t, env, p, b) // miss, stored, evicts a
-	if n := env.Cache.Len(); n != 1 {
-		t.Fatalf("bounded cache holds %d entries, want 1", n)
+	bindOrFatal(t, env, p, b) // miss, stored
+	if n := env.Cache.Len(); n != 2 {
+		t.Fatalf("cache holds %d entries, want 2", n)
 	}
 	bindOrFatal(t, env, p, b) // hit
-	bindOrFatal(t, env, p, a) // miss again: was evicted
+	bindOrFatal(t, env, p, a) // hit: nothing is ever evicted
 	hits, misses := env.Cache.Stats()
-	if hits != 1 || misses != 3 {
-		t.Errorf("hits/misses = %d/%d, want 1/3", hits, misses)
+	if hits != 2 || misses != 2 {
+		t.Errorf("hits/misses = %d/%d, want 2/2", hits, misses)
 	}
-	if r := env.Cache.HitRate(); r != 0.25 {
-		t.Errorf("HitRate = %v, want 0.25", r)
+	if r := env.Cache.HitRate(); r != 0.5 {
+		t.Errorf("HitRate = %v, want 0.5", r)
 	}
 
 	var nilCache *job.PricingCache
@@ -233,7 +233,7 @@ func TestPricingCacheEvictionAndNil(t *testing.T) {
 func TestRepeatedNodeDoesNotPoisonCache(t *testing.T) {
 	cold := testEnv(t)
 	warm := testEnv(t)
-	warm.Cache = job.NewPricingCache(0)
+	warm.Cache = job.NewPricingCache()
 	p := &job.Program{Name: "pair", Nodes: 2, PPN: 1, Iterations: 1,
 		Loop: []job.Phase{{Kind: job.Collective, Op: job.SendRecv, Payload: units.MiB}}}
 	for _, env := range []*job.Env{cold, warm} {
@@ -274,8 +274,8 @@ func TestEstimateCachedMatchesUncached(t *testing.T) {
 		return e
 	}
 	cold := env(nil)
-	cached := env(job.NewPricingCache(0))
-	twin := env(job.NewPricingCache(0))
+	cached := env(job.NewPricingCache())
+	twin := env(job.NewPricingCache())
 	machineNodes := f.Cfg.ComputeNodes()
 	programs := 0
 	for _, class := range workload.YearMix(spec.Platform(), spec.NodeModel()) {
@@ -342,7 +342,7 @@ func TestEstimateCachedMatchesUncached(t *testing.T) {
 // -race in CI).
 func TestPricingCacheConcurrent(t *testing.T) {
 	env := testEnv(t)
-	env.Cache = job.NewPricingCache(2) // small: forces concurrent eviction
+	env.Cache = job.NewPricingCache()
 	p := richProgram(env, 3, 5)
 	placements := [][]int{{0, 1, 2}, {0, 4, 8}, {0, 1, 4}, {4, 5, 8}}
 	want := make([]units.Seconds, len(placements))

@@ -129,12 +129,14 @@ func (m Model) Simulate(horizon units.Seconds, rng *rand.Rand) []Failure {
 	return out
 }
 
-// injector carries a simulated failure trace through the kernel's
-// closure-free scheduling path. The kernel dispatches in (time, seq)
-// order and the events are scheduled in slice order, so each firing
-// consumes the next trace entry: one cursor replaces a closure per
-// failure.
+// injector walks a simulated failure trace with exactly one outstanding
+// calendar event: each firing schedules the next before handling the
+// current, so same-time failures keep trace order and the event heap
+// never holds more than one failure — a year of component failures
+// would otherwise occupy tens of thousands of heap slots for the whole
+// campaign. One cursor replaces a closure per failure.
 type injector struct {
+	k        *sim.Kernel
 	failures []Failure
 	next     int
 	handle   func(Failure)
@@ -144,55 +146,21 @@ func injectNext(arg any) {
 	in := arg.(*injector)
 	f := in.failures[in.next]
 	in.next++
+	if in.next < len(in.failures) {
+		in.k.AtCall(in.failures[in.next].At, injectNext, in)
+	}
 	in.handle(f)
 }
 
-// InjectTrace schedules an already-simulated failure trace, pre-loading
-// the whole calendar — the historical discipline, kept for callers whose
-// traces are short.
+// InjectTrace feeds an already-simulated failure trace to the kernel,
+// handling each failure at its time in trace order, and returns the
+// number of failures scheduled.
 func InjectTrace(k *sim.Kernel, failures []Failure, handle func(Failure)) int {
 	if len(failures) == 0 {
 		return 0
 	}
-	in := &injector{failures: failures, handle: handle}
-	for i := range failures {
-		k.AtCall(failures[i].At, injectNext, in)
-	}
-	return len(failures)
-}
-
-// pacedInjector walks a trace with exactly one outstanding calendar
-// event: each firing schedules the next before handling the current,
-// so same-time failures keep trace order and the event heap never holds
-// more than one failure — the shape that matters when a year of
-// component failures would otherwise occupy tens of thousands of heap
-// slots for the whole campaign.
-type pacedInjector struct {
-	k        *sim.Kernel
-	failures []Failure
-	next     int
-	handle   func(Failure)
-}
-
-func pacedNext(arg any) {
-	in := arg.(*pacedInjector)
-	f := in.failures[in.next]
-	in.next++
-	if in.next < len(in.failures) {
-		in.k.AtCall(in.failures[in.next].At, pacedNext, in)
-	}
-	in.handle(f)
-}
-
-// InjectPaced schedules a failure trace one outstanding event at a
-// time. Event times and handler order are identical to InjectTrace;
-// only the calendar residency differs (O(1) instead of O(trace)).
-func InjectPaced(k *sim.Kernel, failures []Failure, handle func(Failure)) int {
-	if len(failures) == 0 {
-		return 0
-	}
-	in := &pacedInjector{k: k, failures: failures, handle: handle}
-	k.AtCall(failures[0].At, pacedNext, in)
+	in := &injector{k: k, failures: failures, handle: handle}
+	k.AtCall(failures[0].At, injectNext, in)
 	return len(failures)
 }
 

@@ -175,6 +175,15 @@ func TestSummitHBMComparison(t *testing.T) {
 	}
 }
 
+// preloadTrace is the reference injector: it schedules every failure of
+// the trace up front, one calendar event each, in trace order.
+func preloadTrace(k *sim.Kernel, failures []Failure, handle func(Failure)) int {
+	for _, f := range failures {
+		k.At(f.At, func() { handle(f) })
+	}
+	return len(failures)
+}
+
 // Paced injection must deliver the same failures, at the same times, in
 // the same order as pre-loading the whole trace — only the calendar
 // residency differs.
@@ -194,8 +203,8 @@ func TestInjectPacedMatchesInjectTrace(t *testing.T) {
 		k.Run()
 		return seen
 	}
-	upfront := run(InjectTrace)
-	paced := run(InjectPaced)
+	upfront := run(preloadTrace)
+	paced := run(InjectTrace)
 	if len(upfront) != len(paced) {
 		t.Fatalf("upfront handled %d, paced %d", len(upfront), len(paced))
 	}

@@ -150,7 +150,7 @@ func TestCampaignPricingCacheInvisible(t *testing.T) {
 		}
 		return stats
 	}
-	cache := job.NewPricingCache(0)
+	cache := job.NewPricingCache()
 	cached := run(cache)
 	uncached := run(nil)
 	if !reflect.DeepEqual(cached, uncached) {

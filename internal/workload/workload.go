@@ -121,22 +121,9 @@ type Config struct {
 	InjectFailures bool
 	// RepairTime is how long a failed node stays out of service.
 	RepairTime units.Seconds
-	// ArrivalBatch, when > 0, draws interarrival gaps in pooled batches
-	// of this size from a dedicated rng stream derived from the campaign
-	// seed, instead of one draw from the shared stream per submission
-	// event. The draw *sequence* therefore differs from the legacy
-	// per-event discipline by design — the knob belongs to campaigns
-	// defined with it on (ext-year); existing campaigns leave it zero and
-	// stay byte-identical. Either setting is individually deterministic.
-	ArrivalBatch int
-	// PacedFailures schedules the failure trace one outstanding calendar
-	// event at a time (each firing schedules the next) instead of
-	// pre-scheduling the whole horizon, keeping a year-scale trace from
-	// occupying tens of thousands of heap slots up front. The trace
-	// itself — and so every rng draw — is identical either way.
-	PacedFailures bool
 	// BackfillDepth, when > 0, bounds the scheduler's EASY backfill scan
-	// per pass; deep year-scale queues keep O(depth) scheduling cost.
+	// per pass. It is scheduling policy, not a speed knob: a bounded scan
+	// starts fewer jobs out of order, so it changes campaign results.
 	BackfillDepth int
 }
 
@@ -215,9 +202,10 @@ type campaign struct {
 	totalWeight float64
 	total       int
 	rng         *rand.Rand
-	// arrivals, when non-nil, supplies interarrival gaps from a pooled
-	// batch on a dedicated stream (Config.ArrivalBatch).
-	arrivals *arrivalSampler
+	// arrivals supplies the interarrival gaps, one draw per submission,
+	// from a stream derived from the campaign seed, so the arrival
+	// process is independent of how many draws each job shape consumes.
+	arrivals *rand.Rand
 	// onDoneFn is the one completion callback every submitted job shares.
 	onDoneFn func(*scheduler.Job)
 
@@ -247,27 +235,6 @@ func doRepair(arg any) {
 	r.c.sys.Scheduler.MarkHealthy(r.node)
 }
 
-// arrivalSampler hands out exponential interarrival gaps drawn in
-// pooled batches from its own stream.
-type arrivalSampler struct {
-	rng  *rand.Rand
-	mean float64
-	buf  []units.Seconds
-	next int
-}
-
-func (a *arrivalSampler) gap() units.Seconds {
-	if a.next == len(a.buf) {
-		for i := range a.buf {
-			a.buf[i] = units.Seconds(a.rng.ExpFloat64() * a.mean)
-		}
-		a.next = 0
-	}
-	g := a.buf[a.next]
-	a.next++
-	return g
-}
-
 func (c *campaign) pick() JobClass {
 	r := c.rng.Float64() * c.totalWeight
 	for _, cl := range c.mix {
@@ -279,9 +246,9 @@ func (c *campaign) pick() JobClass {
 }
 
 // campaignSubmit is the submission process: one arrival event, one next
-// arrival scheduled, zero per-event closures. The draw order per
-// submission — class pick, size fraction, one exponential, interarrival
-// gap — matches the original closure implementation exactly.
+// arrival scheduled, zero per-event closures. Each submission draws a
+// class pick, a size fraction and one exponential from the shared
+// stream, and its interarrival gap from the arrival stream.
 func campaignSubmit(arg any) {
 	c := arg.(*campaign)
 	if c.sys.Kernel.Now() >= c.cfg.Duration {
@@ -319,12 +286,7 @@ func campaignSubmit(arg any) {
 		c.stats.Submitted++
 		c.stats.ByClass[cl.Name]++
 	}
-	var gap units.Seconds
-	if c.arrivals != nil {
-		gap = c.arrivals.gap()
-	} else {
-		gap = units.Seconds(c.rng.ExpFloat64() * float64(c.cfg.MeanInterarrival))
-	}
+	gap := units.Seconds(c.arrivals.ExpFloat64() * float64(c.cfg.MeanInterarrival))
 	c.sys.Kernel.AfterCall(gap, campaignSubmit, c)
 }
 
@@ -422,27 +384,19 @@ func Run(sys *core.System, cfg Config, seed int64) (Stats, error) {
 		totalWeight: totalWeight,
 		total:       sys.Fabric.Cfg.ComputeNodes(),
 		rng:         rng.New(seed),
+		arrivals:    rng.New(rng.Derive(seed, "workload/arrivals")),
 		slowSum:     map[string]float64{},
 		slowCount:   map[string]int{},
 		slowSamples: map[string][]float64{},
 	}
 	c.stats = Stats{ByClass: map[string]int{}, SlowdownByClass: map[string]float64{}, TailSlowdownByClass: map[string]SlowdownQuantiles{}}
 	c.onDoneFn = c.onDone
-	if cfg.ArrivalBatch > 0 {
-		c.arrivals = &arrivalSampler{
-			rng:  rng.New(rng.Derive(seed, "workload/arrivals")),
-			mean: float64(cfg.MeanInterarrival),
-			buf:  make([]units.Seconds, cfg.ArrivalBatch),
-			next: cfg.ArrivalBatch,
-		}
-	}
 
 	sys.Kernel.AtCall(0, campaignSubmit, c)
 
-	// Failure injection: the whole trace is drawn up front (batched,
-	// same draws either way); paced mode feeds it to the calendar one
-	// outstanding event at a time, and the repair pool is pre-sized to
-	// the trace's interrupting count.
+	// Failure injection: the whole trace is drawn up front, fed to the
+	// calendar one outstanding event at a time, and the repair pool is
+	// pre-sized to the trace's interrupting count.
 	if cfg.InjectFailures {
 		trace := sys.Reliability.Simulate(cfg.Duration, c.rng)
 		interrupting := 0
@@ -455,11 +409,7 @@ func Run(sys *core.System, cfg Config, seed int64) (Stats, error) {
 		for i := range c.repairs {
 			c.repairs[i].c = c
 		}
-		if cfg.PacedFailures {
-			resilience.InjectPaced(sys.Kernel, trace, c.handleFailure)
-		} else {
-			resilience.InjectTrace(sys.Kernel, trace, c.handleFailure)
-		}
+		resilience.InjectTrace(sys.Kernel, trace, c.handleFailure)
 	}
 
 	sys.Kernel.RunUntil(cfg.Duration)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"frontiersim/internal/core"
@@ -105,20 +106,26 @@ func TestUtilizationRespondsToLoad(t *testing.T) {
 	}
 }
 
+// The same seed reproduces a whole campaign — arrivals from their
+// derived stream, the failure trace fed through the paced injector, and
+// every statistic downstream of them.
 func TestCampaignDeterminism(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Duration = 1 * units.Day
-	a, err := Run(campaignSystem(t), cfg, 7)
+	cfg.Duration = 2 * units.Day
+	cfg.MeanInterarrival = 10 * units.Minute
+	a, err := Run(campaignSystem(t), cfg, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(campaignSystem(t), cfg, 7)
+	b, err := Run(campaignSystem(t), cfg, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Submitted != b.Submitted || a.Completed != b.Completed ||
-		a.NodeFailures != b.NodeFailures || a.Utilization != b.Utilization {
-		t.Errorf("same seed should reproduce: %+v vs %+v", a, b)
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("same seed should reproduce:\na: %+v\nb: %+v", a, b)
+	}
+	if a.Submitted == 0 || a.NodeFailures == 0 {
+		t.Fatalf("campaign exercised too little: %v", a)
 	}
 }
 
@@ -131,39 +138,6 @@ func TestConfigValidation(t *testing.T) {
 	bad.Mix = []JobClass{{Name: "broken", MinFrac: 0.5, MaxFrac: 0.1, Weight: 1}}
 	if _, err := Run(sys, bad, 1); err == nil {
 		t.Error("inverted fractions should error")
-	}
-}
-
-// The at-scale sampling knobs must be individually deterministic, and
-// paced failure injection must not change campaign results at all
-// (same trace, same times — only calendar residency differs).
-func TestAtScaleKnobsDeterministic(t *testing.T) {
-	run := func(mut func(*Config)) Stats {
-		sys := campaignSystem(t)
-		cfg := DefaultConfig()
-		cfg.Duration = 2 * units.Day
-		cfg.MeanInterarrival = 10 * units.Minute
-		mut(&cfg)
-		stats, err := Run(sys, cfg, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats
-	}
-	base := run(func(c *Config) {})
-	paced := run(func(c *Config) { c.PacedFailures = true })
-	if base.String() != paced.String() || base.Utilization != paced.Utilization ||
-		base.NodeFailures != paced.NodeFailures || base.MaxWait != paced.MaxWait {
-		t.Errorf("paced failures changed the campaign:\n base: %v\npaced: %v", base, paced)
-	}
-
-	batchedA := run(func(c *Config) { c.ArrivalBatch = 512 })
-	batchedB := run(func(c *Config) { c.ArrivalBatch = 512 })
-	if batchedA.String() != batchedB.String() || batchedA.Utilization != batchedB.Utilization {
-		t.Errorf("batched arrivals not deterministic:\na: %v\nb: %v", batchedA, batchedB)
-	}
-	if batchedA.Submitted == 0 {
-		t.Fatal("batched campaign submitted nothing")
 	}
 }
 
