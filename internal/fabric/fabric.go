@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"frontiersim/internal/units"
 )
@@ -107,8 +108,10 @@ type Fabric struct {
 	injectLink     []int
 	ejectLink      []int
 	// nodeGroup[n] is compute node n's group, the group of its first
-	// NIC: placement signatures and communicators read it once per node.
-	nodeGroup []int32
+	// NIC. stretchEnd[n] is one past the last node of the run of
+	// consecutive node ids from n that share n's group, so sorted
+	// placements are read one stretch at a time instead of per node.
+	nodeGroup, stretchEnd []int32
 
 	// uplink and downlink join each leaf to the core in FatTree fabrics.
 	uplink, downlink []int
@@ -297,13 +300,21 @@ func (f *Fabric) NodeEndpoint(n, i int) int {
 	return n*f.Cfg.NICsPerNode + i%f.Cfg.NICsPerNode
 }
 
-// indexNodeGroups fills the node→group table. Constructors call it once
-// every endpoint is cabled.
+// indexNodeGroups fills the node→group and stretch-end tables.
+// Constructors call it once every endpoint is cabled.
 func (f *Fabric) indexNodeGroups() {
 	k := f.Cfg.NICsPerNode
-	f.nodeGroup = make([]int32, f.Cfg.ComputeNodes())
+	total := f.Cfg.ComputeNodes()
+	f.nodeGroup = make([]int32, total)
+	f.stretchEnd = make([]int32, total)
 	for n := range f.nodeGroup {
 		f.nodeGroup[n] = int32(f.SwitchGroup[f.endpointSwitch[n*k]])
+	}
+	for n := total - 1; n >= 0; n-- {
+		f.stretchEnd[n] = int32(n + 1)
+		if n+1 < total && f.nodeGroup[n+1] == f.nodeGroup[n] {
+			f.stretchEnd[n] = f.stretchEnd[n+1]
+		}
 	}
 }
 
@@ -311,6 +322,19 @@ func (f *Fabric) indexNodeGroups() {
 // its first NIC. It is the one node→group mapping communicators,
 // placement signatures and the scheduler share.
 func (f *Fabric) NodeGroup(n int) int { return int(f.nodeGroup[n]) }
+
+// NextStretch returns the index of the first element of nodes after i
+// that lies outside nodes[i]'s stretch: the run of consecutive compute
+// node ids from nodes[i] that share its group. Stretches are exact for
+// any layout, including groups that are not contiguous id ranges, so
+// every element in between is in nodes[i]'s group. nodes must be
+// strictly increasing from i; then nodes[i+k] >= nodes[i]+k, and the
+// binary search never looks past the stretch's length.
+func (f *Fabric) NextStretch(nodes []int, i int) int {
+	end := int(f.stretchEnd[nodes[i]])
+	hi := min(len(nodes), i+end-nodes[i])
+	return i + sort.SearchInts(nodes[i:hi], end)
+}
 
 // CheckNodes reports the first node that is not a compute node of the
 // fabric or appears twice: the placements communicators and pricing
@@ -341,12 +365,29 @@ func (f *Fabric) CheckNodes(nodes []int) error {
 }
 
 // GroupsSpanned returns how many distinct dragonfly groups the compute
-// nodes touch.
+// nodes touch. A strictly increasing list — every scheduler allocation
+// and its rank-0 subgroups — is read one group stretch at a time.
 func (f *Fabric) GroupsSpanned(nodes []int) int {
-	seen := make([]bool, f.numGroups)
+	var stack [128]bool // every canonical machine fits: no allocation
+	var seen []bool
+	if f.numGroups <= len(stack) {
+		seen = stack[:f.numGroups]
+	} else {
+		seen = make([]bool, f.numGroups)
+	}
+	increasing := true
+	for i := 1; i < len(nodes) && increasing; i++ {
+		increasing = nodes[i] > nodes[i-1]
+	}
 	groups := 0
-	for _, n := range nodes {
-		if g := f.nodeGroup[n]; !seen[g] {
+	for i := 0; i < len(nodes); {
+		g := f.nodeGroup[nodes[i]]
+		if increasing {
+			i = f.NextStretch(nodes, i)
+		} else {
+			i++
+		}
+		if !seen[g] {
 			seen[g] = true
 			groups++
 		}

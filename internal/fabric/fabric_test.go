@@ -144,6 +144,64 @@ func TestNodeGroupTable(t *testing.T) {
 	}
 }
 
+// GroupsSpanned and the stretch table behind it must agree with a
+// map-based count over sorted, unsorted and repeated node lists, on a
+// dragonfly, a fat tree (one group), and a dragonfly relabeled so its
+// groups interleave: stretches are then shorter than groups and a sorted
+// list re-enters a group it left.
+func TestGroupsSpannedMatchesReference(t *testing.T) {
+	interleaved := small(t)
+	for s := range interleaved.SwitchGroup {
+		interleaved.SwitchGroup[s] = (s / 3) % interleaved.numGroups
+	}
+	interleaved.indexNodeGroups()
+	summit, err := NewClos(SummitClosConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(18))
+	for _, f := range []*Fabric{small(t), summit, interleaved} {
+		total := f.Cfg.ComputeNodes()
+		all := make([]int, total)
+		for n := range all {
+			all[n] = n
+		}
+		for n := 0; n < total; n++ {
+			end := n + 1
+			for end < total && f.NodeGroup(end) == f.NodeGroup(n) {
+				end++
+			}
+			if got := f.NextStretch(all, n); got != end {
+				t.Fatalf("%s: stretch from node %d ends at %d, want %d", f.Cfg.Name, n, got, end)
+			}
+		}
+		for trial := 0; trial < 300; trial++ {
+			var nodes []int
+			p := r.Float64()
+			for n := 0; n < total; n++ {
+				if r.Float64() < p {
+					nodes = append(nodes, n)
+				}
+			}
+			switch trial % 3 {
+			case 1:
+				r.Shuffle(len(nodes), func(i, k int) { nodes[i], nodes[k] = nodes[k], nodes[i] })
+			case 2:
+				if len(nodes) > 0 {
+					nodes = append(nodes, nodes[r.Intn(len(nodes))])
+				}
+			}
+			seen := map[int]bool{}
+			for _, n := range nodes {
+				seen[f.NodeGroup(n)] = true
+			}
+			if got := f.GroupsSpanned(nodes); got != len(seen) {
+				t.Fatalf("%s trial %d: GroupsSpanned(%d nodes) = %d, want %d", f.Cfg.Name, trial, len(nodes), got, len(seen))
+			}
+		}
+	}
+}
+
 // NodeEndpoint maps (node, rank-ish index) onto the node's NICs,
 // wrapping the index round-robin.
 func TestNodeEndpoint(t *testing.T) {

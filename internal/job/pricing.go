@@ -93,11 +93,13 @@ func ProgramSignature(p *Program) Sig {
 // a signature exactly when their relabeled sequences are equal:
 // placements isomorphic under group relabeling do, placements whose ranks
 // interleave groups differently (different comm-group layout) do not. A
-// scheduler allocation is sorted, so each group is one run and the key is
-// at most 2×groups+1 varints. ok is false when a node is outside the
-// machine or repeated — the relabeled sequence cannot tell [3,3] from
-// [3,2], which mpi.NewComm rejects and accepts — so callers fall back to
-// the uncached path, where Bind surfaces the canonical error.
+// scheduler allocation is sorted, so each group is one run, the key is
+// at most 2×groups+1 varints, and the runs are read one group stretch
+// at a time (Fabric.NextStretch) rather than per node. ok is false when
+// a node is outside the machine or repeated — the relabeled sequence
+// cannot tell [3,3] from [3,2], which mpi.NewComm rejects and accepts —
+// so callers fall back to the uncached path, where Bind surfaces the
+// canonical error.
 func (e *Env) PlacementSignature(nodes []int) (string, bool) {
 	f := e.Fabric
 	total := f.Cfg.ComputeNodes()
@@ -111,19 +113,33 @@ func (e *Env) PlacementSignature(nodes []int) (string, bool) {
 	for i := range labels {
 		labels[i] = -1
 	}
+	increasing, prev := true, -1
+	for _, node := range nodes {
+		if uint(node) >= uint(total) { // negative or past the machine
+			return "", false
+		}
+		if node <= prev {
+			increasing = false
+		}
+		prev = node
+	}
+	// A strictly increasing placement (every scheduler allocation) has
+	// no repeats; only other orders need the set check.
+	if !increasing && f.CheckNodes(nodes) != nil {
+		return "", false
+	}
 	next := int32(0)
 	var buf [64]byte
 	key := binary.AppendUvarint(buf[:0], uint64(len(nodes)))
 	run, runLen := int32(-1), uint64(0)
-	increasing := true
-	for i, node := range nodes {
-		if node < 0 || node >= total {
-			return "", false
+	for i := 0; i < len(nodes); {
+		g := f.NodeGroup(nodes[i])
+		// An increasing placement advances a whole group stretch at a
+		// time; any other order advances one node.
+		j := i + 1
+		if increasing {
+			j = f.NextStretch(nodes, i)
 		}
-		if i > 0 && node <= nodes[i-1] {
-			increasing = false
-		}
-		g := f.NodeGroup(node)
 		if labels[g] < 0 {
 			labels[g] = next
 			next++
@@ -134,12 +150,8 @@ func (e *Env) PlacementSignature(nodes []int) (string, bool) {
 			}
 			run, runLen = labels[g], 0
 		}
-		runLen++
-	}
-	// A strictly increasing placement (every scheduler allocation) has
-	// no repeats; only other orders need the set check.
-	if !increasing && f.CheckNodes(nodes) != nil {
-		return "", false
+		runLen += uint64(j - i)
+		i = j
 	}
 	if runLen > 0 {
 		key = binary.AppendUvarint(binary.AppendUvarint(key, uint64(run)), runLen)

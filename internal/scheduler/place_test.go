@@ -122,13 +122,19 @@ func referenceTakeFromGroup(s *Scheduler, g, n int) []int {
 // setState overwrites the scheduler's node state with the given idle and
 // unhealthy flags and rebuilds the scheduling index from them.
 func setState(s *Scheduler, free, unhealthy []bool) {
-	copy(s.free, free)
-	copy(s.unhealthy, unhealthy)
+	clear(s.idle)
+	clear(s.down)
 	clear(s.freeBits)
 	clear(s.groupFree)
 	s.freeHealthy = 0
-	for n := range s.free {
-		if s.free[n] && !s.unhealthy[n] {
+	for n := range free {
+		if free[n] {
+			s.idle[n>>6] |= 1 << (n & 63)
+		}
+		if unhealthy[n] {
+			s.down[n>>6] |= 1 << (n & 63)
+		}
+		if free[n] && !unhealthy[n] {
 			s.setFree(n)
 		}
 	}

@@ -6,19 +6,23 @@
 // jobs spread evenly across as many groups as possible to maximise the
 // global links available to minimal routing.
 //
-// The hot paths are indexed for full-machine campaigns: a per-group
-// free-count table and a free-node bitmap (bit set ⟺ free AND healthy)
-// make place() near-O(groups) instead of O(nodes), a per-node running-job
-// table makes failure attribution O(1), and the pending queue is an
-// index-tracked structure with tombstoned removal so backfill never pays
-// the old O(n) slice deletes. All index structures are pure accelerators:
-// placement decisions, queue order, and therefore every downstream RNG
-// draw are bit-identical to the linear-scan implementation they replace.
+// The hot paths are indexed for full-machine campaigns. Node state lives
+// in 64-node bitmap words (idle, down, and their difference: free AND
+// healthy) beside a per-group free-count table, so place() is
+// near-O(groups) and start/finish commit or release an allocation with
+// one mask per bitmap word and one count per group rather than a store
+// per node. Failure attribution binary-searches the sorted allocations
+// of the running jobs, and the pending queue is an index-tracked
+// structure with tombstoned removal so backfill never pays the old O(n)
+// slice deletes. All index structures are pure accelerators: placement
+// decisions, queue order, and therefore every downstream RNG draw are
+// bit-identical to the linear-scan implementation they replace.
 package scheduler
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"frontiersim/internal/fabric"
@@ -135,16 +139,15 @@ type Scheduler struct {
 	groups        int
 	totalNodes    int
 
-	free      []bool // per node: idle, healthy or not
-	unhealthy []bool // per node: failing checknode
-	// freeBits is the scheduling index: bit n set ⟺ free[n] && !unhealthy[n].
-	// groupFree and freeHealthy are its per-group and global popcounts.
+	// idle and down are per-node bitmaps: bit n of idle is set when no
+	// job holds node n (healthy or not), bit n of down when node n fails
+	// checknode.
+	idle, down []uint64
+	// freeBits is the scheduling index, idle &^ down. groupFree and
+	// freeHealthy are its per-group and global popcounts.
 	freeBits    []uint64
 	groupFree   []int
 	freeHealthy int
-	// nodeJob maps an allocated node to the job running on it (exclusive
-	// allocation: at most one).
-	nodeJob []*Job
 
 	queue     jobQueue
 	running   map[int]*Job
@@ -163,18 +166,18 @@ type Scheduler struct {
 // New builds a scheduler over the compute nodes of fabric f.
 func New(k *sim.Kernel, f *fabric.Fabric) *Scheduler {
 	total := f.Cfg.ComputeNodes()
+	words := (total + 63) / 64
 	s := &Scheduler{
 		K:             k,
 		F:             f,
 		nodesPerGroup: f.Cfg.NodesPerGroup(),
 		groups:        f.Cfg.ComputeGroups,
 		totalNodes:    total,
-		free:          make([]bool, total),
-		unhealthy:     make([]bool, total),
-		freeBits:      make([]uint64, (total+63)/64),
+		idle:          make([]uint64, words),
+		down:          make([]uint64, words),
+		freeBits:      make([]uint64, words),
 		groupFree:     make([]int, f.Cfg.ComputeGroups),
 		freeHealthy:   total,
-		nodeJob:       make([]*Job, total),
 		running:       map[int]*Job{},
 		nextJobID:     1,
 		vni:           newVNIPool(1, 65535),
@@ -182,9 +185,12 @@ func New(k *sim.Kernel, f *fabric.Fabric) *Scheduler {
 		order:         make([]int, f.Cfg.ComputeGroups),
 		bucket:        make([]int, f.Cfg.NodesPerGroup()+1),
 	}
-	for i := range s.free {
-		s.free[i] = true
-		s.freeBits[i>>6] |= 1 << (i & 63)
+	for w := range s.idle {
+		s.idle[w] = ^uint64(0)
+		if tail := total - w*64; tail < 64 {
+			s.idle[w] = 1<<tail - 1
+		}
+		s.freeBits[w] = s.idle[w]
 	}
 	for g := range s.groupFree {
 		s.groupFree[g] = s.nodesPerGroup
@@ -192,7 +198,9 @@ func New(k *sim.Kernel, f *fabric.Fabric) *Scheduler {
 	return s
 }
 
-// setFree adds node to the scheduling index (it must be absent).
+// setFree adds node to the scheduling index (it must be absent). It and
+// clearFree serve the single-node health paths; start and finish move
+// whole allocations a word at a time.
 func (s *Scheduler) setFree(node int) {
 	s.freeBits[node>>6] |= 1 << (node & 63)
 	s.groupFree[node/s.nodesPerGroup]++
@@ -206,6 +214,36 @@ func (s *Scheduler) clearFree(node int) {
 	s.freeHealthy--
 }
 
+// eachWord calls fn once per bitmap word of each group a sorted
+// allocation touches, with g the group, w the word and m the mask of the
+// allocation's nodes in both. Groups are contiguous node ranges, so the
+// loop tracks the group boundary instead of dividing per node.
+// Allocations are strictly increasing, so when the last node of a
+// (group, word) span is present the whole span is, and its mask is built
+// without visiting its nodes.
+func (s *Scheduler) eachWord(alloc []int, fn func(g, w int, m uint64)) {
+	g, groupEnd := -1, 0
+	for i := 0; i < len(alloc); {
+		n := alloc[i]
+		if n >= groupEnd {
+			g = n / s.nodesPerGroup
+			groupEnd = (g + 1) * s.nodesPerGroup
+		}
+		w := n >> 6
+		limit := min((w+1)<<6, groupEnd)
+		var m uint64
+		if k := limit - n; i+k <= len(alloc) && alloc[i+k-1] == limit-1 {
+			m = ^uint64(0) >> (64 - k) << (n & 63)
+			i += k
+		} else {
+			for ; i < len(alloc) && alloc[i] < limit; i++ {
+				m |= 1 << (alloc[i] & 63)
+			}
+		}
+		fn(g, w, m)
+	}
+}
+
 // FreeNodes returns the count of idle healthy nodes.
 func (s *Scheduler) FreeNodes() int { return s.freeHealthy }
 
@@ -216,23 +254,41 @@ func (s *Scheduler) MarkUnhealthy(node int) {
 	if node < 0 || node >= s.totalNodes {
 		return
 	}
-	if !s.unhealthy[node] {
-		s.unhealthy[node] = true
-		if s.free[node] {
+	w, b := node>>6, uint64(1)<<(node&63)
+	if s.down[w]&b == 0 {
+		s.down[w] |= b
+		if s.idle[w]&b != 0 {
 			s.clearFree(node)
 		}
 	}
-	if j := s.nodeJob[node]; j != nil {
-		s.finish(j, Failed)
+	if s.idle[w]&b == 0 {
+		if j := s.holder(node); j != nil {
+			s.finish(j, Failed)
+		}
 	}
+}
+
+// holder returns the running job whose allocation contains node.
+// Allocations are sorted and exclusive, so at most one job matches and
+// the map's iteration order cannot change the answer.
+func (s *Scheduler) holder(node int) *Job {
+	for _, j := range s.running {
+		if _, ok := slices.BinarySearch(j.Alloc, node); ok {
+			return j
+		}
+	}
+	return nil
 }
 
 // MarkHealthy returns a repaired node to service.
 func (s *Scheduler) MarkHealthy(node int) {
-	if node >= 0 && node < s.totalNodes && s.unhealthy[node] {
-		s.unhealthy[node] = false
-		if s.free[node] {
-			s.setFree(node)
+	if node >= 0 && node < s.totalNodes {
+		w, b := node>>6, uint64(1)<<(node&63)
+		if s.down[w]&b != 0 {
+			s.down[w] &^= b
+			if s.idle[w]&b != 0 {
+				s.setFree(node)
+			}
 		}
 	}
 	s.trySchedule()
@@ -240,7 +296,7 @@ func (s *Scheduler) MarkHealthy(node int) {
 
 // Checknode is the health gate Slurm runs at boot and between jobs.
 func (s *Scheduler) Checknode(node int) bool {
-	return node >= 0 && node < s.totalNodes && !s.unhealthy[node]
+	return node >= 0 && node < s.totalNodes && s.down[node>>6]&(1<<(node&63)) == 0
 }
 
 // Submit enqueues a job and attempts to schedule. It returns the job so
@@ -405,11 +461,14 @@ func (s *Scheduler) start(j *Job) bool {
 	j.State = Running
 	j.Start = s.K.Now()
 	j.End = j.Start + j.Walltime
-	for _, n := range alloc {
-		s.free[n] = false
-		s.clearFree(n)
-		s.nodeJob[n] = j
-	}
+	// place only returns idle healthy nodes: each leaves idle and the
+	// index, and down is untouched.
+	s.eachWord(alloc, func(g, w int, m uint64) {
+		s.idle[w] &^= m
+		s.freeBits[w] &^= m
+		s.groupFree[g] -= bits.OnesCount64(m)
+	})
+	s.freeHealthy -= len(alloc)
 	s.running[j.ID] = j
 	s.Started++
 	if j.Program != nil {
@@ -460,15 +519,16 @@ func (s *Scheduler) finish(j *Job, state JobState) {
 	j.State = state
 	j.End = s.K.Now()
 	delete(s.running, j.ID)
-	for _, n := range j.Alloc {
-		// checknode between jobs: unhealthy nodes stay out of the pool
-		// but are still marked free so repairs can return them.
-		s.free[n] = true
-		s.nodeJob[n] = nil
-		if !s.unhealthy[n] {
-			s.setFree(n)
-		}
-	}
+	// checknode between jobs: down nodes stay out of the pool but are
+	// still marked idle so repairs can return them.
+	s.eachWord(j.Alloc, func(g, w int, m uint64) {
+		s.idle[w] |= m
+		back := m &^ s.down[w]
+		s.freeBits[w] |= back
+		c := bits.OnesCount64(back)
+		s.groupFree[g] += c
+		s.freeHealthy += c
+	})
 	s.vni.release(j.VNI)
 	s.Finished++
 	if state == Failed {
@@ -562,23 +622,31 @@ func (s *Scheduler) groupsByFree() []int {
 }
 
 // appendFromGroup appends the lowest n free healthy nodes of group g to
-// dst in ascending node order, walking the free bitmap.
+// dst in ascending node order. It walks the free bitmap a word at a
+// time, takes a full word as a run of 64 nodes, and peels set bits
+// lowest first only from partial words.
 func (s *Scheduler) appendFromGroup(dst []int, g, n int) []int {
 	start := g * s.nodesPerGroup
 	end := min(start+s.nodesPerGroup, s.totalNodes)
-	for node := start; node < end && n > 0; {
-		w := s.freeBits[node>>6] >> (node & 63)
-		if w == 0 {
-			node = (node &^ 63) + 64
+	for base := start &^ 63; base < end && n > 0; base += 64 {
+		w := s.freeBits[base>>6]
+		if base < start {
+			w &^= 1<<(start-base) - 1
+		}
+		if end-base < 64 {
+			w &= 1<<(end-base) - 1
+		}
+		if w == ^uint64(0) && n >= 64 {
+			for i := range 64 {
+				dst = append(dst, base+i)
+			}
+			n -= 64
 			continue
 		}
-		node += bits.TrailingZeros64(w)
-		if node >= end {
-			break
+		for ; w != 0 && n > 0; n-- {
+			dst = append(dst, base+bits.TrailingZeros64(w))
+			w &= w - 1
 		}
-		dst = append(dst, node)
-		n--
-		node++
 	}
 	return dst
 }
