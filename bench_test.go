@@ -19,6 +19,7 @@ import (
 	"frontiersim/internal/experiments"
 	"frontiersim/internal/fabric"
 	"frontiersim/internal/gpu"
+	"frontiersim/internal/job"
 	"frontiersim/internal/llm"
 	"frontiersim/internal/machine"
 	"frontiersim/internal/memory"
@@ -461,15 +462,20 @@ func BenchmarkTransportMessage(b *testing.B) {
 }
 
 func BenchmarkSchedulerCycle(b *testing.B) {
-	f, err := machine.Frontier().NewFabric()
+	spec := machine.Frontier()
+	f, err := spec.NewFabric()
+	if err != nil {
+		b.Fatal(err)
+	}
+	env, err := spec.JobEnv(f)
 	if err != nil {
 		b.Fatal(err)
 	}
 	k := sim.NewKernel(1)
-	s := scheduler.New(k, f)
+	s := scheduler.New(k, env)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Submit("bench", 1024, 10, nil); err != nil {
+		if _, err := s.Submit(job.Blob("bench", 1024, 10), nil); err != nil {
 			b.Fatal(err)
 		}
 		k.Run()

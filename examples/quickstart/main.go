@@ -11,6 +11,7 @@ import (
 
 	"frontiersim/internal/core"
 	"frontiersim/internal/gpu"
+	"frontiersim/internal/job"
 	"frontiersim/internal/node"
 	"frontiersim/internal/units"
 )
@@ -56,15 +57,15 @@ func main() {
 
 	// A GEMM-heavy job through the scheduler.
 	fmt.Println("\nsubmitting a 256-node job...")
-	job, err := sys.Scheduler.Submit("dgemm-sweep", 256, units.Hour, nil)
+	j, err := sys.Scheduler.Submit(job.Blob("dgemm-sweep", 256, units.Hour), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  job %d: %d nodes across %d dragonfly groups, VNI %d\n",
-		job.ID, len(job.Alloc), job.GroupsSpanned(sys.Fabric), job.VNI)
+		j.ID, len(j.Alloc), j.GroupsSpanned(sys.Fabric), j.VNI)
 	gemmTime := sys.Node.GCDs[0].GemmTime(gpu.FP64, 16384)
 	fmt.Printf("  one 16384^3 DGEMM per GCD: %v at %v\n",
 		gemmTime, sys.Node.GCDs[0].GemmAchieved(gpu.FP64, 16384))
 	sys.Kernel.Run()
-	fmt.Printf("  job finished: state=%v, wall %v\n", job.State, job.End-job.Start)
+	fmt.Printf("  job finished: state=%v, wall %v\n", j.State, j.End-j.Start)
 }

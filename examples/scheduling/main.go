@@ -12,6 +12,7 @@ import (
 	"log"
 
 	"frontiersim/internal/core"
+	"frontiersim/internal/job"
 	"frontiersim/internal/scheduler"
 	"frontiersim/internal/units"
 )
@@ -34,7 +35,7 @@ func main() {
 	// Small jobs: should pack into single groups.
 	for i := 0; i < 6; i++ {
 		name := fmt.Sprintf("small-%d", i)
-		j, err := sys.Scheduler.Submit(name, 16, 2*units.Hour, onDone)
+		j, err := sys.Scheduler.Submit(job.Blob(name, 16, 2*units.Hour), onDone)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -42,12 +43,12 @@ func main() {
 			name, j.Nodes, j.GroupsSpanned(sys.Fabric), j.VNI)
 	}
 	// A full-system job: queued behind the small ones, spreads wide.
-	big, err := sys.Scheduler.Submit("hero", 384, 4*units.Hour, onDone)
+	big, err := sys.Scheduler.Submit(job.Blob("hero", 384, 4*units.Hour), onDone)
 	if err != nil {
 		log.Fatal(err)
 	}
 	// A backfill candidate that fits in the gap before the hero job.
-	filler, err := sys.Scheduler.Submit("filler", 64, 1*units.Hour, onDone)
+	filler, err := sys.Scheduler.Submit(job.Blob("filler", 64, 1*units.Hour), onDone)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -85,8 +85,3 @@ func (p *Platform) Comm(n, ppn int) (*mpi.Comm, error) {
 
 // Devices returns the device count for an n-node job.
 func (p *Platform) Devices(n int) float64 { return float64(n * p.DevicesPerNode) }
-
-// NodeMemBW is the per-node aggregate achieved memory bandwidth.
-func (p *Platform) NodeMemBW() units.BytesPerSecond {
-	return p.MemBW * units.BytesPerSecond(p.DevicesPerNode)
-}

@@ -67,11 +67,6 @@ func New(spec machine.Spec, seed int64) (*System, error) {
 		Kernel: k,
 		Fabric: f,
 	}
-	if spec.Node.BardPeak {
-		s.Node = node.New(0)
-		s.Scheduler = scheduler.New(k, f)
-		s.FabricManager = fabric.NewManager(f, 30)
-	}
 	if spec.Storage != nil {
 		if s.NodeLocal, err = spec.NodeLocal(); err != nil {
 			return nil, fmt.Errorf("core: building node-local storage: %w", err)
@@ -82,15 +77,17 @@ func New(spec machine.Spec, seed int64) (*System, error) {
 			}
 		}
 	}
-	if s.Scheduler != nil {
-		// Phase-structured jobs price their programs against the same
-		// fabric and storage instances the rest of the system mutates.
-		s.Scheduler.Env = &job.Env{
+	if spec.Node.BardPeak {
+		s.Node = node.New(0)
+		s.FabricManager = fabric.NewManager(f, 30)
+		// Jobs price their programs against the same fabric and storage
+		// instances the rest of the system mutates.
+		s.Scheduler = scheduler.New(k, &job.Env{
 			Node:      spec.NodeModel(),
 			Fabric:    f,
 			NodeLocal: s.NodeLocal,
 			Orion:     s.Orion,
-		}
+		})
 	}
 	if spec.Power != nil {
 		if s.Power, err = spec.PowerMachine(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"frontiersim/internal/job"
 	"frontiersim/internal/units"
 )
 
@@ -79,7 +80,7 @@ func TestScaledFrontier(t *testing.T) {
 		t.Errorf("scaled nodes = %d, want 48", s.Fabric.Cfg.ComputeNodes())
 	}
 	// Scheduler works end-to-end on the composed system.
-	j, err := s.Scheduler.Submit("smoke", 16, 100, nil)
+	j, err := s.Scheduler.Submit(job.Blob("smoke", 16, 100), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

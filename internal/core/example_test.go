@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"frontiersim/internal/core"
+	"frontiersim/internal/job"
 	"frontiersim/internal/units"
 )
 
@@ -29,13 +30,13 @@ func ExampleSystem_scheduler() {
 	if err != nil {
 		panic(err)
 	}
-	job, err := sys.Scheduler.Submit("demo", 8, units.Hour, nil)
+	j, err := sys.Scheduler.Submit(job.Blob("demo", 8, units.Hour), nil)
 	if err != nil {
 		panic(err)
 	}
 	sys.Kernel.Run()
-	fmt.Println("state:", job.State)
-	fmt.Println("groups spanned:", job.GroupsSpanned(sys.Fabric))
+	fmt.Println("state:", j.State)
+	fmt.Println("groups spanned:", j.GroupsSpanned(sys.Fabric))
 	// Output:
 	// state: completed
 	// groups spanned: 1

@@ -50,7 +50,7 @@ type Options struct {
 // being unbounded and per run, its reported hit rate is a pure function
 // of the job stream.
 func (o Options) pricingCache(sys *core.System, spec machine.Spec) *job.PricingCache {
-	if o.uncached || sys.Scheduler == nil || sys.Scheduler.Env == nil {
+	if o.uncached || sys.Scheduler == nil {
 		return nil
 	}
 	cache := job.NewPricingCache()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"frontiersim/internal/core"
+	"frontiersim/internal/job"
 	"frontiersim/internal/machine"
 	"frontiersim/internal/mpi"
 	"frontiersim/internal/network"
@@ -150,7 +151,7 @@ func TestPlacementCommConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := sys.Scheduler.Submit("packed", 6, 100, nil)
+	small, err := sys.Scheduler.Submit(job.Blob("packed", 6, 100), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestPlacementCommConsistency(t *testing.T) {
 	if float64(commS.PerNICBandwidth()) != nic {
 		t.Error("packed job should see full NIC rate")
 	}
-	big, err := sys.Scheduler.Submit("spread", 40, 100, nil)
+	big, err := sys.Scheduler.Submit(job.Blob("spread", 40, 100), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func ExtLLM(o Options) (*report.Table, error) {
 		steps = 10
 		counts = []int{64, 256, 1024}
 	}
-	total := sys.Scheduler.F.Cfg.ComputeNodes()
+	total := sys.Fabric.Cfg.ComputeNodes()
 	// Two regimes: the throughput sweep amortizes the gradient sync over
 	// a deep batch (compute-bound, the production shape); the comm-bound
 	// sweep runs data-parallel-only with a shallow batch, so the DP
@@ -72,7 +72,7 @@ func ExtLLM(o Options) (*report.Table, error) {
 				continue
 			}
 			prog := step.WithSteps(steps, 0)
-			j, err := sys.Scheduler.SubmitProgram(prog, nil)
+			j, err := sys.Scheduler.Submit(prog, nil)
 			if err != nil {
 				return nil, err
 			}

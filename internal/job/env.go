@@ -58,9 +58,8 @@ type Env struct {
 
 	// Cache, when non-nil, memoizes Bind's and Estimate's per-phase
 	// pricing keyed by (program signature, placement signature,
-	// CacheKey). Hits are bit-identical to cold binds but skip
-	// communicator construction; the served Bound shares the cached time
-	// slices and has a nil Comm.
+	// CacheKey). Hits are bit-identical to cold binds but skip phase
+	// pricing; the served Bound shares the cached time slices.
 	Cache *PricingCache
 	// CacheKey distinguishes machines sharing one cache — conventionally
 	// the machine.Hash of the spec this env was derived from.
@@ -95,19 +94,21 @@ func (e *Env) SpreadPlacement(n int) []int {
 }
 
 // Bound is a program priced against an env and a concrete placement:
-// per-phase durations, the placement's communicator, and the total
-// runtime the scheduler uses as the job's derived duration.
+// per-phase durations and the total runtime the scheduler uses as the
+// job's derived duration.
 type Bound struct {
 	Prog  *Program
 	Env   *Env
 	Nodes []int
-	Comm  *mpi.Comm
 
 	// SetupTimes and LoopTimes are per-phase durations in program order.
 	SetupTimes, LoopTimes []units.Seconds
 	// Total is setup plus Iterations loop passes.
 	Total units.Seconds
 
+	// comm is the placement's communicator and subs its rank-0
+	// subgroups, built by the first collective phase that needs them.
+	comm *mpi.Comm
 	subs map[Group]*mpi.Comm
 }
 
@@ -120,10 +121,10 @@ func (b *Bound) LoopTime() units.Seconds {
 	return t
 }
 
-// Bind prices a program on a concrete placement. The communicator is
-// built from the placement's actual nodes, so a packed allocation and a
-// spread allocation yield different collective times — placement policy
-// is now visible in job runtime.
+// Bind prices a program on a concrete placement. Collectives run on a
+// communicator over the placement's actual nodes, so a packed allocation
+// and a spread allocation yield different collective times — placement
+// policy is visible in job runtime.
 func (e *Env) Bind(p *Program, nodes []int) (*Bound, error) {
 	if err := e.Validate(); err != nil {
 		return nil, err
@@ -148,15 +149,17 @@ func (e *Env) Bind(p *Program, nodes []int) (*Bound, error) {
 	return e.price(p, nodes, nil)
 }
 
-// price is Bind past the cache lookup: it builds the placement's
-// communicator, prices every phase and, given the key of a cache miss,
-// stores the result under it.
+// price is Bind past the cache lookup: it prices every phase and, given
+// the key of a cache miss, stores the result under it. A keyed placement
+// was already checked by PlacementSignature (or is the nominal spread
+// placement); an unkeyed one is checked here.
 func (e *Env) price(p *Program, nodes []int, key *pricingKey) (*Bound, error) {
-	comm, err := mpi.NewComm(e.Fabric, nodes, p.PPN)
-	if err != nil {
-		return nil, fmt.Errorf("job: binding %s: %w", p.Name, err)
+	if key == nil {
+		if err := e.Fabric.CheckNodes(nodes); err != nil {
+			return nil, fmt.Errorf("job: binding %s: %w", p.Name, err)
+		}
 	}
-	b := &Bound{Prog: p, Env: e, Nodes: nodes, Comm: comm, subs: map[Group]*mpi.Comm{}}
+	b := &Bound{Prog: p, Env: e, Nodes: nodes}
 	timed := func(phases []Phase) ([]units.Seconds, units.Seconds, error) {
 		times := make([]units.Seconds, len(phases))
 		var sum units.Seconds
@@ -171,6 +174,7 @@ func (e *Env) price(p *Program, nodes []int, key *pricingKey) (*Bound, error) {
 		return times, sum, nil
 	}
 	var pr pricedProgram
+	var err error
 	if pr.setupTimes, pr.setupSum, err = timed(p.Setup); err != nil {
 		return nil, err
 	}
@@ -227,6 +231,8 @@ func (b *Bound) phaseTime(ph Phase) (units.Seconds, error) {
 		return b.collectiveTime(ph)
 	case IO, Checkpoint:
 		return b.ioTime(ph)
+	case Fixed:
+		return ph.Seconds, nil
 	}
 	return 0, fmt.Errorf("unknown phase kind %v", ph.Kind)
 }
@@ -290,7 +296,10 @@ func nodeLocalCollective(op Op, payload units.Bytes, p float64) (units.Seconds, 
 
 // collectiveTime prices the phase's operation on its (sub-)communicator.
 func (b *Bound) collectiveTime(ph Phase) (units.Seconds, error) {
-	c := b.groupComm(ph.Group)
+	c, err := b.groupComm(ph.Group)
+	if err != nil {
+		return 0, err
+	}
 	if len(c.Nodes) == 1 {
 		if d, ok := nodeLocalCollective(ph.Op, ph.Payload, float64(c.Size())); ok {
 			return d, nil
@@ -327,20 +336,28 @@ func (b *Bound) collectiveTime(ph Phase) (units.Seconds, error) {
 	return 0, fmt.Errorf("unknown collective op %v", ph.Op)
 }
 
-// groupComm returns the sub-communicator for a group, building and
-// caching it on first use. The representative subgroup is the one
-// containing rank 0; under the supported shapes all subgroups are
-// congruent, so one price serves the phase.
-func (b *Bound) groupComm(g Group) *mpi.Comm {
-	if g.whole(b.Comm.Size()) {
-		return b.Comm
+// groupComm returns the sub-communicator for a group, building the
+// placement's communicator and the subgroup on first use. The
+// representative subgroup is the one containing rank 0; under the
+// supported shapes all subgroups are congruent, so one price serves the
+// phase.
+func (b *Bound) groupComm(g Group) (*mpi.Comm, error) {
+	if b.comm == nil {
+		comm, err := mpi.NewComm(b.Env.Fabric, b.Nodes, b.Prog.PPN)
+		if err != nil {
+			return nil, err
+		}
+		b.comm, b.subs = comm, map[Group]*mpi.Comm{}
+	}
+	if g.whole(b.comm.Size()) {
+		return b.comm, nil
 	}
 	c, ok := b.subs[g]
 	if !ok {
-		c = b.Comm.RankZeroGroup(g.Size, g.Stride)
+		c = b.comm.RankZeroGroup(g.Size, g.Stride)
 		b.subs[g] = c
 	}
-	return c
+	return c, nil
 }
 
 // ioTime prices a bulk I/O or checkpoint phase. Reads stream from the

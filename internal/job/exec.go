@@ -11,7 +11,7 @@ import (
 // program costs the calendar one slot, not PhaseEvents() slots. That
 // also means an interrupt at any simulated instant lands *inside* a
 // specific phase, which is what lets the resilience layer charge
-// lost-work-since-last-checkpoint instead of discarding a duration blob.
+// lost-work-since-last-checkpoint.
 type Exec struct {
 	Bound *Bound
 	K     *sim.Kernel
@@ -20,18 +20,14 @@ type Exec struct {
 	OnDone func()
 
 	// TimeByKind accumulates completed simulated time per phase kind.
-	TimeByKind [4]units.Seconds
+	TimeByKind [kinds]units.Seconds
 	// Checkpoints counts completed checkpoint phases.
 	Checkpoints int
 
-	// started is when the program began executing.
-	started units.Seconds
 	// lastCkpt is when the most recent checkpoint phase *completed* —
 	// work since then is lost on interrupt. Before any checkpoint it is
 	// the program start.
 	lastCkpt units.Seconds
-	// phaseStart is when the in-flight phase began.
-	phaseStart units.Seconds
 	// cursor walks phase instances: iter counts completed loop passes.
 	inSetup bool
 	idx     int
@@ -47,9 +43,7 @@ func execStep(arg any) { arg.(*Exec).step() }
 // Start begins execution at the kernel's current time. It returns the
 // Exec so callers can chain.
 func (x *Exec) Start() *Exec {
-	now := x.K.Now()
-	x.started = now
-	x.lastCkpt = now
+	x.lastCkpt = x.K.Now()
 	x.inSetup = len(x.Bound.Prog.Setup) > 0
 	x.idx, x.iter = 0, 0
 	x.schedule()
@@ -85,7 +79,6 @@ func (x *Exec) schedule() {
 		}
 		return
 	}
-	x.phaseStart = x.K.Now()
 	x.pending = x.K.AfterCall(d, execStep, x)
 }
 
@@ -126,15 +119,6 @@ func (x *Exec) Stop() {
 	x.pending.Cancel()
 }
 
-// PhaseElapsed is how long the in-flight phase has been running — the
-// part an interrupt right now would strand.
-func (x *Exec) PhaseElapsed() units.Seconds {
-	if x.done || x.stopped {
-		return 0
-	}
-	return x.K.Now() - x.phaseStart
-}
-
 // LostWork returns the simulated time since the last completed
 // checkpoint (or program start): the work an interrupt at the current
 // kernel time destroys.
@@ -143,9 +127,4 @@ func (x *Exec) LostWork() units.Seconds {
 		return 0
 	}
 	return x.K.Now() - x.lastCkpt
-}
-
-// Elapsed is the simulated time the program has been executing.
-func (x *Exec) Elapsed() units.Seconds {
-	return x.K.Now() - x.started
 }

@@ -1,13 +1,13 @@
 // Package job is the application model the scheduler, workload, and
 // resilience layers share: a Program is a deterministic sequence (and
 // loop) of typed phases — roofline-bound compute, MPI collectives, bulk
-// I/O, and checkpoints — whose runtime *emerges* from the machine the
-// job lands on. Binding a program to a concrete node placement builds an
-// mpi.Comm over those nodes, so topology-aware placement changes the
-// collective phases' durations; executing a bound program on the event
-// kernel makes every phase boundary a real simulation event, which is
-// what lets mid-phase interrupts charge lost-work-since-last-checkpoint
-// instead of killing an opaque duration blob.
+// I/O, checkpoints, and fixed-duration work — whose runtime *emerges*
+// from the machine the job lands on. Binding a program to a concrete
+// node placement builds an mpi.Comm over those nodes, so topology-aware
+// placement changes the collective phases' durations; executing a bound
+// program on the event kernel makes every phase boundary a real
+// simulation event, which is what lets mid-phase interrupts charge
+// lost-work-since-last-checkpoint.
 //
 // The package deliberately depends only on the subsystem models it
 // prices phases against (fabric, mpi, gpu precisions, storage, sim);
@@ -39,6 +39,13 @@ const (
 	// Checkpoint is a defensive write; completing one resets the
 	// lost-work clock the resilience layer charges on interrupt.
 	Checkpoint
+	// Fixed is opaque work of a given duration (Phase.Seconds) that
+	// prices the same on any placement: a job known only by its
+	// runtime.
+	Fixed
+
+	// kinds is the number of phase kinds.
+	kinds = iota
 )
 
 // String implements fmt.Stringer.
@@ -52,6 +59,8 @@ func (k Kind) String() string {
 		return "io"
 	case Checkpoint:
 		return "checkpoint"
+	case Fixed:
+		return "fixed"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
@@ -139,6 +148,9 @@ type Phase struct {
 	// IO / Checkpoint: job-aggregate bytes moved.
 	Read  units.Bytes
 	Write units.Bytes
+
+	// Fixed: the phase's duration on any placement.
+	Seconds units.Seconds
 }
 
 // Program is a deterministic phase-structured application: Setup runs
@@ -157,6 +169,21 @@ type Program struct {
 	Setup      []Phase
 	Iterations int
 	Loop       []Phase
+
+	// Walltime is the requested limit (Slurm's --time). Zero lets the
+	// scheduler quote it from the program's nominal runtime. Pricing
+	// never reads it.
+	Walltime units.Seconds
+}
+
+// Blob is a job known only by its runtime: one Fixed phase of duration
+// d at one rank per node, requesting exactly d as its walltime.
+func Blob(name string, nodes int, d units.Seconds) *Program {
+	return &Program{
+		Name: name, Nodes: nodes, PPN: 1,
+		Setup:    []Phase{{Name: "run", Kind: Fixed, Seconds: d}},
+		Walltime: d,
+	}
 }
 
 // Validate checks the program for structural sanity.
@@ -175,6 +202,9 @@ func (p *Program) Validate() error {
 	}
 	if len(p.Loop) > 0 && p.Iterations < 1 {
 		return fmt.Errorf("job: program %s has a loop but %d iterations", p.Name, p.Iterations)
+	}
+	if p.Walltime < 0 {
+		return fmt.Errorf("job: program %s has a negative walltime", p.Name)
 	}
 	ranks := p.Nodes * p.PPN
 	check := func(where string, phases []Phase) error {
@@ -198,6 +228,9 @@ func (p *Program) Validate() error {
 			}
 			if (ph.Kind == IO || ph.Kind == Checkpoint) && (ph.Read < 0 || ph.Write < 0) {
 				return fmt.Errorf("job: program %s %s[%d] has negative I/O", p.Name, where, i)
+			}
+			if ph.Kind == Fixed && ph.Seconds <= 0 {
+				return fmt.Errorf("job: program %s %s[%d] needs a positive duration", p.Name, where, i)
 			}
 		}
 		return nil

@@ -43,6 +43,9 @@ func TestProgramValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid program rejected: %v", err)
 	}
+	if err := job.Blob("blob", 2, units.Hour).Validate(); err != nil {
+		t.Fatalf("valid blob rejected: %v", err)
+	}
 	cases := []struct {
 		name string
 		mut  func(p *job.Program)
@@ -62,6 +65,13 @@ func TestProgramValidate(t *testing.T) {
 		{"negative io", func(p *job.Program) {
 			p.Loop[0] = job.Phase{Kind: job.IO, Read: -1}
 		}},
+		{"fixed without duration", func(p *job.Program) {
+			p.Loop[0] = job.Phase{Kind: job.Fixed}
+		}},
+		{"negative fixed duration", func(p *job.Program) {
+			p.Loop[0] = job.Phase{Kind: job.Fixed, Seconds: -1}
+		}},
+		{"negative walltime", func(p *job.Program) { p.Walltime = -1 }},
 	}
 	for _, c := range cases {
 		p := *good

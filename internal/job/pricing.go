@@ -34,7 +34,8 @@ type Sig [sha256.Size]byte
 // Iterations is deliberately excluded — the cached entry stores the
 // setup and single-pass loop sums, and Bind rebuilds Total with the
 // job's own iteration count using the identical floating-point
-// expression — as are Name and Class, which never enter a price.
+// expression — as are Name, Class and Walltime, which never enter a
+// price.
 func ProgramSignature(p *Program) Sig {
 	h := sha256.New()
 	var buf [1024]byte
@@ -75,6 +76,7 @@ func ProgramSignature(p *Program) Sig {
 			wi(ph.PeerStride)
 			wf(float64(ph.Read))
 			wf(float64(ph.Write))
+			wf(float64(ph.Seconds))
 		}
 	}
 	section(1, p.Setup)
@@ -97,7 +99,7 @@ func ProgramSignature(p *Program) Sig {
 // at most 2×groups+1 varints, and the runs are read one group stretch
 // at a time (Fabric.NextStretch) rather than per node. ok is false when
 // a node is outside the machine or repeated — the relabeled sequence
-// cannot tell [3,3] from [3,2], which mpi.NewComm rejects and accepts —
+// cannot tell [3,3] from [3,2], which Fabric.CheckNodes rejects and accepts —
 // so callers fall back to the uncached path, where Bind surfaces the
 // canonical error.
 func (e *Env) PlacementSignature(nodes []int) (string, bool) {
@@ -190,7 +192,7 @@ type nominalKey struct {
 
 // PricingCache memoizes Bind's per-phase pricing keyed by (program
 // signature, placement signature, machine hash). A hit rebuilds the
-// Bound from the stored times without constructing an mpi.Comm; the
+// Bound from the stored times without pricing any phase; the
 // result is bit-identical to a cold Bind because the stored values ARE
 // a cold Bind's values and Total is recomputed with the same
 // expression. The cache is unbounded, which keeps the reported hit rate

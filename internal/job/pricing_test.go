@@ -182,6 +182,44 @@ func TestProgramSignatureFields(t *testing.T) {
 	if job.ProgramSignature(base) == job.ProgramSignature(work) {
 		t.Error("different phase work shares a program signature")
 	}
+	// A shared cache must never serve one blob the other's runtime.
+	if job.ProgramSignature(job.Blob("b", 4, 100)) == job.ProgramSignature(job.Blob("b", 4, 200)) {
+		t.Error("blobs of different durations share a program signature")
+	}
+	limited := richProgram(env, 4, 10)
+	limited.Walltime = units.Hour
+	if job.ProgramSignature(base) != job.ProgramSignature(limited) {
+		t.Error("walltime leaked into the program signature")
+	}
+}
+
+// A blob prices to exactly its duration on any placement, cold or
+// served from the cache: no launch overhead, no placement effect.
+func TestBindBlobIsExact(t *testing.T) {
+	d := units.Seconds(1e4 / 3.0)
+	for _, cache := range []*job.PricingCache{nil, job.NewPricingCache()} {
+		env := testEnv(t)
+		env.Cache = cache
+		blob := job.Blob("blob", 8, d)
+		for _, nodes := range [][]int{contiguous(8), env.SpreadPlacement(8)} {
+			for pass := 0; pass < 2; pass++ { // with a cache, the second pass hits
+				if b := bindOrFatal(t, env, blob, nodes); b.Total != d {
+					t.Errorf("cache %v, nodes %v, pass %d: Total = %v, want %v", cache != nil, nodes, pass, b.Total, d)
+				}
+			}
+		}
+		if cache != nil {
+			if hits, _ := cache.Stats(); hits != 2 {
+				t.Errorf("cache hits = %d, want 2", hits)
+			}
+		}
+		// A blob never builds a communicator, yet its placement is
+		// still checked.
+		bad := append(contiguous(7), 3)
+		if _, err := env.Bind(blob, bad); err == nil {
+			t.Errorf("cache %v: Bind accepted the repeated-node placement %v", cache != nil, bad)
+		}
+	}
 }
 
 // The cache counts hits and misses and keeps every entry; a nil cache

@@ -2,20 +2,19 @@ package miniapps
 
 import (
 	"fmt"
-	"math"
 
 	"frontiersim/internal/gpu"
 	"frontiersim/internal/job"
 	"frontiersim/internal/units"
 )
 
-// The miniapp kernels double as analytic job-program builders: the same
+// The Heat3D kernel doubles as an analytic job-program builder: the same
 // measured flops-per-point and bytes-per-point constants that calibrate
-// the roofline predictions become per-device phase work, paired with the
-// communication pattern the distributed version of each kernel issues.
-// Problem sizes here are per *device* (the kernels weak-scale), so the
-// per-step work is placement-independent and only the collectives react
-// to where the job lands.
+// the roofline prediction become per-device phase work, paired with the
+// ghost exchange the distributed stencil performs. The problem size is per
+// *device* (the kernel weak-scales), so the per-step work is
+// placement-independent and only the collective reacts to where the job
+// lands.
 
 // phase converts a gpu.Kernel to a compute phase.
 func phase(name string, k gpu.Kernel) job.Phase {
@@ -45,74 +44,6 @@ func Heat3DProgram(nPerDevice, nodes, ppn, iterations int) (*job.Program, error)
 		Loop: []job.Phase{
 			phase("stencil-sweep", h.Kernel()),
 			{Name: "ghost-exchange", Kind: job.Collective, Op: job.Halo, Payload: face},
-		},
-	}, nil
-}
-
-// FFT3DProgram is the distributed pseudo-spectral kernel: local FFT
-// passes over an n³-per-device volume, then the transpose all-to-all
-// (each rank's slab split across its peers).
-func FFT3DProgram(nPerDevice, nodes, ppn, iterations int) (*job.Program, error) {
-	if nPerDevice == 0 || nPerDevice&(nPerDevice-1) != 0 {
-		return nil, fmt.Errorf("miniapps: FFT3D size %d is not a power of two", nPerDevice)
-	}
-	ranks := nodes * ppn
-	volume := float64(nPerDevice) * float64(nPerDevice) * float64(nPerDevice) * 16
-	pair := 0.0
-	if ranks > 1 {
-		pair = volume / float64(ranks-1)
-	}
-	return &job.Program{
-		Name: fmt.Sprintf("fft3d-%d", nPerDevice), Class: "spectral",
-		Nodes: nodes, PPN: ppn,
-		Iterations: iterations,
-		Loop: []job.Phase{
-			{Name: "fft-passes", Kind: job.Compute,
-				Flops: FFT3DFlops(nPerDevice), Bytes: FFT3DTraffic(nPerDevice), Precision: gpu.FP64},
-			{Name: "transpose-a2a", Kind: job.Collective, Op: job.AllToAll, Payload: units.Bytes(pair)},
-		},
-	}, nil
-}
-
-// NBodyProgram is the distributed direct-sum force kernel: a quadratic
-// per-device sweep, then the ring stage that passes particle tiles to
-// the next rank and the timestep reduction.
-func NBodyProgram(bodiesPerDevice, nodes, ppn, iterations int) (*job.Program, error) {
-	if bodiesPerDevice < 2 {
-		return nil, fmt.Errorf("miniapps: nbody needs >= 2 bodies per device")
-	}
-	pairs := float64(bodiesPerDevice) * float64(bodiesPerDevice-1) / 2
-	tile := units.Bytes(32 * float64(bodiesPerDevice))
-	return &job.Program{
-		Name: fmt.Sprintf("nbody-%d", bodiesPerDevice), Class: "nbody",
-		Nodes: nodes, PPN: ppn,
-		Iterations: iterations,
-		Loop: []job.Phase{
-			{Name: "force-sweep", Kind: job.Compute,
-				Flops: nbodyFlopsPerPair * pairs, Bytes: tile,
-				Precision: gpu.FP32, Efficiency: 0.75},
-			{Name: "tile-ring", Kind: job.Collective, Op: job.SendRecv, Payload: tile, PeerStride: 1},
-			{Name: "dt-allreduce", Kind: job.Collective, Op: job.Allreduce, Payload: 8},
-		},
-	}, nil
-}
-
-// GEMMProgram is the model-parallel GEMM: per-device dgemm shards with
-// the row-broadcast/column-reduce of a 2-D SUMMA decomposition
-// approximated as an allgather plus reduce-scatter of the operand panels.
-func GEMMProgram(nPerDevice, nodes, ppn, iterations int) (*job.Program, error) {
-	if nPerDevice < 1 {
-		return nil, fmt.Errorf("miniapps: gemm needs a positive tile size")
-	}
-	panel := units.Bytes(math.Pow(float64(nPerDevice), 2) * 8)
-	return &job.Program{
-		Name: fmt.Sprintf("dgemm-%d", nPerDevice), Class: "gemm",
-		Nodes: nodes, PPN: ppn,
-		Iterations: iterations,
-		Loop: []job.Phase{
-			phase("dgemm-shard", GEMMKernel(nPerDevice)),
-			{Name: "panel-allgather", Kind: job.Collective, Op: job.AllGather, Payload: panel},
-			{Name: "panel-reducescatter", Kind: job.Collective, Op: job.ReduceScatter, Payload: panel},
 		},
 	}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"frontiersim/internal/job"
 	"frontiersim/internal/machine"
 	"frontiersim/internal/rng"
 	"frontiersim/internal/sim"
@@ -87,12 +88,8 @@ func auditIndex(t *testing.T, s *Scheduler, down []bool, ctx string) {
 // groups of two whole words.
 func TestIndexAudit(t *testing.T) {
 	for _, shape := range [][3]int{{6, 8, 4}, {5, 15, 16}, {3, 32, 16}} {
-		f, err := machine.Scaled(shape[0], shape[1], shape[2]).NewFabric()
-		if err != nil {
-			t.Fatal(err)
-		}
 		k := sim.NewKernel(1)
-		s := New(k, f)
+		s := newScheduler(t, k, machine.Scaled(shape[0], shape[1], shape[2]))
 		r := rng.New(int64(shape[1]*100 + shape[2]))
 		down := make([]bool, s.totalNodes)
 		var jobs []*Job
@@ -104,7 +101,7 @@ func TestIndexAudit(t *testing.T) {
 				if r.Intn(3) == 0 {
 					n = 1 + r.Intn(s.totalNodes)
 				}
-				j, err := s.Submit("audit", n, units.Seconds(1+r.Intn(40)), nil)
+				j, err := s.Submit(job.Blob("audit", n, units.Seconds(1+r.Intn(40))), nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -3,26 +3,25 @@ package scheduler
 import (
 	"testing"
 
+	"frontiersim/internal/job"
 	"frontiersim/internal/machine"
 	"frontiersim/internal/rng"
 	"frontiersim/internal/sim"
 	"frontiersim/internal/units"
 )
 
-// BenchmarkSchedulerChurn times the scheduler layer alone: blob jobs
-// start and finish on the full 9,472-node Frontier with the year
-// campaign's size classes and backfill depth, and no pricing. Sizes
-// follow workload.YearMix — debug, midsize, capability and hero
-// classes, a uniform fraction of the machine within each, rounded to
-// the nearest power of two — with exponential walltimes of the class
-// means. One op is one submitted job; jobs arrive every 2,400 simulated
-// seconds (about 90% offered load), and arrivals pause while more than
-// 64 jobs wait, so the queue stays the depth a year campaign sees.
+// BenchmarkSchedulerChurn times the scheduler with the lightest jobs it
+// runs: job.Blob jobs start and finish on the full 9,472-node Frontier
+// with the year campaign's size classes and backfill depth. Each start
+// binds the blob (one communicator, one Fixed phase, no pricing cache)
+// and executes it. Sizes follow workload.YearMix — debug, midsize,
+// capability and hero classes, a uniform fraction of the machine within
+// each, rounded to the nearest power of two — with exponential
+// walltimes of the class means. One op is one submitted job; jobs
+// arrive every 2,400 simulated seconds (about 90% offered load), and
+// arrivals pause while more than 64 jobs wait, so the queue stays the
+// depth a year campaign sees.
 func BenchmarkSchedulerChurn(b *testing.B) {
-	f, err := machine.Frontier().NewFabric()
-	if err != nil {
-		b.Fatal(err)
-	}
 	classes := []struct {
 		minFrac, maxFrac, weight float64
 		meanWall                 units.Seconds
@@ -33,7 +32,7 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 		{0.90, 1.00, 0.05, 6 * units.Hour},
 	}
 	k := sim.NewKernel(1)
-	s := New(k, f)
+	s := newScheduler(b, k, machine.Frontier())
 	s.BackfillDepth = 64
 	r := rng.New(2023)
 	type request struct {
@@ -65,7 +64,7 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		req := stream[i%len(stream)]
-		if _, err := s.Submit("churn", req.nodes, req.wall, nil); err != nil {
+		if _, err := s.Submit(job.Blob("churn", req.nodes, req.wall), nil); err != nil {
 			b.Fatal(err)
 		}
 		k.RunUntil(k.Now() + interarrival)

@@ -145,11 +145,7 @@ func setState(s *Scheduler, free, unhealthy []bool) {
 // sparse and dense machines, pack and spread paths, fits and misses.
 func TestPlaceMatchesReference(t *testing.T) {
 	for _, shape := range [][3]int{{6, 8, 4}, {10, 16, 8}, {3, 32, 16}} {
-		f, err := machine.Scaled(shape[0], shape[1], shape[2]).NewFabric()
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := New(sim.NewKernel(1), f)
+		s := newScheduler(t, sim.NewKernel(1), machine.Scaled(shape[0], shape[1], shape[2]))
 		r := rng.New(int64(shape[0]*1000 + shape[1]))
 		free := make([]bool, s.totalNodes)
 		unhealthy := make([]bool, s.totalNodes)

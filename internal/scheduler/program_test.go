@@ -5,26 +5,8 @@ import (
 	"testing"
 
 	"frontiersim/internal/job"
-	"frontiersim/internal/machine"
-	"frontiersim/internal/sim"
 	"frontiersim/internal/units"
 )
-
-// progRig is testRig plus a job env, so the scheduler accepts programs.
-func progRig(t *testing.T) (*sim.Kernel, *Scheduler) {
-	t.Helper()
-	k := sim.NewKernel(1)
-	spec := machine.Scaled(6, 8, 4)
-	f, err := spec.NewFabric()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(k, f)
-	if s.Env, err = spec.JobEnv(f); err != nil {
-		t.Fatal(err)
-	}
-	return k, s
-}
 
 // testProgram is a small phase-structured job: per-pass compute plus an
 // allreduce and a checkpoint.
@@ -44,27 +26,15 @@ func testProgram(env *job.Env, nodes, iters int) *job.Program {
 func near(a, b units.Seconds) bool {
 	return math.Abs(float64(a-b)) <= 1e-9*math.Max(1, math.Abs(float64(b)))
 }
-func TestSubmitProgramRequiresEnv(t *testing.T) {
-	k := sim.NewKernel(1)
-	f, err := machine.Scaled(6, 8, 4).NewFabric()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(k, f)
-	if _, err := s.SubmitProgram(&job.Program{Name: "x", Nodes: 1, PPN: 8, Iterations: 1,
-		Loop: []job.Phase{{Kind: job.Compute, Flops: 1}}}, nil); err == nil {
-		t.Error("scheduler without an env accepted a program")
-	}
-}
 
 func TestProgramJobDerivesWalltime(t *testing.T) {
-	k, s := progRig(t)
+	k, _, s := testRig(t)
 	p := testProgram(s.Env, 8, 20)
 	est, err := s.Env.Estimate(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := s.SubmitProgram(p, nil)
+	j, err := s.Submit(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +71,8 @@ func TestProgramVsBlobEquivalence(t *testing.T) {
 		alloc      []int
 	}
 	run := func(middle func(s *Scheduler) (*Job, error)) []shot {
-		k, s := progRig(t)
-		a, err := s.Submit("pre", 40, 300, nil) // hold most of the machine
+		k, _, s := testRig(t)
+		a, err := s.Submit(job.Blob("pre", 40, 300), nil) // hold most of the machine
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +80,7 @@ func TestProgramVsBlobEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := s.Submit("post", 30, 100, nil) // must queue behind the middle job
+		c, err := s.Submit(job.Blob("post", 30, 100), nil) // must queue behind the middle job
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,15 +98,15 @@ func TestProgramVsBlobEquivalence(t *testing.T) {
 	// Probe: learn the program's delivered runtime in this queue position.
 	var delivered units.Seconds
 	probe := run(func(s *Scheduler) (*Job, error) {
-		return s.SubmitProgram(testProgram(s.Env, 30, 50), nil)
+		return s.Submit(testProgram(s.Env, 30, 50), nil)
 	})
 	delivered = probe[1].end - probe[1].start
 
 	blob := run(func(s *Scheduler) (*Job, error) {
-		return s.Submit("prog-blob", 30, delivered, nil)
+		return s.Submit(job.Blob("prog-blob", 30, delivered), nil)
 	})
 	prog := run(func(s *Scheduler) (*Job, error) {
-		return s.SubmitProgram(testProgram(s.Env, 30, 50), nil)
+		return s.Submit(testProgram(s.Env, 30, 50), nil)
 	})
 	for i := range blob {
 		if blob[i].start != prog[i].start || blob[i].end != prog[i].end {
@@ -158,9 +128,9 @@ func TestProgramVsBlobEquivalence(t *testing.T) {
 // A node failure mid-phase charges exactly the work since the last
 // completed checkpoint.
 func TestProgramInterruptLostWork(t *testing.T) {
-	k, s := progRig(t)
+	k, _, s := testRig(t)
 	var final JobState
-	j, err := s.SubmitProgram(testProgram(s.Env, 8, 50), func(j *Job) { final = j.State })
+	j, err := s.Submit(testProgram(s.Env, 8, 50), func(j *Job) { final = j.State })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,8 +153,8 @@ func TestProgramInterruptLostWork(t *testing.T) {
 		t.Errorf("LostWork = %v, want %v (mid-phase, since last checkpoint)", j.LostWork, wantLost)
 	}
 	// A completed job, by contrast, loses nothing.
-	k2, s2 := progRig(t)
-	j2, err := s2.SubmitProgram(testProgram(s2.Env, 8, 5), nil)
+	k2, _, s2 := testRig(t)
+	j2, err := s2.Submit(testProgram(s2.Env, 8, 5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,26 +168,29 @@ func TestProgramInterruptLostWork(t *testing.T) {
 // at the walltime with state Timeout — mirroring a real scheduler's
 // walltime kill, with the partial work accounted.
 func TestProgramWalltimeTimeout(t *testing.T) {
-	k, s := progRig(t)
+	k, _, s := testRig(t)
 	// Hold the whole machine so the program queues as pending — its
 	// program is not yet bound.
-	hold, err := s.Submit("hold", 48, 100, nil)
+	hold, err := s.Submit(job.Blob("hold", 48, 100), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Request a limit below any possible bound total: when the job
+	// starts and is priced on its granted placement, the scheduler must
+	// arm a walltime kill instead of a completion.
 	p := testProgram(s.Env, 8, 50)
+	p.Walltime = 1 * units.Millisecond
 	var final JobState
-	j, err := s.SubmitProgram(p, func(j *Job) { final = j.State })
+	j, err := s.Submit(p, func(j *Job) { final = j.State })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if j.State != Pending {
 		t.Fatal("program should queue behind the hold job")
 	}
-	// Shrink the quote below any possible bound total: when the job
-	// starts and is priced on its granted placement, the scheduler must
-	// arm a walltime kill instead of a completion.
-	j.Walltime = 1 * units.Millisecond
+	if j.Walltime != p.Walltime {
+		t.Fatalf("Walltime = %v, want the requested %v", j.Walltime, p.Walltime)
+	}
 	k.Run()
 	if hold.State != Completed {
 		t.Fatalf("hold job state %v", hold.State)
@@ -235,7 +208,7 @@ func TestProgramWalltimeTimeout(t *testing.T) {
 		t.Error("timeout job charged no lost work")
 	}
 	// The killed job's nodes return to the pool.
-	next, err := s.Submit("after", 48, 10, nil)
+	next, err := s.Submit(job.Blob("after", 48, 10), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

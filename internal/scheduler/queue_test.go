@@ -3,6 +3,7 @@ package scheduler
 import (
 	"testing"
 
+	"frontiersim/internal/job"
 	"frontiersim/internal/machine"
 	"frontiersim/internal/rng"
 	"frontiersim/internal/sim"
@@ -19,11 +20,7 @@ import (
 // also the draw-order regression test the determinism contract needs.
 func TestQueueOrderMatchesReferenceModel(t *testing.T) {
 	k := sim.NewKernel(7)
-	fab, err := machine.Scaled(6, 8, 4).NewFabric()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(k, fab)
+	s := newScheduler(t, k, machine.Scaled(6, 8, 4))
 	r := rng.New(1234)
 
 	var submitted []*Job
@@ -51,7 +48,7 @@ func TestQueueOrderMatchesReferenceModel(t *testing.T) {
 		case op < 6: // submit; big jobs pile up, small ones backfill
 			n := 1 + r.Intn(48)
 			wall := units.Seconds(1 + r.Intn(40))
-			j, err := s.Submit("q", n, wall, nil)
+			j, err := s.Submit(job.Blob("q", n, wall), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -41,9 +41,9 @@ const (
 	Completed
 	Failed
 	Cancelled
-	// Timeout is a phase-structured job killed at its requested walltime
-	// before its program finished (duration-blob jobs end exactly at
-	// their walltime and complete normally).
+	// Timeout is a job killed at its requested walltime before its
+	// program finished (a job.Blob requests exactly its runtime and
+	// completes normally).
 	Timeout
 )
 
@@ -66,20 +66,17 @@ func (s JobState) String() string {
 	return fmt.Sprintf("JobState(%d)", int(s))
 }
 
-// Job is one batch job. A duration-blob job (Program == nil) runs for
-// exactly Walltime; a phase-structured job carries a Program whose
-// runtime is derived by binding it to the allocation the scheduler
-// actually grants — Walltime is then the *requested* limit quoted from a
-// nominal spread placement, and the delivered runtime emerges from the
+// Job is one batch job: a Program whose runtime is derived by binding it
+// to the allocation the scheduler actually grants. Walltime is the
+// *requested* limit — the program's own, or a quote from a nominal
+// spread placement — and the delivered runtime emerges from the
 // placement's collective performance.
 type Job struct {
 	ID       int
 	Name     string
 	Nodes    int
 	Walltime units.Seconds
-
-	// Program, when set, makes this a phase-structured job.
-	Program *job.Program
+	Program  *job.Program
 
 	State  JobState
 	Submit units.Seconds
@@ -92,8 +89,8 @@ type Job struct {
 	// OnComplete, if set, runs when the job finishes (any final state).
 	OnComplete func(*Job)
 
-	// Bound is the program priced on the granted allocation (program
-	// jobs only, set at start).
+	// Bound is the program priced on the granted allocation (set at
+	// start).
 	Bound *job.Bound
 	// LostWork is the simulated time since the last completed checkpoint
 	// at the moment the job failed — the work an interrupt destroyed.
@@ -107,10 +104,10 @@ type Job struct {
 	qpos int
 }
 
-// Class returns the workload stratum label (program jobs) or the job
-// name (blob jobs).
+// Class returns the program's workload stratum label, or the job name
+// when the program has none.
 func (j *Job) Class() string {
-	if j.Program != nil && j.Program.Class != "" {
+	if j.Program.Class != "" {
 		return j.Program.Class
 	}
 	return j.Name
@@ -122,11 +119,10 @@ func (j *Job) GroupsSpanned(f *fabric.Fabric) int { return f.GroupsSpanned(j.All
 // Scheduler is the system-level batch scheduler.
 type Scheduler struct {
 	K *sim.Kernel
-	F *fabric.Fabric
 
-	// Env, when set, lets the scheduler accept phase-structured jobs via
-	// SubmitProgram: it quotes requested walltimes from a nominal spread
-	// placement and re-prices each program on its granted allocation.
+	// Env prices every job: it quotes requested walltimes from a nominal
+	// spread placement and re-prices each program on its granted
+	// allocation.
 	Env *job.Env
 
 	// BackfillDepth bounds how many pending jobs one EASY backfill pass
@@ -163,13 +159,15 @@ type Scheduler struct {
 	Started, Finished, FailedJobs, HealthRejects int
 }
 
-// New builds a scheduler over the compute nodes of fabric f.
-func New(k *sim.Kernel, f *fabric.Fabric) *Scheduler {
+// New builds a scheduler over the compute nodes of env's fabric, pricing
+// jobs against env.
+func New(k *sim.Kernel, env *job.Env) *Scheduler {
+	f := env.Fabric
 	total := f.Cfg.ComputeNodes()
 	words := (total + 63) / 64
 	s := &Scheduler{
 		K:             k,
-		F:             f,
+		Env:           env,
 		nodesPerGroup: f.Cfg.NodesPerGroup(),
 		groups:        f.Cfg.ComputeGroups,
 		totalNodes:    total,
@@ -299,54 +297,36 @@ func (s *Scheduler) Checknode(node int) bool {
 	return node >= 0 && node < s.totalNodes && s.down[node>>6]&(1<<(node&63)) == 0
 }
 
-// Submit enqueues a job and attempts to schedule. It returns the job so
-// callers can watch its state.
-func (s *Scheduler) Submit(name string, nodes int, walltime units.Seconds, onComplete func(*Job)) (*Job, error) {
-	if nodes < 1 || nodes > s.totalNodes {
-		return nil, fmt.Errorf("scheduler: job needs 1..%d nodes, got %d", s.totalNodes, nodes)
-	}
-	if walltime <= 0 {
-		return nil, fmt.Errorf("scheduler: walltime must be positive")
-	}
-	j := &Job{
-		ID:         s.nextJobID,
-		Name:       name,
-		Nodes:      nodes,
-		Walltime:   walltime,
-		State:      Pending,
-		Submit:     s.K.Now(),
-		OnComplete: onComplete,
-		qpos:       -1,
-	}
-	s.nextJobID++
-	s.queue.push(j)
-	s.trySchedule()
-	return j, nil
-}
-
-// walltimeMargin is the slack a phase-structured job requests over its
-// nominal estimate, covering the spread between the quoted placement and
-// the one actually granted (users pad their Slurm walltimes the same way).
+// walltimeMargin is the slack a job that names no walltime requests
+// over its nominal estimate, covering the spread between the quoted
+// placement and the one actually granted (users pad their Slurm
+// walltimes the same way).
 const walltimeMargin = 1.25
 
-// SubmitProgram enqueues a phase-structured job. The requested walltime
-// is derived from the program itself — priced on a nominal spread
-// placement and padded by walltimeMargin — so callers never supply a
-// duration; the delivered runtime is whatever the granted placement
-// yields.
-func (s *Scheduler) SubmitProgram(p *job.Program, onComplete func(*Job)) (*Job, error) {
-	if s.Env == nil {
-		return nil, fmt.Errorf("scheduler: no job env configured, cannot accept program %q", p.Name)
+// Submit enqueues a job and attempts to schedule. It returns the job so
+// callers can watch its state. The requested walltime is p.Walltime;
+// when that is zero it is derived from the program itself — priced on a
+// nominal spread placement and padded by walltimeMargin. The delivered
+// runtime is whatever the granted placement yields.
+func (s *Scheduler) Submit(p *job.Program, onComplete func(*Job)) (*Job, error) {
+	if p.Nodes < 1 || p.Nodes > s.totalNodes {
+		return nil, fmt.Errorf("scheduler: job needs 1..%d nodes, got %d", s.totalNodes, p.Nodes)
 	}
-	est, err := s.Env.Estimate(p)
-	if err != nil {
+	wall := p.Walltime
+	if wall == 0 {
+		est, err := s.Env.Estimate(p)
+		if err != nil {
+			return nil, err
+		}
+		wall = est * walltimeMargin
+	} else if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	j := &Job{
 		ID:         s.nextJobID,
 		Name:       p.Name,
 		Nodes:      p.Nodes,
-		Walltime:   est * walltimeMargin,
+		Walltime:   wall,
 		Program:    p,
 		State:      Pending,
 		Submit:     s.K.Now(),
@@ -471,15 +451,11 @@ func (s *Scheduler) start(j *Job) bool {
 	s.freeHealthy -= len(alloc)
 	s.running[j.ID] = j
 	s.Started++
-	if j.Program != nil {
-		s.launch(j)
-	} else {
-		j.endEvent = s.K.At(j.End, func() { s.finish(j, Completed) })
-	}
+	s.launch(j)
 	return true
 }
 
-// launch binds a program job to its granted allocation and begins
+// launch binds a job's program to its granted allocation and begins
 // executing it on the event kernel. Completion is driven by the
 // program's last phase boundary; the requested walltime survives only as
 // a kill limit, exactly like Slurm's TIMEOUT.

@@ -5,25 +5,38 @@ import (
 	"testing/quick"
 
 	"frontiersim/internal/fabric"
+	"frontiersim/internal/job"
 	"frontiersim/internal/machine"
 	"frontiersim/internal/sim"
 	"frontiersim/internal/units"
 )
 
+// newScheduler builds a scheduler over spec's fabric, pricing jobs
+// against spec's job env.
+func newScheduler(tb testing.TB, k *sim.Kernel, spec machine.Spec) *Scheduler {
+	tb.Helper()
+	f, err := spec.NewFabric()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	env, err := spec.JobEnv(f)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return New(k, env)
+}
+
 // testRig: 6 groups x 8 switches x 4 endpoints = 48 nodes, 8 per group.
 func testRig(t *testing.T) (*sim.Kernel, *fabric.Fabric, *Scheduler) {
 	t.Helper()
 	k := sim.NewKernel(1)
-	f, err := machine.Scaled(6, 8, 4).NewFabric()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return k, f, New(k, f)
+	s := newScheduler(t, k, machine.Scaled(6, 8, 4))
+	return k, s.Env.Fabric, s
 }
 
 func TestSmallJobPacksIntoOneGroup(t *testing.T) {
 	k, f, s := testRig(t)
-	j, err := s.Submit("small", 6, 100, nil)
+	j, err := s.Submit(job.Blob("small", 6, 100), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +54,7 @@ func TestSmallJobPacksIntoOneGroup(t *testing.T) {
 
 func TestLargeJobSpreadsAcrossGroups(t *testing.T) {
 	_, f, s := testRig(t)
-	j, err := s.Submit("big", 30, 100, nil)
+	j, err := s.Submit(job.Blob("big", 30, 100), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +75,8 @@ func TestLargeJobSpreadsAcrossGroups(t *testing.T) {
 
 func TestExclusiveAllocation(t *testing.T) {
 	_, _, s := testRig(t)
-	j1, _ := s.Submit("a", 30, 100, nil)
-	j2, _ := s.Submit("b", 30, 100, nil)
+	j1, _ := s.Submit(job.Blob("a", 30, 100), nil)
+	j2, _ := s.Submit(job.Blob("b", 30, 100), nil)
 	if j2.State == Running {
 		t.Fatal("second 30-node job cannot run on 48 nodes concurrently")
 	}
@@ -78,8 +91,8 @@ func TestExclusiveAllocation(t *testing.T) {
 
 func TestFIFOCompletionStartsNext(t *testing.T) {
 	k, _, s := testRig(t)
-	j1, _ := s.Submit("a", 40, 50, nil)
-	j2, _ := s.Submit("b", 40, 50, nil)
+	j1, _ := s.Submit(job.Blob("a", 40, 50), nil)
+	j2, _ := s.Submit(job.Blob("b", 40, 50), nil)
 	k.Run()
 	if j1.State != Completed || j2.State != Completed {
 		t.Fatalf("states = %v, %v", j1.State, j2.State)
@@ -94,15 +107,15 @@ func TestBackfillDoesNotDelayHead(t *testing.T) {
 	// j1 occupies 40 nodes until t=100. Head job j2 needs all 48 and
 	// must wait. j3 needs 8 nodes for 50s: it fits now and ends before
 	// j2's reservation, so EASY backfill should start it immediately.
-	j1, _ := s.Submit("base", 40, 100, nil)
-	j2, _ := s.Submit("head", 48, 100, nil)
-	j3, _ := s.Submit("filler", 8, 50, nil)
+	j1, _ := s.Submit(job.Blob("base", 40, 100), nil)
+	j2, _ := s.Submit(job.Blob("head", 48, 100), nil)
+	j3, _ := s.Submit(job.Blob("filler", 8, 50), nil)
 	if j3.State != Running {
 		t.Error("backfill should start the filler immediately")
 	}
 	// j4 would run past the reservation and needs nodes the head will
 	// use; it must NOT start.
-	j4, _ := s.Submit("blocker", 8, 500, nil)
+	j4, _ := s.Submit(job.Blob("blocker", 8, 500), nil)
 	if j4.State == Running {
 		t.Error("backfill must not delay the head job")
 	}
@@ -117,7 +130,7 @@ func TestVNIUniqueness(t *testing.T) {
 	_, _, s := testRig(t)
 	var jobs []*Job
 	for i := 0; i < 6; i++ {
-		j, err := s.Submit("j", 8, 100, nil)
+		j, err := s.Submit(job.Blob("j", 8, 100), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +151,7 @@ func TestVNIUniqueness(t *testing.T) {
 func TestVNIReleasedAfterCompletion(t *testing.T) {
 	k, _, s := testRig(t)
 	for i := 0; i < 100; i++ {
-		if _, err := s.Submit("j", 48, 10, nil); err != nil {
+		if _, err := s.Submit(job.Blob("j", 48, 10), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -154,12 +167,12 @@ func TestChecknodeGate(t *testing.T) {
 	if s.Checknode(0) {
 		t.Error("node 0 should fail checknode")
 	}
-	j, _ := s.Submit("j", 48, 100, nil)
+	j, _ := s.Submit(job.Blob("j", 48, 100), nil)
 	if j.State == Running {
 		t.Error("48-node job cannot run with one node unhealthy")
 	}
 	// A 47-node job runs and avoids the sick node.
-	j2, _ := s.Submit("j2", 47, 100, nil)
+	j2, _ := s.Submit(job.Blob("j2", 47, 100), nil)
 	if j2.State != Running {
 		t.Fatal("47-node job should run")
 	}
@@ -173,7 +186,7 @@ func TestChecknodeGate(t *testing.T) {
 func TestNodeFailureKillsJob(t *testing.T) {
 	k, _, s := testRig(t)
 	var final JobState
-	j, _ := s.Submit("victim", 8, 1000, func(j *Job) { final = j.State })
+	j, _ := s.Submit(job.Blob("victim", 8, 1000), func(j *Job) { final = j.State })
 	if j.State != Running {
 		t.Fatal("job should run")
 	}
@@ -185,8 +198,12 @@ func TestNodeFailureKillsJob(t *testing.T) {
 	if s.FailedJobs != 1 {
 		t.Errorf("failed count = %d, want 1", s.FailedJobs)
 	}
+	// A blob never checkpoints, so the failure strands all it ran.
+	if want := 10 - j.Start; j.LostWork != want || j.Checkpoints != 0 {
+		t.Errorf("lost work %v, checkpoints %d; want %v, 0", j.LostWork, j.Checkpoints, want)
+	}
 	// Node stays out of the pool until repaired.
-	j2, _ := s.Submit("next", 48, 10, nil)
+	j2, _ := s.Submit(job.Blob("next", 48, 10), nil)
 	if j2.State == Running {
 		t.Error("full-machine job should wait for repair")
 	}
@@ -198,8 +215,8 @@ func TestNodeFailureKillsJob(t *testing.T) {
 
 func TestCancel(t *testing.T) {
 	k, _, s := testRig(t)
-	j1, _ := s.Submit("running", 48, 100, nil)
-	j2, _ := s.Submit("queued", 8, 100, nil)
+	j1, _ := s.Submit(job.Blob("running", 48, 100), nil)
+	j2, _ := s.Submit(job.Blob("queued", 8, 100), nil)
 	s.Cancel(j2)
 	if j2.State != Cancelled {
 		t.Errorf("queued cancel = %v", j2.State)
@@ -216,21 +233,21 @@ func TestCancel(t *testing.T) {
 
 func TestSubmitValidation(t *testing.T) {
 	_, _, s := testRig(t)
-	if _, err := s.Submit("bad", 0, 100, nil); err == nil {
+	if _, err := s.Submit(job.Blob("bad", 0, 100), nil); err == nil {
 		t.Error("0 nodes should error")
 	}
-	if _, err := s.Submit("bad", 1000, 100, nil); err == nil {
+	if _, err := s.Submit(job.Blob("bad", 1000, 100), nil); err == nil {
 		t.Error("oversized job should error")
 	}
-	if _, err := s.Submit("bad", 1, 0, nil); err == nil {
+	if _, err := s.Submit(job.Blob("bad", 1, 0), nil); err == nil {
 		t.Error("zero walltime should error")
 	}
 }
 
 func TestQueueAndRunningViews(t *testing.T) {
 	_, _, s := testRig(t)
-	s.Submit("a", 48, 100, nil)
-	s.Submit("b", 48, 100, nil)
+	s.Submit(job.Blob("a", 48, 100), nil)
+	s.Submit(job.Blob("b", 48, 100), nil)
 	if len(s.Running()) != 1 || len(s.Queue()) != 1 {
 		t.Errorf("running=%d queued=%d, want 1/1", len(s.Running()), len(s.Queue()))
 	}
@@ -241,14 +258,10 @@ func TestQueueAndRunningViews(t *testing.T) {
 func TestNodeConservationProperty(t *testing.T) {
 	f := func(sizes []uint8) bool {
 		k := sim.NewKernel(2)
-		fab, err := machine.Scaled(6, 8, 4).NewFabric()
-		if err != nil {
-			return false
-		}
-		s := New(k, fab)
+		s := newScheduler(t, k, machine.Scaled(6, 8, 4))
 		for _, raw := range sizes {
 			n := int(raw)%48 + 1
-			if _, err := s.Submit("p", n, units.Seconds(int(raw)%50+1), nil); err != nil {
+			if _, err := s.Submit(job.Blob("p", n, units.Seconds(int(raw)%50+1)), nil); err != nil {
 				return false
 			}
 		}

@@ -264,23 +264,23 @@ func campaignSubmit(arg any) {
 	// adding program classes to a mix never shifts the sequence a
 	// blob-only campaign sees.
 	draw := c.rng.ExpFloat64()
+	var p *job.Program
 	var err error
 	if cl.ProgramFor != nil {
 		meanIters := cl.MeanIterations
 		if meanIters <= 0 {
 			meanIters = 1
 		}
-		iters := 1 + int(draw*meanIters)
-		var p *job.Program
-		if p, err = cl.ProgramFor(nodes, iters); err == nil {
-			_, err = c.sys.Scheduler.SubmitProgram(p, c.onDoneFn)
-		}
+		p, err = cl.ProgramFor(nodes, 1+int(draw*meanIters))
 	} else {
 		wall := units.Seconds(draw * float64(cl.MeanWalltime))
 		if wall < units.Minute {
 			wall = units.Minute
 		}
-		_, err = c.sys.Scheduler.Submit(cl.Name, nodes, wall, c.onDoneFn)
+		p = job.Blob(cl.Name, nodes, wall)
+	}
+	if err == nil {
+		_, err = c.sys.Scheduler.Submit(p, c.onDoneFn)
 	}
 	if err == nil {
 		c.stats.Submitted++
