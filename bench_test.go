@@ -283,6 +283,72 @@ func benchSolverDemands(b *testing.B, f *fabric.Fabric) []*network.Demand {
 	return demands
 }
 
+// fullScaleShiftPaths routes the census's far shift on Frontier: every
+// NIC of node i sends to the same NIC of node i+nodes/2 over the minimal
+// route and four Valiant detours, the path sets one Fig. 6 shift solves.
+func fullScaleShiftPaths(b *testing.B, f *fabric.Fabric, rng *rand.Rand) []fabric.PathSet {
+	b.Helper()
+	nodes, nics := f.Cfg.ComputeNodes(), f.Cfg.NICsPerNode
+	sets := make([]fabric.PathSet, 0, nodes*nics)
+	for i := 0; i < nodes; i++ {
+		for k := 0; k < nics; k++ {
+			ps, err := f.AdaptivePaths(f.NodeEndpoint(i, k), f.NodeEndpoint((i+nodes/2)%nodes, k), 4, rng)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sets = append(sets, ps)
+		}
+	}
+	return sets
+}
+
+// BenchmarkAdaptivePathsFullScale measures path fill, the census's second
+// layer: building every path set of one full-machine far shift.
+func BenchmarkAdaptivePathsFullScale(b *testing.B) {
+	if testing.Short() {
+		b.Skip("full-scale path fill in -short mode")
+	}
+	f, err := machine.Frontier().NewFabric()
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fullScaleShiftPaths(b, f, rng)
+	}
+}
+
+// BenchmarkSolveColdFullScale measures the census's first layer as the
+// census pays it: a fresh Solver per full-machine far-shift solve, since
+// pooled arenas do not survive a GC. allocs/op is the arena's cold cost
+// (the demands' SubRates are sized before the timer).
+func BenchmarkSolveColdFullScale(b *testing.B) {
+	if testing.Short() {
+		b.Skip("full-scale solve in -short mode")
+	}
+	f, err := machine.Frontier().NewFabric()
+	if err != nil {
+		b.Fatal(err)
+	}
+	sets := fullScaleShiftPaths(b, f, rand.New(rand.NewSource(3)))
+	demands := make([]*network.Demand, len(sets))
+	for i, ps := range sets {
+		demands[i] = &network.Demand{Src: ps.Src, Dst: ps.Dst, Paths: ps.Paths}
+	}
+	if err := network.NewSolver().Solve(f, demands); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := network.NewSolver().Solve(f, demands); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSolutionCache measures the per-solve overhead and payoff of
 // the solution cache: "signature" is the SHA-256 demand-set hash every
 // literal-keyed lookup pays, "hit" a full lookup-and-apply serving a

@@ -53,7 +53,10 @@ func containsInt(s []int, v int) bool {
 func (f *Fabric) AdaptivePaths(src, dst, nValiant int, rng *rand.Rand) (PathSet, error) {
 	ps := PathSet{Src: src, Dst: dst}
 	flat := make([]int, 0, 6+8*nValiant)
-	offs := make([]int, 1, 2+nValiant)
+	// Row ends live on the stack for up to seven detours (censuses use
+	// four); seal copies them out, and more detours spill to the heap.
+	var offsBuf [8]int
+	offs := offsBuf[:1]
 
 	next, minErr := f.appendMinimalPath(flat, src, dst, rng)
 	if minErr == nil {

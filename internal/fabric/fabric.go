@@ -86,6 +86,11 @@ type Fabric struct {
 	groupSwitches [][]int
 
 	Links []Link
+	// usable[id] is Links[id].Up with both end switches healthy: the
+	// one-byte answer path fill asks millions of times per census,
+	// instead of loading a Link and two switch flags per probe. Only
+	// addLink, FailLink, RestoreLink and FailSwitch write it.
+	usable []bool
 	// Routing lookups sit on the path-fill hot loop (millions of probes
 	// per census), so both are dense arrays rather than maps:
 	//
@@ -274,6 +279,7 @@ func (c Config) globalLinksBetween(a, b GroupClass) int {
 func (f *Fabric) addLink(kind LinkKind, from, to int, capacity float64) int {
 	id := len(f.Links)
 	f.Links = append(f.Links, Link{ID: id, Kind: kind, From: from, To: to, Cap: capacity, Up: true})
+	f.usable = append(f.usable, true) // every switch is healthy while a fabric is built
 	return id
 }
 
@@ -412,12 +418,16 @@ func (f *Fabric) GlobalLinks(a, b int) []int {
 // FailLink marks a link down.
 func (f *Fabric) FailLink(id int) {
 	f.Links[id].Up = false
+	f.usable[id] = false
 	f.stateEpoch++
 }
 
-// RestoreLink marks a link up again.
+// RestoreLink marks a link up again. It stays unusable while a switch at
+// either end is failed.
 func (f *Fabric) RestoreLink(id int) {
-	f.Links[id].Up = true
+	l := &f.Links[id]
+	l.Up = true
+	f.usable[id] = l.endsHealthy(f.SwitchHealthy)
 	f.stateEpoch++
 }
 
@@ -431,15 +441,13 @@ func (f *Fabric) FailSwitch(sw int) {
 			(l.Kind == Injection && l.To == sw) || (l.Kind == Ejection && l.From == sw)
 		if touches {
 			l.Up = false
+			f.usable[i] = false
 		}
 	}
 }
 
 // linkUp reports whether a link and its switches are usable.
-func (f *Fabric) linkUp(id int) bool {
-	l := &f.Links[id]
-	return l.Up && l.endsHealthy(f.SwitchHealthy)
-}
+func (f *Fabric) linkUp(id int) bool { return f.usable[id] }
 
 // endsHealthy reports whether the switches at the link's ends are healthy
 // according to healthy, a per-switch table.

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -406,6 +407,60 @@ func TestPathCacheSwitchFailureAdvancesEpoch(t *testing.T) {
 	f.FailSwitch(5)
 	if f.StateEpoch() == before {
 		t.Error("FailSwitch did not advance the state epoch")
+	}
+}
+
+// linkUp reads the dense usable table that FailLink, RestoreLink and
+// FailSwitch keep. Whatever order failures and repairs come in, it must
+// equal the link's own state with both end switches healthy.
+func TestLinkUsableMatchesLinkState(t *testing.T) {
+	summit, err := NewClos(SummitClosConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []*Fabric{small(t), summit} {
+		check := func(step string) {
+			t.Helper()
+			for id := range f.Links {
+				l := &f.Links[id]
+				if want := l.Up && l.endsHealthy(f.SwitchHealthy); f.linkUp(id) != want {
+					t.Fatalf("%s after %s: linkUp(%d) = %v, want %v", f.Cfg.Name, step, id, !want, want)
+				}
+			}
+		}
+		check("build")
+
+		// A link restored while its switch is failed stays unusable.
+		id := f.ejectLink[0]
+		f.FailSwitch(f.EndpointSwitch(0))
+		f.RestoreLink(id)
+		if !f.Links[id].Up || f.linkUp(id) {
+			t.Errorf("%s: restored link %d on a failed switch: Up %v, linkUp %v; want Up and unusable",
+				f.Cfg.Name, id, f.Links[id].Up, f.linkUp(id))
+		}
+		check("RestoreLink on a failed switch")
+
+		rng := rand.New(rand.NewSource(11))
+		var failed []int
+		for step := 0; step < 200; step++ {
+			switch op := rng.Intn(10); {
+			case op == 0:
+				sw := rng.Intn(f.NumSwitches)
+				f.FailSwitch(sw)
+				check(fmt.Sprintf("step %d FailSwitch(%d)", step, sw))
+			case op < 5 || len(failed) == 0:
+				id := rng.Intn(len(f.Links))
+				f.FailLink(id)
+				failed = append(failed, id)
+				check(fmt.Sprintf("step %d FailLink(%d)", step, id))
+			default:
+				i := rng.Intn(len(failed))
+				id := failed[i]
+				failed = append(failed[:i], failed[i+1:]...)
+				f.RestoreLink(id)
+				check(fmt.Sprintf("step %d RestoreLink(%d)", step, id))
+			}
+		}
 	}
 }
 

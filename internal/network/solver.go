@@ -9,13 +9,17 @@ import (
 )
 
 // Solver is a reusable water-filling solver arena. A zero-value Solver is
-// ready to use; each call to Solve grows the internal buffers as needed
+// ready to use; each call to Solve sizes the internal buffers as needed
 // and subsequent calls reuse them, so repeated solves within one
-// experiment are allocation-free in steady state — and even a cold solve
-// costs only a dozen slice allocations, because all per-link and
-// per-subflow adjacency lives in flat CSR arrays rather than per-element
-// slices. A Solver is not safe for concurrent use; the package-level
-// Solve wrapper draws Solvers from a pool and is.
+// experiment are allocation-free in steady state. A cold solve costs a
+// fixed 15 slice allocations whatever the demand count
+// (TestColdSolveAllocationsBounded): all per-link and per-subflow
+// adjacency lives in flat CSR arrays rather than per-element slices, and
+// a pre-pass over the path lengths reserves every arena slice at its
+// final size, so none grows by doubling. Cold solves are the common case
+// at census scale, because the pool behind the package-level Solve drops
+// its arenas at every GC. A Solver is not safe for concurrent use; the
+// package-level Solve wrapper draws Solvers from a pool and is.
 //
 // The arena replaces the per-call map from fabric link id to local index
 // with an epoch-stamped dense slice: fabric link ids are dense ints, so a
@@ -37,13 +41,20 @@ type Solver struct {
 	linkSubs  []int32 // subflow indices, grouped by link
 	cursor    []int32 // scratch fill cursor for the CSR pass
 
-	// Per-subflow state, indexed by subflow index.
+	// Per-subflow state, indexed by subflow index. Subflows are numbered
+	// in demand order, path by path, so demand d's subflows are the
+	// len(d.Paths) consecutive indices after its predecessors'.
 	subDemand []int32
-	subPath   []int32
 	subPseudo []int32 // arena index of the cap pseudo-link, or -1
 	subStart  []int32 // CSR offsets into subLinks (len nsubs+1)
 	subLinks  []int32 // arena link indices, grouped by subflow
-	frozen    []bool
+	// subRate is a subflow's frozen rate, negative while it is unfrozen
+	// (a frozen level is never negative: bounds clamp at zero).
+	subRate []float64
+
+	// demRate[di] accumulates demand di's rate in freeze order, the order
+	// referenceSolve adds in, so Demand.Rate keeps its bits.
+	demRate []float64
 
 	heap []boundEntry
 }
@@ -55,7 +66,8 @@ func NewSolver() *Solver { return &Solver{} }
 // each get a private arena and steady-state calls stay allocation-free.
 var solverPool = sync.Pool{New: func() any { return NewSolver() }}
 
-// reset prepares the arena for a solve over a fabric with numLinks links.
+// reset advances the link-index epoch for a solve over a fabric with
+// numLinks links, reallocating the index if it is smaller than that.
 func (s *Solver) reset(numLinks int) {
 	if len(s.stamp) < numLinks {
 		s.stamp = make([]uint32, numLinks)
@@ -69,29 +81,50 @@ func (s *Solver) reset(numLinks int) {
 		}
 		s.epoch = 1
 	}
-	s.linkCap = s.linkCap[:0]
-	s.linkCount = s.linkCount[:0]
-	s.subDemand = s.subDemand[:0]
-	s.subPath = s.subPath[:0]
-	s.subPseudo = s.subPseudo[:0]
-	s.subLinks = s.subLinks[:0]
-	s.subStart = s.subStart[:0]
-	s.heap = s.heap[:0]
+}
+
+// reserve is build's pre-pass: from the path lengths alone it empties
+// the append-built arena slices and makes sure each can hold everything
+// this solve appends — allocating at that size only when the current
+// array is too small — so no slice grows by doubling mid-build. Arena
+// links are the distinct fabric links (at most min(pathLinks, numLinks))
+// plus one pseudo-link per capped subflow; the heap never holds more
+// entries than there are arena links. It validates nothing, so errors
+// still come from build's first pass, in demand order.
+func (s *Solver) reserve(numLinks int, demands []*Demand) {
+	nsubs, pathLinks, capped := 0, 0, 0
+	for _, d := range demands {
+		nsubs += len(d.Paths)
+		for _, p := range d.Paths {
+			pathLinks += len(p)
+		}
+		if d.Cap > 0 {
+			capped += len(d.Paths)
+		}
+	}
+	nlinks := min(pathLinks, numLinks) + capped
+	s.linkCap = emptyWithCap(s.linkCap, nlinks)
+	s.linkCount = emptyWithCap(s.linkCount, nlinks)
+	s.subDemand = emptyWithCap(s.subDemand, nsubs)
+	s.subPseudo = emptyWithCap(s.subPseudo, nsubs)
+	s.subLinks = emptyWithCap(s.subLinks, pathLinks+capped)
+	s.heap = emptyWithCap(s.heap, nlinks)
+}
+
+// emptyWithCap returns buf emptied, reallocated at capacity n if smaller.
+func emptyWithCap[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, 0, n)
+	}
+	return buf[:0]
 }
 
 // grow returns buf resized to n, reusing its backing array when possible.
-func growI32(buf []int32, n int) []int32 {
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	return make([]int32, n)
-}
-
-func growF64(buf []float64, n int) []float64 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]float64, n)
+	return make([]T, n)
 }
 
 // zeroDemandRates clears every demand's allocation so error paths never
@@ -127,11 +160,13 @@ func (s *Solver) Solve(f *fabric.Fabric, demands []*Demand) error {
 	return nil
 }
 
-// build runs the two construction passes: validate demands, assign arena
-// link indices in first-encounter order (pseudo-links interleave after
-// each capped path, exactly as the original append order did), count
-// per-link degrees, and fill the link→subflow / subflow→link CSR arrays.
+// build sizes the arena from the path lengths, then runs the two
+// construction passes: validate demands, assign arena link indices in
+// first-encounter order (pseudo-links interleave after each capped path,
+// exactly as the original append order did), count per-link degrees, and
+// fill the link→subflow / subflow→link CSR arrays.
 func (s *Solver) build(f *fabric.Fabric, demands []*Demand) error {
+	s.reserve(len(f.Links), demands)
 	for di, d := range demands {
 		if len(d.Paths) == 0 {
 			return fmt.Errorf("network: demand %d (%d->%d) has no paths", di, d.Src, d.Dst)
@@ -141,7 +176,7 @@ func (s *Solver) build(f *fabric.Fabric, demands []*Demand) error {
 		} else {
 			d.SubRates = make([]float64, len(d.Paths))
 		}
-		for pi, p := range d.Paths {
+		for _, p := range d.Paths {
 			for _, lid := range p {
 				if s.stamp[lid] != s.epoch {
 					fl := f.Links[lid]
@@ -164,18 +199,16 @@ func (s *Solver) build(f *fabric.Fabric, demands []*Demand) error {
 				s.linkCount = append(s.linkCount, 1)
 			}
 			s.subDemand = append(s.subDemand, int32(di))
-			s.subPath = append(s.subPath, int32(pi))
 			s.subPseudo = append(s.subPseudo, pseudo)
 		}
 	}
-	nlinks := len(s.linkCap)
-	nsubs := len(s.subDemand)
+	nlinks, nsubs := len(s.linkCap), len(s.subDemand)
 
 	// Prefix sums over the degrees give the CSR offsets; the fill pass
 	// revisits the demands in the same order, so every link's subflow
 	// list ends up in exactly the order the original built by appends.
-	s.linkStart = growI32(s.linkStart, nlinks+1)
-	s.cursor = growI32(s.cursor, nlinks)
+	s.linkStart = grow(s.linkStart, nlinks+1)
+	s.cursor = grow(s.cursor, nlinks)
 	total := int32(0)
 	for li := 0; li < nlinks; li++ {
 		s.linkStart[li] = total
@@ -183,8 +216,8 @@ func (s *Solver) build(f *fabric.Fabric, demands []*Demand) error {
 		total += s.linkCount[li]
 	}
 	s.linkStart[nlinks] = total
-	s.linkSubs = growI32(s.linkSubs, int(total))
-	s.subStart = growI32(s.subStart, nsubs+1)
+	s.linkSubs = grow(s.linkSubs, int(total))
+	s.subStart = grow(s.subStart, nsubs+1)
 
 	si := int32(0)
 	for _, d := range demands {
@@ -209,22 +242,24 @@ func (s *Solver) build(f *fabric.Fabric, demands []*Demand) error {
 }
 
 // fill runs the water-filling freeze loop over the CSR arrays build just
-// produced, consuming the per-link degrees as it freezes: zero usage and
-// every demand's rates, then repeatedly freeze the subflows crossing the
-// tightest bottleneck.
+// produced, consuming the per-link degrees as it freezes: zero usage,
+// repeatedly freeze the subflows crossing the tightest bottleneck, then
+// write every demand's rates in one pass over the demands.
 func (s *Solver) fill(demands []*Demand) error {
 	nlinks := len(s.linkCap)
 	nsubs := len(s.subDemand)
 
-	s.linkUsed = growF64(s.linkUsed, nlinks)
+	s.linkUsed = grow(s.linkUsed, nlinks)
 	for li := range s.linkUsed {
 		s.linkUsed[li] = 0
 	}
-	for _, d := range demands {
-		d.Rate = 0
-		for i := range d.SubRates {
-			d.SubRates[i] = 0
-		}
+	s.subRate = grow(s.subRate, nsubs)
+	for si := range s.subRate {
+		s.subRate[si] = -1
+	}
+	s.demRate = grow(s.demRate, len(demands))
+	for di := range s.demRate {
+		s.demRate[di] = 0
 	}
 
 	// Lazy heap of (bound, link): bounds only grow as flows freeze, so a
@@ -239,19 +274,10 @@ func (s *Solver) fill(demands []*Demand) error {
 		}
 		return b
 	}
-	s.heap = s.heap[:0]
 	for li := 0; li < nlinks; li++ {
 		s.heapPush(boundEntry{bound(int32(li)), int32(li)})
 	}
 
-	if cap(s.frozen) >= nsubs {
-		s.frozen = s.frozen[:nsubs]
-		for i := range s.frozen {
-			s.frozen[i] = false
-		}
-	} else {
-		s.frozen = make([]bool, nsubs)
-	}
 	remaining := nsubs
 	for remaining > 0 && len(s.heap) > 0 {
 		e := s.heapPop()
@@ -266,14 +292,12 @@ func (s *Solver) fill(demands []*Demand) error {
 		level := cur
 		// Freeze every unfrozen subflow crossing the bottleneck.
 		for _, fsi := range s.linkSubs[s.linkStart[e.link]:s.linkStart[e.link+1]] {
-			if s.frozen[fsi] {
+			if s.subRate[fsi] >= 0 {
 				continue
 			}
-			s.frozen[fsi] = true
+			s.subRate[fsi] = level
 			remaining--
-			d := demands[s.subDemand[fsi]]
-			d.SubRates[s.subPath[fsi]] = level
-			d.Rate += level
+			s.demRate[s.subDemand[fsi]] += level
 			for _, li := range s.subLinks[s.subStart[fsi]:s.subStart[fsi+1]] {
 				s.linkUsed[li] += level
 				s.linkCount[li]--
@@ -284,6 +308,11 @@ func (s *Solver) fill(demands []*Demand) error {
 	}
 	if remaining > 0 {
 		return fmt.Errorf("network: solver left %d subflows unallocated", remaining)
+	}
+	si := 0
+	for di, d := range demands {
+		d.Rate = s.demRate[di]
+		si += copy(d.SubRates, s.subRate[si:])
 	}
 	return nil
 }

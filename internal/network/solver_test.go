@@ -228,6 +228,43 @@ func TestSolverSteadyStateAllocationFree(t *testing.T) {
 	}
 }
 
+// A fresh Solver reserves every arena slice at its final size before
+// building, so a cold solve costs the same few allocations on eight
+// demands as on a GPCNeT-sized set, instead of one per doubling of each
+// slice. The demands' SubRates belong to the caller and are sized by a
+// first solve before counting.
+func TestColdSolveAllocationsBounded(t *testing.T) {
+	f := smallFabric(t)
+	rng := rand.New(rand.NewSource(45))
+	cold := func(n int) float64 {
+		demands := make([]*Demand, 0, n)
+		for len(demands) < n {
+			src, dst := rng.Intn(f.NumEndpoints), rng.Intn(f.NumEndpoints)
+			if src == dst {
+				continue
+			}
+			d := demand(t, f, src, dst, rng.Intn(4), rng)
+			if rng.Intn(3) == 0 {
+				d.Cap = float64(1+rng.Intn(30)) * 1e9
+			}
+			demands = append(demands, d)
+		}
+		if err := NewSolver().Solve(f, demands); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(3, func() {
+			if err := NewSolver().Solve(f, demands); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := cold(8), cold(30000)
+	if small > 16 || large != small {
+		t.Errorf("cold solve allocates %.0f objects on 8 demands and %.0f on 30000; want the same constant, at most 16",
+			small, large)
+	}
+}
+
 // subRatesSum asserts the max-min invariant that SubRates sum to Rate.
 func subRatesSum(t *testing.T, d *Demand) {
 	t.Helper()
