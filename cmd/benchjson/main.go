@@ -17,16 +17,17 @@
 // B/op and allocs/op deltas; a B/op or allocs/op increase beyond
 // -threshold (default 20%) is flagged as a REGRESSION line and the exit
 // status is 3. ns/op is normally reported but not flagged — wall time on
-// shared CI runners is too noisy to gate on — except for the kernel,
-// transport and solver benchmarks (BenchmarkKernel*, BenchmarkTransport*,
-// BenchmarkFig6FullScale*, BenchmarkSolutionCache*,
-// BenchmarkLLMTrainStep, BenchmarkCampaign*): those are the
-// event-calendar and solver hot paths whose throughput the perf
-// trajectory exists to protect, and their inner loops are long enough
-// that a >threshold ns/op increase is signal, not noise. The kernel and
-// transport families additionally gate their events/sec column: a
-// >threshold throughput decrease there fails the comparison even when
-// ns/op moved for benign reasons (iteration-shape changes).
+// shared CI runners is too noisy to gate on — except for the event
+// kernel and solver benchmarks (BenchmarkKernel*,
+// BenchmarkResiliencyYear, BenchmarkFig6FullScale*,
+// BenchmarkSolutionCache*, BenchmarkLLMTrainStep, BenchmarkCampaign*):
+// those are the event-calendar and solver hot paths whose throughput the
+// perf trajectory exists to protect, and their inner loops are long
+// enough that a >threshold ns/op increase is signal, not noise. The
+// kernel family and BenchmarkResiliencyYear (the production failure
+// injector driving the kernel) additionally gate their events/sec
+// column: a >threshold throughput decrease there fails the comparison
+// even when ns/op moved for benign reasons (iteration-shape changes).
 package main
 
 import (
@@ -199,7 +200,9 @@ func runCompare(paths []string, threshold float64) int {
 
 // nsGated reports whether a benchmark's ns/op is gated in compare mode.
 // Two families are stable enough to gate on wall time: the
-// event-calendar hot path (kernel and transport benchmarks), and the
+// event-calendar hot path (the kernel benchmarks and
+// BenchmarkResiliencyYear, which drives the kernel through the
+// production failure injector), and the
 // max-min solver (the full-scale census plus the solution-cache
 // micro-benchmarks) — long, single-path inner loops where a >threshold
 // ns/op increase is a real solver regression, not runner noise. Names
@@ -212,7 +215,7 @@ func runCompare(paths []string, threshold float64) int {
 // job/env hot path.
 func nsGated(name string) bool {
 	return strings.HasPrefix(name, "BenchmarkKernel") ||
-		strings.HasPrefix(name, "BenchmarkTransport") ||
+		name == "BenchmarkResiliencyYear" ||
 		strings.HasPrefix(name, "BenchmarkFig6FullScale") ||
 		strings.HasPrefix(name, "BenchmarkSolutionCache") ||
 		strings.HasPrefix(name, "BenchmarkLLMTrainStep") ||
@@ -220,14 +223,15 @@ func nsGated(name string) bool {
 }
 
 // epsGated reports whether a benchmark's events/sec throughput is gated
-// (on decrease) in compare mode: the kernel and transport families run
-// long enough inner loops that a >threshold throughput drop is an
-// event-engine regression, not runner noise. ns/op gating catches the
-// same families from the per-iteration side; events/sec additionally
-// covers sub-benchmarks whose iteration shape changed.
+// (on decrease) in compare mode: the kernel family and
+// BenchmarkResiliencyYear run long enough inner loops that a >threshold
+// throughput drop is an event-engine regression, not runner noise. ns/op
+// gating catches the same families from the per-iteration side;
+// events/sec additionally covers sub-benchmarks whose iteration shape
+// changed.
 func epsGated(name string) bool {
 	return strings.HasPrefix(name, "BenchmarkKernel") ||
-		strings.HasPrefix(name, "BenchmarkTransport")
+		name == "BenchmarkResiliencyYear"
 }
 
 func loadReport(path string) (Report, error) {

@@ -62,13 +62,14 @@ func TestParseLineBenchmem(t *testing.T) {
 
 func TestNsGated(t *testing.T) {
 	for name, want := range map[string]bool{
-		"BenchmarkKernelSchedule":     true,
-		"BenchmarkTransportStorm":     true,
-		"BenchmarkTransportStorm/big": true,
-		"BenchmarkCampaignWeek":       true,
-		"BenchmarkCampaignYear":       true,
-		"BenchmarkMaxMinSolve":        false,
-		"BenchmarkRunAllParallel":     false,
+		"BenchmarkKernelSchedule": true,
+		"BenchmarkResiliencyYear": true,
+		"BenchmarkCampaignWeek":   true,
+		"BenchmarkCampaignYear":   true,
+		"BenchmarkMaxMinSolve":    false,
+		"BenchmarkRunAllParallel": false,
+		// No transport benchmark exists: its old prefix is not gated.
+		"BenchmarkTransportStorm": false,
 	} {
 		if got := nsGated(name); got != want {
 			t.Errorf("nsGated(%q) = %v, want %v", name, got, want)
@@ -78,10 +79,12 @@ func TestNsGated(t *testing.T) {
 
 func TestEpsGated(t *testing.T) {
 	for name, want := range map[string]bool{
-		"BenchmarkKernelSchedule":     true,
-		"BenchmarkTransportStorm/big": true,
-		"BenchmarkCampaignYear":       false,
-		"BenchmarkResiliencyYear":     false,
+		"BenchmarkKernelSchedule": true,
+		"BenchmarkResiliencyYear": true,
+		"BenchmarkCampaignYear":   false,
+		"BenchmarkSchedulerChurn": false,
+		// No transport benchmark exists: its old prefix is not gated.
+		"BenchmarkTransportStorm/big": false,
 	} {
 		if got := epsGated(name); got != want {
 			t.Errorf("epsGated(%q) = %v, want %v", name, got, want)
@@ -92,11 +95,11 @@ func TestEpsGated(t *testing.T) {
 func TestCompareGatesEventsPerSecDrop(t *testing.T) {
 	dir := t.TempDir()
 	oldRep := writeReport(t, dir, "old",
-		Benchmark{Name: "BenchmarkTransportStorm/big", EventsPerSec: 4000000})
+		Benchmark{Name: "BenchmarkResiliencyYear", EventsPerSec: 4000000})
 	newRep := writeReport(t, dir, "new",
-		Benchmark{Name: "BenchmarkTransportStorm/big", EventsPerSec: 3000000})
+		Benchmark{Name: "BenchmarkResiliencyYear", EventsPerSec: 3000000})
 	if got := runCompare([]string{oldRep, newRep}, 0.20); got != 3 {
-		t.Errorf("-25%% events/sec on a transport benchmark: exit %d, want 3", got)
+		t.Errorf("-25%% events/sec on the failure-injector benchmark: exit %d, want 3", got)
 	}
 }
 
@@ -162,9 +165,9 @@ func TestCompareIgnoresNsOpOnUngatedBenchmarks(t *testing.T) {
 func TestCompareNsOpWithinThresholdPasses(t *testing.T) {
 	dir := t.TempDir()
 	oldRep := writeReport(t, dir, "old",
-		Benchmark{Name: "BenchmarkTransportStorm", NsPerOp: 100, AllocsPerOp: 10})
+		Benchmark{Name: "BenchmarkResiliencyYear", NsPerOp: 100, AllocsPerOp: 10})
 	newRep := writeReport(t, dir, "new",
-		Benchmark{Name: "BenchmarkTransportStorm", NsPerOp: 115, AllocsPerOp: 10})
+		Benchmark{Name: "BenchmarkResiliencyYear", NsPerOp: 115, AllocsPerOp: 10})
 	if got := runCompare([]string{oldRep, newRep}, 0.20); got != 0 {
 		t.Errorf("+15%% ns/op under a +20%% threshold: exit %d, want 0", got)
 	}
@@ -195,11 +198,11 @@ func TestParseLineBenchmemWithExtraMetric(t *testing.T) {
 }
 
 func TestParseLinePromotesEventsPerSec(t *testing.T) {
-	b, ok := parseLine("BenchmarkTransportStorm/big-8  \t      92\t  12706269 ns/op\t   4148339 events/sec\t  290192 B/op\t    1918 allocs/op")
+	b, ok := parseLine("BenchmarkKernelSchedule/deep-8  \t      92\t  12706269 ns/op\t   4148339 events/sec\t  290192 B/op\t    1918 allocs/op")
 	if !ok {
 		t.Fatal("line did not parse")
 	}
-	if b.Name != "BenchmarkTransportStorm/big" {
+	if b.Name != "BenchmarkKernelSchedule/deep" {
 		t.Errorf("name = %q (sub-benchmark path must survive, -procs suffix must not)", b.Name)
 	}
 	if b.EventsPerSec != 4148339 {
@@ -213,7 +216,7 @@ func TestParseLinePromotesEventsPerSec(t *testing.T) {
 func TestEventsPerSecFallsBackToMetrics(t *testing.T) {
 	// A report archived before the field existed has the value only in
 	// Metrics; the accessor must still find it.
-	old := Benchmark{Name: "BenchmarkTransportStorm", Metrics: map[string]float64{"events/sec": 123}}
+	old := Benchmark{Name: "BenchmarkResiliencyYear", Metrics: map[string]float64{"events/sec": 123}}
 	if got := old.eventsPerSec(); got != 123 {
 		t.Errorf("eventsPerSec() = %g, want 123 via Metrics fallback", got)
 	}
@@ -225,9 +228,9 @@ func TestCompareReportsEventsPerSecWithoutGating(t *testing.T) {
 	// by name prefix still apply, so use an ungated name here.
 	dir := t.TempDir()
 	oldRep := writeReport(t, dir, "old",
-		Benchmark{Name: "BenchmarkResiliencyYear", EventsPerSec: 4000000})
+		Benchmark{Name: "BenchmarkSchedulerChurn", EventsPerSec: 4000000})
 	newRep := writeReport(t, dir, "new",
-		Benchmark{Name: "BenchmarkResiliencyYear", EventsPerSec: 2000000})
+		Benchmark{Name: "BenchmarkSchedulerChurn", EventsPerSec: 2000000})
 	if got := runCompare([]string{oldRep, newRep}, 0.20); got != 0 {
 		t.Errorf("events/sec drop alone: exit %d, want 0 (reported, not gated)", got)
 	}

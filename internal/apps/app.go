@@ -81,6 +81,3 @@ func CAARApps() []App {
 func ECPApps() []App {
 	return []App{NewWarpX(), NewExaSky(), NewEXAALT(), NewExaSMR(), NewWDMApp()}
 }
-
-// AllApps returns every implemented application proxy.
-func AllApps() []App { return append(CAARApps(), ECPApps()...) }

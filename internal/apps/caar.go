@@ -186,11 +186,6 @@ type GESTS struct {
 	grids      map[string]int
 	fftPass    float64
 	nTranspose float64
-	// pencilFactor multiplies transpose time for the 2-D (pencil)
-	// decomposition: two sub-communicator exchange phases per
-	// transpose instead of one global one. Calibrated to the paper's
-	// measured 1-D vs 2-D gap (5.87x vs 5.06x).
-	pencilFactor float64
 }
 
 // NewGESTS returns the GESTS proxy with the 1-D (slab) decomposition
@@ -202,16 +197,6 @@ func NewGESTS() *GESTS {
 		fftPass:    8,
 		nTranspose: 2,
 	}
-}
-
-// NewGESTS2D returns the 2-D (pencil) decomposition variant, which the
-// paper also reports exceeding its KPP at 5.06x.
-func NewGESTS2D() *GESTS {
-	g := NewGESTS()
-	g.name = "GESTS-2D"
-	g.paper = 5.06
-	g.pencilFactor = 1.16
-	return g
 }
 
 // Run implements App.
@@ -233,11 +218,7 @@ func (a *GESTS) Run(p *Platform, nodes int) (Result, error) {
 	if !p.GPUDirect && float64(p.HostStagingBW) < a2aPerNode {
 		a2aPerNode = float64(p.HostStagingBW)
 	}
-	transposeFactor := 1.0
-	if a.pencilFactor > 0 && p.Name == "frontier" {
-		transposeFactor = a.pencilFactor
-	}
-	tA2A := a.nTranspose * perNodeBytes / a2aPerNode * transposeFactor
+	tA2A := a.nTranspose * perNodeBytes / a2aPerNode
 	perDeviceBytes := perNodeBytes / float64(p.DevicesPerNode)
 	tFFT := a.fftPass * perDeviceBytes / float64(p.MemBW)
 	step := units.Seconds(tA2A + tFFT)

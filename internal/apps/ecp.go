@@ -108,20 +108,16 @@ type ExaSMR struct {
 	// baselineAggBW is the full-Titan aggregate achieved memory
 	// bandwidth both component FOMs normalise against (software factor
 	// 1.0 there), so the Titan baseline lands at exactly 1.0.
-	baselineAggBW    float64
-	particlesPerByte float64
-	weakScalingEff   float64
+	baselineAggBW float64
 }
 
 // NewExaSMR returns the coupled proxy.
 func NewExaSMR() *ExaSMR {
 	return &ExaSMR{
-		baseApp:          baseApp{name: "ExaSMR", baseline: "titan", target: 50, paper: 70, frontierNodes: 6400, baselineNodes: 18688}, //machinelint:allow Table 6 campaign size (paper-published)
-		shiftSW:          map[string]float64{"frontier": 2.65, "titan": 1.0},
-		nekSW:            map[string]float64{"frontier": 4.9, "titan": 1.0},
-		baselineAggBW:    18688 * 180e9, //machinelint:allow Table 6 campaign size: 18,688 K20X nodes × 180 GB/s
-		particlesPerByte: 3.93e-9,       // calibrates Shift to 912M particles/s on 8,192 nodes
-		weakScalingEff:   0.978,         // Shift's measured 1 → 8,192-node efficiency
+		baseApp:       baseApp{name: "ExaSMR", baseline: "titan", target: 50, paper: 70, frontierNodes: 6400, baselineNodes: 18688}, //machinelint:allow Table 6 campaign size (paper-published)
+		shiftSW:       map[string]float64{"frontier": 2.65, "titan": 1.0},
+		nekSW:         map[string]float64{"frontier": 4.9, "titan": 1.0},
+		baselineAggBW: 18688 * 180e9, //machinelint:allow Table 6 campaign size: 18,688 K20X nodes × 180 GB/s
 	}
 }
 
@@ -144,20 +140,6 @@ func (a *ExaSMR) Run(p *Platform, nodes int) (Result, error) {
 		FOM: fom, Unit: "combined FOM (vs Titan=1)",
 		Notes: fmt.Sprintf("Shift %.1fx, NekRS %.1fx", rs, rn),
 	}, nil
-}
-
-// ShiftMaxRate is the non-coupled Monte Carlo ceiling: 912M particles/s
-// on 8,192 Frontier nodes with 97.8% weak-scaling efficiency.
-func (a *ExaSMR) ShiftMaxRate(p *Platform, nodes int) float64 {
-	n := nodes
-	if n > p.Nodes {
-		n = p.Nodes
-	}
-	eff := 1.0
-	if n > 1 {
-		eff = a.weakScalingEff
-	}
-	return p.Devices(n) * float64(p.MemBW) * swFactor(a.shiftSW, p) * a.particlesPerByte / a.weakScalingEff * eff
 }
 
 // WDMApp couples core (GENE) and edge (XGC) gyrokinetic plasma codes —

@@ -187,3 +187,6 @@ func ByName(name string) (*Platform, error) {
 	}
 	return nil, fmt.Errorf("apps: unknown platform %q", name)
 }
+
+// allApps returns every application proxy, CAAR then ECP.
+func allApps() []App { return append(CAARApps(), ECPApps()...) }

@@ -170,10 +170,13 @@ func resolveFieldPath(doc map[string]any, field string) ([]string, error) {
 		return nil, fmt.Errorf("sweep: no numeric spec field named %q (numeric fields: %s)",
 			field, strings.Join(NumericFields(doc), ", "))
 	default:
+		// The leaves were found in map order: sort so the message is
+		// the same on every call.
 		var opts []string
 		for _, m := range matches {
 			opts = append(opts, strings.Join(m, "."))
 		}
+		sort.Strings(opts)
 		return nil, fmt.Errorf("sweep: field %q is ambiguous — use a dotted path: %s", field, strings.Join(opts, ", "))
 	}
 }

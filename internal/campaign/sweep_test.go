@@ -175,6 +175,56 @@ func TestSweepApply(t *testing.T) {
 	}
 }
 
+// An ambiguous bare field name lists its candidate paths in a fixed
+// order: the text reaches /v1/sweep error bodies, so it must not depend
+// on map iteration.
+func TestSweepAmbiguousFieldMessageIsStable(t *testing.T) {
+	const want = `sweep: field "devicesPerNode" is ambiguous — use a dotted path: ` +
+		`node.devicesPerNode, storage.nodeLocal.devicesPerNode`
+	spec := machine.Frontier()
+	for i := 0; i < 200; i++ {
+		_, err := (Sweep{Field: "devicesPerNode"}).Apply(spec, 2)
+		if err == nil || err.Error() != want {
+			t.Fatalf("call %d: err = %v, want %q", i, err, want)
+		}
+	}
+}
+
+// FuzzSweepApply holds Sweep.Apply to its contract on Frontier for any
+// field and value: the same call twice gives the same spec bytes or the
+// same error text, and every spec it returns passes Validate. The seed
+// corpus in testdata/fuzz/FuzzSweepApply covers a bare and a dotted
+// field, an ambiguous, unknown, non-numeric and integer-only field, and
+// a value Validate rejects.
+func FuzzSweepApply(f *testing.F) {
+	spec := machine.Frontier()
+	f.Fuzz(func(t *testing.T, field string, v float64) {
+		sw := Sweep{Field: field}
+		a, errA := sw.Apply(spec, v)
+		b, errB := sw.Apply(spec, v)
+		if errA != nil || errB != nil {
+			if errA == nil || errB == nil || errA.Error() != errB.Error() {
+				t.Fatalf("Apply(%q, %v) errors differ between calls: %v / %v", field, v, errA, errB)
+			}
+			return
+		}
+		da, err := machine.Dump(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := machine.Dump(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(da) != string(db) {
+			t.Fatalf("Apply(%q, %v) gave different specs on two calls", field, v)
+		}
+		if err := a.Validate(); err != nil {
+			t.Fatalf("Apply(%q, %v) returned a spec that fails Validate: %v", field, v, err)
+		}
+	})
+}
+
 func TestSpecNumericFields(t *testing.T) {
 	fields, err := SpecNumericFields(machine.Frontier())
 	if err != nil {

@@ -76,9 +76,6 @@ func (t *Trento) TotalL3() units.Bytes {
 	return b
 }
 
-// SetNPS reconfigures the NUMA-per-socket mode.
-func (t *Trento) SetNPS(m memory.NPSMode) { t.DRAM.Mode = m }
-
 // Stream runs the CPU STREAM model on this socket's DRAM configuration.
 // Arrays must exceed TotalL3 for the result to be a memory measurement;
 // Stream panics on cache-resident sizes to catch misconfigured

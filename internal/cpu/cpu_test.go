@@ -71,7 +71,7 @@ func TestStreamDelegation(t *testing.T) {
 
 func TestSetNPS(t *testing.T) {
 	tr := NewTrento()
-	tr.SetNPS(memory.NPS1)
+	tr.DRAM.Mode = memory.NPS1
 	rows := tr.Stream(7.6*units.GB, false)
 	for _, r := range rows {
 		if gb := float64(r.Bandwidth) / 1e9; gb > 130 {

@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"frontiersim/internal/core"
 	"frontiersim/internal/job"
@@ -139,14 +138,4 @@ func ByID(id string) (Runner, error) {
 		}
 	}
 	return Runner{}, fmt.Errorf("experiments: unknown id %q (try 'list')", id)
-}
-
-// IDs returns the sorted experiment ids.
-func IDs() []string {
-	var ids []string
-	for _, r := range Registry() {
-		ids = append(ids, r.ID)
-	}
-	sort.Strings(ids)
-	return ids
 }

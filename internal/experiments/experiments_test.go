@@ -51,9 +51,6 @@ func TestByID(t *testing.T) {
 	if _, err := ByID("table99"); err == nil {
 		t.Error("unknown id should error")
 	}
-	if len(IDs()) != len(Registry()) {
-		t.Error("IDs() length mismatch")
-	}
 }
 
 // EXPERIMENTS.md carries exactly one "### <id> — " section per

@@ -85,32 +85,6 @@ func TestFig4MatchesStream(t *testing.T) {
 	}
 }
 
-// The event-driven transport's zero-load ping must agree with the
-// fabric's analytic path latency.
-func TestTransportMatchesPathLatency(t *testing.T) {
-	f, err := machine.Scaled(6, 8, 4).NewFabric()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := core.NewScaledFrontier(6, 8, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := network.NewTransport(sys.Kernel, sys.Fabric)
-	rtt, err := tr.Ping(0, 40, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path, err := f.MinimalPath(0, 40, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	analytic := 2 * float64(f.PathLatency(path))
-	if math.Abs(float64(rtt)-analytic)/analytic > 0.25 {
-		t.Errorf("transport RTT %v vs analytic %v: >25%% apart", rtt, units.Seconds(analytic))
-	}
-}
-
 // Power, HPL and the Green500 metric must be mutually consistent with
 // the paper's 52 GF/W.
 func TestPowerHPLConsistency(t *testing.T) {

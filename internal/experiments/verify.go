@@ -63,16 +63,11 @@ func (v VerifyResult) String() string {
 		v.ID, status, v.WorstDeviation*100, v.Envelope*100, dur)
 }
 
-// Verify runs every registered experiment on the parallel harness and
-// checks it against its envelope. An experiment with no envelope passes
-// if it runs.
-func Verify(o Options) []VerifyResult {
-	return VerifyContext(context.Background(), o, RunConfig{})
-}
-
-// VerifyContext is Verify with explicit cancellation and pool tuning.
-// Results are in registry order regardless of cfg.Jobs, and deviations
-// are identical at any worker count (per-experiment derived seeds).
+// VerifyContext runs every registered experiment on the parallel harness
+// and checks it against its envelope; an experiment with no envelope
+// passes if it runs. Results are in registry order regardless of
+// cfg.Jobs, and deviations are identical at any worker count
+// (per-experiment derived seeds).
 func VerifyContext(ctx context.Context, o Options, cfg RunConfig) []VerifyResult {
 	envs := Envelopes()
 	runs, _ := RunAll(ctx, Registry(), o, cfg, nil)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -9,7 +10,7 @@ func TestVerifyAllPass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("verify sweep in -short mode")
 	}
-	results := Verify(quickOpts())
+	results := VerifyContext(context.Background(), quickOpts(), RunConfig{})
 	if len(results) != len(Registry()) {
 		t.Fatalf("results = %d, want %d", len(results), len(Registry()))
 	}

@@ -283,9 +283,6 @@ func (f *Fabric) addLink(kind LinkKind, from, to int, capacity float64) int {
 	return id
 }
 
-// EndpointSwitch returns the switch an endpoint is cabled to.
-func (f *Fabric) EndpointSwitch(ep int) int { return f.endpointSwitch[ep] }
-
 // EndpointGroup returns the dragonfly group of an endpoint.
 func (f *Fabric) EndpointGroup(ep int) int { return f.SwitchGroup[f.endpointSwitch[ep]] }
 
@@ -404,9 +401,6 @@ func (f *Fabric) GroupsSpanned(nodes []int) int {
 // GroupClassOf returns a group's class.
 func (f *Fabric) GroupClassOf(g int) GroupClass { return f.groupClass[g] }
 
-// GroupSwitches returns the switch ids of a group.
-func (f *Fabric) GroupSwitches(g int) []int { return f.groupSwitches[g] }
-
 // GlobalLinks returns the directed global link ids from group a to b.
 func (f *Fabric) GlobalLinks(a, b int) []int {
 	if a < 0 || b < 0 || a >= f.numGroups || b >= f.numGroups {
@@ -480,15 +474,6 @@ func (f *Fabric) pickUp(ids []int, offset int) (int, bool) {
 // deterministic choice.
 func (f *Fabric) MinimalPath(src, dst int, rng *rand.Rand) ([]int, error) {
 	return f.appendMinimalPath(make([]int, 0, 6), src, dst, rng)
-}
-
-// AppendMinimalPath is MinimalPath in append style: the route's links
-// are appended to buf and the extended slice returned, so callers that
-// reuse a scratch buffer (the message transport's pooled per-message hop
-// state) pay no allocation per route. On error the returned slice is nil
-// and buf's visible contents are unchanged.
-func (f *Fabric) AppendMinimalPath(buf []int, src, dst int, rng *rand.Rand) ([]int, error) {
-	return f.appendMinimalPath(buf, src, dst, rng)
 }
 
 // appendMinimalPath appends the minimal route's links to buf and returns
@@ -641,64 +626,4 @@ func (f *Fabric) PathLatency(path []int) units.Seconds {
 func (f *Fabric) String() string {
 	return fmt.Sprintf("%s: %d groups, %d switches, %d endpoints, %d directed links",
 		f.Cfg.Name, f.Cfg.TotalGroups(), f.NumSwitches, f.NumEndpoints, len(f.Links))
-}
-
-// PortUsage is one switch's port budget: the Rosetta ASIC has 64 ports,
-// which HPE splits 16 L0 (endpoints) + 32 L1 (intra-group) + 16 L2
-// (global) on compute blades.
-type PortUsage struct {
-	Switch                    int
-	L0, L1, L2                int
-	L0Limit, L1Limit, L2Limit int
-}
-
-// Total returns ports in use.
-func (p PortUsage) Total() int { return p.L0 + p.L1 + p.L2 }
-
-// WithinBudget reports whether the switch respects the 64-port ASIC and
-// the per-tier split.
-func (p PortUsage) WithinBudget() bool {
-	return p.L0 <= p.L0Limit && p.L1 <= p.L1Limit && p.L2 <= p.L2Limit && p.Total() <= 64
-}
-
-// PortBudget audits one switch's physical port usage against the ASIC.
-func (f *Fabric) PortBudget(sw int) PortUsage {
-	u := PortUsage{Switch: sw, L0Limit: 16, L1Limit: 32, L2Limit: 16}
-	if f.Kind == FatTree {
-		u.L0Limit, u.L1Limit, u.L2Limit = 64, 64, 64
-	}
-	for _, l := range f.Links {
-		switch l.Kind {
-		case Injection:
-			if l.To == sw {
-				u.L0++
-			}
-		case Ejection:
-			// The ejection direction shares the L0 port counted above.
-		case Intra:
-			if l.From == sw {
-				u.L1++
-			}
-		case Global:
-			if l.From == sw {
-				u.L2++
-			}
-		case Uplink, Downlink:
-			if l.From == sw || l.To == sw {
-				u.L1++
-			}
-		}
-	}
-	return u
-}
-
-// AuditPorts verifies every switch in the fabric fits the ASIC budget.
-func (f *Fabric) AuditPorts() error {
-	for sw := 0; sw < f.NumSwitches; sw++ {
-		if u := f.PortBudget(sw); !u.WithinBudget() {
-			return fmt.Errorf("fabric: switch %d exceeds port budget: L0 %d/%d, L1 %d/%d, L2 %d/%d",
-				sw, u.L0, u.L0Limit, u.L1, u.L1Limit, u.L2, u.L2Limit)
-		}
-	}
-	return nil
 }

@@ -91,7 +91,7 @@ func TestDragonflyStructure(t *testing.T) {
 	}
 	// Every endpoint should map to a switch in the right group.
 	for ep := 0; ep < f.NumEndpoints; ep++ {
-		sw := f.EndpointSwitch(ep)
+		sw := f.endpointSwitch[ep]
 		if g := f.SwitchGroup[sw]; g != f.EndpointGroup(ep) {
 			t.Fatalf("endpoint %d group mismatch: %d vs %d", ep, g, f.EndpointGroup(ep))
 		}
@@ -138,7 +138,7 @@ func TestNodeGroupTable(t *testing.T) {
 			t.Fatalf("%s: %d compute nodes, want a full machine", f.Cfg.Name, nodes)
 		}
 		for n := 0; n < nodes; n++ {
-			if got, want := f.NodeGroup(n), f.SwitchGroup[f.EndpointSwitch(n*f.Cfg.NICsPerNode)]; got != want {
+			if got, want := f.NodeGroup(n), f.SwitchGroup[f.endpointSwitch[n*f.Cfg.NICsPerNode]]; got != want {
 				t.Fatalf("%s: NodeGroup(%d) = %d, want %d", f.Cfg.Name, n, got, want)
 			}
 		}
@@ -390,7 +390,7 @@ func TestLinkFailureReroutes(t *testing.T) {
 
 func TestSwitchFailure(t *testing.T) {
 	f := small(t)
-	sw := f.EndpointSwitch(0)
+	sw := f.endpointSwitch[0]
 	f.FailSwitch(sw)
 	if _, err := f.MinimalPath(0, 40, nil); err == nil {
 		t.Error("endpoint on failed switch should be unreachable")
@@ -432,7 +432,7 @@ func TestLinkUsableMatchesLinkState(t *testing.T) {
 
 		// A link restored while its switch is failed stays unusable.
 		id := f.ejectLink[0]
-		f.FailSwitch(f.EndpointSwitch(0))
+		f.FailSwitch(f.endpointSwitch[0])
 		f.RestoreLink(id)
 		if !f.Links[id].Up || f.linkUp(id) {
 			t.Errorf("%s: restored link %d on a failed switch: Up %v, linkUp %v; want Up and unusable",

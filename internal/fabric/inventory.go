@@ -27,11 +27,6 @@ type Inventory struct {
 // plant a topology choice actually changes.
 func (inv Inventory) InterSwitchCables() int { return inv.IntraCables + inv.OpticalCables }
 
-// TotalCables sums all classes.
-func (inv Inventory) TotalCables() int {
-	return inv.EndpointCables + inv.IntraCables + inv.OpticalCables
-}
-
 // String summarises the inventory.
 func (inv Inventory) String() string {
 	return fmt.Sprintf("%d switches, %d ports, %d endpoint + %d intra + %d optical cables",

@@ -60,19 +60,14 @@ type GCD struct {
 	MatrixPeak map[Precision]units.Flops
 	// HBM is the attached memory.
 	HBM memory.HBM
-	// SDMAEngines is the number of System DMA engines usable for peer
-	// transfers. Each engine drives a single xGMI link — engines cannot
-	// stripe one transfer across links (§4.2.1).
-	SDMAEngines int
-	// SDMAEngineRate is the per-engine ceiling (~50 GB/s).
+	// SDMAEngineRate is the per-engine ceiling (~50 GB/s). An SDMA
+	// engine drives a single xGMI link and cannot stripe one transfer
+	// across links (§4.2.1).
 	SDMAEngineRate units.BytesPerSecond
 	// FabricPortLimit caps the aggregate remote-write bandwidth of the
 	// GCD's fabric port; it is what keeps 4-link CU copies at
 	// ~145 GB/s rather than the 200 GB/s wire peak.
 	FabricPortLimit units.BytesPerSecond
-	// FP64AtomicRate is the hardware FP64 atomic throughput added in
-	// CDNA2 (atomics/second), exercised by some app kernels.
-	FP64AtomicRate float64
 }
 
 // NewMI250XGCD returns one GCD of an MI250X as deployed in Frontier.
@@ -91,36 +86,9 @@ func NewMI250XGCD() *GCD {
 			FP16: 191.6 * units.TeraFlops,
 		},
 		HBM:             memory.MI250XHBM(),
-		SDMAEngines:     8,
 		SDMAEngineRate:  50 * units.GBps,
 		FabricPortLimit: 145.5 * units.GBps,
-		FP64AtomicRate:  1.7e9 * 110, // one per CU-cycle
 	}
-}
-
-// MI250X is the full OAM package: two GCDs.
-type MI250X struct {
-	GCDs [2]*GCD
-}
-
-// NewMI250X returns a full MI250X package.
-func NewMI250X() *MI250X {
-	return &MI250X{GCDs: [2]*GCD{NewMI250XGCD(), NewMI250XGCD()}}
-}
-
-// PeakFP64 returns the package peak vector FP64 rate (47.9 TF/s).
-func (m *MI250X) PeakFP64() units.Flops {
-	return m.GCDs[0].VectorPeak[FP64] + m.GCDs[1].VectorPeak[FP64]
-}
-
-// HBMCapacity returns package HBM capacity (128 GB).
-func (m *MI250X) HBMCapacity() units.Bytes {
-	return m.GCDs[0].HBM.Capacity() + m.GCDs[1].HBM.Capacity()
-}
-
-// HBMPeak returns package HBM bandwidth (3.27 TB/s).
-func (m *MI250X) HBMPeak() units.BytesPerSecond {
-	return m.GCDs[0].HBM.Peak() + m.GCDs[1].HBM.Peak()
 }
 
 // Stream runs the GPU STREAM model (Table 4) against this GCD's HBM.

@@ -22,19 +22,6 @@ func TestGCDShape(t *testing.T) {
 	}
 }
 
-func TestMI250XPackage(t *testing.T) {
-	m := NewMI250X()
-	if got := tf(m.PeakFP64()); math.Abs(got-47.9) > 0.01 {
-		t.Errorf("package FP64 = %.1f TF, want 47.9", got)
-	}
-	if m.HBMCapacity() != 128*units.GiB {
-		t.Errorf("package HBM = %v, want 128 GiB", m.HBMCapacity())
-	}
-	if got := float64(m.HBMPeak()) / 1e12; math.Abs(got-3.27) > 0.01 {
-		t.Errorf("package HBM BW = %.2f TB/s, want 3.27", got)
-	}
-}
-
 func TestPrecisionHelpers(t *testing.T) {
 	if FP64.Bytes() != 8 || FP32.Bytes() != 4 || FP16.Bytes() != 2 {
 		t.Error("precision byte sizes wrong")

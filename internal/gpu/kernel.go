@@ -23,25 +23,6 @@ type Kernel struct {
 	Efficiency float64
 }
 
-// Intensity is the kernel's arithmetic intensity in FLOP/byte.
-func (k Kernel) Intensity() float64 {
-	if k.Bytes <= 0 {
-		return math.Inf(1)
-	}
-	return k.Flops / float64(k.Bytes)
-}
-
-// RidgeIntensity is the arithmetic intensity at which a GCD moves from
-// bandwidth-bound to compute-bound for the given pipe — the "ridge
-// point" of the roofline (~14.6 FLOP/B for FP64 vector on the MI250X).
-func (g *GCD) RidgeIntensity(p Precision, matrix bool) float64 {
-	peak := g.VectorPeak[p]
-	if matrix {
-		peak = g.MatrixPeak[p]
-	}
-	return float64(peak) / float64(g.HBM.Peak())
-}
-
 // KernelTime returns the roofline execution time of one launch: the
 // slower of the compute and memory phases, plus the launch overhead.
 func (g *GCD) KernelTime(k Kernel) (units.Seconds, error) {
@@ -71,59 +52,4 @@ func (g *GCD) KernelRate(k Kernel) (units.Flops, error) {
 		return 0, nil
 	}
 	return units.Flops(k.Flops / float64(t)), nil
-}
-
-// ComputeBound reports whether the kernel sits right of the ridge point.
-func (g *GCD) ComputeBound(k Kernel) bool {
-	return k.Intensity() > g.RidgeIntensity(k.Precision, k.UsesMatrixCores)
-}
-
-// CharacteristicKernels returns reference kernels spanning the roofline,
-// used by tests and the quickstart example: a DGEMM tile (compute
-// bound), a STREAM triad (bandwidth bound), and a 7-point stencil.
-func CharacteristicKernels() []Kernel {
-	const n = 8192
-	return []Kernel{
-		{
-			Name:            "dgemm-tile",
-			Flops:           2 * n * n * n,
-			Bytes:           3 * n * n * 8,
-			Precision:       FP64,
-			UsesMatrixCores: true,
-			Efficiency:      0.71,
-		},
-		{
-			Name:      "stream-triad",
-			Flops:     2 * 256e6,
-			Bytes:     3 * 256e6 * 8,
-			Precision: FP64,
-		},
-		{
-			Name:      "stencil-7pt",
-			Flops:     8 * 512e6,
-			Bytes:     2 * 512e6 * 8,
-			Precision: FP64,
-		},
-	}
-}
-
-// AtomicThroughput models the hardware FP64 atomic support added in
-// CDNA2 (§3.1.2): contiguous non-conflicting atomics run at near the CU
-// issue rate, while pre-CDNA2 software fallbacks (compare-and-swap
-// loops) cost ~8x. conflictFraction is the share of updates hitting
-// contended addresses, each serialising ~4 deep.
-func (g *GCD) AtomicThroughput(hardware bool, conflictFraction float64) float64 {
-	if conflictFraction < 0 {
-		conflictFraction = 0
-	}
-	if conflictFraction > 1 {
-		conflictFraction = 1
-	}
-	base := g.FP64AtomicRate
-	if !hardware {
-		base /= 8 // CAS-loop emulation
-	}
-	// Conflict-free updates run at full rate; contended ones serialise
-	// ~4 deep but still make progress.
-	return base * ((1 - conflictFraction) + conflictFraction/4)
 }

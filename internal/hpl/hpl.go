@@ -70,9 +70,3 @@ func (m MachineSpec) HPCG(n int) units.Flops {
 	bw := float64(n*m.GCDsPerNode) * float64(m.HBMPerGCD)
 	return units.Flops(bw * hpcgFlopsPerByte)
 }
-
-// HPCGFractionOfPeak is the headline gap between dense and sparse
-// performance (~0.8% on Frontier).
-func (m MachineSpec) HPCGFractionOfPeak() float64 {
-	return float64(m.HPCG(m.Nodes)) / float64(m.RPeak())
-}

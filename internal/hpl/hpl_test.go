@@ -54,7 +54,7 @@ func TestHPCGBandwidthBound(t *testing.T) {
 	if math.Abs(pf-14) > 1.5 {
 		t.Errorf("HPCG = %.1f PF, want ~14", pf)
 	}
-	frac := m.HPCGFractionOfPeak()
+	frac := float64(m.HPCG(m.Nodes)) / float64(m.RPeak())
 	if frac > 0.012 || frac < 0.005 {
 		t.Errorf("HPCG fraction of peak = %.4f, want ~0.8%%", frac)
 	}

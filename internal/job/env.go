@@ -112,15 +112,6 @@ type Bound struct {
 	subs map[Group]*mpi.Comm
 }
 
-// LoopTime is the duration of one loop pass.
-func (b *Bound) LoopTime() units.Seconds {
-	var t units.Seconds
-	for _, d := range b.LoopTimes {
-		t += d
-	}
-	return t
-}
-
 // Bind prices a program on a concrete placement. Collectives run on a
 // communicator over the placement's actual nodes, so a packed allocation
 // and a spread allocation yield different collective times — placement

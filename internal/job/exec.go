@@ -8,7 +8,7 @@ import (
 // Exec runs a bound program on the event kernel. Each phase boundary is
 // a real simulation event: one event is outstanding at a time and the
 // completion callback schedules the next phase, so a 10k-iteration
-// program costs the calendar one slot, not PhaseEvents() slots. That
+// program costs the calendar one slot, not one per phase instance. That
 // also means an interrupt at any simulated instant lands *inside* a
 // specific phase, which is what lets the resilience layer charge
 // lost-work-since-last-checkpoint.

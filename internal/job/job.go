@@ -241,12 +241,6 @@ func (p *Program) Validate() error {
 	return check("loop", p.Loop)
 }
 
-// PhaseEvents is the number of phase-boundary events executing the
-// program schedules: one per phase instance.
-func (p *Program) PhaseEvents() int {
-	return len(p.Setup) + p.Iterations*len(p.Loop)
-}
-
 // Coarsen returns a copy of the program in which each loop pass stands
 // for chunk original iterations: phase work quantities are multiplied by
 // chunk and the iteration count divided (rounding up), so a

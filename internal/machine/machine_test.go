@@ -232,12 +232,6 @@ func TestWrongTopologyDerivations(t *testing.T) {
 	if _, err := Titan().Orion(); err == nil {
 		t.Error("Orion without storage parameters should error")
 	}
-	if _, err := Titan().SoftwareEnv(); err == nil {
-		t.Error("SoftwareEnv without a stack should error")
-	}
-	if _, err := Frontier().SoftwareEnv(); err != nil {
-		t.Errorf("frontier software stack: %v", err)
-	}
 }
 
 // Cori's explicit node override: the Aries fabric carries more

@@ -22,7 +22,6 @@ import (
 	"frontiersim/internal/job"
 	"frontiersim/internal/power"
 	"frontiersim/internal/resilience"
-	"frontiersim/internal/software"
 	"frontiersim/internal/storage"
 	"frontiersim/internal/sysmgmt"
 	"frontiersim/internal/units"
@@ -236,7 +235,9 @@ type Spec struct {
 	Storage    *StorageSpec    `json:"storage,omitempty"`
 	Mgmt       *MgmtSpec       `json:"mgmt,omitempty"`
 	// SoftwareStack names the programming environment the machine runs
-	// ("frontier" selects the CPE+ROCm+OLCF catalog of §3.4.3).
+	// (the Frontier spec says "frontier" for the CPE+ROCm stack of
+	// §3.4.3). It is descriptive only: no model reads it, but it stays in
+	// the spec so dumps, hashes and external specs keep their shape.
 	SoftwareStack string `json:"softwareStack,omitempty"`
 }
 
@@ -684,15 +685,4 @@ func (s Spec) JobEnv(f *fabric.Fabric) (*job.Env, error) {
 		}
 	}
 	return env, nil
-}
-
-// SoftwareEnv derives the programming environment.
-func (s Spec) SoftwareEnv() (*software.Environment, error) {
-	switch s.SoftwareStack {
-	case "frontier":
-		return software.FrontierEnvironment(), nil
-	case "":
-		return nil, fmt.Errorf("machine %s: no software stack in spec", s.Name)
-	}
-	return nil, fmt.Errorf("machine %s: unknown software stack %q", s.Name, s.SoftwareStack)
 }

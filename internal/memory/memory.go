@@ -109,19 +109,3 @@ func (h HBM) Capacity() units.Bytes {
 func (h HBM) Peak() units.BytesPerSecond {
 	return h.PerStackPeak * units.BytesPerSecond(h.Stacks)
 }
-
-// AccessLatency returns the average DRAM access latency for the
-// configured NPS mode. NPS-4 keeps allocations in the local quadrant
-// (slightly lower latency); NPS-1 stripes across the whole IOD (§3.1.1:
-// "slightly higher latency").
-func (d DRAM) AccessLatency() units.Seconds {
-	const local = 96 * units.Nanosecond
-	switch d.Mode {
-	case NPS4:
-		return local
-	case NPS2:
-		return 104 * units.Nanosecond
-	default: // NPS1: three quarters of accesses cross quadrants
-		return 112 * units.Nanosecond
-	}
-}

@@ -160,18 +160,6 @@ func TestRunGPUStream(t *testing.T) {
 	}
 }
 
-func TestCountedBytes(t *testing.T) {
-	if Copy.CountedBytes(8) != 16 {
-		t.Errorf("Copy counted = %d, want 16", Copy.CountedBytes(8))
-	}
-	if Triad.CountedBytes(8) != 24 {
-		t.Errorf("Triad counted = %d, want 24", Triad.CountedBytes(8))
-	}
-	if Dot.CountedBytes(8) != 16 {
-		t.Errorf("Dot counted = %d, want 16", Dot.CountedBytes(8))
-	}
-}
-
 // Property: STREAM bandwidth scales linearly with channel count.
 func TestChannelScalingProperty(t *testing.T) {
 	f := func(rawCh uint8) bool {
@@ -199,24 +187,5 @@ func TestBandwidthBoundedProperty(t *testing.T) {
 				t.Errorf("%s temporal=%v: bw %v outside (0, peak]", k.Name, temporal, bw)
 			}
 		}
-	}
-}
-
-// §3.1.1: NPS-4's local quadrant access has "slightly lower latency".
-func TestNPSLatency(t *testing.T) {
-	d := TrentoDDR4()
-	nps4 := d.AccessLatency()
-	d.Mode = NPS1
-	nps1 := d.AccessLatency()
-	if nps4 >= nps1 {
-		t.Errorf("NPS-4 latency %v should beat NPS-1 %v", nps4, nps1)
-	}
-	ratio := float64(nps1) / float64(nps4)
-	if ratio > 1.3 {
-		t.Errorf("latency gap %.2fx should be slight", ratio)
-	}
-	d.Mode = NPS2
-	if d.AccessLatency() <= nps4 || d.AccessLatency() >= nps1 {
-		t.Error("NPS-2 latency should sit between")
 	}
 }

@@ -40,12 +40,6 @@ var (
 // CPUStreamKernels lists the kernels of Table 3 in paper order.
 var CPUStreamKernels = []StreamKernel{Copy, Scale, Add, Triad}
 
-// CountedBytes returns the bytes STREAM credits the kernel with per
-// element (reads + writes, times the word size).
-func (k StreamKernel) CountedBytes(word int) int {
-	return (k.Reads + k.Writes) * word
-}
-
 // rfoPenalty is the residual inefficiency of read-for-ownership traffic
 // beyond the pure extra-read bytes: the RFO read serialises ahead of the
 // store and occupies fill buffers. Calibrated so that the model lands on

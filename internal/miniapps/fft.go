@@ -128,12 +128,6 @@ func (f *FFT3D) Transform(inv bool) error {
 	return nil
 }
 
-// FFT3DFlops is the classic 5·N³·log2(N³) operation count.
-func FFT3DFlops(n int) float64 {
-	points := float64(n) * float64(n) * float64(n)
-	return 5 * points * math.Log2(points)
-}
-
 // FFT3DTraffic is the HBM traffic of a 3-D FFT executed as three
 // dimension passes: each pass reads and writes the full volume once
 // (complex128 = 16 B).

@@ -65,11 +65,6 @@ func (c *Comm) Size() int { return len(c.Nodes) * c.PPN }
 // NodeOf returns the node hosting a rank (block distribution).
 func (c *Comm) NodeOf(rank int) int { return c.Nodes[rank/c.PPN] }
 
-// EndpointOf returns the NIC endpoint a rank injects through.
-func (c *Comm) EndpointOf(rank int) int {
-	return c.F.NodeEndpoint(c.NodeOf(rank), rank%c.PPN)
-}
-
 // GroupsSpanned reports how many dragonfly groups the job covers.
 func (c *Comm) GroupsSpanned() int { return c.groups }
 
@@ -163,11 +158,6 @@ func (c *Comm) Allreduce(b units.Bytes) units.Seconds {
 // Broadcast models a pipelined binomial broadcast of b bytes.
 func (c *Comm) Broadcast(b units.Bytes) units.Seconds {
 	return c.logStages()*smallMsgLatency + units.TimeToMove(b, c.PerRankBandwidth())
-}
-
-// Reduce is modelled like Allreduce without the distribution phase.
-func (c *Comm) Reduce(b units.Bytes) units.Seconds {
-	return c.Allreduce(b) / 2
 }
 
 // AllToAll models a complete exchange where every rank sends b bytes to

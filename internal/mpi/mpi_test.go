@@ -41,13 +41,6 @@ func TestCommConstruction(t *testing.T) {
 	if c.NodeOf(0) != 0 || c.NodeOf(127) != 15 {
 		t.Error("rank-to-node mapping wrong")
 	}
-	// Ranks round-robin over the node's 4 NICs.
-	if c.EndpointOf(0) == c.EndpointOf(1) {
-		t.Error("consecutive ranks should use different NICs")
-	}
-	if c.EndpointOf(0) != c.EndpointOf(4) {
-		t.Error("ranks 0 and 4 should share NIC 0")
-	}
 	if c.String() == "" {
 		t.Error("empty String")
 	}
@@ -128,10 +121,6 @@ func TestCollectiveOrderings(t *testing.T) {
 	// Barrier is cheaper than a large broadcast.
 	if c.Barrier() >= c.Broadcast(64*units.MiB) {
 		t.Error("barrier should be cheaper than large broadcast")
-	}
-	// Reduce is cheaper than allreduce.
-	if c.Reduce(units.MiB) >= c.Allreduce(units.MiB) {
-		t.Error("reduce should be cheaper than allreduce")
 	}
 	// All-to-all grows with message size.
 	if c.AllToAll(4*units.KiB) >= c.AllToAll(256*units.KiB) {

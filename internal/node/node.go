@@ -146,20 +146,6 @@ func (n *Node) LinkBetween(a, b int) (GCDLink, bool) {
 	return GCDLink{}, false
 }
 
-// Neighbors returns the GCD ids directly linked to gcd.
-func (n *Node) Neighbors(gcd int) []int {
-	var out []int
-	for _, l := range n.Links {
-		switch gcd {
-		case l.A:
-			out = append(out, l.B)
-		case l.B:
-			out = append(out, l.A)
-		}
-	}
-	return out
-}
-
 // PeakFP64 returns the node's aggregate FP64 vector peak: CPU plus eight
 // GCDs (~194 TF/s; 9,472 nodes gives the ~2 EF of Table 1).
 func (n *Node) PeakFP64() units.Flops {
@@ -190,13 +176,6 @@ func (n *Node) HBMPeak() units.BytesPerSecond {
 
 // DDRCapacity returns node DDR4 capacity (512 GiB).
 func (n *Node) DDRCapacity() units.Bytes { return n.CPU.DRAM.Capacity() }
-
-// HBMToDDRBandwidthRatio returns the paper's headline 64× ratio between
-// node HBM bandwidth and CPU DRAM bandwidth — the reason data should live
-// in HBM (and the reason NICs attach to the GPUs).
-func (n *Node) HBMToDDRBandwidthRatio() float64 {
-	return float64(n.HBMPeak()) / float64(n.CPU.DRAM.Peak())
-}
 
 // InjectionBandwidth returns the node's aggregate NIC injection rate
 // (100 GB/s).

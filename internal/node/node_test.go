@@ -28,7 +28,8 @@ func TestNodeShape(t *testing.T) {
 
 // The paper: node HBM bandwidth is 64x the CPU's DDR bandwidth.
 func TestHBMToDDRRatio(t *testing.T) {
-	r := New(0).HBMToDDRBandwidthRatio()
+	n := New(0)
+	r := float64(n.HBMPeak()) / float64(n.CPU.DRAM.Peak())
 	if math.Abs(r-64) > 0.5 {
 		t.Errorf("HBM:DDR ratio = %.1f, want ~64", r)
 	}
@@ -46,21 +47,18 @@ func TestTwistedLadderStructure(t *testing.T) {
 	if counts[IntraOAM] != 4 || counts[InterOAMNS] != 4 || counts[InterOAMEW] != 4 {
 		t.Errorf("class counts = %v, want 4 of each", counts)
 	}
-	// Each GCD has exactly 7 xGMI-3 GCD links: 4 + 2 + 1.
-	perGCD := make([]int, 8)
+	// Each GCD has exactly 7 xGMI-3 GCD links (4 + 2 + 1) to exactly
+	// 3 neighbors.
+	perGCD, neighbors := make([]int, 8), make([]int, 8)
 	for _, l := range n.Links {
 		perGCD[l.A] += l.Links
 		perGCD[l.B] += l.Links
+		neighbors[l.A]++
+		neighbors[l.B]++
 	}
 	for g, c := range perGCD {
-		if c != 7 {
-			t.Errorf("GCD %d has %d bonded links, want 7", g, c)
-		}
-	}
-	// Each GCD has exactly 3 neighbors.
-	for g := 0; g < 8; g++ {
-		if len(n.Neighbors(g)) != 3 {
-			t.Errorf("GCD %d neighbors = %v, want 3", g, n.Neighbors(g))
+		if c != 7 || neighbors[g] != 3 {
+			t.Errorf("GCD %d has %d bonded links to %d neighbors, want 7 to 3", g, c, neighbors[g])
 		}
 	}
 }
@@ -75,8 +73,14 @@ func TestLadderConnectedDiameter2(t *testing.T) {
 			if _, ok := n.LinkBetween(a, b); ok {
 				continue
 			}
-			if _, hops, err := n.RoutedPeerAsymptote(CUKernel, a, b); err != nil || hops != 2 {
-				t.Errorf("GCD %d->%d: hops=%d err=%v, want 2-hop path", a, b, hops, err)
+			twoHop := false
+			for mid := 0; mid < 8; mid++ {
+				_, ab := n.LinkBetween(a, mid)
+				_, mb := n.LinkBetween(mid, b)
+				twoHop = twoHop || ab && mb
+			}
+			if !twoHop {
+				t.Errorf("GCD %d->%d: no direct link and no 2-hop path", a, b)
 			}
 		}
 	}
@@ -161,10 +165,11 @@ func TestPeerBandwidthRamp(t *testing.T) {
 
 func TestPeerTransferTime(t *testing.T) {
 	n := New(0)
-	d, err := n.PeerTransferTime(SDMA, 0, 1, 500*units.MB)
+	bw, err := n.PeerBandwidth(SDMA, 0, 1, 500*units.MB)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := units.TimeToMove(500*units.MB, bw)
 	want := 0.01 // 500 MB at ~50 GB/s
 	if math.Abs(float64(d)-want)/want > 0.05 {
 		t.Errorf("transfer time = %v, want ~10ms", d)
@@ -178,12 +183,6 @@ func TestNoDirectLinkError(t *testing.T) {
 	}
 	if _, err := n.PeerBandwidth(CUKernel, 0, 4, units.MiB); err == nil {
 		t.Error("want error for unlinked bandwidth query")
-	}
-	if _, _, err := n.RoutedPeerAsymptote(CUKernel, 3, 3); err == nil {
-		t.Error("self transfer should error")
-	}
-	if _, _, err := n.RoutedPeerAsymptote(CUKernel, -1, 3); err == nil {
-		t.Error("out-of-range GCD should error")
 	}
 }
 

@@ -85,59 +85,6 @@ func (n *Node) PeerBandwidth(method TransferMethod, a, b int, size units.Bytes) 
 	return ramp(asym, lat, size), nil
 }
 
-// PeerTransferTime returns the modelled wall time to move size bytes
-// between directly linked GCDs.
-func (n *Node) PeerTransferTime(method TransferMethod, a, b int, size units.Bytes) (units.Seconds, error) {
-	bw, err := n.PeerBandwidth(method, a, b, size)
-	if err != nil {
-		return 0, err
-	}
-	return units.TimeToMove(size, bw), nil
-}
-
-// RoutedPeerAsymptote returns the bandwidth between any two GCDs,
-// following the widest (maximum-bottleneck) path through the twisted
-// ladder when no direct link exists. Software stacks route such transfers
-// through an intermediate GCD, paying a store-and-forward efficiency.
-func (n *Node) RoutedPeerAsymptote(method TransferMethod, a, b int) (units.BytesPerSecond, int, error) {
-	if a == b {
-		return 0, 0, fmt.Errorf("node: self transfer GCD %d", a)
-	}
-	if a < 0 || a >= len(n.GCDs) || b < 0 || b >= len(n.GCDs) {
-		return 0, 0, fmt.Errorf("node: GCD out of range: %d, %d", a, b)
-	}
-	if _, ok := n.LinkBetween(a, b); ok {
-		bw, err := n.PeerAsymptote(method, a, b)
-		return bw, 1, err
-	}
-	// Widest-path via a single intermediate hop is always sufficient:
-	// the twisted ladder has diameter 2.
-	best := units.BytesPerSecond(0)
-	hops := 0
-	for _, mid := range n.Neighbors(a) {
-		if _, ok := n.LinkBetween(mid, b); !ok {
-			continue
-		}
-		bw1, err := n.PeerAsymptote(method, a, mid)
-		if err != nil {
-			return 0, 0, err
-		}
-		bw2, err := n.PeerAsymptote(method, mid, b)
-		if err != nil {
-			return 0, 0, err
-		}
-		bw := units.BytesPerSecond(math.Min(float64(bw1), float64(bw2)) * 0.5) // forwarded: shared in/out
-		if bw > best {
-			best = bw
-			hops = 2
-		}
-	}
-	if hops == 0 {
-		return 0, 0, fmt.Errorf("node: no 2-hop path between GCD %d and %d", a, b)
-	}
-	return best, hops, nil
-}
-
 // HostToDeviceAggregate returns the asymptotic aggregate bandwidth when
 // `ranks` MPI ranks concurrently write to their own paired GCDs
 // (Figure 4): per-link xGMI-2 limits times the rank count, capped by what

@@ -50,12 +50,6 @@ func (m Machine) SystemHPL(activeNodes int) units.Watts {
 	return units.Watts(float64(nodes+fabric+m.StorageOverhead) * m.CoolingFactor)
 }
 
-// SystemIdle is the idle machine draw.
-func (m Machine) SystemIdle() units.Watts {
-	return units.Watts(float64(units.Watts(m.Nodes)*m.NodeIdle.Total()+
-		units.Watts(m.Switches)*m.SwitchPower+m.StorageOverhead) * m.CoolingFactor)
-}
-
 // Efficiency returns the Green500 metric in FLOP/s per watt.
 func Efficiency(flops units.Flops, w units.Watts) float64 {
 	if w <= 0 {

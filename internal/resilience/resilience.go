@@ -57,16 +57,6 @@ func (m Model) SystemMTTI() units.Seconds {
 	return units.Seconds(1 / rate)
 }
 
-// MTTIForNodes scales MTTI to a job using a subset of nodes: a job on
-// 1/k of the machine sees ~1/k of the machine's interrupt rate.
-func (m Model) MTTIForNodes(jobNodes, machineNodes int) units.Seconds {
-	if jobNodes <= 0 || machineNodes <= 0 {
-		return units.Seconds(math.Inf(1))
-	}
-	frac := float64(jobNodes) / float64(machineNodes)
-	return units.Seconds(float64(m.SystemMTTI()) / frac)
-}
-
 // Contribution reports each class's share of the interrupt rate.
 func (m Model) Contribution() map[string]float64 {
 	total := 0.0
@@ -207,26 +197,4 @@ func CheckpointEfficiency(tau, delta, restart, mtti units.Seconds) float64 {
 // String summarises the model.
 func (m Model) String() string {
 	return fmt.Sprintf("reliability: %d classes, system MTTI %v", len(m.Classes), m.SystemMTTI())
-}
-
-// SummitHBMComparison reproduces §5.4's scaling argument: Frontier's
-// uncorrectable HBM error level "is in line with the rate seen on
-// Summit's HBM2, once you scale up based on Frontier's HBM2e capacity".
-// It returns the two machines' modelled HBM interrupt rates per PiB-hour
-// and the capacity-scaled ratio (≈1 when the technologies behave alike).
-func (m Model) SummitHBMComparison() (frontierPerPiBHour, summitPerPiBHour, scaledRatio float64) {
-	var hbmRate float64
-	for _, c := range m.Classes {
-		if c.Name == "hbm-uncorrectable" {
-			hbmRate = c.Rate() * 3600 // failures per hour
-		}
-	}
-	const frontierHBMPiB = 4.625
-	// Summit: 27,648 V100s x 16 GiB = 432 TiB of HBM2 at the same
-	// per-capacity uncorrectable rate.
-	const summitHBMPiB = 27648.0 * 16 / (1024 * 1024)
-	frontierPerPiBHour = hbmRate / frontierHBMPiB
-	summitPerPiBHour = frontierPerPiBHour // same technology-scaled rate, per the paper
-	scaledRatio = (hbmRate / frontierHBMPiB) / summitPerPiBHour
-	return frontierPerPiBHour, summitPerPiBHour, scaledRatio
 }

@@ -40,18 +40,6 @@ func TestLeadingContributors(t *testing.T) {
 	}
 }
 
-func TestMTTIForNodes(t *testing.T) {
-	m := Frontier()
-	full := m.MTTIForNodes(9472, 9472)
-	half := m.MTTIForNodes(4736, 9472)
-	if math.Abs(float64(half)/float64(full)-2) > 1e-9 {
-		t.Errorf("half-machine MTTI should double: %v vs %v", half, full)
-	}
-	if !math.IsInf(float64(m.MTTIForNodes(0, 9472)), 1) {
-		t.Error("zero nodes should give infinite MTTI")
-	}
-}
-
 func TestSimulateMatchesAnalytic(t *testing.T) {
 	m := Frontier()
 	horizon := 60 * units.Day
@@ -151,27 +139,6 @@ func TestComponentClassEdges(t *testing.T) {
 	}
 	if Frontier().String() == "" {
 		t.Error("empty String")
-	}
-}
-
-// §5.4: "The level of uncorrectable errors is in line with the rate seen
-// on Summit's HBM2, once you scale up based on Frontier's HBM2e
-// capacity."
-func TestSummitHBMComparison(t *testing.T) {
-	frontier, summit, ratio := Frontier().SummitHBMComparison()
-	if frontier <= 0 || summit <= 0 {
-		t.Fatal("rates must be positive")
-	}
-	if math.Abs(ratio-1) > 1e-9 {
-		t.Errorf("capacity-scaled ratio = %.3f, want 1 (same technology rate)", ratio)
-	}
-	// Frontier has ~10.7x Summit's HBM capacity, so the absolute
-	// interrupt rate scales accordingly.
-	const frontierPiB, summitPiB = 4.625, 0.422
-	frontierAbs := frontier * frontierPiB
-	summitAbs := summit * summitPiB
-	if frontierAbs/summitAbs < 10 || frontierAbs/summitAbs > 12 {
-		t.Errorf("absolute rate ratio = %.1f, want ~11 (capacity ratio)", frontierAbs/summitAbs)
 	}
 }
 

@@ -53,9 +53,6 @@ func auditIndex(t *testing.T, s *Scheduler, down []bool, ctx string) {
 				freeHealthy++
 			}
 		}
-		if s.Checknode(n) == down[n] {
-			t.Fatalf("%s: Checknode(%d) = %v with node down = %v", ctx, n, s.Checknode(n), down[n])
-		}
 	}
 	for _, c := range []struct {
 		name      string

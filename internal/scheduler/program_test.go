@@ -137,7 +137,10 @@ func TestProgramInterruptLostWork(t *testing.T) {
 	if j.State != Running {
 		t.Fatal("program should start immediately")
 	}
-	pass := j.Bound.LoopTime()
+	var pass units.Seconds // one loop pass
+	for _, d := range j.Bound.LoopTimes {
+		pass += d
+	}
 	// Kill a node mid-way through the compute phase of the 6th pass.
 	cut := j.Start + 5*pass + j.Bound.LoopTimes[0]/2
 	k.After(cut-k.Now(), func() { s.MarkUnhealthy(j.Alloc[0]) })

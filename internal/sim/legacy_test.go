@@ -4,7 +4,7 @@ package sim
 // container/heap kernel that shipped up to PR 4), renamed legacy*. It
 // exists only as the reference implementation for the golden
 // dispatch-order equivalence test in golden_test.go: the arena + 4-ary
-// heap kernel must replay any mixed schedule/cancel/Every/RunUntil trace
+// heap kernel must replay any mixed schedule/cancel/sweep/RunUntil trace
 // with the same dispatch order, the same Executed count, and the same
 // clock. Do not "improve" this code — its value is that it is frozen.
 
@@ -162,28 +162,4 @@ func (h *legacyEventHeap) Pop() any {
 	old[n-1] = nil
 	*h = old[:n-1]
 	return e
-}
-
-func (k *legacyKernel) Every(period Time, fn func()) (cancel func()) {
-	if period <= 0 {
-		panic("sim: period must be positive")
-	}
-	var e *legacyEvent
-	cancelled := false
-	var tick func()
-	tick = func() {
-		fn()
-		if cancelled {
-			return
-		}
-		e = k.After(period, tick)
-	}
-	e = k.After(period, tick)
-	return func() {
-		cancelled = true
-		if e != nil {
-			e.Cancel()
-			e = nil
-		}
-	}
 }

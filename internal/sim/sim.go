@@ -129,9 +129,9 @@ type Event struct {
 // calendar immediately (each slot tracks its heap index, so removal is
 // O(log n)) and its slot is returned to the arena's free list, which
 // keeps Pending accurate and stops long-lived kernels from accumulating
-// cancelled garbage — a periodic Every sweep that is cancelled leaves
-// nothing behind. Cancelling an already-executed, already-cancelled, or
-// stale (recycled) event is a no-op.
+// cancelled garbage — a periodic sweep whose pending tick is cancelled
+// leaves nothing behind. Cancelling an already-executed,
+// already-cancelled, or stale (recycled) event is a no-op.
 func (e Event) Cancel() {
 	if e.k == nil {
 		return
@@ -400,39 +400,4 @@ func (k *Kernel) siftDown(i int) bool {
 	k.heap[i] = e
 	k.arena[e.idx].hpos = int32(i)
 	return i != start
-}
-
-// ticker is the pooled state behind Every: one allocation per periodic
-// sweep, zero per tick.
-type ticker struct {
-	k         *Kernel
-	period    Time
-	fn        func()
-	cancelled bool
-	e         Event
-}
-
-func tickerFire(arg any) {
-	t := arg.(*ticker)
-	t.fn()
-	if t.cancelled {
-		// fn itself called cancel: do not reschedule.
-		return
-	}
-	t.e = t.k.AfterCall(t.period, tickerFire, t)
-}
-
-// Every schedules fn at a fixed period starting one period from now,
-// returning a cancel function. The periodic sweeps of the fabric manager
-// and HPCM's discovery daemon are built on this shape.
-func (k *Kernel) Every(period Time, fn func()) (cancel func()) {
-	if period <= 0 {
-		panic("sim: period must be positive")
-	}
-	t := &ticker{k: k, period: period, fn: fn}
-	t.e = k.AfterCall(period, tickerFire, t)
-	return func() {
-		t.cancelled = true
-		t.e.Cancel()
-	}
 }

@@ -214,116 +214,6 @@ func TestMonotonicDispatchProperty(t *testing.T) {
 	}
 }
 
-func TestResourceImmediateGrant(t *testing.T) {
-	k := NewKernel(1)
-	r := NewResource(k, "sdma", 2)
-	granted := false
-	r.Acquire(2, func() { granted = true })
-	if !granted {
-		t.Fatal("acquire within capacity should grant immediately")
-	}
-	if r.InUse() != 2 {
-		t.Errorf("InUse = %d, want 2", r.InUse())
-	}
-	r.Release(2)
-	if r.InUse() != 0 {
-		t.Errorf("InUse after release = %d, want 0", r.InUse())
-	}
-}
-
-func TestResourceQueueing(t *testing.T) {
-	k := NewKernel(1)
-	r := NewResource(k, "ctrl", 1)
-	var order []int
-	r.Acquire(1, func() { order = append(order, 0) })
-	r.Acquire(1, func() { order = append(order, 1) })
-	r.Acquire(1, func() { order = append(order, 2) })
-	if r.Queued() != 2 {
-		t.Fatalf("Queued = %d, want 2", r.Queued())
-	}
-	r.Release(1)
-	r.Release(1)
-	r.Release(1)
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("grant order = %v, want FIFO", order)
-		}
-	}
-}
-
-func TestResourceNoOvertaking(t *testing.T) {
-	k := NewKernel(1)
-	r := NewResource(k, "bulk", 4)
-	r.Acquire(3, func() {})
-	bigGranted := false
-	smallGranted := false
-	r.Acquire(4, func() { bigGranted = true })   // must wait
-	r.Acquire(1, func() { smallGranted = true }) // would fit, but queued behind big
-	if bigGranted || smallGranted {
-		t.Fatal("neither queued acquire should be granted yet")
-	}
-	r.Release(3)
-	if !bigGranted {
-		t.Error("big request should be granted after release")
-	}
-	if smallGranted {
-		t.Error("small request must not overtake")
-	}
-	r.Release(4)
-	if !smallGranted {
-		t.Error("small request should be granted eventually")
-	}
-}
-
-func TestResourceUtilization(t *testing.T) {
-	k := NewKernel(1)
-	r := NewResource(k, "u", 1)
-	k.At(0, func() {
-		r.Acquire(1, func() {})
-		k.After(5, func() { r.Release(1) })
-	})
-	k.At(10, func() {})
-	k.Run()
-	if u := r.Utilization(); u < 0.49 || u > 0.51 {
-		t.Errorf("Utilization = %v, want ~0.5", u)
-	}
-}
-
-func TestResourceInvalidOps(t *testing.T) {
-	k := NewKernel(1)
-	r := NewResource(k, "x", 2)
-	mustPanic(t, "acquire 0", func() { r.Acquire(0, func() {}) })
-	mustPanic(t, "acquire > cap", func() { r.Acquire(3, func() {}) })
-	mustPanic(t, "release idle", func() { r.Release(1) })
-	mustPanic(t, "zero capacity", func() { NewResource(k, "y", 0) })
-}
-
-func mustPanic(t *testing.T, name string, fn func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("%s: expected panic", name)
-		}
-	}()
-	fn()
-}
-
-func TestEvery(t *testing.T) {
-	k := NewKernel(1)
-	count := 0
-	cancel := k.Every(10, func() { count++ })
-	k.RunUntil(35)
-	if count != 3 {
-		t.Errorf("ticks = %d, want 3", count)
-	}
-	cancel()
-	k.RunUntil(100)
-	if count != 3 {
-		t.Errorf("ticks after cancel = %d, want 3", count)
-	}
-	mustPanic(t, "zero period", func() { k.Every(0, func() {}) })
-}
-
 func TestCancelRemovesFromCalendarEagerly(t *testing.T) {
 	k := NewKernel(1)
 	e1 := k.After(1, func() {})
@@ -352,25 +242,68 @@ func TestCancelRemovesFromCalendarEagerly(t *testing.T) {
 	}
 }
 
+// testSweep is a periodic sweep in the shape the fabric manager and
+// HPCM discovery use: a closure-free callback that reschedules itself
+// through AfterCall, stopped by cancelling its pending tick.
+type testSweep struct {
+	k       *Kernel
+	period  Time
+	fn      func()
+	stopped bool
+	next    Event
+}
+
+func testSweepTick(arg any) {
+	s := arg.(*testSweep)
+	s.fn()
+	if !s.stopped {
+		s.next = s.k.AfterCall(s.period, testSweepTick, s)
+	}
+}
+
+func startSweep(k *Kernel, period Time, fn func()) *testSweep {
+	s := &testSweep{k: k, period: period, fn: fn}
+	s.next = k.AfterCall(period, testSweepTick, s)
+	return s
+}
+
+func (s *testSweep) stop() {
+	s.stopped = true
+	s.next.Cancel()
+}
+
 // A long-lived kernel whose periodic sweeps get cancelled must not
 // accumulate cancelled garbage in the calendar.
 func TestCancelledEverySweepsLeaveNoGarbage(t *testing.T) {
 	k := NewKernel(1)
 	for i := 0; i < 100; i++ {
-		cancel := k.Every(10, func() {})
-		cancel()
+		startSweep(k, 10, func() {}).stop()
 	}
 	if k.Pending() != 0 {
 		t.Errorf("Pending = %d, want 0 after cancelling every sweep", k.Pending())
 	}
+	// Stopped between horizons: a sweep ticks three times under RunUntil,
+	// is cancelled from outside, and leaves only the other work pending.
+	ticks := 0
+	outside := startSweep(k, 10, func() { ticks++ })
+	k.At(100, func() {})
+	k.RunUntil(35)
+	outside.stop()
+	if ticks != 3 || k.Pending() != 1 {
+		t.Errorf("ticks = %d, Pending = %d after outside stop, want 3, 1", ticks, k.Pending())
+	}
+	k.Run()
+	if ticks != 3 {
+		t.Errorf("ticks = %d after draining, want 3", ticks)
+	}
 	// Cancelling mid-flight: run a sweep for a few ticks, cancel from
 	// inside an event, and check the calendar drains completely.
-	ticks := 0
-	var cancel func()
-	cancel = k.Every(5, func() {
+	ticks = 0
+	var self *testSweep
+	self = startSweep(k, 5, func() {
 		ticks++
 		if ticks == 3 {
-			cancel()
+			self.stop()
 		}
 	})
 	k.Run()
@@ -534,53 +467,5 @@ func TestRunUntilSkipsCancelledWithoutCounting(t *testing.T) {
 	}
 	if k.Pending() != 0 {
 		t.Errorf("Pending = %d, want 0", k.Pending())
-	}
-}
-
-// FIFO fairness across both acquisition paths: grants happen strictly in
-// arrival order regardless of request size or whether the waiter queued
-// through Acquire or AcquireCall.
-func TestResourceFIFOFairnessMixedPaths(t *testing.T) {
-	k := NewKernel(1)
-	r := NewResource(k, "mixed", 4)
-	var order []int
-	grab := func(id, n int) {
-		r.Acquire(n, func() { order = append(order, id) })
-	}
-	type req struct{ id, n int }
-	grabCall := func(id, n int) {
-		rq := &req{id, n}
-		r.AcquireCall(n, func(arg any) { order = append(order, arg.(*req).id) }, rq)
-	}
-	r.Acquire(4, func() {}) // saturate
-	grab(0, 2)
-	grabCall(1, 3)
-	grab(2, 1)
-	grabCall(3, 4)
-	grab(4, 1)
-	if r.Queued() != 5 {
-		t.Fatalf("Queued = %d, want 5", r.Queued())
-	}
-	r.Release(4)
-	// 0 (2 units) grants; 1 needs 3, only 2 free: everything behind waits.
-	if len(order) != 1 || order[0] != 0 {
-		t.Fatalf("order after first release = %v, want [0]", order)
-	}
-	r.Release(2)
-	r.Release(3)
-	r.Release(1)
-	r.Release(4)
-	r.Release(1)
-	want := []int{0, 1, 2, 3, 4}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("grant order = %v, want strict FIFO %v", order, want)
-		}
-	}
-	if r.InUse() != 0 || r.Queued() != 0 {
-		t.Errorf("InUse = %d, Queued = %d after drain, want 0, 0", r.InUse(), r.Queued())
 	}
 }

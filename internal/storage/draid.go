@@ -53,16 +53,3 @@ func (g DRAIDGroup) StreamBandwidth(write bool) units.BytesPerSecond {
 	}
 	return units.BytesPerSecond(bw)
 }
-
-// SurvivesFailures reports whether the group still serves data after n
-// concurrent drive failures.
-func (g DRAIDGroup) SurvivesFailures(n int) bool { return n <= g.Parity }
-
-// RebuildTime estimates the declustered rebuild of one failed drive:
-// every surviving drive contributes, which is dRAID's selling point over
-// classic RAID (one drive's worth of data restriped at group bandwidth).
-func (g DRAIDGroup) RebuildTime() units.Seconds {
-	participants := float64(g.Drives - 1)
-	perDrive := float64(g.DriveBW) * 0.3 // rebuild runs throttled behind production I/O
-	return units.Seconds(float64(g.DriveCapacity) / (perDrive * participants / float64(g.Data+g.Parity)))
-}

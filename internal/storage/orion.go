@@ -60,11 +60,6 @@ type SSU struct {
 	Disk        DRAIDGroup
 }
 
-// NetworkLimit is the SSU's NIC ceiling (100 GB/s).
-func (s SSU) NetworkLimit() units.BytesPerSecond {
-	return units.BytesPerSecond(s.Controllers*s.NICsPerCtrl) * s.NICRate
-}
-
 // Orion is the center-wide Lustre parallel file system: 225 SSUs plus
 // flash metadata servers, aggregated into one POSIX namespace with a
 // Progressive File Layout.
@@ -100,18 +95,6 @@ func (o *Orion) SplitFile(size units.Bytes) (dom, perf, capTier units.Bytes) {
 		capTier = size - o.PFLPerformanceLimit
 	}
 	return dom, perf, capTier
-}
-
-// TierFor reports the tier a byte offset of a file lands in.
-func (o *Orion) TierFor(offset units.Bytes) TierKind {
-	switch {
-	case offset < o.DoMLimit:
-		return MetadataTier
-	case offset < o.PFLPerformanceLimit:
-		return PerformanceTier
-	default:
-		return CapacityTier
-	}
 }
 
 // StreamBandwidth reports the achieved aggregate rate for a parallel

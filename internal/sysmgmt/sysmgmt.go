@@ -9,7 +9,6 @@ package sysmgmt
 
 import (
 	"fmt"
-	"sort"
 
 	"frontiersim/internal/sim"
 	"frontiersim/internal/units"
@@ -216,15 +215,6 @@ func (h *HPCM) leastLoadedHealthyLeader() *ServiceNode {
 	return best
 }
 
-// VIPOwners returns the current VIP→leader assignment, for inspection.
-func (h *HPCM) VIPOwners() map[int]int {
-	out := map[int]int{}
-	for vip, owner := range h.vipOwner {
-		out[vip] = owner.ID
-	}
-	return out
-}
-
 // HealthyLeaders counts leaders in service.
 func (h *HPCM) HealthyLeaders() int {
 	n := 0
@@ -281,19 +271,6 @@ func (h *HPCM) StopDiscovery() {
 	h.discoverEvt.Cancel()
 	h.discoverEvt = sim.Event{}
 	h.discoverPoll = nil
-}
-
-// ClientsOf lists the compute nodes served by the given leader id, in
-// order.
-func (h *HPCM) ClientsOf(leaderID int) []int {
-	var out []int
-	for node, vip := range h.clientVIP {
-		if owner := h.vipOwner[vip]; owner != nil && owner.ID == leaderID {
-			out = append(out, node)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // String summarises the plane.

@@ -7,6 +7,17 @@ import (
 	"frontiersim/internal/sim"
 )
 
+// clientsOf lists the compute nodes served by the given leader id.
+func clientsOf(h *HPCM, leaderID int) []int {
+	var out []int
+	for node, vip := range h.clientVIP {
+		if owner := h.vipOwner[vip]; owner != nil && owner.ID == leaderID {
+			out = append(out, node)
+		}
+	}
+	return out
+}
+
 func newHPCM(t *testing.T) (*sim.Kernel, *HPCM) {
 	t.Helper()
 	k := sim.NewKernel(1)
@@ -54,7 +65,7 @@ func TestClientAssignment(t *testing.T) {
 	}
 	// Every leader serves roughly 9472/21 clients.
 	for _, ld := range h.Leaders {
-		n := len(h.ClientsOf(ld.ID))
+		n := len(clientsOf(h, ld.ID))
 		if n < 450 || n > 452 {
 			t.Errorf("leader %d serves %d clients, want ~451", ld.ID, n)
 		}
@@ -69,7 +80,7 @@ func TestCTDBFailoverTransparent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clients := h.ClientsOf(before.ID)
+	clients := clientsOf(h, before.ID)
 	if err := h.FailLeader(before.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +130,8 @@ func TestCascadingFailovers(t *testing.T) {
 	}
 	// VIP load should be balanced between the two survivors.
 	load := map[int]int{}
-	for _, owner := range h.VIPOwners() {
-		load[owner]++
+	for _, owner := range h.vipOwner {
+		load[owner.ID]++
 	}
 	if len(load) != 2 {
 		t.Fatalf("VIPs on %d leaders, want 2", len(load))

@@ -138,14 +138,6 @@ func (w Watts) String() string {
 	return formatScaled(float64(w), 1000, []string{"W", "kW", "MW", "GW"})
 }
 
-// Per divides a byte count by a duration, yielding a rate.
-func Per(b Bytes, d Seconds) BytesPerSecond {
-	if d == 0 {
-		return 0
-	}
-	return BytesPerSecond(float64(b) / float64(d))
-}
-
 // TimeToMove reports how long moving b bytes at rate r takes.
 func TimeToMove(b Bytes, r BytesPerSecond) Seconds {
 	if r <= 0 {
