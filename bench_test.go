@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"frontiersim/internal/core"
 	"frontiersim/internal/experiments"
 	"frontiersim/internal/fabric"
 	"frontiersim/internal/gpu"
@@ -89,6 +90,19 @@ func BenchmarkDragonflyBuild(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		if _, err := fabric.NewDragonfly(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCoreNewFrontier times exactly what frontier-bench's setup_s
+// times: one full-scale system build, core.New on the canonical Frontier
+// spec, at a new seed each time.
+func BenchmarkCoreNewFrontier(b *testing.B) {
+	spec := machine.Frontier()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.New(spec, int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -33,7 +33,6 @@ import (
 	"frontiersim/internal/experiments"
 	"frontiersim/internal/harness"
 	"frontiersim/internal/machine"
-	"frontiersim/internal/network"
 	"frontiersim/internal/profiling"
 )
 
@@ -90,11 +89,12 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	// One solver solution cache for the whole invocation: ablation arms
-	// sharing a traffic matrix (CC on/off) reuse solved allocations, and
-	// reuse is bit-exact, so output stays byte-identical with or without.
-	// Each campaign experiment attaches its own unbounded pricing cache.
-	opts := experiments.Options{Quick: *quick, Seed: *seed, Solutions: network.NewSolutionCache(0)}
+	// No solver solution cache: every experiment derives its own seed, so
+	// an invocation never solves the same traffic twice (ablation-cc's
+	// two arms already share one solve per GPCNeT phase), and a cache
+	// would only hold every solved shift's rates until exit. Each
+	// campaign experiment attaches its own unbounded pricing cache.
+	opts := experiments.Options{Quick: *quick, Seed: *seed}
 	if *machineArg != "" {
 		spec, err := machine.Resolve(*machineArg)
 		if err != nil {

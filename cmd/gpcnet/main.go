@@ -25,7 +25,6 @@ import (
 	"frontiersim/internal/machine"
 	"frontiersim/internal/network"
 	"frontiersim/internal/profiling"
-	"frontiersim/internal/rng"
 )
 
 func main() { os.Exit(run()) }
@@ -60,8 +59,7 @@ func run() int {
 	cfg := network.DefaultGPCNeTConfig()
 	cfg.Nodes = *nodes
 	cfg.PPN = *ppn
-	cfg.CongestionControl = *cc
-	all, err := runTrials(f, cfg, *trials, *jobs, *seed)
+	all, err := runTrials(f, cfg, *cc, *trials, *jobs, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gpcnet:", err)
 		return 1
@@ -100,21 +98,25 @@ func run() int {
 // runTrials runs trials independent repetitions of the benchmark and
 // returns them in trial order. Several trials fan out on the harness
 // pool, each drawing from its own stream derived from seed; the fabric
-// is shared read-only across workers.
-func runTrials(f *fabric.Fabric, cfg network.GPCNeTConfig, trials, jobs int, seed int64) ([]network.GPCNeTResult, error) {
+// is shared read-only across workers. cc says whether hardware
+// congestion control is on.
+func runTrials(f *fabric.Fabric, cfg network.GPCNeTConfig, cc bool, trials, jobs int, seed int64) ([]network.GPCNeTResult, error) {
 	if trials < 1 {
 		return nil, fmt.Errorf("need at least one trial, got %d", trials)
 	}
 	if trials == 1 {
-		res, err := network.RunGPCNeT(f, cfg, rng.New(seed), nil, "")
-		return []network.GPCNeTResult{res}, err
+		return network.RunGPCNeT(f, cfg, seed, []bool{cc}, nil, "")
 	}
 	tasks := make([]harness.Task[network.GPCNeTResult], trials)
 	for i := range tasks {
 		tasks[i] = harness.Task[network.GPCNeTResult]{
 			ID: fmt.Sprintf("trial-%d", i),
 			Run: func(_ context.Context, seed int64) (network.GPCNeTResult, error) {
-				return network.RunGPCNeT(f, cfg, rng.New(seed), nil, "")
+				res, err := network.RunGPCNeT(f, cfg, seed, []bool{cc}, nil, "")
+				if err != nil {
+					return network.GPCNeTResult{}, err
+				}
+				return res[0], nil
 			},
 		}
 	}

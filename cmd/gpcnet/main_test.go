@@ -18,7 +18,7 @@ func TestGPCNeTTrialsSerialParallelEquivalence(t *testing.T) {
 	cfg.Nodes = 45
 	cfg.LatencySamples = 400
 	run := func(jobs int) []network.GPCNeTResult {
-		res, err := runTrials(f, cfg, 4, jobs, 11)
+		res, err := runTrials(f, cfg, true, 4, jobs, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func TestGPCNeTTrialsSerialParallelEquivalence(t *testing.T) {
 }
 
 func TestGPCNeTTrialsErrors(t *testing.T) {
-	if _, err := runTrials(nil, network.DefaultGPCNeTConfig(), 0, 1, 1); err == nil {
+	if _, err := runTrials(nil, network.DefaultGPCNeTConfig(), true, 0, 1, 1); err == nil {
 		t.Error("zero trials should error")
 	}
 }

@@ -36,24 +36,30 @@ type KeyInputs struct {
 	CodeVersion string
 }
 
-// ResultKey derives the content address. Fields are length-prefixed
-// before hashing so no two distinct input tuples can collide by
-// concatenation (e.g. experiment "a" + version "bc" vs "ab" + "c").
+// ResultKey derives the content address: the SHA-256 of the inputs'
+// pre-image.
 func ResultKey(in KeyInputs) Key {
-	h := sha256.New()
-	var num [8]byte
-	writeField := func(b []byte) {
-		binary.LittleEndian.PutUint64(num[:], uint64(len(b)))
-		h.Write(num[:])
-		h.Write(b)
-	}
-	writeField(in.SpecJSON)
-	binary.LittleEndian.PutUint64(num[:], uint64(in.Seed))
-	h.Write(num[:])
-	writeField([]byte(in.Experiment))
-	h.Write([]byte{flag(in.Quick), flag(in.Markdown)})
-	writeField([]byte(in.CodeVersion))
-	return Key(hex.EncodeToString(h.Sum(nil)))
+	sum := sha256.Sum256(keyPreimage(in))
+	return Key(hex.EncodeToString(sum[:]))
+}
+
+// keyPreimage encodes the inputs for hashing. Variable-length fields are
+// length-prefixed so no two distinct input tuples share a pre-image by
+// concatenation (e.g. experiment "a" + version "bc" vs "ab" + "c");
+// FuzzResultKey decodes every pre-image back to its inputs.
+func keyPreimage(in KeyInputs) []byte {
+	buf := make([]byte, 0, 8+len(in.SpecJSON)+8+8+len(in.Experiment)+2+8+len(in.CodeVersion))
+	buf = appendField(buf, in.SpecJSON)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(in.Seed))
+	buf = appendField(buf, []byte(in.Experiment))
+	buf = append(buf, flag(in.Quick), flag(in.Markdown))
+	return appendField(buf, []byte(in.CodeVersion))
+}
+
+// appendField appends b with its length as a little-endian uint64 prefix.
+func appendField(buf, b []byte) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(b)))
+	return append(buf, b...)
 }
 
 func flag(b bool) byte {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"frontiersim/internal/rng"
 
 	"frontiersim/internal/fabric"
 	"frontiersim/internal/memory"
@@ -105,16 +104,18 @@ func AblationCC(o Options) (*report.Table, error) {
 		return nil, err
 	}
 	t := &report.Table{ID: "ablation-cc", Title: "GPCNeT with congestion control on vs off"}
-	for _, cc := range []bool{true, false} {
-		cfg := network.DefaultGPCNeTConfig()
-		cfg.CongestionControl = cc
-		if o.Quick {
-			cfg.LatencySamples = 600
-		}
-		res, err := network.RunGPCNeT(f, cfg, rng.New(o.Seed), o.Solutions, topoKey(o.machine()))
-		if err != nil {
-			return nil, err
-		}
+	cfg := network.DefaultGPCNeTConfig()
+	if o.Quick {
+		cfg.LatencySamples = 600
+	}
+	// Both arms measure one solve per phase: CC only derates after it.
+	arms := []bool{true, false}
+	results, err := network.RunGPCNeT(f, cfg, o.Seed, arms, o.Solutions, topoKey(o.machine()))
+	if err != nil {
+		return nil, err
+	}
+	for i, cc := range arms {
+		res := results[i]
 		name := "CC on"
 		paper := "1.0x"
 		pv := 1.0

@@ -35,10 +35,11 @@ func AblationPPN(o Options) (*report.Table, error) {
 		if o.Quick {
 			cfg.LatencySamples = 600
 		}
-		res, err := network.RunGPCNeT(f, cfg, rng.New(o.Seed), o.Solutions, topoKey(o.machine()))
+		arms, err := network.RunGPCNeT(f, cfg, o.Seed, []bool{true}, o.Solutions, topoKey(o.machine()))
 		if err != nil {
 			return nil, err
 		}
+		res := arms[0]
 		paper := "1.0x"
 		pv := 1.0
 		note := "the expected production use case"

@@ -8,7 +8,6 @@ import (
 	"frontiersim/internal/machine"
 	"frontiersim/internal/network"
 	"frontiersim/internal/report"
-	"frontiersim/internal/rng"
 )
 
 // Fig6 reproduces the mpiGraph histograms for Frontier's dragonfly and
@@ -83,10 +82,11 @@ func Table5(o Options) (*report.Table, error) {
 	if o.Quick {
 		cfg.LatencySamples = 800
 	}
-	res, err := network.RunGPCNeT(f, cfg, rng.New(o.Seed), o.Solutions, topoKey(o.machine()))
+	arms, err := network.RunGPCNeT(f, cfg, o.Seed, []bool{true}, o.Solutions, topoKey(o.machine()))
 	if err != nil {
 		return nil, err
 	}
+	res := arms[0]
 	t := &report.Table{ID: "table5", Title: "GPCNeT on 9,400 nodes, 8 PPN (isolated | congested)"}
 	us := func(s float64) string { return fmt.Sprintf("%.1f us", s*1e6) }
 	mib := func(b float64) string { return fmt.Sprintf("%.1f MiB/s", b/(1<<20)) }

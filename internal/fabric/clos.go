@@ -46,32 +46,31 @@ func NewClos(cfg ClosConfig) (*Fabric, error) {
 		},
 		Kind: FatTree,
 	}
-	var leafIDs []int
-	for s := 0; s <= cfg.Leaves; s++ { // last one is the core
-		f.SwitchGroup = append(f.SwitchGroup, 0)
-		f.SwitchHealthy = append(f.SwitchHealthy, true)
+	f.NumSwitches = cfg.Leaves + 1 // the last one is the core
+	f.SwitchGroup = make([]int, f.NumSwitches)
+	f.SwitchHealthy = make([]bool, f.NumSwitches)
+	leafIDs := make([]int, cfg.Leaves)
+	for s := range f.SwitchHealthy {
+		f.SwitchHealthy[s] = true
 		if s < cfg.Leaves {
-			leafIDs = append(leafIDs, s)
+			leafIDs[s] = s
 		}
 	}
-	f.NumSwitches = cfg.Leaves + 1
 	f.groupClass = []GroupClass{ComputeGroup}
 	f.groupSwitches = [][]int{leafIDs}
 	f.initRoutingIndex()
 	core := cfg.Leaves
 	epCap := float64(cfg.LinkRate) * cfg.EndpointEfficiency
 	trunk := float64(cfg.LinkRate) * float64(cfg.EndpointsPerLeaf) // non-blocking
+	endpoints := cfg.Leaves * cfg.EndpointsPerLeaf
+	f.allocLinks(2*cfg.Leaves+2*endpoints, endpoints)
 	f.uplink = make([]int, cfg.Leaves)
 	f.downlink = make([]int, cfg.Leaves)
 	for s := 0; s < cfg.Leaves; s++ {
 		f.uplink[s] = f.addLink(Uplink, s, core, trunk)
 		f.downlink[s] = f.addLink(Downlink, core, s, trunk)
 		for e := 0; e < cfg.EndpointsPerLeaf; e++ {
-			ep := f.NumEndpoints
-			f.NumEndpoints++
-			f.endpointSwitch = append(f.endpointSwitch, s)
-			f.injectLink = append(f.injectLink, f.addLink(Injection, ep, s, epCap))
-			f.ejectLink = append(f.ejectLink, f.addLink(Ejection, s, ep, epCap))
+			f.cableEndpoint(s*cfg.EndpointsPerLeaf+e, s, epCap)
 		}
 	}
 	f.indexNodeGroups()

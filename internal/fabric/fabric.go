@@ -9,7 +9,7 @@ import (
 )
 
 // LinkKind classifies a directed link.
-type LinkKind int
+type LinkKind uint8
 
 // Link kinds.
 const (
@@ -46,17 +46,18 @@ func (k LinkKind) String() string {
 	return fmt.Sprintf("LinkKind(%d)", int(k))
 }
 
-// Link is one directed link.
+// Link is one directed link. A link's id is its index in Fabric.Links.
+// The fields are ordered and sized so a link takes 24 bytes: Frontier
+// has 177,340 of them, and every solve and failure sweep walks the array.
 type Link struct {
-	ID   int
-	Kind LinkKind
 	// From and To are switch ids for switch-to-switch links. For
 	// Injection, From is an endpoint id; for Ejection, To is an
 	// endpoint id.
-	From, To int
+	From, To int32
 	// Cap is the usable capacity in bytes/s (line rate for fabric
 	// links; line rate × endpoint efficiency at endpoints).
-	Cap float64
+	Cap  float64
+	Kind LinkKind
 	// Up is false when the link (or its switch) has failed.
 	Up bool
 }
@@ -103,10 +104,12 @@ type Fabric struct {
 	// blocks cover every possible key in Σ len(group)² slots.
 	intraDense []int32
 	intraBase  []int32
-	// globalDense[a*numGroups+b] lists the directed global link ids from
-	// group a to group b.
-	globalDense [][]int
-	numGroups   int
+	// The directed global link ids from group a to group b are
+	// globalIDs[globalOff[k]:globalOff[k+1]] with k = a*numGroups+b, in
+	// cabling order: pickUp's rotation offsets index into that order.
+	globalOff []int32
+	globalIDs []int
+	numGroups int
 
 	NumEndpoints   int
 	endpointSwitch []int
@@ -153,7 +156,27 @@ func (f *Fabric) initRoutingIndex() {
 	}
 	f.intraBase[f.numGroups] = base
 	f.intraDense = make([]int32, base)
-	f.globalDense = make([][]int, f.numGroups*f.numGroups)
+	f.globalOff = make([]int32, f.numGroups*f.numGroups+1)
+}
+
+// allocLinks sizes the link and endpoint tables once, at their final
+// length: constructors count both from the config before cabling, so a
+// build allocates each table exactly once.
+func (f *Fabric) allocLinks(links, endpoints int) {
+	f.Links = make([]Link, 0, links)
+	f.usable = make([]bool, 0, links)
+	f.NumEndpoints = endpoints
+	f.endpointSwitch = make([]int, endpoints)
+	f.injectLink = make([]int, endpoints)
+	f.ejectLink = make([]int, endpoints)
+}
+
+// cableEndpoint wires endpoint ep to switch sw with an injection and an
+// ejection link of capacity epCap.
+func (f *Fabric) cableEndpoint(ep, sw int, epCap float64) {
+	f.endpointSwitch[ep] = sw
+	f.injectLink[ep] = f.addLink(Injection, ep, sw, epCap)
+	f.ejectLink[ep] = f.addLink(Ejection, sw, ep, epCap)
 }
 
 // setIntra records a directed intra-group link in the dense index.
@@ -193,41 +216,52 @@ func NewDragonfly(cfg Config) (*Fabric, error) {
 		Cfg:  cfg,
 		Kind: Dragonfly,
 	}
-	// Groups and switches.
-	for g := 0; g < cfg.TotalGroups(); g++ {
-		class := ComputeGroup
+	// Groups and switches. Every group's switch list is a window of one
+	// id table.
+	groups := cfg.TotalGroups()
+	f.groupClass = make([]GroupClass, groups)
+	for g := range f.groupClass {
 		switch {
 		case g >= cfg.ComputeGroups+cfg.IOGroups:
-			class = MgmtGroup
+			f.groupClass[g] = MgmtGroup
 		case g >= cfg.ComputeGroups:
-			class = IOGroup
+			f.groupClass[g] = IOGroup
 		}
-		nsw := cfg.ComputeGroupSwitches
-		if class != ComputeGroup {
-			nsw = cfg.TORGroupSwitches
+		f.NumSwitches += cfg.groupSwitchCount(f.groupClass[g])
+	}
+	f.SwitchGroup = make([]int, f.NumSwitches)
+	f.SwitchHealthy = make([]bool, f.NumSwitches)
+	ids := make([]int, f.NumSwitches)
+	f.groupSwitches = make([][]int, groups)
+	intra := 0
+	for g, sw := 0, 0; g < groups; g++ {
+		nsw := cfg.groupSwitchCount(f.groupClass[g])
+		f.groupSwitches[g] = ids[sw : sw+nsw : sw+nsw]
+		for end := sw + nsw; sw < end; sw++ {
+			ids[sw] = sw
+			f.SwitchGroup[sw] = g
+			f.SwitchHealthy[sw] = true
 		}
-		var ids []int
-		for s := 0; s < nsw; s++ {
-			id := f.NumSwitches
-			f.NumSwitches++
-			f.SwitchGroup = append(f.SwitchGroup, g)
-			f.SwitchHealthy = append(f.SwitchHealthy, true)
-			ids = append(ids, id)
-		}
-		f.groupClass = append(f.groupClass, class)
-		f.groupSwitches = append(f.groupSwitches, ids)
+		intra += nsw * (nsw - 1)
 	}
 	f.initRoutingIndex()
+	// Global link counts per ordered group pair, as offsets.
+	for k := range groups * groups {
+		a, b := k/groups, k%groups
+		n := 0
+		if a != b {
+			n = cfg.globalLinksBetween(f.groupClass[a], f.groupClass[b])
+		}
+		f.globalOff[k+1] = f.globalOff[k] + int32(n)
+	}
+	globals := int(f.globalOff[groups*groups])
+	f.globalIDs = make([]int, globals)
+	endpoints := f.NumSwitches * cfg.EndpointsPerSwitch
+	f.allocLinks(2*endpoints+intra+globals, endpoints)
 	// Endpoints on every switch.
 	epCap := float64(cfg.LinkRate) * cfg.EndpointEfficiency
-	for sw := 0; sw < f.NumSwitches; sw++ {
-		for e := 0; e < cfg.EndpointsPerSwitch; e++ {
-			ep := f.NumEndpoints
-			f.NumEndpoints++
-			f.endpointSwitch = append(f.endpointSwitch, sw)
-			f.injectLink = append(f.injectLink, f.addLink(Injection, ep, sw, epCap))
-			f.ejectLink = append(f.ejectLink, f.addLink(Ejection, sw, ep, epCap))
-		}
+	for ep := range endpoints {
+		f.cableEndpoint(ep, ep/cfg.EndpointsPerSwitch, epCap)
 	}
 	f.indexNodeGroups()
 	// Intra-group: full connectivity.
@@ -243,20 +277,27 @@ func NewDragonfly(cfg Config) (*Fabric, error) {
 		}
 	}
 	// Global links between every group pair, spread across switches.
-	for a := 0; a < cfg.TotalGroups(); a++ {
-		for b := a + 1; b < cfg.TotalGroups(); b++ {
-			n := cfg.globalLinksBetween(f.groupClass[a], f.groupClass[b])
+	for a := 0; a < groups; a++ {
+		for b := a + 1; b < groups; b++ {
+			ab, ba := f.globalOff[a*groups+b], f.globalOff[b*groups+a]
+			n := int(f.globalOff[a*groups+b+1] - ab)
 			for i := 0; i < n; i++ {
 				swa := f.groupSwitches[a][(b*n+i)%len(f.groupSwitches[a])]
 				swb := f.groupSwitches[b][(a*n+i)%len(f.groupSwitches[b])]
-				ab := f.addLink(Global, swa, swb, float64(cfg.LinkRate))
-				ba := f.addLink(Global, swb, swa, float64(cfg.LinkRate))
-				f.globalDense[a*f.numGroups+b] = append(f.globalDense[a*f.numGroups+b], ab)
-				f.globalDense[b*f.numGroups+a] = append(f.globalDense[b*f.numGroups+a], ba)
+				f.globalIDs[int(ab)+i] = f.addLink(Global, swa, swb, float64(cfg.LinkRate))
+				f.globalIDs[int(ba)+i] = f.addLink(Global, swb, swa, float64(cfg.LinkRate))
 			}
 		}
 	}
 	return f, nil
+}
+
+// groupSwitchCount returns the switch count of a group of the given class.
+func (c Config) groupSwitchCount(class GroupClass) int {
+	if class == ComputeGroup {
+		return c.ComputeGroupSwitches
+	}
+	return c.TORGroupSwitches
 }
 
 // globalLinksBetween returns the link count between groups of the given
@@ -278,7 +319,7 @@ func (c Config) globalLinksBetween(a, b GroupClass) int {
 
 func (f *Fabric) addLink(kind LinkKind, from, to int, capacity float64) int {
 	id := len(f.Links)
-	f.Links = append(f.Links, Link{ID: id, Kind: kind, From: from, To: to, Cap: capacity, Up: true})
+	f.Links = append(f.Links, Link{From: int32(from), To: int32(to), Cap: capacity, Kind: kind, Up: true})
 	f.usable = append(f.usable, true) // every switch is healthy while a fabric is built
 	return id
 }
@@ -406,7 +447,9 @@ func (f *Fabric) GlobalLinks(a, b int) []int {
 	if a < 0 || b < 0 || a >= f.numGroups || b >= f.numGroups {
 		return nil
 	}
-	return f.globalDense[a*f.numGroups+b]
+	k := a*f.numGroups + b
+	lo, hi := f.globalOff[k], f.globalOff[k+1]
+	return f.globalIDs[lo:hi:hi]
 }
 
 // FailLink marks a link down.
@@ -429,10 +472,11 @@ func (f *Fabric) RestoreLink(id int) {
 func (f *Fabric) FailSwitch(sw int) {
 	f.SwitchHealthy[sw] = false
 	f.stateEpoch++
+	s := int32(sw)
 	for i := range f.Links {
 		l := &f.Links[i]
-		touches := (l.Kind != Injection && l.From == sw) || (l.Kind != Ejection && l.To == sw) ||
-			(l.Kind == Injection && l.To == sw) || (l.Kind == Ejection && l.From == sw)
+		touches := (l.Kind != Injection && l.From == s) || (l.Kind != Ejection && l.To == s) ||
+			(l.Kind == Injection && l.To == s) || (l.Kind == Ejection && l.From == s)
 		if touches {
 			l.Up = false
 			f.usable[i] = false
@@ -519,7 +563,7 @@ func (f *Fabric) appendMinimalPath(buf []int, src, dst int, rng *rand.Rand) ([]i
 		if !ok {
 			return nil, fmt.Errorf("fabric: no global link up from group %d to %d", g1, g2)
 		}
-		sa, sb := f.Links[gl].From, f.Links[gl].To
+		sa, sb := int(f.Links[gl].From), int(f.Links[gl].To)
 		if sa != s1 {
 			id, ok := f.intraUp(s1, sa)
 			if !ok {
@@ -579,8 +623,8 @@ func (f *Fabric) appendValiantPath(buf []int, src, dst, via int, rng *rand.Rand)
 		return nil, fmt.Errorf("fabric: no global link up from group %d to %d", via, g2)
 	}
 	path := append(buf, f.injectLink[src])
-	sa, sm1 := f.Links[gl1].From, f.Links[gl1].To
-	sm2, sb := f.Links[gl2].From, f.Links[gl2].To
+	sa, sm1 := int(f.Links[gl1].From), int(f.Links[gl1].To)
+	sm2, sb := int(f.Links[gl2].From), int(f.Links[gl2].To)
 	if sa != s1 {
 		id, ok := f.intraUp(s1, sa)
 		if !ok {

@@ -76,10 +76,10 @@ func (m *Manager) Sweep() int {
 			changes++
 			l := m.F.Links[i]
 			if l.Kind != Injection {
-				affected[l.From] = true
+				affected[int(l.From)] = true
 			}
 			if l.Kind != Ejection {
-				affected[l.To] = true
+				affected[int(l.To)] = true
 			}
 			m.lastLinkUp[i] = l.Up
 		}

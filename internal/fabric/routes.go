@@ -51,10 +51,10 @@ func (f *Fabric) buildRoutingTable(sw int, up func(id int) bool) RoutingTable {
 			if !up(id) {
 				continue
 			}
-			l := f.Links[id]
-			if l.From == sw {
+			from := int(f.Links[id].From)
+			if from == sw {
 				direct = append(direct, id)
-			} else if hop, ok := rt.LocalNext[l.From]; ok {
+			} else if hop, ok := rt.LocalNext[from]; ok {
 				viaPeer = append(viaPeer, hop)
 			}
 		}
@@ -123,7 +123,7 @@ func (f *Fabric) ForwardMinimal(tables map[int]RoutingTable, src, dst int) ([]in
 			return nil, fmt.Errorf("fabric: table at switch %d points at down link %d", cur, next)
 		}
 		path = append(path, next)
-		cur = f.Links[next].To
+		cur = int(f.Links[next].To)
 	}
 	return append(path, f.ejectLink[dst]), nil
 }

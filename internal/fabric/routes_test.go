@@ -55,7 +55,7 @@ func TestTableForwardingProperty(t *testing.T) {
 			return false
 		}
 		last := f.Links[path[len(path)-1]]
-		return last.Kind == Ejection && last.To == dst
+		return last.Kind == Ejection && int(last.To) == dst
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -70,7 +70,7 @@ func TestTablesRerouteAroundFailures(t *testing.T) {
 	sw := f.endpointSwitch[0]
 	killed := 0
 	for _, id := range f.GlobalLinks(0, 1) {
-		if f.Links[id].From == sw {
+		if int(f.Links[id].From) == sw {
 			f.FailLink(id)
 			killed++
 		}
@@ -152,7 +152,7 @@ func TestManagerTablesReflectLastSweep(t *testing.T) {
 	m := NewManager(f, 10)
 	pushed := f.BuildAllRoutingTables()
 	dead := f.GlobalLinks(0, 1)[0]
-	sw := f.Links[dead].From
+	sw := int(f.Links[dead].From)
 	f.FailLink(dead)
 
 	tables := m.Tables()
@@ -198,24 +198,25 @@ func portBudget(f *Fabric, sw int) portUsage {
 	if f.Kind == FatTree {
 		u.L0Limit, u.L1Limit, u.L2Limit = 64, 64, 64
 	}
+	s := int32(sw)
 	for _, l := range f.Links {
 		switch l.Kind {
 		case Injection:
-			if l.To == sw {
+			if l.To == s {
 				u.L0++
 			}
 		case Ejection:
 			// The ejection direction shares the L0 port counted above.
 		case Intra:
-			if l.From == sw {
+			if l.From == s {
 				u.L1++
 			}
 		case Global:
-			if l.From == sw {
+			if l.From == s {
 				u.L2++
 			}
 		case Uplink, Downlink:
-			if l.From == sw || l.To == sw {
+			if l.From == s || l.To == s {
 				u.L1++
 			}
 		}

@@ -163,13 +163,6 @@ func (h *Handle[T]) RunDuration() time.Duration {
 	return h.dur
 }
 
-// Events returns a copy of every progress event recorded so far.
-func (h *Handle[T]) Events() []ProgressEvent {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]ProgressEvent(nil), h.events...)
-}
-
 // Next is the streaming cursor: it blocks until events beyond cursor
 // exist or the job has finished, then returns the new events, the
 // advanced cursor, and whether the job is finished. A streaming consumer

@@ -8,6 +8,17 @@ import (
 	"time"
 )
 
+// history returns every event of a finished job: its streaming cursor
+// from 0, which does not block once the job is done.
+func history[T any](t *testing.T, h *Handle[T]) []ProgressEvent {
+	t.Helper()
+	evs, _, fin := h.Next(0)
+	if !fin {
+		t.Fatal("history of a job that has not finished")
+	}
+	return evs
+}
+
 func TestPoolSubmitResult(t *testing.T) {
 	p := NewPool(2)
 	h := Submit(p, context.Background(), "job-1", func(_ context.Context, progress func(string)) (int, error) {
@@ -23,7 +34,7 @@ func TestPoolSubmitResult(t *testing.T) {
 	}
 	var states []JobState
 	var msgs []string
-	for _, ev := range h.Events() {
+	for _, ev := range history(t, h) {
 		states = append(states, ev.State)
 		if ev.Message != "" {
 			msgs = append(msgs, ev.Message)
@@ -31,7 +42,7 @@ func TestPoolSubmitResult(t *testing.T) {
 	}
 	want := []JobState{JobQueued, JobRunning, JobRunning, JobDone}
 	if len(states) != len(want) {
-		t.Fatalf("events = %v, want states %v", h.Events(), want)
+		t.Fatalf("events = %v, want states %v", history(t, h), want)
 	}
 	for i := range want {
 		if states[i] != want[i] {
@@ -55,7 +66,7 @@ func TestPoolError(t *testing.T) {
 	if st := h.State(); st != JobFailed {
 		t.Fatalf("state = %v, want failed", st)
 	}
-	evs := h.Events()
+	evs := history(t, h)
 	last := evs[len(evs)-1]
 	if last.State != JobFailed || last.Message != "boom" {
 		t.Fatalf("final event = %+v, want failed/boom", last)
@@ -189,9 +200,9 @@ func TestPoolProgressAfterFinishIsNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	progress := <-leak
-	before := len(h.Events())
+	before := len(history(t, h))
 	progress("too late")
-	if after := len(h.Events()); after != before {
+	if after := len(history(t, h)); after != before {
 		t.Fatalf("progress after finish recorded an event (%d -> %d)", before, after)
 	}
 }

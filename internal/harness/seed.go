@@ -2,14 +2,6 @@ package harness
 
 import "frontiersim/internal/rng"
 
-// splitmix64 is the SplitMix64 finalizer (Steele, Lea & Flood 2014): a
-// bijective avalanche over 64 bits. It turns structured inputs (small
-// root seeds, similar experiment ids) into statistically independent
-// streams, which is what makes per-task seed derivation safe. The
-// implementation lives in internal/rng, shared with every stream-
-// derivation site in the simulator.
-func splitmix64(x uint64) uint64 { return rng.Mix64(x) }
-
 // DeriveSeed maps a root seed and a task id to the task's private seed.
 // The derivation depends only on (root, id) — never on worker count or
 // scheduling order — so a parallel run and a serial run of the same task

@@ -263,3 +263,31 @@ func TestBurstBufferNodeDefault(t *testing.T) {
 		t.Errorf("job burst buffer Nodes = %d, want 1000", bb.Nodes)
 	}
 }
+
+// TestCanonicalFabricsExactlySized builds every canonical machine's
+// fabric and checks that its link array was allocated once at the
+// config's link count. TestFabricTablesExactlySized in internal/fabric
+// checks the unexported tables on the same two builders.
+func TestCanonicalFabricsExactlySized(t *testing.T) {
+	for _, name := range Names() {
+		spec, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := spec.NewFabric()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 177340 // Frontier's directed links: endpoint, L1 and L2
+		if spec.Topology.Kind == FatTree {
+			cfg, err := spec.ClosConfig()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = cfg.Leaves * 2 * (1 + cfg.EndpointsPerLeaf)
+		}
+		if len(f.Links) != want || cap(f.Links) != want {
+			t.Errorf("%s: links len %d cap %d, want both %d", name, len(f.Links), cap(f.Links), want)
+		}
+	}
+}

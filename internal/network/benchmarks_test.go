@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"frontiersim/internal/fabric"
@@ -157,10 +158,11 @@ func TestGPCNeTCongestionControlProtects(t *testing.T) {
 	cfg := DefaultGPCNeTConfig()
 	cfg.Nodes = 45
 	cfg.LatencySamples = 1500
-	res, err := RunGPCNeT(f, cfg, rand.New(rand.NewSource(7)), nil, "")
+	arms, err := RunGPCNeT(f, cfg, 7, []bool{true}, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := arms[0]
 	// Table 5's result: with CC and 8 PPN, congested == isolated.
 	if res.BandwidthImpact > 1.12 {
 		t.Errorf("bandwidth impact with CC = %.2f, want ~1.0", res.BandwidthImpact)
@@ -184,11 +186,11 @@ func TestGPCNeTWithoutCCDegrades(t *testing.T) {
 	cfg := DefaultGPCNeTConfig()
 	cfg.Nodes = 45
 	cfg.LatencySamples = 1500
-	cfg.CongestionControl = false
-	res, err := RunGPCNeT(f, cfg, rand.New(rand.NewSource(8)), nil, "")
+	arms, err := RunGPCNeT(f, cfg, 8, []bool{false}, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := arms[0]
 	if res.BandwidthImpact < 1.2 {
 		t.Errorf("bandwidth impact without CC = %.2f, want noticeable degradation", res.BandwidthImpact)
 	}
@@ -205,10 +207,11 @@ func TestGPCNeTHighPPNPartialDegradation(t *testing.T) {
 
 	high := base
 	high.PPN = 32
-	resHigh, err := RunGPCNeT(f, high, rand.New(rand.NewSource(9)), nil, "")
+	arms, err := RunGPCNeT(f, high, 9, []bool{true}, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
+	resHigh := arms[0]
 	// Paper: 32 PPN shows 1.2-1.6x average degradation even with CC.
 	if resHigh.BandwidthImpact < 1.05 {
 		t.Errorf("32 PPN bandwidth impact = %.2f, want > 1.05", resHigh.BandwidthImpact)
@@ -221,24 +224,29 @@ func TestGPCNeTHighPPNPartialDegradation(t *testing.T) {
 func TestGPCNeTErrors(t *testing.T) {
 	f := smallFabric(t)
 	cfg := DefaultGPCNeTConfig()
-	if _, err := RunGPCNeT(f, cfg, rand.New(rand.NewSource(10)), nil, ""); err == nil {
+	on := []bool{true}
+	if _, err := RunGPCNeT(f, cfg, 10, on, nil, ""); err == nil {
 		t.Error("9400 nodes on a 48-node fabric should error")
 	}
 	cfg.Nodes = 4
-	if _, err := RunGPCNeT(f, cfg, rand.New(rand.NewSource(10)), nil, ""); err == nil {
+	if _, err := RunGPCNeT(f, cfg, 10, on, nil, ""); err == nil {
 		t.Error("too few nodes should error")
 	}
 	cfg.Nodes = 20
 	for _, ppn := range []int{0, -1} {
 		cfg.PPN = ppn
-		if _, err := RunGPCNeT(f, cfg, rand.New(rand.NewSource(10)), nil, ""); err == nil {
+		if _, err := RunGPCNeT(f, cfg, 10, on, nil, ""); err == nil {
 			t.Errorf("PPN %d should error", ppn)
 		}
 	}
 	cfg.PPN = 8
 	cfg.LatencySamples = 0
-	if _, err := RunGPCNeT(f, cfg, rand.New(rand.NewSource(10)), nil, ""); err == nil {
+	if _, err := RunGPCNeT(f, cfg, 10, on, nil, ""); err == nil {
 		t.Error("zero latency samples should error")
+	}
+	cfg.LatencySamples = 100
+	if _, err := RunGPCNeT(f, cfg, 10, nil, nil, ""); err == nil {
+		t.Error("no congestion-control arm should error")
 	}
 	m := NewLatencyModel(f, rand.New(rand.NewSource(10)))
 	if _, err := m.MeasureLatency(f.NodeEndpoints(0), 0); err == nil {
@@ -284,5 +292,42 @@ func TestFrontierScaleCalibration(t *testing.T) {
 	}
 	if float64(ar.P99) < float64(ar.Average) {
 		t.Error("allreduce P99 below average")
+	}
+}
+
+// TestGPCNeTArmsMatchSeparateRuns checks that one call measuring several
+// congestion-control arms from one solve per phase returns exactly what
+// separate single-arm calls at the same seed return, in either arm
+// order, at 8 PPN (only the CC-off arm derates) and 32 PPN (both do).
+func TestGPCNeTArmsMatchSeparateRuns(t *testing.T) {
+	f := smallFabric(t)
+	for _, ppn := range []int{8, 32} {
+		cfg := DefaultGPCNeTConfig()
+		cfg.Nodes = 45
+		cfg.PPN = ppn
+		cfg.LatencySamples = 300
+		for _, seed := range []int64{1, 21, 77, 1234} {
+			single := map[bool]GPCNeTResult{}
+			for _, cc := range []bool{true, false} {
+				res, err := RunGPCNeT(f, cfg, seed, []bool{cc}, nil, "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				single[cc] = res[0]
+			}
+			if single[true] == single[false] {
+				t.Fatalf("ppn %d seed %d: CC on and off gave the same result", ppn, seed)
+			}
+			for _, arms := range [][]bool{{true, false}, {false, true}} {
+				got, err := RunGPCNeT(f, cfg, seed, arms, nil, "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := []GPCNeTResult{single[arms[0]], single[arms[1]]}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("ppn %d seed %d arms %v:\n got %+v\nwant %+v", ppn, seed, arms, got, want)
+				}
+			}
+		}
 	}
 }

@@ -13,9 +13,9 @@ import (
 
 // This file is the incremental-solving layer on top of the Solver arena:
 // demand-set signatures and a SolutionCache that lets repeated patterns
-// (GPCNeT congestor loops, census shifts replayed across campaign
-// what-ifs, ablation arms that share a traffic matrix) return stored
-// allocations without touching the water-filling heap. Cache entries are
+// (census shifts replayed across campaign what-ifs, a GPCNeT run
+// repeated at one seed) return stored allocations without touching the
+// water-filling heap. Cache entries are
 // keyed by (topology, fabric state epoch, demand signature) and so are
 // invalidated by every FailLink/RestoreLink/FailSwitch epoch bump.
 

@@ -510,8 +510,8 @@ func TestMpiGraphCacheInvalidatedByLinkState(t *testing.T) {
 	}
 }
 
-// GPCNeT with a cache is byte-identical, and ablation arms that differ
-// only in the CongestionControl flag share solved allocations: the
+// GPCNeT with a cache is byte-identical, and separate single-arm runs
+// that differ only in congestion control share solved allocations: the
 // solve itself is CC-independent.
 func TestGPCNeTCachedMatchesUncachedAcrossCCArms(t *testing.T) {
 	f := smallFabric(t)
@@ -520,16 +520,15 @@ func TestGPCNeTCachedMatchesUncachedAcrossCCArms(t *testing.T) {
 	cfg.LatencySamples = 200
 	c := NewSolutionCache(0)
 	for _, cc := range []bool{true, false} {
-		cfg.CongestionControl = cc
-		base, err := RunGPCNeT(f, cfg, rand.New(rand.NewSource(21)), nil, "")
+		base, err := RunGPCNeT(f, cfg, 21, []bool{cc}, nil, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunGPCNeT(f, cfg, rand.New(rand.NewSource(21)), c, "")
+		res, err := RunGPCNeT(f, cfg, 21, []bool{cc}, c, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res != base {
+		if res[0] != base[0] {
 			t.Fatalf("cc=%v: cached result differs from uncached:\n%+v\n%+v", cc, res, base)
 		}
 	}
