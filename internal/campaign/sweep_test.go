@@ -156,6 +156,14 @@ func TestSweepApply(t *testing.T) {
 		t.Fatalf("linkRate=0 err = %v, want a link-rate validation error", err)
 	}
 
+	// A negative bundle count is rejected at decode time, before any
+	// fabric is built from it.
+	for _, field := range []string{"computeComputeLinks", "computeIOLinks", "ioMgmtLinks", "ioGroups", "torGroupSwitches"} {
+		if _, err := (Sweep{Field: field}).Apply(spec, -1); err == nil {
+			t.Errorf("%s=-1 was accepted, want a validation error", field)
+		}
+	}
+
 	// Unknown fields name the vocabulary.
 	_, err = (Sweep{Field: "warpDrive"}).Apply(spec, 1)
 	if err == nil || !strings.Contains(err.Error(), "numeric fields") {

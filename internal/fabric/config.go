@@ -81,6 +81,20 @@ func (c Config) Validate() error {
 	if c.EndpointsPerSwitch < 1 {
 		return fmt.Errorf("fabric: need endpoints")
 	}
+	if c.ComputeGroupSwitches < 1 {
+		return fmt.Errorf("fabric: need at least one switch per compute group")
+	}
+	if c.IOGroups < 0 || c.MgmtGroups < 0 {
+		return fmt.Errorf("fabric: negative group count (io %d, mgmt %d)", c.IOGroups, c.MgmtGroups)
+	}
+	if c.IOGroups+c.MgmtGroups > 0 && c.TORGroupSwitches < 1 {
+		return fmt.Errorf("fabric: need at least one switch per I/O or management group (got %d)", c.TORGroupSwitches)
+	}
+	// Bundle counts size the global-link table; a negative one would
+	// make its per-pair offsets decrease.
+	if min(c.ComputeComputeLinks, c.ComputeIOLinks, c.ComputeMgmtLinks, c.IOIOLinks, c.IOMgmtLinks) < 0 {
+		return fmt.Errorf("fabric: negative global link count")
+	}
 	if c.NICsPerNode < 1 {
 		return fmt.Errorf("fabric: need at least one NIC per node")
 	}

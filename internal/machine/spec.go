@@ -333,6 +333,15 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("machine %s: dragonfly needs positive switches per group and endpoints per switch (got %d, %d)",
 				s.Name, t.ComputeGroupSwitches, t.EndpointsPerSwitch)
 		}
+		if t.IOGroups < 0 || t.MgmtGroups < 0 {
+			return fmt.Errorf("machine %s: dragonfly group counts must not be negative (got io %d, mgmt %d)", s.Name, t.IOGroups, t.MgmtGroups)
+		}
+		if t.IOGroups+t.MgmtGroups > 0 && t.TORGroupSwitches < 1 {
+			return fmt.Errorf("machine %s: dragonfly I/O and management groups need positive torGroupSwitches (got %d)", s.Name, t.TORGroupSwitches)
+		}
+		if min(t.ComputeComputeLinks, t.ComputeIOLinks, t.ComputeMgmtLinks, t.IOIOLinks, t.IOMgmtLinks) < 0 {
+			return fmt.Errorf("machine %s: dragonfly global link counts must not be negative", s.Name)
+		}
 	case FatTree:
 		if t.Leaves < 1 || t.EndpointsPerLeaf < 1 {
 			return fmt.Errorf("machine %s: fat tree needs positive leaves and endpoints per leaf (got %d, %d)",

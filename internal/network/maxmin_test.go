@@ -10,6 +10,22 @@ import (
 	"frontiersim/internal/machine"
 )
 
+// LinkLoad reports post-solve utilisation of fabric links: a map from
+// fabric link id to the fraction of capacity in use. Only links crossed
+// by at least one demand appear.
+func LinkLoad(f *fabric.Fabric, demands []*Demand) map[int]float64 {
+	used := linkUse(f, demands)
+	out := make(map[int]float64)
+	for _, d := range demands {
+		for _, p := range d.Paths {
+			for _, lid := range p {
+				out[lid] = used[lid] / f.Links[lid].Cap
+			}
+		}
+	}
+	return out
+}
+
 func smallFabric(t *testing.T) *fabric.Fabric {
 	t.Helper()
 	f, err := machine.Scaled(6, 8, 4).NewFabric()
