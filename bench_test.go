@@ -402,19 +402,6 @@ func BenchmarkExtBurstBuffer(b *testing.B) { benchExperiment(b, "ext-burstbuffer
 func BenchmarkExtSysmgmt(b *testing.B)     { benchExperiment(b, "ext-sysmgmt") }
 func BenchmarkExtOperations(b *testing.B)  { benchExperiment(b, "ext-operations") }
 
-func BenchmarkRoutingTableBuild(b *testing.B) {
-	f, err := machine.Frontier().NewFabric()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if tables := f.BuildAllRoutingTables(); len(tables) == 0 {
-			b.Fatal("no tables")
-		}
-	}
-}
-
 // BenchmarkKernelSchedule measures the raw event-calendar cycle —
 // schedule into a ~thousand-deep 4-ary heap, dispatch, recycle the arena
 // slot — through the closure-free AtCall path. allocs/op is the

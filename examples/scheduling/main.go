@@ -1,8 +1,7 @@
-// Scheduling: drive the Slurm model with a mixed workload under failure
-// injection — small jobs pack into dragonfly groups, the full-system job
-// spreads across all of them, checknode keeps sick nodes out, EASY
-// backfill keeps utilization up, and the fabric manager sweeps up a
-// failed switch mid-run.
+// Scheduling: drive the Slurm model with a mixed workload under node
+// failure injection — small jobs pack into dragonfly groups, the
+// full-system job spreads across all of them, checknode keeps a sick
+// node out until it is repaired, and EASY backfill keeps utilization up.
 //
 // Run with: go run ./examples/scheduling
 package main
@@ -25,7 +24,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println(sys)
-	sys.FabricManager.Start(sys.Kernel)
 
 	var completions []string
 	onDone := func(j *scheduler.Job) {
@@ -54,7 +52,7 @@ func main() {
 	}
 	fmt.Printf("\nhero job state at submit: %v; filler: %v (EASY backfill)\n", big.State, filler.State)
 
-	// Inject a node failure at t+30min and a switch failure at t+1h.
+	// Inject a node failure at t+30min, repaired an hour later.
 	sys.Kernel.After(30*units.Minute, func() {
 		victim := 100
 		fmt.Printf("[t=%v] node %d fails checknode\n", sys.Kernel.Now(), victim)
@@ -64,11 +62,6 @@ func main() {
 			sys.Scheduler.MarkHealthy(victim)
 		})
 	})
-	sys.Kernel.After(1*units.Hour, func() {
-		sw := 40
-		fmt.Printf("[t=%v] switch %d fails; the next sweep reroutes around it\n", sys.Kernel.Now(), sw)
-		sys.Fabric.FailSwitch(sw)
-	})
 
 	sys.Kernel.RunUntil(12 * units.Hour)
 
@@ -77,7 +70,5 @@ func main() {
 	fmt.Printf("  jobs finished  %d (failed: %d)\n", sys.Scheduler.Finished, sys.Scheduler.FailedJobs)
 	fmt.Printf("  completions    %v\n", completions)
 	fmt.Printf("  hero job       %v (spanned %d groups)\n", big.State, big.GroupsSpanned(sys.Fabric))
-	fmt.Printf("  fabric epochs  %d (routes pushed to %d switches)\n",
-		sys.FabricManager.Epoch, sys.FabricManager.RoutesPushed)
 	fmt.Printf("  free nodes     %d\n", sys.Scheduler.FreeNodes())
 }

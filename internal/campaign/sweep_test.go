@@ -164,6 +164,11 @@ func TestSweepApply(t *testing.T) {
 		}
 	}
 
+	// A sweep that leaves the compute groups unjoined is rejected too.
+	if _, err := (Sweep{Field: "computeComputeLinks"}).Apply(spec, 0); err == nil || !strings.Contains(err.Error(), "computeComputeLinks") {
+		t.Errorf("computeComputeLinks=0 err = %v, want a validation error naming the field", err)
+	}
+
 	// Unknown fields name the vocabulary.
 	_, err = (Sweep{Field: "warpDrive"}).Apply(spec, 1)
 	if err == nil || !strings.Contains(err.Error(), "numeric fields") {

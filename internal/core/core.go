@@ -1,9 +1,9 @@
 // Package core composes the subsystem models into whole machines: the
-// full Frontier system (nodes, Slingshot fabric, scheduler, fabric
-// manager, Orion and node-local storage, power and reliability models)
-// plus the Summit comparison system, and derives the aggregate
-// specifications of the paper's Table 1. Machine parameters come from
-// the declarative specs in internal/machine; core only assembles.
+// full Frontier system (nodes, Slingshot fabric, scheduler, Orion and
+// node-local storage, power and reliability models) plus the Summit
+// comparison system, and derives the aggregate specifications of the
+// paper's Table 1. Machine parameters come from the declarative specs in
+// internal/machine; core only assembles.
 package core
 
 import (
@@ -34,8 +34,6 @@ type System struct {
 	Node *node.Node
 	// Scheduler is the Slurm model over the fabric's compute nodes.
 	Scheduler *scheduler.Scheduler
-	// FabricManager sweeps the fabric for failures.
-	FabricManager *fabric.Manager
 	// Orion is the center-wide file system; NodeLocal the per-node NVMe.
 	Orion     *storage.Orion
 	NodeLocal *storage.NodeLocalStore
@@ -79,7 +77,6 @@ func New(spec machine.Spec, seed int64) (*System, error) {
 	}
 	if spec.Node.BardPeak {
 		s.Node = node.New(0)
-		s.FabricManager = fabric.NewManager(f, 30)
 		// Jobs price their programs against the same fabric and storage
 		// instances the rest of the system mutates.
 		s.Scheduler = scheduler.New(k, &job.Env{

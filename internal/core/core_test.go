@@ -56,8 +56,7 @@ func TestFrontierComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Node == nil || s.Scheduler == nil || s.FabricManager == nil ||
-		s.Orion == nil || s.NodeLocal == nil {
+	if s.Node == nil || s.Scheduler == nil || s.Orion == nil || s.NodeLocal == nil {
 		t.Fatal("incomplete composition")
 	}
 	if s.Fabric.Cfg.ComputeNodes() != 9472 {

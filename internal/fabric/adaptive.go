@@ -100,13 +100,13 @@ func (f *Fabric) AdaptivePaths(src, dst, nValiant int, rng *rand.Rand) (PathSet,
 		seen = append(seen, via)
 		next, err := f.appendValiantPath(flat, src, dst, via, rng)
 		if err != nil {
-			continue // intermediate group unreachable (failures); try another
+			continue // an empty bundle to or from via; try another
 		}
 		flat = next
 		offs = append(offs, len(flat))
 	}
 	if len(offs) == 1 {
-		return ps, fmt.Errorf("fabric: no usable path %d->%d", src, dst)
+		return ps, fmt.Errorf("fabric: no path %d->%d", src, dst)
 	}
 	ps.seal(flat, offs)
 	return ps, nil

@@ -48,13 +48,9 @@ func NewClos(cfg ClosConfig) (*Fabric, error) {
 	}
 	f.NumSwitches = cfg.Leaves + 1 // the last one is the core
 	f.SwitchGroup = make([]int, f.NumSwitches)
-	f.SwitchHealthy = make([]bool, f.NumSwitches)
 	leafIDs := make([]int, cfg.Leaves)
-	for s := range f.SwitchHealthy {
-		f.SwitchHealthy[s] = true
-		if s < cfg.Leaves {
-			leafIDs[s] = s
-		}
+	for s := range leafIDs {
+		leafIDs[s] = s
 	}
 	f.groupClass = []GroupClass{ComputeGroup}
 	f.groupSwitches = [][]int{leafIDs}

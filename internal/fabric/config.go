@@ -1,9 +1,8 @@
 // Package fabric models the HPE Slingshot interconnect (§3.2): 64-port
 // Rosetta switches arranged as a three-hop dragonfly, the global-link
-// taper between groups, minimal and Valiant non-minimal routing, and the
-// fabric manager that sweeps switches and recomputes routes. A Clos
-// (non-blocking fat tree) builder is included for the Summit comparisons
-// in Figure 6.
+// taper between groups, and minimal and Valiant non-minimal routing. A
+// Clos (non-blocking fat tree) builder is included for the Summit
+// comparisons in Figure 6.
 package fabric
 
 import (
@@ -94,6 +93,10 @@ func (c Config) Validate() error {
 	// make its per-pair offsets decrease.
 	if min(c.ComputeComputeLinks, c.ComputeIOLinks, c.ComputeMgmtLinks, c.IOIOLinks, c.IOMgmtLinks) < 0 {
 		return fmt.Errorf("fabric: negative global link count")
+	}
+	if c.ComputeGroups > 1 && c.ComputeComputeLinks < 1 {
+		return fmt.Errorf("fabric: %d compute groups need ComputeComputeLinks of at least 1 (got %d), or no route joins them",
+			c.ComputeGroups, c.ComputeComputeLinks)
 	}
 	if c.NICsPerNode < 1 {
 		return fmt.Errorf("fabric: need at least one NIC per node")

@@ -48,7 +48,7 @@ func (k LinkKind) String() string {
 
 // Link is one directed link. A link's id is its index in Fabric.Links.
 // The fields are ordered and sized so a link takes 24 bytes: Frontier
-// has 177,340 of them, and every solve and failure sweep walks the array.
+// has 177,340 of them, and every solve reads them by random link id.
 type Link struct {
 	// From and To are switch ids for switch-to-switch links. For
 	// Injection, From is an endpoint id; for Ejection, To is an
@@ -58,8 +58,6 @@ type Link struct {
 	// links; line rate × endpoint efficiency at endpoints).
 	Cap  float64
 	Kind LinkKind
-	// Up is false when the link (or its switch) has failed.
-	Up bool
 }
 
 // Kind identifies the topology family of a built fabric.
@@ -82,21 +80,14 @@ type Fabric struct {
 	// NumSwitches counts switches (plus one virtual core for FatTree).
 	NumSwitches   int
 	SwitchGroup   []int
-	SwitchHealthy []bool
 	groupClass    []GroupClass
 	groupSwitches [][]int
 
 	Links []Link
-	// usable[id] is Links[id].Up with both end switches healthy: the
-	// one-byte answer path fill asks millions of times per census,
-	// instead of loading a Link and two switch flags per probe. Only
-	// addLink, FailLink, RestoreLink and FailSwitch write it.
-	usable []bool
 	// Routing lookups sit on the path-fill hot loop (millions of probes
 	// per census), so both are dense arrays rather than maps:
 	//
-	// switchLocal[sw] is sw's index within its group's switch list (-1
-	// for the virtual Clos core, which owns no intra links).
+	// switchLocal[sw] is sw's index within its group's switch list.
 	switchLocal []int32
 	// intraDense packs one (local,local) block per group: entry
 	// intraBase[g] + la*len(group)+lb holds the directed intra link id
@@ -123,18 +114,7 @@ type Fabric struct {
 
 	// uplink and downlink join each leaf to the core in FatTree fabrics.
 	uplink, downlink []int
-
-	// stateEpoch counts link/switch state transitions (FailLink,
-	// RestoreLink, FailSwitch). Caches keyed on routing inputs — notably
-	// network.SolutionCache — compare it to detect stale entries.
-	stateEpoch uint64
 }
-
-// StateEpoch returns the link-state epoch: a counter that advances on
-// every link or switch state transition. Two calls returning the same
-// value bracket a window in which every path the fabric computed is
-// still valid.
-func (f *Fabric) StateEpoch() uint64 { return f.stateEpoch }
 
 // initRoutingIndex sizes the dense routing lookups once groups and
 // switches exist. Constructors must call it before adding intra or
@@ -142,9 +122,6 @@ func (f *Fabric) StateEpoch() uint64 { return f.stateEpoch }
 func (f *Fabric) initRoutingIndex() {
 	f.numGroups = len(f.groupSwitches)
 	f.switchLocal = make([]int32, f.NumSwitches)
-	for i := range f.switchLocal {
-		f.switchLocal[i] = -1
-	}
 	f.intraBase = make([]int32, f.numGroups+1)
 	base := int32(0)
 	for g, ids := range f.groupSwitches {
@@ -164,7 +141,6 @@ func (f *Fabric) initRoutingIndex() {
 // build allocates each table exactly once.
 func (f *Fabric) allocLinks(links, endpoints int) {
 	f.Links = make([]Link, 0, links)
-	f.usable = make([]bool, 0, links)
 	f.NumEndpoints = endpoints
 	f.endpointSwitch = make([]int, endpoints)
 	f.injectLink = make([]int, endpoints)
@@ -186,22 +162,13 @@ func (f *Fabric) setIntra(a, b, id int) {
 	f.intraDense[f.intraBase[g]+f.switchLocal[a]*n+f.switchLocal[b]] = int32(id) + 1
 }
 
-// intraLink returns the directed intra-group link a -> b, if one exists.
-func (f *Fabric) intraLink(a, b int) (int, bool) {
+// intraLink returns the directed intra-group link a -> b. a and b must
+// be distinct switches of one dragonfly group; groups are fully
+// connected, so that link always exists.
+func (f *Fabric) intraLink(a, b int) int {
 	g := f.SwitchGroup[a]
-	if g != f.SwitchGroup[b] {
-		return 0, false
-	}
-	la, lb := f.switchLocal[a], f.switchLocal[b]
-	if la < 0 || lb < 0 {
-		return 0, false
-	}
 	n := int32(len(f.groupSwitches[g]))
-	id := f.intraDense[f.intraBase[g]+la*n+lb]
-	if id == 0 {
-		return 0, false
-	}
-	return int(id) - 1, true
+	return int(f.intraDense[f.intraBase[g]+f.switchLocal[a]*n+f.switchLocal[b]]) - 1
 }
 
 // NewDragonfly builds the dragonfly described by cfg. Groups are laid out
@@ -230,7 +197,6 @@ func NewDragonfly(cfg Config) (*Fabric, error) {
 		f.NumSwitches += cfg.groupSwitchCount(f.groupClass[g])
 	}
 	f.SwitchGroup = make([]int, f.NumSwitches)
-	f.SwitchHealthy = make([]bool, f.NumSwitches)
 	ids := make([]int, f.NumSwitches)
 	f.groupSwitches = make([][]int, groups)
 	intra := 0
@@ -240,7 +206,6 @@ func NewDragonfly(cfg Config) (*Fabric, error) {
 		for end := sw + nsw; sw < end; sw++ {
 			ids[sw] = sw
 			f.SwitchGroup[sw] = g
-			f.SwitchHealthy[sw] = true
 		}
 		intra += nsw * (nsw - 1)
 	}
@@ -319,8 +284,7 @@ func (c Config) globalLinksBetween(a, b GroupClass) int {
 
 func (f *Fabric) addLink(kind LinkKind, from, to int, capacity float64) int {
 	id := len(f.Links)
-	f.Links = append(f.Links, Link{From: int32(from), To: int32(to), Cap: capacity, Kind: kind, Up: true})
-	f.usable = append(f.usable, true) // every switch is healthy while a fabric is built
+	f.Links = append(f.Links, Link{From: int32(from), To: int32(to), Cap: capacity, Kind: kind})
 	return id
 }
 
@@ -452,64 +416,13 @@ func (f *Fabric) GlobalLinks(a, b int) []int {
 	return f.globalIDs[lo:hi:hi]
 }
 
-// FailLink marks a link down.
-func (f *Fabric) FailLink(id int) {
-	f.Links[id].Up = false
-	f.usable[id] = false
-	f.stateEpoch++
-}
-
-// RestoreLink marks a link up again. It stays unusable while a switch at
-// either end is failed.
-func (f *Fabric) RestoreLink(id int) {
-	l := &f.Links[id]
-	l.Up = true
-	f.usable[id] = l.endsHealthy(f.SwitchHealthy)
-	f.stateEpoch++
-}
-
-// FailSwitch marks a switch unhealthy and all links touching it down.
-func (f *Fabric) FailSwitch(sw int) {
-	f.SwitchHealthy[sw] = false
-	f.stateEpoch++
-	s := int32(sw)
-	for i := range f.Links {
-		l := &f.Links[i]
-		touches := (l.Kind != Injection && l.From == s) || (l.Kind != Ejection && l.To == s) ||
-			(l.Kind == Injection && l.To == s) || (l.Kind == Ejection && l.From == s)
-		if touches {
-			l.Up = false
-			f.usable[i] = false
-		}
+// pickUp returns the link at the rotation offset in a bundle; ok is
+// false only for an empty bundle, which a spec may legally configure.
+func pickUp(ids []int, offset int) (int, bool) {
+	if len(ids) == 0 {
+		return 0, false
 	}
-}
-
-// linkUp reports whether a link and its switches are usable.
-func (f *Fabric) linkUp(id int) bool { return f.usable[id] }
-
-// endsHealthy reports whether the switches at the link's ends are healthy
-// according to healthy, a per-switch table.
-func (l *Link) endsHealthy(healthy []bool) bool {
-	switch l.Kind {
-	case Injection:
-		return healthy[l.To]
-	case Ejection:
-		return healthy[l.From]
-	default:
-		return healthy[l.From] && healthy[l.To]
-	}
-}
-
-// pickUp returns a usable link from ids, preferring the rotation offset;
-// ok is false if every link is down.
-func (f *Fabric) pickUp(ids []int, offset int) (int, bool) {
-	for i := 0; i < len(ids); i++ {
-		id := ids[(offset+i)%len(ids)]
-		if f.linkUp(id) {
-			return id, true
-		}
-	}
-	return 0, false
+	return ids[offset%len(ids)], true
 }
 
 // MinimalPath returns the directed link sequence of the minimal route
@@ -529,17 +442,10 @@ func (f *Fabric) appendMinimalPath(buf []int, src, dst int, rng *rand.Rand) ([]i
 	if src == dst {
 		return nil, fmt.Errorf("fabric: self path for endpoint %d", src)
 	}
-	path := buf
-	if !f.linkUp(f.injectLink[src]) || !f.linkUp(f.ejectLink[dst]) {
-		return nil, fmt.Errorf("fabric: endpoint link down (%d->%d)", src, dst)
-	}
-	path = append(path, f.injectLink[src])
+	path := append(buf, f.injectLink[src])
 	s1, s2 := f.endpointSwitch[src], f.endpointSwitch[dst]
 	if f.Kind == FatTree {
 		if s1 != s2 {
-			if !f.linkUp(f.uplink[s1]) || !f.linkUp(f.downlink[s2]) {
-				return nil, fmt.Errorf("fabric: trunk link down (%d->%d)", s1, s2)
-			}
 			path = append(path, f.uplink[s1], f.downlink[s2])
 		}
 		return append(path, f.ejectLink[dst]), nil
@@ -549,47 +455,26 @@ func (f *Fabric) appendMinimalPath(buf []int, src, dst int, rng *rand.Rand) ([]i
 	case s1 == s2:
 		// Same switch: inject + eject only.
 	case g1 == g2:
-		id, ok := f.intraUp(s1, s2)
-		if !ok {
-			return nil, fmt.Errorf("fabric: intra link %d->%d down", s1, s2)
-		}
-		path = append(path, id)
+		path = append(path, f.intraLink(s1, s2))
 	default:
 		off := 0
 		if rng != nil {
 			off = rng.Intn(8)
 		}
-		gl, ok := f.pickUp(f.GlobalLinks(g1, g2), off)
+		gl, ok := pickUp(f.GlobalLinks(g1, g2), off)
 		if !ok {
-			return nil, fmt.Errorf("fabric: no global link up from group %d to %d", g1, g2)
+			return nil, fmt.Errorf("fabric: no global link from group %d to %d", g1, g2)
 		}
 		sa, sb := int(f.Links[gl].From), int(f.Links[gl].To)
 		if sa != s1 {
-			id, ok := f.intraUp(s1, sa)
-			if !ok {
-				return nil, fmt.Errorf("fabric: intra link %d->%d down", s1, sa)
-			}
-			path = append(path, id)
+			path = append(path, f.intraLink(s1, sa))
 		}
 		path = append(path, gl)
 		if sb != s2 {
-			id, ok := f.intraUp(sb, s2)
-			if !ok {
-				return nil, fmt.Errorf("fabric: intra link %d->%d down", sb, s2)
-			}
-			path = append(path, id)
+			path = append(path, f.intraLink(sb, s2))
 		}
 	}
-	path = append(path, f.ejectLink[dst])
-	return path, nil
-}
-
-func (f *Fabric) intraUp(a, b int) (int, bool) {
-	id, ok := f.intraLink(a, b)
-	if !ok || !f.linkUp(id) {
-		return 0, false
-	}
-	return id, true
+	return append(path, f.ejectLink[dst]), nil
 }
 
 // ValiantPath returns a non-minimal route through intermediate group via:
@@ -607,49 +492,33 @@ func (f *Fabric) appendValiantPath(buf []int, src, dst, via int, rng *rand.Rand)
 	if via == g1 || via == g2 {
 		return nil, fmt.Errorf("fabric: valiant group %d collides with endpoint groups %d,%d", via, g1, g2)
 	}
-	if !f.linkUp(f.injectLink[src]) || !f.linkUp(f.ejectLink[dst]) {
-		return nil, fmt.Errorf("fabric: endpoint link down (%d->%d)", src, dst)
-	}
 	off1, off2 := 0, 0
 	if rng != nil {
 		off1, off2 = rng.Intn(8), rng.Intn(8)
 	}
-	gl1, ok := f.pickUp(f.GlobalLinks(g1, via), off1)
+	gl1, ok := pickUp(f.GlobalLinks(g1, via), off1)
 	if !ok {
-		return nil, fmt.Errorf("fabric: no global link up from group %d to %d", g1, via)
+		return nil, fmt.Errorf("fabric: no global link from group %d to %d", g1, via)
 	}
-	gl2, ok := f.pickUp(f.GlobalLinks(via, g2), off2)
+	gl2, ok := pickUp(f.GlobalLinks(via, g2), off2)
 	if !ok {
-		return nil, fmt.Errorf("fabric: no global link up from group %d to %d", via, g2)
+		return nil, fmt.Errorf("fabric: no global link from group %d to %d", via, g2)
 	}
 	path := append(buf, f.injectLink[src])
 	sa, sm1 := int(f.Links[gl1].From), int(f.Links[gl1].To)
 	sm2, sb := int(f.Links[gl2].From), int(f.Links[gl2].To)
 	if sa != s1 {
-		id, ok := f.intraUp(s1, sa)
-		if !ok {
-			return nil, fmt.Errorf("fabric: intra link %d->%d down", s1, sa)
-		}
-		path = append(path, id)
+		path = append(path, f.intraLink(s1, sa))
 	}
 	path = append(path, gl1)
 	if sm1 != sm2 {
-		id, ok := f.intraUp(sm1, sm2)
-		if !ok {
-			return nil, fmt.Errorf("fabric: intra link %d->%d down", sm1, sm2)
-		}
-		path = append(path, id)
+		path = append(path, f.intraLink(sm1, sm2))
 	}
 	path = append(path, gl2)
 	if sb != s2 {
-		id, ok := f.intraUp(sb, s2)
-		if !ok {
-			return nil, fmt.Errorf("fabric: intra link %d->%d down", sb, s2)
-		}
-		path = append(path, id)
+		path = append(path, f.intraLink(sb, s2))
 	}
-	path = append(path, f.ejectLink[dst])
-	return path, nil
+	return append(path, f.ejectLink[dst]), nil
 }
 
 // PathLatency returns the zero-load latency of a path: endpoint overhead

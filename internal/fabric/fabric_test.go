@@ -1,13 +1,12 @@
 package fabric
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
-	"frontiersim/internal/sim"
 	"frontiersim/internal/units"
 )
 
@@ -78,6 +77,16 @@ func TestConfigValidation(t *testing.T) {
 	c.NICsPerNode = 0
 	if err := c.Validate(); err == nil {
 		t.Error("want NIC count error")
+	}
+	// Without compute-to-compute links no path joins two compute groups.
+	c = FrontierConfig()
+	c.ComputeComputeLinks = 0
+	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "ComputeComputeLinks") {
+		t.Errorf("disconnected compute groups: err = %v, want one naming ComputeComputeLinks", err)
+	}
+	c.ComputeGroups = 1
+	if err := c.Validate(); err != nil {
+		t.Errorf("one compute group needs no compute-to-compute links: %v", err)
 	}
 }
 
@@ -371,120 +380,44 @@ func TestAdaptivePathsInterGroup(t *testing.T) {
 	}
 }
 
-func TestLinkFailureReroutes(t *testing.T) {
-	f := small(t)
-	rng := rand.New(rand.NewSource(4))
-	// Kill 3 of the 4 global links from group 0 to group 1.
-	ids := f.GlobalLinks(0, 1)
-	before := f.StateEpoch()
-	for _, id := range ids[:3] {
-		f.FailLink(id)
-	}
-	if f.StateEpoch() == before {
-		t.Error("FailLink did not advance the state epoch")
-	}
-	p, err := f.MinimalPath(0, 40, rng)
+// A spec may give a global bundle zero links. Minimal routing between
+// the two groups then fails, adaptive routing still reaches the
+// destination through Valiant detours over non-empty bundles, and a pair
+// that no detour can join has no path at all.
+func TestEmptyBundle(t *testing.T) {
+	c := mixedConfig()
+	c.IOIOLinks = 0
+	f, err := NewDragonfly(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range p {
-		if !f.Links[id].Up {
-			t.Error("path uses a failed link")
-		}
+	// Endpoints are laid out compute-first, then I/O group by group.
+	io0 := c.ComputeEndpoints()
+	io1 := io0 + c.TORGroupSwitches*c.EndpointsPerSwitch
+	if g0, g1 := f.EndpointGroup(io0), f.EndpointGroup(io1); g0 == g1 || f.GroupClassOf(g0) != IOGroup || f.GroupClassOf(g1) != IOGroup {
+		t.Fatalf("endpoints %d and %d should sit in two I/O groups (got %d, %d)", io0, io1, g0, g1)
 	}
-	// Kill the last one: minimal routing must now fail...
-	f.FailLink(ids[3])
-	if _, err := f.MinimalPath(0, 40, rng); err == nil {
-		t.Error("want error with all direct global links down")
+	if _, err := f.MinimalPath(io0, io1, nil); err == nil {
+		t.Error("minimal path over an empty bundle should error")
 	}
-	// ...but adaptive routing still reaches via Valiant intermediates.
-	ps, err := f.AdaptivePaths(0, 40, 3, rng)
+	rng := rand.New(rand.NewSource(12))
+	ps, err := f.AdaptivePaths(io0, io1, 2, rng)
 	if err != nil || len(ps.Paths) == 0 {
-		t.Fatalf("adaptive should survive direct-link loss: %v", err)
+		t.Fatalf("adaptive routing should detour around an empty bundle: %v", err)
 	}
-	before = f.StateEpoch()
-	f.RestoreLink(ids[0])
-	if f.StateEpoch() == before {
-		t.Error("RestoreLink did not advance the state epoch")
+	for _, p := range ps.Paths {
+		if p[0] != f.injectLink[io0] || p[len(p)-1] != f.ejectLink[io1] {
+			t.Errorf("detour %v does not join endpoint %d to %d", p, io0, io1)
+		}
 	}
-	if _, err := f.MinimalPath(0, 40, rng); err != nil {
-		t.Errorf("restore failed: %v", err)
-	}
-}
 
-func TestSwitchFailure(t *testing.T) {
-	f := small(t)
-	sw := f.endpointSwitch[0]
-	f.FailSwitch(sw)
-	if _, err := f.MinimalPath(0, 40, nil); err == nil {
-		t.Error("endpoint on failed switch should be unreachable")
-	}
-	// Endpoints on other switches still work.
-	if _, err := f.MinimalPath(8, 40, rand.New(rand.NewSource(5))); err != nil {
-		t.Errorf("unrelated endpoints should route: %v", err)
-	}
-}
-
-func TestPathCacheSwitchFailureAdvancesEpoch(t *testing.T) {
-	f := small(t)
-	before := f.StateEpoch()
-	f.FailSwitch(5)
-	if f.StateEpoch() == before {
-		t.Error("FailSwitch did not advance the state epoch")
-	}
-}
-
-// linkUp reads the dense usable table that FailLink, RestoreLink and
-// FailSwitch keep. Whatever order failures and repairs come in, it must
-// equal the link's own state with both end switches healthy.
-func TestLinkUsableMatchesLinkState(t *testing.T) {
-	summit, err := NewClos(SummitClosConfig())
-	if err != nil {
+	// With no compute-to-I/O links either, no detour joins the groups.
+	c.ComputeIOLinks = 0
+	if f, err = NewDragonfly(c); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []*Fabric{small(t), summit} {
-		check := func(step string) {
-			t.Helper()
-			for id := range f.Links {
-				l := &f.Links[id]
-				if want := l.Up && l.endsHealthy(f.SwitchHealthy); f.linkUp(id) != want {
-					t.Fatalf("%s after %s: linkUp(%d) = %v, want %v", f.Cfg.Name, step, id, !want, want)
-				}
-			}
-		}
-		check("build")
-
-		// A link restored while its switch is failed stays unusable.
-		id := f.ejectLink[0]
-		f.FailSwitch(f.endpointSwitch[0])
-		f.RestoreLink(id)
-		if !f.Links[id].Up || f.linkUp(id) {
-			t.Errorf("%s: restored link %d on a failed switch: Up %v, linkUp %v; want Up and unusable",
-				f.Cfg.Name, id, f.Links[id].Up, f.linkUp(id))
-		}
-		check("RestoreLink on a failed switch")
-
-		rng := rand.New(rand.NewSource(11))
-		var failed []int
-		for step := 0; step < 200; step++ {
-			switch op := rng.Intn(10); {
-			case op == 0:
-				sw := rng.Intn(f.NumSwitches)
-				f.FailSwitch(sw)
-				check(fmt.Sprintf("step %d FailSwitch(%d)", step, sw))
-			case op < 5 || len(failed) == 0:
-				id := rng.Intn(len(f.Links))
-				f.FailLink(id)
-				failed = append(failed, id)
-				check(fmt.Sprintf("step %d FailLink(%d)", step, id))
-			default:
-				i := rng.Intn(len(failed))
-				id := failed[i]
-				failed = append(failed[:i], failed[i+1:]...)
-				f.RestoreLink(id)
-				check(fmt.Sprintf("step %d RestoreLink(%d)", step, id))
-			}
-		}
+	if _, err := f.AdaptivePaths(io0, io1, 2, rng); err == nil {
+		t.Error("want an error when every route crosses an empty bundle")
 	}
 }
 
@@ -537,46 +470,6 @@ func TestClosValidation(t *testing.T) {
 	c.EndpointEfficiency = 2
 	if _, err := NewClos(c); err == nil {
 		t.Error("bad efficiency should error")
-	}
-}
-
-func TestManagerSweep(t *testing.T) {
-	f := small(t)
-	m := NewManager(f, 10)
-	if m.Sweep() != 0 {
-		t.Error("clean fabric should show no changes")
-	}
-	f.FailLink(f.GlobalLinks(0, 1)[0])
-	if ch := m.Sweep(); ch != 1 {
-		t.Errorf("changes = %d, want 1", ch)
-	}
-	if m.Epoch != 1 {
-		t.Errorf("epoch = %d, want 1", m.Epoch)
-	}
-	if m.Sweep() != 0 {
-		t.Error("second sweep should be quiet")
-	}
-	f.FailSwitch(0)
-	if ch := m.Sweep(); ch == 0 {
-		t.Error("switch failure should be detected")
-	}
-}
-
-func TestManagerPeriodicSweeps(t *testing.T) {
-	f := small(t)
-	k := sim.NewKernel(1)
-	m := NewManager(f, 10)
-	m.Start(k)
-	k.After(25, func() { f.FailLink(f.GlobalLinks(1, 2)[0]) })
-	k.RunUntil(100)
-	m.Stop()
-	if m.Epoch != 1 {
-		t.Errorf("epoch = %d, want 1 (failure detected by periodic sweep)", m.Epoch)
-	}
-	pending := k.Pending()
-	k.RunUntil(1000)
-	if k.Pending() >= pending && pending > 0 {
-		t.Log("sweeps stopped as requested")
 	}
 }
 

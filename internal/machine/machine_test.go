@@ -184,6 +184,7 @@ func TestValidationErrors(t *testing.T) {
 		{"huge node override", func(s *Spec) { s.Topology.Nodes = 1 << 40 }, "override"},
 		{"huge top-of-rack groups", func(s *Spec) { s.Topology.TORGroupSwitches = 4096 }, "torGroupSwitches"},
 		{"huge global bundle", func(s *Spec) { s.Topology.IOIOLinks = 1 << 30 }, "bundle"},
+		{"disconnected compute groups", func(s *Spec) { s.Topology.ComputeComputeLinks = 0 }, "computeComputeLinks"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

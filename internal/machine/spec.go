@@ -342,6 +342,10 @@ func (s Spec) Validate() error {
 		if min(t.ComputeComputeLinks, t.ComputeIOLinks, t.ComputeMgmtLinks, t.IOIOLinks, t.IOMgmtLinks) < 0 {
 			return fmt.Errorf("machine %s: dragonfly global link counts must not be negative", s.Name)
 		}
+		if t.ComputeGroups > 1 && t.ComputeComputeLinks < 1 {
+			return fmt.Errorf("machine %s: %d compute groups need computeComputeLinks of at least 1 (got %d), or no route joins them",
+				s.Name, t.ComputeGroups, t.ComputeComputeLinks)
+		}
 	case FatTree:
 		if t.Leaves < 1 || t.EndpointsPerLeaf < 1 {
 			return fmt.Errorf("machine %s: fat tree needs positive leaves and endpoints per leaf (got %d, %d)",

@@ -15,9 +15,8 @@ import (
 // demand-set signatures and a SolutionCache that lets repeated patterns
 // (census shifts replayed across campaign what-ifs, a GPCNeT run
 // repeated at one seed) return stored allocations without touching the
-// water-filling heap. Cache entries are
-// keyed by (topology, fabric state epoch, demand signature) and so are
-// invalidated by every FailLink/RestoreLink/FailSwitch epoch bump.
+// water-filling heap. Cache entries are keyed by (topology, demand
+// signature); a fabric never changes once built, so no entry goes stale.
 
 // Signature identifies a demand set (or a pattern that fully determines
 // one) for solution caching. It is a SHA-256 in the style of the
@@ -56,8 +55,8 @@ func (s *sigHasher) sum() Signature {
 // bits, and the full path set (path count, lengths, link ids). Two
 // demand sets with equal signatures on the same fabric state solve to
 // bit-identical allocations, because the solver is a deterministic
-// function of exactly these inputs plus per-link capacity and up state
-// (which the cache key's topology and epoch fields pin).
+// function of exactly these inputs plus per-link capacity (which the
+// cache key's topology field or the solving instance pins).
 func DemandSignature(demands []*Demand) Signature {
 	h := newSigHasher()
 	h.u64(uint64(len(demands)))
@@ -155,13 +154,10 @@ func (sol *Solution) Apply(demands []*Demand) bool {
 }
 
 // solutionKey identifies one cached allocation. topo is a canonical
-// topology address (machine.Hash) or "" when the caller has none; epoch
-// is the fabric's state epoch at solve time, so any link failure or
-// restoration orphans every entry solved before it.
+// topology address (machine.Hash) or "" when the caller has none.
 type solutionKey struct {
-	topo  string
-	epoch uint64
-	sig   Signature
+	topo string
+	sig  Signature
 }
 
 type solutionEntry struct {
@@ -176,13 +172,9 @@ type solutionEntry struct {
 // thread it through unconditionally.
 //
 // Hit soundness: a stored entry is served only when the requesting
-// fabric's StateEpoch matches the entry's, and additionally either the
-// fabric is the same instance the entry was solved on, or the lookup
-// carries a canonical topology key and the epoch is zero. The extra
-// condition matters because two distinct fabric instances at the same
-// nonzero epoch can have arrived there through different failure
-// sequences — only a virgin (epoch-0) fabric is fully described by its
-// topology hash.
+// fabric is the instance the entry was solved on, or the lookup carries
+// a canonical topology key, which fully describes every fabric built
+// from it.
 type SolutionCache struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -213,7 +205,7 @@ func (c *SolutionCache) Lookup(f *fabric.Fabric, topo string, sig Signature) (*S
 	if c == nil {
 		return nil, false
 	}
-	key := solutionKey{topo: topo, epoch: f.StateEpoch(), sig: sig}
+	key := solutionKey{topo: topo, sig: sig}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -222,7 +214,7 @@ func (c *SolutionCache) Lookup(f *fabric.Fabric, topo string, sig Signature) (*S
 		return nil, false
 	}
 	e := el.Value.(*solutionEntry)
-	if e.fab != f && !(key.topo != "" && key.epoch == 0) {
+	if e.fab != f && key.topo == "" {
 		c.misses++
 		return nil, false
 	}
@@ -239,7 +231,7 @@ func (c *SolutionCache) Store(f *fabric.Fabric, topo string, sig Signature, dema
 		return nil
 	}
 	sol := newSolution(demands)
-	key := solutionKey{topo: topo, epoch: f.StateEpoch(), sig: sig}
+	key := solutionKey{topo: topo, sig: sig}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {

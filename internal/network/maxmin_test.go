@@ -219,14 +219,6 @@ func TestSolveErrors(t *testing.T) {
 	if err := Solve(f, []*Demand{{Src: 0, Dst: 1}}); err == nil {
 		t.Error("demand without paths should error")
 	}
-	rng := rand.New(rand.NewSource(8))
-	d := demand(t, f, 0, 40, 0, rng)
-	for _, lid := range d.Paths[0] {
-		f.FailLink(lid)
-	}
-	if err := Solve(f, []*Demand{d}); err == nil {
-		t.Error("demand over failed link should error")
-	}
 }
 
 func TestSolverDeterminism(t *testing.T) {

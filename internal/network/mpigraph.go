@@ -90,8 +90,8 @@ type ParallelConfig struct {
 
 	// Solutions, when non-nil, caches solved shifts across runs by
 	// pattern signature, so a repeated run skips path building and
-	// solving both; nil means no cache. Entries are invalidated by fabric
-	// state-epoch bumps; results are byte-identical with or without it.
+	// solving both; nil means no cache. Results are byte-identical with
+	// or without it.
 	Solutions *SolutionCache
 	// TopoKey is the canonical topology address (machine.Hash) used in
 	// Solutions keys; "" restricts hits to the exact fabric instance.

@@ -129,8 +129,8 @@ func grow[T any](buf []T, n int) []T {
 
 // zeroDemandRates clears every demand's allocation so error paths never
 // leave the set half-written: before the fix a mid-solve error (say a
-// demand routed over a down link) left demands before the failure point
-// zeroed and demands after it still carrying the previous solve's rates.
+// demand with no paths) left demands before the failure point zeroed
+// and demands after it still carrying the previous solve's rates.
 func zeroDemandRates(demands []*Demand) {
 	for _, d := range demands {
 		d.Rate = 0
@@ -179,13 +179,9 @@ func (s *Solver) build(f *fabric.Fabric, demands []*Demand) error {
 		for _, p := range d.Paths {
 			for _, lid := range p {
 				if s.stamp[lid] != s.epoch {
-					fl := f.Links[lid]
-					if !fl.Up {
-						return fmt.Errorf("network: demand %d routed over down link %d", di, lid)
-					}
 					s.idx[lid] = int32(len(s.linkCap))
 					s.stamp[lid] = s.epoch
-					s.linkCap = append(s.linkCap, fl.Cap)
+					s.linkCap = append(s.linkCap, f.Links[lid].Cap)
 					s.linkCount = append(s.linkCount, 0)
 				}
 				s.linkCount[s.idx[lid]]++

@@ -4,18 +4,17 @@
 //
 // Why it exists: rand.NewSource pays a 607-element warmup on every Seed,
 // which dominated profiles of the full-scale mpiGraph census — the
-// simulator builds a fresh stream per (src,dst,epoch) path fill, per
-// shift, per trial, and per experiment, so stream construction has to be
-// a handful of arithmetic instructions, not thousands. Here a stream is
-// a xoshiro256++ generator whose 256-bit state is expanded from a 64-bit
-// seed by SplitMix64 (the seeding procedure its authors prescribe), so
-// construction costs four multiplies and never touches the heap beyond
-// the state itself.
+// simulator builds a fresh stream per census shift, per trial, and per
+// experiment, so stream construction has to be a handful of arithmetic
+// instructions, not thousands. Here a stream is a xoshiro256++ generator
+// whose 256-bit state is expanded from a 64-bit seed by SplitMix64 (the
+// seeding procedure its authors prescribe), so construction costs four
+// multiplies and never touches the heap beyond the state itself.
 //
 // Splittability: Mix64 is a bijective avalanche, so folding coordinates
-// (a name hash, a shift index, an endpoint pair, a state epoch) into a
-// parent seed yields child seeds whose streams are statistically
-// independent even when the inputs are consecutive small integers.
+// (a name hash, a shift index, a trial index) into a parent seed yields
+// child seeds whose streams are statistically independent even when the
+// inputs are consecutive small integers.
 // Derive and DeriveN are the only sanctioned ways to build child seeds;
 // deriving by drawing from a parent *stream* is forbidden because it
 // makes the child depend on derivation order (the bug Kernel.Stream
@@ -59,8 +58,8 @@ func Derive(seed int64, name string) int64 {
 }
 
 // DeriveN folds integer coordinates into a parent seed, one avalanche
-// per coordinate: the numeric analogue of Derive for per-shift,
-// per-trial and per-(src,dst,epoch) streams. Folding happens left to
+// per coordinate: the numeric analogue of Derive for per-shift and
+// per-trial streams. Folding happens left to
 // right, so DeriveN(s, a, b) and DeriveN(s, b, a) differ.
 func DeriveN(seed int64, coords ...uint64) int64 {
 	h := Mix64(uint64(seed))
