@@ -1,12 +1,12 @@
 // Command frontier-serve runs the simulator as shared infrastructure: a
 // long-running HTTP/JSON campaign service over the experiment registry.
 // Submit (machine | inline spec, seed, experiment) jobs, stream their
-// progress, or fan a sweep of machine.Spec what-if variants across the
-// worker pool. Every result is memoized in a content-addressed cache —
-// keyed by SHA-256 of (canonical spec JSON, seed, experiment id, code
-// version) — with request coalescing, so N identical submissions cost
-// one simulation and repeat askers get byte-identical bodies marked
-// "X-Cache: hit".
+// progress, or fan a sweep of machine.Spec what-if variants. At most
+// -jobs simulations run at once, whichever endpoint asked. Every result
+// is memoized in a content-addressed cache — keyed by SHA-256 of
+// (canonical spec JSON, seed, experiment id, code version) — with
+// request coalescing, so N identical submissions cost one simulation and
+// repeat askers get byte-identical bodies marked "X-Cache: hit".
 //
 // Usage:
 //
@@ -47,7 +47,7 @@ func main() { os.Exit(run()) }
 func run() int {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "max simulations running concurrently")
-	cacheBytes := flag.Int64("cache-bytes", 256<<20, "in-memory result-cache budget in bytes (0 = unbounded); the solver solution cache has a fixed 256 MiB cap")
+	cacheBytes := flag.Int64("cache-bytes", 256<<20, "in-memory result-cache budget in bytes (0 = unbounded)")
 	cacheDir := flag.String("cache-dir", "", "persist results to this directory (survives restarts; empty = memory only)")
 	maxSweep := flag.Int("max-sweep", 256, "max variants in one sweep request")
 	flag.Parse()

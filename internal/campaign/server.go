@@ -1,13 +1,14 @@
 // Package campaign turns frontier-sim into shared infrastructure: a
 // long-running HTTP/JSON service that accepts (machine spec | built-in
-// name, seed, experiment) jobs, runs them on the harness pool, and
-// memoizes every result in a content-addressed cache. Because PRs 1–5
-// made each result a pure function of (canonical spec JSON, root seed,
-// experiment id, code version), N users submitting the same what-if
+// name, seed, experiment) jobs, runs at most Config.Jobs simulations at
+// once, and memoizes every result in a content-addressed cache. Because
+// PRs 1–5 made each result a pure function of (canonical spec JSON, root
+// seed, experiment id, code version), N users submitting the same what-if
 // question cost one simulation — concurrent duplicates coalesce onto a
 // single in-flight run, later duplicates are cache hits with
 // byte-identical bodies. The sweep endpoint fans a range of spec
-// variants across the pool for campaign-style studies.
+// variants through the same bounded compute path for campaign-style
+// studies.
 package campaign
 
 import (
@@ -25,7 +26,6 @@ import (
 	"frontiersim/internal/experiments"
 	"frontiersim/internal/harness"
 	"frontiersim/internal/machine"
-	"frontiersim/internal/network"
 )
 
 // Config sizes a server.
@@ -45,13 +45,16 @@ type Config struct {
 
 // Server is the campaign service. Build with New, serve Handler.
 type Server struct {
-	pool      *harness.Pool
-	cache     *cache.Cache
-	solutions *network.SolutionCache
-	jobs      *jobStore
-	version   string
-	maxVars   int
-	started   time.Time
+	// slots holds one token per running simulation; its capacity is
+	// Config.Jobs.
+	slots   chan struct{}
+	cache   *cache.Cache
+	jobs    *jobStore
+	version string
+	maxVars int
+	started time.Time
+	// capture runs one simulation; tests swap it for a fake.
+	capture func(id string, o experiments.Options, markdown bool) ([]byte, error)
 }
 
 // New builds a server.
@@ -69,13 +72,13 @@ func New(cfg Config) (*Server, error) {
 		maxVars = 256
 	}
 	return &Server{
-		pool:      harness.NewPool(cfg.Jobs),
-		cache:     c,
-		solutions: network.NewSolutionCache(0),
-		jobs:      newJobStore(maxFinishedJobs),
-		version:   version,
-		maxVars:   maxVars,
-		started:   time.Now(),
+		slots:   make(chan struct{}, max(cfg.Jobs, 1)),
+		cache:   c,
+		jobs:    newJobStore(maxFinishedJobs),
+		version: version,
+		maxVars: maxVars,
+		started: time.Now(),
+		capture: experiments.Capture,
 	}, nil
 }
 
@@ -92,7 +95,7 @@ func New(cfg Config) (*Server, error) {
 //	GET  /v1/jobs              job list
 //	GET  /v1/jobs/{id}         job state + result
 //	GET  /v1/jobs/{id}/events  progress stream (SSE)
-//	POST /v1/sweep             fan a numeric-field range across the pool
+//	POST /v1/sweep             fan a numeric-field range of spec variants
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -132,11 +135,7 @@ type resolved struct {
 	exp      string
 	quick    bool
 	markdown bool
-	// solutions is the server-wide solver cache, carried along for
-	// options() but excluded from key: a hit applies bit-exact stored
-	// allocations, so including it would only fragment the cache.
-	solutions *network.SolutionCache
-	key       cache.Key
+	key      cache.Key
 }
 
 func (s *Server) resolve(req JobRequest) (resolved, error) {
@@ -166,17 +165,23 @@ func (s *Server) resolve(req JobRequest) (resolved, error) {
 	default:
 		r.spec = machine.Frontier()
 	}
-	specJSON, err := machine.Dump(r.spec)
-	if err != nil {
-		return r, err
-	}
 	r.seed = experiments.DefaultOptions().Seed
 	if req.Seed != nil {
 		r.seed = *req.Seed
 	}
 	r.quick = req.Quick
 	r.markdown = req.Markdown
-	r.solutions = s.solutions
+	return s.onSpec(r, r.spec)
+}
+
+// onSpec returns r with its machine replaced by spec and its key derived
+// from spec's canonical JSON.
+func (s *Server) onSpec(r resolved, spec machine.Spec) (resolved, error) {
+	specJSON, err := machine.Dump(spec)
+	if err != nil {
+		return r, err
+	}
+	r.spec = spec
 	r.key = cache.ResultKey(cache.KeyInputs{
 		SpecJSON:    specJSON,
 		Seed:        r.seed,
@@ -191,27 +196,27 @@ func (s *Server) resolve(req JobRequest) (resolved, error) {
 // options builds the experiment options for a resolved request.
 func (r resolved) options() experiments.Options {
 	spec := r.spec
-	return experiments.Options{Quick: r.quick, Seed: r.seed, Machine: &spec, Solutions: r.solutions}
+	return experiments.Options{Quick: r.quick, Seed: r.seed, Machine: &spec}
 }
 
-// runCached is the one compute path every endpoint shares: at most one
-// simulation per key is ever in flight (identical concurrent requests
-// coalesce), repeats are served from memory or disk, and the simulation
-// itself runs on the bounded pool so a burst of distinct requests
-// queues instead of oversubscribing the host. The submission context is
-// deliberately not the HTTP request's: once a simulation starts, a
-// disconnecting client must not kill the result every coalesced waiter
-// — and the cache — is counting on.
-func (s *Server) runCached(res resolved, progress func(string)) ([]byte, cache.Outcome, error) {
+// result is the one compute path /v1/run, /v1/jobs and every sweep
+// variant share. Repeats are served from memory or disk and identical
+// concurrent requests coalesce onto one in-flight leader; only that
+// leader, once it actually simulates, holds one of the Config.Jobs
+// slots. A hit or a coalesced waiter never holds a slot, so no waiter
+// can keep its leader from running, and all endpoints together never
+// run more than Jobs simulations. The computation is deliberately not
+// tied to an HTTP request: once a simulation starts, a disconnecting
+// client must not kill the result every coalesced waiter — and the
+// cache — is counting on.
+func (s *Server) result(res resolved, progress func(string)) ([]byte, cache.Outcome, error) {
 	return s.cache.GetOrCompute(res.key, func() ([]byte, error) {
+		s.slots <- struct{}{}
+		defer func() { <-s.slots }()
 		if progress != nil {
 			progress("simulating " + res.exp + " on " + res.spec.Name)
 		}
-		h := harness.Submit(s.pool, context.Background(), res.exp,
-			func(_ context.Context, _ func(string)) ([]byte, error) {
-				return experiments.Capture(res.exp, res.options(), res.markdown)
-			})
-		return h.Result()
+		return s.capture(res.exp, res.options(), res.markdown)
 	})
 }
 
@@ -266,20 +271,15 @@ func (s *Server) handleFields(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	jobs := s.jobs.list()
-	counts := map[harness.JobState]int{}
+	counts := map[jobState]int{}
 	for _, j := range jobs {
-		counts[j.handle.State()]++
+		counts[j.view(false).State]++
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"cache":     s.cache.Stats(),
-		"jobs":      counts,
-		"jobsTotal": len(jobs),
-		"workers":   s.pool.Workers(),
-		// The solver solution cache shared across every simulation: hits
-		// here are individual max-min solves served from stored
-		// allocations (sweep variants and repeated what-ifs sharing a
-		// topology), one level below the whole-result cache above.
-		"solver":        s.solutions.Stats(),
+		"cache":         s.cache.Stats(),
+		"jobs":          counts,
+		"jobsTotal":     len(jobs),
+		"workers":       cap(s.slots),
 		"codeVersion":   s.version,
 		"uptimeSeconds": time.Since(s.started).Seconds(),
 	})
@@ -299,7 +299,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	b, outcome, err := s.runCached(res, nil)
+	b, outcome, err := s.result(res, nil)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -320,30 +320,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	j := &job{
-		ID:         s.jobs.nextID(),
-		Experiment: res.exp,
-		Machine:    res.spec.Name,
-		Seed:       res.seed,
-		Quick:      res.quick,
-		Key:        res.key,
-		Created:    time.Now(),
-	}
-	// The async job wraps the same cached compute path; its own pool
-	// slot is what bounds concurrency, so runCached's inner Submit would
-	// deadlock a full pool waiting on itself — call the cache directly.
-	j.handle = harness.Submit(s.pool, context.Background(), j.ID,
-		func(_ context.Context, progress func(string)) (jobOutput, error) {
-			b, outcome, err := s.cache.GetOrCompute(res.key, func() ([]byte, error) {
-				progress("simulating " + res.exp + " on " + res.spec.Name)
-				return experiments.Capture(res.exp, res.options(), res.markdown)
-			})
-			if err != nil {
-				return jobOutput{}, err
-			}
-			progress("cache " + string(outcome))
-			return jobOutput{bytes: b, outcome: outcome}, nil
-		})
+	j := newJob(s.jobs.nextID(), res)
+	go j.run(func(progress func(string)) ([]byte, cache.Outcome, error) {
+		return s.result(res, progress)
+	})
 	s.jobs.add(j)
 	w.Header().Set("Location", "/v1/jobs/"+j.ID)
 	writeJSON(w, http.StatusAccepted, j.view(false))
@@ -380,7 +360,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	cursor := 0
 	for {
-		evs, next, finished := j.handle.Next(cursor)
+		evs, next, finished := j.next(cursor)
 		cursor = next
 		for _, ev := range evs {
 			b, err := json.Marshal(ev)
@@ -457,11 +437,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Fan the variants across the pool as one batch. Per-variant
-	// failures (Validate rejecting a zero link rate, a fractional value
-	// in an integer field) land in that variant's slot instead of
-	// failing the sweep; identical variants across sweeps still share
-	// cache entries because each one keys on its own canonical spec.
+	// Fan the variants out as one batch, each through the shared
+	// compute path, so they count against the same Jobs bound as every
+	// other simulation. Per-variant failures (Validate rejecting a zero
+	// link rate, a fractional value in an integer field) land in that
+	// variant's entry instead of failing the sweep; identical variants
+	// across sweeps still share cache entries because each one keys on
+	// its own canonical spec.
 	variants := make([]SweepVariant, len(values))
 	tasks := make([]harness.Task[struct{}], len(values))
 	for i, v := range values {
@@ -470,12 +452,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		tasks[i] = harness.Task[struct{}]{
 			ID: fmt.Sprintf("%s=%v", sw.Field, v),
 			Run: func(context.Context, int64) (struct{}, error) {
-				variants[i] = s.sweepVariant(req.JobRequest, sw, v)
+				variants[i] = s.sweepVariant(base, sw, v)
 				return struct{}{}, nil
 			},
 		}
 	}
-	if _, err := harness.Run(r.Context(), harness.Config{Jobs: s.pool.Workers(), RootSeed: base.seed}, tasks, nil); err != nil {
+	if _, err := harness.Run(r.Context(), harness.Config{Jobs: cap(s.slots), RootSeed: base.seed}, tasks, nil); err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
@@ -495,33 +477,23 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// sweepVariant materializes and runs one point of a sweep.
-func (s *Server) sweepVariant(base JobRequest, sw Sweep, v float64) SweepVariant {
+// sweepVariant materializes and runs one point of a sweep over the
+// resolved base request.
+func (s *Server) sweepVariant(base resolved, sw Sweep, v float64) SweepVariant {
 	out := SweepVariant{Value: v}
 	fail := func(err error) SweepVariant {
 		out.Error = err.Error()
 		return out
 	}
-	baseRes, err := s.resolve(base)
+	spec, err := sw.Apply(base.spec, v)
 	if err != nil {
 		return fail(err)
 	}
-	spec, err := sw.Apply(baseRes.spec, v)
+	res, err := s.onSpec(base, spec)
 	if err != nil {
 		return fail(err)
 	}
-	vreq := base
-	vreq.Machine = ""
-	if vreq.Spec, err = machine.Dump(spec); err != nil {
-		return fail(err)
-	}
-	res, err := s.resolve(vreq)
-	if err != nil {
-		return fail(err)
-	}
-	b, outcome, err := s.cache.GetOrCompute(res.key, func() ([]byte, error) {
-		return experiments.Capture(res.exp, res.options(), res.markdown)
-	})
+	b, outcome, err := s.result(res, nil)
 	if err != nil {
 		return fail(err)
 	}

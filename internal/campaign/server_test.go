@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -408,5 +410,167 @@ func TestOversizedBodyRejected(t *testing.T) {
 		if err != nil || !strings.Contains(got.Error, "too large") {
 			t.Errorf("POST %s: error body %+v (decode err %v), want a JSON \"too large\" error", path, got, err)
 		}
+	}
+}
+
+// submitJob posts an async job and returns its id.
+func submitJob(t *testing.T, c *http.Client, url, body string) string {
+	t.Helper()
+	resp, err := c.Post(url+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var submitted struct {
+		ID string `json:"id"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&submitted); err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit %s: status %d, decode err %v", body, resp.StatusCode, err)
+	}
+	return submitted.ID
+}
+
+// awaitJobState polls a job until it reaches state, failing the test if
+// that takes past the deadline.
+func awaitJobState(t *testing.T, c *http.Client, url, id, state string, deadline time.Time) {
+	t.Helper()
+	for {
+		resp, err := c.Get(url + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v struct {
+			State string `json:"state"`
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&v)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.State == state {
+			return
+		}
+		if v.State == "failed" || time.Now().After(deadline) {
+			t.Fatalf("job %s is %s (%s), want %s", id, v.State, v.Error, state)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// A sync run of a request whose async duplicate is queued behind a long
+// job coalesces onto that duplicate, and all three finish. Only a
+// simulating leader holds a slot, so no request can wait for a slot held
+// by a request that is waiting on it.
+func TestSyncRunBehindQueuedDuplicate(t *testing.T) {
+	srv, err := New(Config{Jobs: 1, CodeVersion: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	// A wedged handler would block Close forever: leave the server open
+	// when the test failed rather than hang the package.
+	t.Cleanup(func() {
+		if !t.Failed() {
+			ts.Close()
+		}
+	})
+	c := &http.Client{Timeout: 60 * time.Second}
+	deadline := time.Now().Add(60 * time.Second)
+
+	long := submitJob(t, c, ts.URL, `{"experiment":"ablation-ppn","quick":true}`)
+	awaitJobState(t, c, ts.URL, long, "running", deadline)
+	req := `{"experiment":"table1","seed":7,"quick":true}`
+	queued := submitJob(t, c, ts.URL, req)
+
+	resp, err := c.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(req))
+	if err != nil {
+		t.Fatalf("sync run behind a queued duplicate: %v", err)
+	}
+	body := readAll(t, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sync run: %d %s", resp.StatusCode, body)
+	}
+	for _, id := range []string{long, queued} {
+		awaitJobState(t, c, ts.URL, id, "done", deadline)
+	}
+}
+
+// Config.Jobs bounds every simulation the server runs: a sweep beside
+// an async job never has more than Jobs captures in flight.
+func TestJobsBoundsEveryCapture(t *testing.T) {
+	const jobs = 2
+	srv, err := New(Config{Jobs: jobs, CodeVersion: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inFlight, peak atomic.Int64
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	free := func() { releaseOnce.Do(func() { close(release) }) }
+	srv.capture = func(id string, o experiments.Options, _ bool) ([]byte, error) {
+		n := inFlight.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		<-release
+		inFlight.Add(-1)
+		return []byte(fmt.Sprintf("%s seed %d", id, o.Seed)), nil
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	t.Cleanup(free) // runs first: Close waits for blocked captures
+	c := &http.Client{Timeout: 30 * time.Second}
+	awaitInFlight := func(n int64) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); inFlight.Load() < n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d captures in flight, want %d", inFlight.Load(), n)
+			}
+		}
+	}
+
+	id := submitJob(t, c, ts.URL, `{"experiment":"table2","quick":true}`)
+	awaitInFlight(1)
+	type sweepResult struct {
+		status int
+		body   []byte
+		err    error
+	}
+	swept := make(chan sweepResult, 1)
+	go func() {
+		resp, err := c.Post(ts.URL+"/v1/sweep", "application/json",
+			strings.NewReader(`{"experiment":"table1","quick":true,"sweep":"computeGroups: 60..74 step 7"}`))
+		if err != nil {
+			swept <- sweepResult{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		swept <- sweepResult{resp.StatusCode, b, err}
+	}()
+	awaitInFlight(jobs)
+	// Give any capture beyond the bound time to start before releasing.
+	time.Sleep(100 * time.Millisecond)
+	free()
+
+	r := <-swept
+	if r.err != nil || r.status != http.StatusOK {
+		t.Fatalf("sweep: %d %s (%v)", r.status, r.body, r.err)
+	}
+	var sw struct {
+		Variants []SweepVariant `json:"variants"`
+	}
+	if err := json.Unmarshal(r.body, &sw); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range sw.Variants {
+		if v.Error != "" || v.Cache != "miss" {
+			t.Fatalf("variant %v: cache %q, error %q; want a clean miss", v.Value, v.Cache, v.Error)
+		}
+	}
+	awaitJobState(t, c, ts.URL, id, "done", time.Now().Add(10*time.Second))
+	if got := peak.Load(); got > jobs {
+		t.Fatalf("%d captures ran at once, want at most Jobs = %d", got, jobs)
 	}
 }

@@ -31,8 +31,8 @@ type Options struct {
 	// since their paper values are tied to those specific systems.
 	Machine *machine.Spec
 	// Solutions optionally shares a max-min solver solution cache across
-	// the network experiments (and, on the campaign server, across
-	// repeated what-ifs). A cache hit applies the bit-exact allocation
+	// the network experiments of one process (frontier-bench's traced
+	// runs attach one). A cache hit applies the bit-exact allocation
 	// the skipped solve would have produced, so it is purely a speed knob
 	// that never enters result content or cache keys. nil disables reuse.
 	Solutions *network.SolutionCache
@@ -67,8 +67,8 @@ func (o Options) machine() machine.Spec {
 }
 
 // topoKey returns the canonical content address of a machine spec for
-// solution-cache keys, so virgin fabrics built from the same spec share
-// stored allocations across experiment (and campaign job) boundaries.
+// solution-cache and pricing-cache keys, so fabrics built from the same
+// spec share stored entries across experiment boundaries.
 // An unhashable spec degrades to "", which restricts hits to the exact
 // fabric instance — slower, never wrong.
 func topoKey(spec machine.Spec) string {

@@ -11,10 +11,11 @@ import (
 
 // ExtYear runs a full simulated year of operations on the full 9,472-node
 // Frontier spec with every job phase-structured — the scale target the
-// campaign engine's hot-path work exists for. Every campaign shares the
-// mechanisms that carry it: the always-on, per-run placement-signature
-// pricing cache (YearMix quantizes jobs onto a few dozen distinct
-// programs, so repeat placements price as cache hits), the scheduler's
+// campaign engine's hot-path work exists for. It shares the always-on,
+// per-run placement-signature pricing cache with ext-campaign, the only
+// other campaign that attaches one (YearMix quantizes jobs onto a few
+// dozen distinct programs, so repeat placements price as cache hits).
+// Every campaign shares the rest of what carries it: the scheduler's
 // indexed free lists, interarrival gaps from their own derived stream,
 // and failure injection that keeps one trace entry on the calendar at a
 // time. Cache hits are bit-exact, so the table is byte-identical across

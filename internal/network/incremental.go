@@ -13,10 +13,10 @@ import (
 
 // This file is the incremental-solving layer on top of the Solver arena:
 // demand-set signatures and a SolutionCache that lets repeated patterns
-// (census shifts replayed across campaign what-ifs, a GPCNeT run
-// repeated at one seed) return stored allocations without touching the
-// water-filling heap. Cache entries are keyed by (topology, demand
-// signature); a fabric never changes once built, so no entry goes stale.
+// (a census or a GPCNeT run repeated at one seed) return stored
+// allocations without touching the water-filling heap. Cache entries are
+// keyed by (topology, demand signature); a fabric never changes once
+// built, so no entry goes stale.
 
 // Signature identifies a demand set (or a pattern that fully determines
 // one) for solution caching. It is a SHA-256 in the style of the
@@ -273,7 +273,7 @@ func solveCached(f *fabric.Fabric, demands []*Demand, solutions *SolutionCache, 
 }
 
 // SolutionCacheStats is a point-in-time snapshot of cache occupancy and
-// effectiveness, surfaced by the campaign server's /v1/stats.
+// effectiveness.
 type SolutionCacheStats struct {
 	Entries int    `json:"entries"`
 	Bytes   int64  `json:"bytes"`
