@@ -404,7 +404,7 @@ func BenchmarkExtOperations(b *testing.B)  { benchExperiment(b, "ext-operations"
 
 // BenchmarkKernelSchedule measures the raw event-calendar cycle —
 // schedule into a ~thousand-deep 4-ary heap, dispatch, recycle the arena
-// slot — through the closure-free AtCall path. allocs/op is the
+// slot — through the kernel's (Callback, arg) form. allocs/op is the
 // steady-state allocation cost per event (the arena makes it ~0);
 // events/sec is the headline number the BENCH trajectory tracks.
 func BenchmarkKernelSchedule(b *testing.B) {
@@ -414,14 +414,14 @@ func BenchmarkKernelSchedule(b *testing.B) {
 	const depth = 1024
 	// Warm the arena and heap to steady-state size.
 	for i := 0; i < depth; i++ {
-		k.AtCall(sim.Time(i%64), bump, nil)
+		k.At(sim.Time(i%64), bump, nil)
 	}
 	k.Run()
 	start := k.Executed()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.AtCall(k.Now()+sim.Time(i%64), bump, nil)
+		k.At(k.Now()+sim.Time(i%64), bump, nil)
 		if i%depth == depth-1 {
 			k.Run()
 		}

@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"frontiersim/internal/experiments"
-	"frontiersim/internal/harness"
 	"frontiersim/internal/machine"
 	"frontiersim/internal/profiling"
 )
@@ -173,10 +172,17 @@ func run() int {
 			}
 		})
 		if len(runners) > 1 {
-			sum := summarize(results)
+			var work time.Duration
+			var longest experiments.RunResult
+			for _, r := range results {
+				work += r.Duration
+				if r.Duration > longest.Duration {
+					longest = r
+				}
+			}
 			fmt.Fprintf(os.Stderr, "[%d experiments in %v wall (%v serial work, longest %s at %v, jobs=%d)]\n",
-				sum.Tasks, time.Since(start).Round(time.Millisecond), sum.Wall.Round(time.Millisecond),
-				sum.LongestID, sum.Longest.Round(time.Millisecond), *jobs)
+				len(results), time.Since(start).Round(time.Millisecond), work.Round(time.Millisecond),
+				longest.ID, longest.Duration.Round(time.Millisecond), *jobs)
 		}
 		if err != nil {
 			return 1
@@ -187,17 +193,6 @@ func run() int {
 		return 2
 	}
 	return 0
-}
-
-// summarize converts experiment results to the harness metric fold.
-func summarize(results []experiments.RunResult) harness.Summary {
-	hres := make([]harness.Result[struct{}], len(results))
-	for i, r := range results {
-		hres[i] = harness.Result[struct{}]{
-			ID: r.ID, Index: i, Err: r.Err, Duration: r.Duration, Skipped: r.Skipped,
-		}
-	}
-	return harness.Summarize(hres)
 }
 
 func usage() {

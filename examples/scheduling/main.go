@@ -53,15 +53,7 @@ func main() {
 	fmt.Printf("\nhero job state at submit: %v; filler: %v (EASY backfill)\n", big.State, filler.State)
 
 	// Inject a node failure at t+30min, repaired an hour later.
-	sys.Kernel.After(30*units.Minute, func() {
-		victim := 100
-		fmt.Printf("[t=%v] node %d fails checknode\n", sys.Kernel.Now(), victim)
-		sys.Scheduler.MarkUnhealthy(victim)
-		sys.Kernel.After(1*units.Hour, func() {
-			fmt.Printf("[t=%v] node %d repaired\n", sys.Kernel.Now(), victim)
-			sys.Scheduler.MarkHealthy(victim)
-		})
-	})
+	sys.Kernel.After(30*units.Minute, failNode, &outage{sys: sys, node: 100, repairAfter: 1 * units.Hour})
 
 	sys.Kernel.RunUntil(12 * units.Hour)
 
@@ -71,4 +63,25 @@ func main() {
 	fmt.Printf("  completions    %v\n", completions)
 	fmt.Printf("  hero job       %v (spanned %d groups)\n", big.State, big.GroupsSpanned(sys.Fabric))
 	fmt.Printf("  free nodes     %d\n", sys.Scheduler.FreeNodes())
+}
+
+// outage is one injected node failure and its repair; the kernel passes
+// it back to failNode and repairNode.
+type outage struct {
+	sys         *core.System
+	node        int
+	repairAfter units.Seconds
+}
+
+func failNode(arg any) {
+	o := arg.(*outage)
+	fmt.Printf("[t=%v] node %d fails checknode\n", o.sys.Kernel.Now(), o.node)
+	o.sys.Scheduler.MarkUnhealthy(o.node)
+	o.sys.Kernel.After(o.repairAfter, repairNode, o)
+}
+
+func repairNode(arg any) {
+	o := arg.(*outage)
+	fmt.Printf("[t=%v] node %d repaired\n", o.sys.Kernel.Now(), o.node)
+	o.sys.Scheduler.MarkHealthy(o.node)
 }

@@ -187,15 +187,6 @@ func (c *Cache) GetOrCompute(key Key, compute func() ([]byte, error)) ([]byte, O
 	return cl.bytes, outcome, cl.err
 }
 
-// Contains reports whether key is resident in memory (it does not touch
-// recency or counters, and does not consult disk).
-func (c *Cache) Contains(key Key) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[key]
-	return ok
-}
-
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()

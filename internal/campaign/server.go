@@ -301,7 +301,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	b, outcome, err := s.result(res, nil)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		status := http.StatusInternalServerError
+		if errors.Is(err, machine.ErrNotInSpec) {
+			// The machine cannot run the experiment: the request's
+			// fault, not the server's.
+			status = http.StatusUnprocessableEntity
+		}
+		writeError(w, status, err)
 		return
 	}
 	w.Header().Set("Content-Type", contentType(res.markdown))

@@ -132,6 +132,30 @@ func TestRunRejectsBadRequests(t *testing.T) {
 			t.Errorf("%s: body %q, want containing %q", c.name, body, c.wantErr)
 		}
 	}
+	// A well-formed request whose machine cannot run the experiment is
+	// the client's fault too, but only the simulation finds out: 422.
+	// Asking twice shows the error was not cached as a result.
+	unrunnable := []struct {
+		name, body, wantErr string
+	}{
+		{"no resilience model", `{"experiment":"sec54","machine":"summit","seed":3,"quick":true}`, "no resilience parameters"},
+		{"no scheduler", `{"experiment":"ext-year","machine":"summit","quick":true}`, "has no scheduler"},
+		{"no storage plant", `{"experiment":"table2","machine":"titan","quick":true}`, "no storage parameters"},
+		{"no scheduler for a campaign", `{"experiment":"ext-campaign","machine":"titan","quick":true}`, "has no scheduler"},
+	}
+	for _, c := range unrunnable {
+		for try := 0; try < 2; try++ {
+			resp := post(t, ts.URL+"/v1/run", c.body)
+			body := readAll(t, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusUnprocessableEntity {
+				t.Errorf("%s (try %d): status %d, want 422", c.name, try, resp.StatusCode)
+			}
+			if !strings.Contains(string(body), c.wantErr) {
+				t.Errorf("%s (try %d): body %q, want containing %q", c.name, try, body, c.wantErr)
+			}
+		}
+	}
 }
 
 func TestAsyncJobLifecycle(t *testing.T) {

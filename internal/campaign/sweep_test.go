@@ -188,6 +188,28 @@ func TestSweepApply(t *testing.T) {
 	}
 }
 
+// A sweep into the Orion dRAID geometry must surface Validate's error,
+// naming the field, instead of handing the experiments a spec whose
+// capacity tier prices as NaN (no data drives) or wider than its drives.
+func TestSweepApplyRejectsImpossibleDRAID(t *testing.T) {
+	spec := machine.Frontier()
+	for _, c := range []struct {
+		field string
+		value float64
+	}{
+		{"storage.orion.ssu.Disk.Data", 0},
+		{"storage.orion.ssu.Disk.Data", 300},
+		{"storage.orion.ssu.Flash.Drives", 4},
+	} {
+		_, err := (Sweep{Field: c.field}).Apply(spec, c.value)
+		group := strings.TrimPrefix(c.field, "storage.orion.")
+		group = group[:strings.LastIndex(group, ".")]
+		if err == nil || !strings.Contains(err.Error(), group) {
+			t.Errorf("%s=%v err = %v, want a validation error naming %s", c.field, c.value, err, group)
+		}
+	}
+}
+
 // An ambiguous bare field name lists its candidate paths in a fixed
 // order: the text reaches /v1/sweep error bodies, so it must not depend
 // on map iteration.

@@ -12,7 +12,6 @@ import (
 	"frontiersim/internal/fabric"
 	"frontiersim/internal/gpu"
 	"frontiersim/internal/hpl"
-	"frontiersim/internal/job"
 	"frontiersim/internal/machine"
 	"frontiersim/internal/node"
 	"frontiersim/internal/power"
@@ -65,26 +64,16 @@ func New(spec machine.Spec, seed int64) (*System, error) {
 		Kernel: k,
 		Fabric: f,
 	}
-	if spec.Storage != nil {
-		if s.NodeLocal, err = spec.NodeLocal(); err != nil {
-			return nil, fmt.Errorf("core: building node-local storage: %w", err)
-		}
-		if spec.Storage.Orion != nil {
-			if s.Orion, err = spec.Orion(); err != nil {
-				return nil, fmt.Errorf("core: building orion: %w", err)
-			}
-		}
+	// Jobs price their programs against the same fabric and storage
+	// instances the rest of the system holds.
+	env, err := spec.JobEnv(f)
+	if err != nil {
+		return nil, fmt.Errorf("core: building job environment: %w", err)
 	}
+	s.NodeLocal, s.Orion = env.NodeLocal, env.Orion
 	if spec.Node.BardPeak {
 		s.Node = node.New(0)
-		// Jobs price their programs against the same fabric and storage
-		// instances the rest of the system mutates.
-		s.Scheduler = scheduler.New(k, &job.Env{
-			Node:      spec.NodeModel(),
-			Fabric:    f,
-			NodeLocal: s.NodeLocal,
-			Orion:     s.Orion,
-		})
+		s.Scheduler = scheduler.New(k, env)
 	}
 	if spec.Power != nil {
 		if s.Power, err = spec.PowerMachine(); err != nil {

@@ -3,8 +3,11 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
+
+	"frontiersim/internal/machine"
 )
 
 // TestCaptureMatchesRunAll pins the campaign server's contract: the
@@ -46,5 +49,31 @@ func TestCaptureMarkdown(t *testing.T) {
 func TestCaptureUnknownID(t *testing.T) {
 	if _, err := Capture("fig99", Options{}, false); err == nil || !strings.Contains(err.Error(), "fig99") {
 		t.Fatalf("err = %v, want unknown-id naming fig99", err)
+	}
+}
+
+// A machine whose spec lacks what an experiment needs (a storage plant,
+// a failure model, a scheduler) must return an error wrapping
+// machine.ErrNotInSpec, never panic: the campaign server maps that error
+// to 422 and runs async jobs on goroutines a panic would take the whole
+// process down with. The scheduler campaigns once dereferenced a nil
+// scheduler on the comparison machines.
+func TestUnrunnableMachineWrapsNotInSpec(t *testing.T) {
+	for _, c := range []struct{ exp, mach string }{
+		{"sec54", "summit"},
+		{"table2", "titan"},
+		{"ext-year", "summit"},
+		{"ext-llm", "titan"},
+		{"ext-operations", "summit"},
+		{"ext-campaign", "titan"},
+	} {
+		spec, err := machine.ByName(c.mach)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Capture(c.exp, Options{Quick: true, Seed: 42, Machine: &spec}, false)
+		if !errors.Is(err, machine.ErrNotInSpec) {
+			t.Errorf("%s on %s: err = %v, want one wrapping machine.ErrNotInSpec", c.exp, c.mach, err)
+		}
 	}
 }

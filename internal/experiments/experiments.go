@@ -42,14 +42,28 @@ type Options struct {
 	uncached bool
 }
 
+// schedulerSystem builds the system a scheduling experiment runs on. A
+// machine without a scheduler cannot run one: the error names the
+// experiment and wraps machine.ErrNotInSpec.
+func schedulerSystem(id string, spec machine.Spec, seed int64) (*core.System, error) {
+	sys, err := core.New(spec, seed)
+	if err != nil {
+		return nil, err
+	}
+	if sys.Scheduler == nil {
+		return nil, machine.NotInSpec("%s: machine has no scheduler", id)
+	}
+	return sys, nil
+}
+
 // pricingCache attaches a fresh, unbounded placement-signature pricing
 // cache to the system's job environment and returns it for hit-rate
-// reporting (nil when the machine has no scheduler). Hits reproduce cold
-// pricing bit-for-bit, so the cache never changes a campaign statistic;
-// being unbounded and per run, its reported hit rate is a pure function
-// of the job stream.
+// reporting (nil for the uncached runs tests compare against). Hits
+// reproduce cold pricing bit-for-bit, so the cache never changes a
+// campaign statistic; being unbounded and per run, its reported hit
+// rate is a pure function of the job stream.
 func (o Options) pricingCache(sys *core.System, spec machine.Spec) *job.PricingCache {
-	if o.uncached || sys.Scheduler == nil {
+	if o.uncached {
 		return nil
 	}
 	cache := job.NewPricingCache()

@@ -5,7 +5,6 @@ import (
 	"frontiersim/internal/rng"
 	"math"
 
-	"frontiersim/internal/core"
 	"frontiersim/internal/fabric"
 	"frontiersim/internal/gpu"
 	"frontiersim/internal/miniapps"
@@ -142,7 +141,7 @@ func ExtSysmgmt(o Options) (*report.Table, error) {
 // with the reliability model injecting failures, reporting utilization,
 // queue waits, and observed MTTI.
 func ExtOperations(o Options) (*report.Table, error) {
-	sys, err := core.New(o.machine(), o.Seed)
+	sys, err := schedulerSystem("ext-operations", o.machine(), o.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"frontiersim/internal/core"
 	"frontiersim/internal/job"
 	"frontiersim/internal/llm"
 	"frontiersim/internal/machine"
@@ -22,12 +21,9 @@ import (
 // what-ifs (halving linkRate, taper changes) degrade the
 // collective-bound points and leave compute-bound ones alone.
 func ExtLLM(o Options) (*report.Table, error) {
-	sys, err := core.New(o.machine(), o.Seed)
+	sys, err := schedulerSystem("ext-llm", o.machine(), o.Seed)
 	if err != nil {
 		return nil, err
-	}
-	if sys.Scheduler == nil {
-		return nil, fmt.Errorf("ext-llm: machine has no scheduler")
 	}
 	t := &report.Table{ID: "ext-llm", Title: "LLM training at scale: tokens/sec vs node count"}
 	nodeModel := o.machine().NodeModel()
@@ -130,7 +126,7 @@ func ExtCampaign(o Options) (*report.Table, error) {
 	if o.Machine == nil {
 		spec = machine.Scaled(8, 16, 8)
 	}
-	sys, err := core.New(spec, o.Seed)
+	sys, err := schedulerSystem("ext-campaign", spec, o.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"frontiersim/internal/core"
 	"frontiersim/internal/report"
 	"frontiersim/internal/units"
 	"frontiersim/internal/workload"
@@ -26,12 +25,9 @@ import (
 // on the same machine.
 func ExtYear(o Options) (*report.Table, error) {
 	spec := o.machine()
-	sys, err := core.New(spec, o.Seed)
+	sys, err := schedulerSystem("ext-year", spec, o.Seed)
 	if err != nil {
 		return nil, err
-	}
-	if sys.Scheduler == nil {
-		return nil, fmt.Errorf("ext-year: machine has no scheduler")
 	}
 	cache := o.pricingCache(sys, spec)
 	cfg := workload.DefaultConfig()

@@ -163,33 +163,3 @@ func Run[T any](ctx context.Context, cfg Config, tasks []Task[T], emit func(Resu
 	}
 	return results, errors.Join(errs...)
 }
-
-// Summary aggregates a batch's metrics.
-type Summary struct {
-	Tasks     int
-	Failed    int
-	Skipped   int
-	Wall      time.Duration // sum of per-task wall time (serial-equivalent work)
-	Longest   time.Duration
-	LongestID string
-}
-
-// Summarize folds a result slice into batch metrics.
-func Summarize[T any](results []Result[T]) Summary {
-	var s Summary
-	s.Tasks = len(results)
-	for _, r := range results {
-		switch {
-		case r.Skipped:
-			s.Skipped++
-		case r.Err != nil:
-			s.Failed++
-		}
-		s.Wall += r.Duration
-		if r.Duration > s.Longest {
-			s.Longest = r.Duration
-			s.LongestID = r.ID
-		}
-	}
-	return s
-}

@@ -194,25 +194,6 @@ func TestCollectAllGathersErrors(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	results := []Result[int]{
-		{ID: "a", Duration: 3 * time.Second},
-		{ID: "b", Duration: 5 * time.Second},
-		{ID: "c", Err: errors.New("x"), Duration: time.Second},
-		{ID: "d", Skipped: true, Err: context.Canceled},
-	}
-	s := Summarize(results)
-	if s.Tasks != 4 || s.Failed != 1 || s.Skipped != 1 {
-		t.Errorf("counts wrong: %+v", s)
-	}
-	if s.Longest != 5*time.Second || s.LongestID != "b" {
-		t.Errorf("longest wrong: %+v", s)
-	}
-	if s.Wall != 9*time.Second {
-		t.Errorf("wall = %v, want 9s", s.Wall)
-	}
-}
-
 func TestEmptyBatch(t *testing.T) {
 	results, err := Run[int](context.Background(), Config{}, nil, nil)
 	if err != nil || len(results) != 0 {

@@ -37,7 +37,7 @@ type Exec struct {
 	pending sim.Event
 }
 
-// execStep is the closure-free phase-boundary trampoline.
+// execStep is the phase-boundary event callback; arg is the Exec.
 func execStep(arg any) { arg.(*Exec).step() }
 
 // Start begins execution at the kernel's current time. It returns the
@@ -79,7 +79,7 @@ func (x *Exec) schedule() {
 		}
 		return
 	}
-	x.pending = x.K.AfterCall(d, execStep, x)
+	x.pending = x.K.After(d, execStep, x)
 }
 
 // step retires the completed phase and advances the cursor.
@@ -104,9 +104,6 @@ func (x *Exec) step() {
 	}
 	x.schedule()
 }
-
-// Done reports whether the program ran to completion.
-func (x *Exec) Done() bool { return x.done }
 
 // Stop cancels the in-flight phase boundary (interrupt or walltime
 // kill). The partial phase is abandoned — its time is NOT credited to

@@ -153,7 +153,6 @@ func refFrontierOrion() *storage.Orion {
 	n := 225
 	o := &storage.Orion{
 		SSUs:                n,
-		SSU:                 ssu,
 		DoMLimit:            256 * units.KB,
 		PFLPerformanceLimit: 8 * units.MB,
 		Tiers:               map[storage.TierKind]storage.Tier{},
@@ -337,11 +336,7 @@ func TestGoldenFrontierStorage(t *testing.T) {
 	if want := refFrontierNodeLocal(); !reflect.DeepEqual(nl, want) {
 		t.Errorf("NodeLocal drifted:\n got %+v\nwant %+v", nl, want)
 	}
-	ssu, err := s.SSU()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := refFrontierSSU(); !reflect.DeepEqual(ssu, want) {
+	if ssu, want := s.Storage.Orion.SSU, refFrontierSSU(); !reflect.DeepEqual(ssu, want) {
 		t.Errorf("SSU drifted:\n got %+v\nwant %+v", ssu, want)
 	}
 	o, err := s.Orion()

@@ -171,6 +171,12 @@ func TestValidationErrors(t *testing.T) {
 		{"zero SSUs", func(s *Spec) { s.Storage.Orion.SSUs = 0 }, "SSU"},
 		{"inverted PFL", func(s *Spec) { s.Storage.Orion.PFLPerformanceLimit = 1 }, "PFL"},
 		{"zero metadata rate", func(s *Spec) { s.Storage.Orion.MetadataRead = 0 }, "bandwidth"},
+		// A dRAID geometry with no data drives prices NaN capacities and
+		// rates; a stripe wider than the group inflates the capacity tier.
+		{"empty disk stripe", func(s *Spec) { s.Storage.Orion.SSU.Disk.Data, s.Storage.Orion.SSU.Disk.Parity = 0, 0 }, "ssu.Disk"},
+		{"disk stripe wider than drives", func(s *Spec) { s.Storage.Orion.SSU.Disk.Data = 300 }, "ssu.Disk"},
+		{"negative flash parity", func(s *Spec) { s.Storage.Orion.SSU.Flash.Parity = -1 }, "ssu.Flash"},
+		{"flash spares eat the stripe", func(s *Spec) { s.Storage.Orion.SSU.Flash.Spares = 20 }, "ssu.Flash"},
 		{"one leader", func(s *Spec) { s.Mgmt.Leaders = 1 }, "leader"},
 		// Machine-size ceilings: a spec must not size the fabric's
 		// tables beyond what one process can hold.

@@ -14,6 +14,7 @@
 package machine
 
 import (
+	"errors"
 	"fmt"
 
 	"frontiersim/internal/apps"
@@ -26,6 +27,24 @@ import (
 	"frontiersim/internal/sysmgmt"
 	"frontiersim/internal/units"
 )
+
+// ErrNotInSpec is wrapped by every error that reports a subsystem the
+// machine's spec does not describe (no storage plant, no failure model,
+// no scheduler, …). The machine cannot run what asked for it, which is
+// the request's fault, not the simulator's: frontier-serve answers 422.
+var ErrNotInSpec = errors.New("subsystem not in spec")
+
+// NotInSpec returns an error with the formatted text that wraps
+// ErrNotInSpec.
+func NotInSpec(format string, args ...any) error {
+	return notInSpec(fmt.Sprintf(format, args...))
+}
+
+// notInSpec keeps its caller's text and adds only the sentinel.
+type notInSpec string
+
+func (e notInSpec) Error() string { return string(e) }
+func (e notInSpec) Unwrap() error { return ErrNotInSpec }
 
 // Topology kinds.
 const (
@@ -84,18 +103,6 @@ func (t Topology) DerivedNodes() int {
 		return t.ComputeGroups * t.ComputeGroupSwitches * t.EndpointsPerSwitch / t.NICsPerNode
 	case FatTree:
 		return t.Leaves * t.EndpointsPerLeaf / t.NICsPerNode
-	}
-	return 0
-}
-
-// Switches is the total switch count (compute blades plus top-of-rack
-// for dragonflies; leaves plus the idealised core for fat trees).
-func (t Topology) Switches() int {
-	switch t.Kind {
-	case Dragonfly:
-		return t.ComputeGroups*t.ComputeGroupSwitches + (t.IOGroups+t.MgmtGroups)*t.TORGroupSwitches
-	case FatTree:
-		return t.Leaves + 1
 	}
 	return 0
 }
@@ -415,6 +422,12 @@ func (s Spec) Validate() error {
 			if o.SSUs < 1 {
 				return fmt.Errorf("machine %s: Orion needs at least one SSU (got %d)", s.Name, o.SSUs)
 			}
+			if err := o.SSU.Flash.Validate(); err != nil {
+				return fmt.Errorf("machine %s: storage.orion.ssu.Flash: %w", s.Name, err)
+			}
+			if err := o.SSU.Disk.Validate(); err != nil {
+				return fmt.Errorf("machine %s: storage.orion.ssu.Disk: %w", s.Name, err)
+			}
 			if o.DoMLimit <= 0 || o.PFLPerformanceLimit <= o.DoMLimit {
 				return fmt.Errorf("machine %s: PFL thresholds must satisfy 0 < DoM < performance limit (got %v, %v)",
 					s.Name, o.DoMLimit, o.PFLPerformanceLimit)
@@ -498,7 +511,7 @@ func (s Spec) NewFabric() (*fabric.Fabric, error) {
 // comes from the topology.
 func (s Spec) HPLSpec() (hpl.MachineSpec, error) {
 	if s.HPL == nil {
-		return hpl.MachineSpec{}, fmt.Errorf("machine %s: no HPL parameters in spec", s.Name)
+		return hpl.MachineSpec{}, NotInSpec("machine %s: no HPL parameters in spec", s.Name)
 	}
 	return hpl.MachineSpec{
 		Nodes:             s.Nodes(),
@@ -513,7 +526,7 @@ func (s Spec) HPLSpec() (hpl.MachineSpec, error) {
 // from the topology.
 func (s Spec) PowerMachine() (power.Machine, error) {
 	if s.Power == nil {
-		return power.Machine{}, fmt.Errorf("machine %s: no power parameters in spec", s.Name)
+		return power.Machine{}, NotInSpec("machine %s: no power parameters in spec", s.Name)
 	}
 	p := s.Power
 	return power.Machine{
@@ -530,7 +543,7 @@ func (s Spec) PowerMachine() (power.Machine, error) {
 // ResilienceModel derives the machine-wide reliability model.
 func (s Spec) ResilienceModel() (resilience.Model, error) {
 	if s.Resilience == nil {
-		return resilience.Model{}, fmt.Errorf("machine %s: no resilience parameters in spec", s.Name)
+		return resilience.Model{}, NotInSpec("machine %s: no resilience parameters in spec", s.Name)
 	}
 	classes := make([]resilience.ComponentClass, len(s.Resilience.Classes))
 	for i, c := range s.Resilience.Classes {
@@ -548,7 +561,7 @@ func (s Spec) ResilienceModel() (resilience.Model, error) {
 // comes from the topology.
 func (s Spec) MgmtConfig() (sysmgmt.Config, error) {
 	if s.Mgmt == nil {
-		return sysmgmt.Config{}, fmt.Errorf("machine %s: no management-plane parameters in spec", s.Name)
+		return sysmgmt.Config{}, NotInSpec("machine %s: no management-plane parameters in spec", s.Name)
 	}
 	return sysmgmt.Config{
 		ComputeNodes: s.Nodes(),
@@ -561,7 +574,7 @@ func (s Spec) MgmtConfig() (sysmgmt.Config, error) {
 // NodeLocal derives the per-node NVMe store.
 func (s Spec) NodeLocal() (*storage.NodeLocalStore, error) {
 	if s.Storage == nil {
-		return nil, fmt.Errorf("machine %s: no storage parameters in spec", s.Name)
+		return nil, NotInSpec("machine %s: no storage parameters in spec", s.Name)
 	}
 	nl := s.Storage.NodeLocal
 	devices := make([]storage.NVMeDevice, nl.DevicesPerNode)
@@ -581,25 +594,16 @@ func (s Spec) NodeLocal() (*storage.NodeLocalStore, error) {
 	}, nil
 }
 
-// SSU derives one Scalable Storage Unit.
-func (s Spec) SSU() (storage.SSU, error) {
-	if s.Storage == nil || s.Storage.Orion == nil {
-		return storage.SSU{}, fmt.Errorf("machine %s: no Orion parameters in spec", s.Name)
-	}
-	return s.Storage.Orion.SSU, nil
-}
-
 // Orion derives the center-wide file system: tier capacities and
 // theoretical disk bandwidth follow from the SSU build and count.
 func (s Spec) Orion() (*storage.Orion, error) {
 	if s.Storage == nil || s.Storage.Orion == nil {
-		return nil, fmt.Errorf("machine %s: no Orion parameters in spec", s.Name)
+		return nil, NotInSpec("machine %s: no Orion parameters in spec", s.Name)
 	}
 	os := s.Storage.Orion
 	n := os.SSUs
 	o := &storage.Orion{
 		SSUs:                n,
-		SSU:                 os.SSU,
 		DoMLimit:            os.DoMLimit,
 		PFLPerformanceLimit: os.PFLPerformanceLimit,
 		Tiers:               map[storage.TierKind]storage.Tier{},
@@ -679,10 +683,9 @@ func (s Spec) NodeModel() job.NodeModel {
 }
 
 // JobEnv derives the environment phase-structured job programs are
-// priced against, sharing an already-built fabric instance (the env must
-// see the same link state the transport layer mutates). Storage tiers
-// are wired when the spec carries them; a spec without storage yields an
-// env that prices compute and collective phases only.
+// priced against, sharing an already-built fabric instance. Storage
+// tiers are wired when the spec carries them; a spec without storage
+// yields an env that prices compute and collective phases only.
 func (s Spec) JobEnv(f *fabric.Fabric) (*job.Env, error) {
 	env := &job.Env{Node: s.NodeModel(), Fabric: f}
 	if s.Storage != nil {

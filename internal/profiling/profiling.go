@@ -22,15 +22,6 @@ type Config struct {
 	Block string // blocking profile (SetBlockProfileRate(1)) — channel and lock waits show here
 }
 
-// Start begins CPU profiling (if cpuPath is non-empty) and returns a
-// stop function that finishes the CPU profile and, if memPath is
-// non-empty, writes a heap profile. Callers must invoke stop on every
-// exit path that should produce profiles — typically via an explicit
-// call before os.Exit, since os.Exit skips deferred calls.
-func Start(cpuPath, memPath string) (stop func(), err error) {
-	return StartConfig(Config{CPU: cpuPath, Mem: memPath})
-}
-
 // StartConfig begins every profile named in cfg and returns a stop
 // function that flushes them. Mutex and block profiling have runtime
 // overhead while armed (every contention event is sampled, rate 1), so

@@ -50,19 +50,6 @@ func TestStartConfigWritesAllProfiles(t *testing.T) {
 	}
 }
 
-func TestStartDelegatesToConfig(t *testing.T) {
-	dir := t.TempDir()
-	mem := filepath.Join(dir, "mem.pprof")
-	stop, err := Start("", mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop()
-	if st, err := os.Stat(mem); err != nil || st.Size() == 0 {
-		t.Fatalf("heap profile missing or empty: %v", err)
-	}
-}
-
 func TestStartConfigBadPath(t *testing.T) {
 	if _, err := StartConfig(Config{CPU: filepath.Join(t.TempDir(), "no", "such", "dir", "x")}); err == nil {
 		t.Fatal("expected error for unwritable CPU profile path")

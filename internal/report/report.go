@@ -119,19 +119,3 @@ func GB(v float64) string {
 		return fmt.Sprintf("%.1f GB/s", v/1e9)
 	}
 }
-
-// F formats a float compactly.
-func F(v float64) string {
-	switch {
-	case v == 0:
-		return "0"
-	case math.Abs(v) >= 1e15 || math.Abs(v) < 1e-3:
-		return fmt.Sprintf("%.3g", v)
-	case math.Abs(v) >= 100:
-		return fmt.Sprintf("%.0f", v)
-	case math.Abs(v) >= 10:
-		return fmt.Sprintf("%.1f", v)
-	default:
-		return fmt.Sprintf("%.2f", v)
-	}
-}

@@ -66,13 +66,4 @@ func TestFormatters(t *testing.T) {
 			t.Errorf("GB(%v) = %q, want %q", v, got, want)
 		}
 	}
-	if F(0) != "0" {
-		t.Error("F(0)")
-	}
-	if F(419.9e15) != "4.2e+17" {
-		t.Errorf("F(huge) = %q", F(419.9e15))
-	}
-	if F(52.3) != "52.3" {
-		t.Errorf("F(52.3) = %q", F(52.3))
-	}
 }

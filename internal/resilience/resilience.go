@@ -137,7 +137,7 @@ func injectNext(arg any) {
 	f := in.failures[in.next]
 	in.next++
 	if in.next < len(in.failures) {
-		in.k.AtCall(in.failures[in.next].At, injectNext, in)
+		in.k.At(in.failures[in.next].At, injectNext, in)
 	}
 	in.handle(f)
 }
@@ -150,7 +150,7 @@ func InjectTrace(k *sim.Kernel, failures []Failure, handle func(Failure)) int {
 		return 0
 	}
 	in := &injector{k: k, failures: failures, handle: handle}
-	k.AtCall(failures[0].At, injectNext, in)
+	k.At(failures[0].At, injectNext, in)
 	return len(failures)
 }
 

@@ -146,7 +146,7 @@ func TestComponentClassEdges(t *testing.T) {
 // the trace up front, one calendar event each, in trace order.
 func preloadTrace(k *sim.Kernel, failures []Failure, handle func(Failure)) int {
 	for _, f := range failures {
-		k.At(f.At, func() { handle(f) })
+		k.At(f.At, func(arg any) { handle(arg.(Failure)) }, f)
 	}
 	return len(failures)
 }

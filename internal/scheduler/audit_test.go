@@ -78,7 +78,7 @@ func auditIndex(t *testing.T, s *Scheduler, down []bool, ctx string) {
 	}
 }
 
-// Random submit, advance, cancel, fail and repair sequences must keep
+// Random submit, advance, kill, fail and repair sequences must keep
 // every index structure equal to what the per-node model rebuilds. The
 // 60-node groups of the middle shape are not a multiple of 64, so group
 // edges fall mid-word; the others have groups inside one word and
@@ -89,7 +89,6 @@ func TestIndexAudit(t *testing.T) {
 		s := newScheduler(t, k, machine.Scaled(shape[0], shape[1], shape[2]))
 		r := rng.New(int64(shape[1]*100 + shape[2]))
 		down := make([]bool, s.totalNodes)
-		var jobs []*Job
 		for step := 0; step < 600; step++ {
 			var op string
 			switch r.Intn(7) {
@@ -98,22 +97,25 @@ func TestIndexAudit(t *testing.T) {
 				if r.Intn(3) == 0 {
 					n = 1 + r.Intn(s.totalNodes)
 				}
-				j, err := s.Submit(job.Blob("audit", n, units.Seconds(1+r.Intn(40))), nil)
-				if err != nil {
+				if _, err := s.Submit(job.Blob("audit", n, units.Seconds(1+r.Intn(40))), nil); err != nil {
 					t.Fatal(err)
 				}
-				jobs = append(jobs, j)
 				op = fmt.Sprintf("submit %d nodes", n)
 			case 2:
 				k.RunUntil(k.Now() + units.Seconds(r.Intn(15)))
 				op = "advance"
 			case 3:
-				if len(jobs) == 0 {
+				// Kill a running job and return its node at once, so
+				// the release and the repair's backfill land together.
+				running := s.Running()
+				if len(running) == 0 {
 					continue
 				}
-				j := jobs[r.Intn(len(jobs))]
-				s.Cancel(j)
-				op = fmt.Sprintf("cancel job %d", j.ID)
+				j := running[r.Intn(len(running))]
+				node := j.Alloc[r.Intn(len(j.Alloc))]
+				s.MarkUnhealthy(node)
+				s.MarkHealthy(node)
+				op = fmt.Sprintf("kill job %d via node %d", j.ID, node)
 			case 4:
 				running := s.Running()
 				if len(running) == 0 {

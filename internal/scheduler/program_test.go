@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"frontiersim/internal/job"
+	"frontiersim/internal/machine"
+	"frontiersim/internal/sim"
 	"frontiersim/internal/units"
 )
 
@@ -143,7 +145,7 @@ func TestProgramInterruptLostWork(t *testing.T) {
 	}
 	// Kill a node mid-way through the compute phase of the 6th pass.
 	cut := j.Start + 5*pass + j.Bound.LoopTimes[0]/2
-	k.After(cut-k.Now(), func() { s.MarkUnhealthy(j.Alloc[0]) })
+	k.After(cut-k.Now(), func(any) { s.MarkUnhealthy(j.Alloc[0]) }, nil)
 	k.RunUntil(cut + 1)
 	if final != Failed {
 		t.Fatalf("final state = %v, want failed", final)
@@ -224,5 +226,50 @@ func TestProgramWalltimeTimeout(t *testing.T) {
 func TestTimeoutStateString(t *testing.T) {
 	if Timeout.String() != "timeout" {
 		t.Errorf("Timeout.String() = %q", Timeout.String())
+	}
+}
+
+// A program that cannot be priced on its granted nodes (here an I/O
+// phase on a machine with no storage plant) is a launch failure: it
+// ends Failed at its start time through an immediate event, its nodes
+// return to the pool, and OnComplete runs once. The explicit Walltime
+// skips the submit-time estimate, which would otherwise reject the
+// program before it reached launch.
+func TestLaunchFailureFailsAtStart(t *testing.T) {
+	spec := machine.Scaled(6, 8, 4)
+	spec.Storage = nil
+	k := sim.NewKernel(1)
+	s := newScheduler(t, k, spec)
+	k.RunUntil(5) // a start time distinct from the zero value
+	p := &job.Program{
+		Name: "no-storage", Nodes: 8, PPN: 1, Walltime: 100,
+		Setup: []job.Phase{{Name: "restore", Kind: job.IO, Read: units.GiB}},
+	}
+	completions := 0
+	j, err := s.Submit(p, func(*Job) { completions++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.State != Running || s.FreeNodes() != 40 {
+		t.Fatalf("before the failure event: state %v, %d free nodes; want running, 40", j.State, s.FreeNodes())
+	}
+	k.Run()
+	if j.State != Failed {
+		t.Fatalf("state = %v, want failed", j.State)
+	}
+	if j.Start != 5 || j.End != j.Start {
+		t.Errorf("start %v, end %v; want both 5", j.Start, j.End)
+	}
+	if s.FailedJobs != 1 || s.Finished != 1 {
+		t.Errorf("FailedJobs = %d, Finished = %d; want 1, 1", s.FailedJobs, s.Finished)
+	}
+	if s.FreeNodes() != 48 {
+		t.Errorf("free nodes = %d, want all 48 back", s.FreeNodes())
+	}
+	if completions != 1 {
+		t.Errorf("OnComplete ran %d times, want 1", completions)
+	}
+	if j.Bound != nil {
+		t.Error("a job that failed to bind has a Bound")
 	}
 }

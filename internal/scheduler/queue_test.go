@@ -12,7 +12,7 @@ import (
 
 // The index-tracked queue must behave exactly like the plain slice it
 // replaced: pending jobs stay in submit order no matter how many are
-// plucked out of the middle by backfill, cancels, or head starts. The
+// plucked out of the middle by backfill or head starts. The
 // reference model is the observable one — the submitted jobs that are
 // still Pending, in submission order — so any reordering, duplication,
 // or loss in the tombstone/compaction machinery shows up as a mismatch.
@@ -53,9 +53,12 @@ func TestQueueOrderMatchesReferenceModel(t *testing.T) {
 				t.Fatal(err)
 			}
 			submitted = append(submitted, j)
-		case op < 8: // cancel a random submitted job (any state)
-			if len(submitted) > 0 {
-				s.Cancel(submitted[r.Intn(len(submitted))])
+		case op < 8: // kill a running job: its nodes go back at once and
+			// backfill plucks queued jobs from the middle
+			if running := s.Running(); len(running) > 0 {
+				j := running[r.Intn(len(running))]
+				s.MarkUnhealthy(j.Alloc[0])
+				s.MarkHealthy(j.Alloc[0])
 			}
 		case op == 8: // fail a node, then repair it
 			node := r.Intn(48)
@@ -74,8 +77,7 @@ func TestQueueOrderMatchesReferenceModel(t *testing.T) {
 }
 
 // Direct jobQueue edge cases the scheduler path may not hit every run:
-// tombstone-heavy compaction, head advancement over runs of nils, and
-// removing a job that is not queued.
+// tombstone-heavy compaction and head advancement over runs of nils.
 func TestJobQueueCompaction(t *testing.T) {
 	var q jobQueue
 	mk := func(id int) *Job { return &Job{ID: id, qpos: -1} }
@@ -87,7 +89,7 @@ func TestJobQueueCompaction(t *testing.T) {
 		q.push(jobs[i])
 	}
 	for i := 0; i < 250; i++ {
-		q.remove(jobs[i])
+		q.removeAt(jobs[i].qpos)
 	}
 	q.maybeCompact()
 	if q.head != 0 || len(q.items) != q.live {
@@ -100,19 +102,11 @@ func TestJobQueueCompaction(t *testing.T) {
 		}
 		want = j.ID
 	}
-	// qpos survives compaction: removal by pointer still works.
+	// qpos survives compaction: removal by the job's slot still works.
 	survivor := q.first()
-	q.remove(survivor)
+	q.removeAt(survivor.qpos)
 	if survivor.qpos != -1 || q.items[0] != nil {
 		t.Error("post-compaction removal by qpos failed")
-	}
-
-	// Removing an unqueued job is a no-op.
-	stray := mk(999)
-	before := q.len()
-	q.remove(stray)
-	if q.len() != before {
-		t.Error("removing an unqueued job changed the queue")
 	}
 
 	// Draining through removeFirst resets the backing slice.

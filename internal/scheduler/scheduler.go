@@ -40,7 +40,6 @@ const (
 	Running
 	Completed
 	Failed
-	Cancelled
 	// Timeout is a job killed at its requested walltime before its
 	// program finished (a job.Blob requests exactly its runtime and
 	// completes normally).
@@ -58,8 +57,6 @@ func (s JobState) String() string {
 		return "completed"
 	case Failed:
 		return "failed"
-	case Cancelled:
-		return "cancelled"
 	case Timeout:
 		return "timeout"
 	}
@@ -98,6 +95,7 @@ type Job struct {
 	// Checkpoints is the count of checkpoint phases the job completed.
 	Checkpoints int
 
+	sched    *Scheduler
 	exec     *job.Exec
 	endEvent sim.Event
 	// qpos is the job's slot in the pending queue, -1 when not queued.
@@ -156,7 +154,7 @@ type Scheduler struct {
 	take, order, bucket []int
 
 	// Stats.
-	Started, Finished, FailedJobs, HealthRejects int
+	Started, Finished, FailedJobs int
 }
 
 // New builds a scheduler over the compute nodes of env's fabric, pricing
@@ -326,26 +324,13 @@ func (s *Scheduler) Submit(p *job.Program, onComplete func(*Job)) (*Job, error) 
 		State:      Pending,
 		Submit:     s.K.Now(),
 		OnComplete: onComplete,
+		sched:      s,
 		qpos:       -1,
 	}
 	s.nextJobID++
 	s.queue.push(j)
 	s.trySchedule()
 	return j, nil
-}
-
-// Cancel removes a pending job or kills a running one.
-func (s *Scheduler) Cancel(j *Job) {
-	switch j.State {
-	case Pending:
-		s.queue.remove(j)
-		j.State = Cancelled
-		if j.OnComplete != nil {
-			j.OnComplete(j)
-		}
-	case Running:
-		s.finish(j, Cancelled)
-	}
 }
 
 // Running returns the currently running jobs.
@@ -457,7 +442,7 @@ func (s *Scheduler) launch(j *Job) {
 		// A program that cannot be priced on real nodes is a launch
 		// failure, not a scheduler crash. Failing via an immediate event
 		// keeps finish() out of the trySchedule loop that called start.
-		j.endEvent = s.K.After(0, func() { s.finish(j, Failed) })
+		j.endEvent = s.K.After(0, failLaunch, j)
 		return
 	}
 	j.Bound = bound
@@ -466,8 +451,19 @@ func (s *Scheduler) launch(j *Job) {
 	}
 	j.exec = (&job.Exec{Bound: bound, K: s.K, OnDone: func() { s.finish(j, Completed) }}).Start()
 	if bound.Total > j.Walltime {
-		j.endEvent = s.K.At(j.Start+j.Walltime, func() { s.finish(j, Timeout) })
+		j.endEvent = s.K.At(j.Start+j.Walltime, killAtWalltime, j)
 	}
+}
+
+// failLaunch and killAtWalltime are launch's end events; arg is the job.
+func failLaunch(arg any) {
+	j := arg.(*Job)
+	j.sched.finish(j, Failed)
+}
+
+func killAtWalltime(arg any) {
+	j := arg.(*Job)
+	j.sched.finish(j, Timeout)
 }
 
 func (s *Scheduler) finish(j *Job, state JobState) {
@@ -648,12 +644,6 @@ func (q *jobQueue) removeAt(i int) {
 	q.live--
 	if i == q.head {
 		q.advanceHead()
-	}
-}
-
-func (q *jobQueue) remove(j *Job) {
-	if j.qpos >= 0 && j.qpos < len(q.items) && q.items[j.qpos] == j {
-		q.removeAt(j.qpos)
 	}
 }
 

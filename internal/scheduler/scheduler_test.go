@@ -190,7 +190,7 @@ func TestNodeFailureKillsJob(t *testing.T) {
 	if j.State != Running {
 		t.Fatal("job should run")
 	}
-	k.After(10, func() { s.MarkUnhealthy(j.Alloc[0]) })
+	k.After(10, func(any) { s.MarkUnhealthy(j.Alloc[0]) }, nil)
 	k.RunUntil(20)
 	if final != Failed {
 		t.Errorf("final state = %v, want failed", final)
@@ -211,24 +211,6 @@ func TestNodeFailureKillsJob(t *testing.T) {
 	if j2.State != Running {
 		t.Error("repair should release the waiting job")
 	}
-}
-
-func TestCancel(t *testing.T) {
-	k, _, s := testRig(t)
-	j1, _ := s.Submit(job.Blob("running", 48, 100), nil)
-	j2, _ := s.Submit(job.Blob("queued", 8, 100), nil)
-	s.Cancel(j2)
-	if j2.State != Cancelled {
-		t.Errorf("queued cancel = %v", j2.State)
-	}
-	s.Cancel(j1)
-	if j1.State != Cancelled {
-		t.Errorf("running cancel = %v", j1.State)
-	}
-	if s.FreeNodes() != 48 {
-		t.Errorf("free = %d, want 48 after cancels", s.FreeNodes())
-	}
-	k.Run()
 }
 
 func TestSubmitValidation(t *testing.T) {
@@ -296,7 +278,7 @@ func TestNodeConservationProperty(t *testing.T) {
 }
 
 func TestJobStateString(t *testing.T) {
-	for _, st := range []JobState{Pending, Running, Completed, Failed, Cancelled, JobState(9)} {
+	for _, st := range []JobState{Pending, Running, Completed, Failed, Timeout, JobState(9)} {
 		if st.String() == "" {
 			t.Errorf("empty state string for %d", int(st))
 		}

@@ -3,9 +3,8 @@ package sim
 // Golden dispatch-order equivalence: the arena + 4-ary heap kernel must
 // replay a mixed schedule/cancel/sweep/RunUntil trace exactly like the
 // frozen pre-arena kernel in legacy_test.go — same dispatch order, same
-// Executed count, same clock at every checkpoint. The trace is replayed
-// a third time through the closure-free AtCall path to prove it shares
-// the calendar's ordering with At/After.
+// Executed count, same clock at every checkpoint. The arena kernel
+// replays each trace closure as the arg of its one (Callback, arg) form.
 
 import (
 	"fmt"
@@ -32,32 +31,13 @@ type newHandle struct{ e Event }
 
 func (h *newHandle) cancel() { h.e.Cancel() }
 
-func (c *newCal) at(t Time, fn func()) goldenHandle    { return &newHandle{c.k.At(t, fn)} }
-func (c *newCal) after(d Time, fn func()) goldenHandle { return &newHandle{c.k.After(d, fn)} }
+func (c *newCal) at(t Time, fn func()) goldenHandle    { return &newHandle{c.k.At(t, call, fn)} }
+func (c *newCal) after(d Time, fn func()) goldenHandle { return &newHandle{c.k.After(d, call, fn)} }
 func (c *newCal) run()                                 { c.k.Run() }
 func (c *newCal) runUntil(h Time)                      { c.k.RunUntil(h) }
 func (c *newCal) now() Time                            { return c.k.Now() }
 func (c *newCal) executed() uint64                     { return c.k.Executed() }
 func (c *newCal) pending() int                         { return c.k.Pending() }
-
-// callCal drives the same kernel through AtCall/AfterCall instead of
-// At/After: the closure-free path must produce the identical calendar.
-type callCal struct{ k *Kernel }
-type goldenArg struct{ fn func() }
-
-func goldenCall(arg any) { arg.(*goldenArg).fn() }
-
-func (c *callCal) at(t Time, fn func()) goldenHandle {
-	return &newHandle{c.k.AtCall(t, goldenCall, &goldenArg{fn})}
-}
-func (c *callCal) after(d Time, fn func()) goldenHandle {
-	return &newHandle{c.k.AfterCall(d, goldenCall, &goldenArg{fn})}
-}
-func (c *callCal) run()             { c.k.Run() }
-func (c *callCal) runUntil(h Time)  { c.k.RunUntil(h) }
-func (c *callCal) now() Time        { return c.k.Now() }
-func (c *callCal) executed() uint64 { return c.k.Executed() }
-func (c *callCal) pending() int     { return c.k.Pending() }
 
 type oldCal struct{ k *legacyKernel }
 type oldHandle struct{ e *legacyEvent }
@@ -74,9 +54,8 @@ func (c *oldCal) pending() int                         { return c.k.Pending() }
 
 // every runs fn once per period p, starting one period from now, as a
 // callback that reschedules itself through the calendar's after — the
-// shape of the fabric manager's and HPCM's sweeps (on callCal, through
-// AfterCall). stop cancels the pending tick; called from inside fn it
-// also keeps the sweep from rescheduling.
+// shape of HPCM's discovery sweep. stop cancels the pending tick; called
+// from inside fn it also keeps the sweep from rescheduling.
 func every(c goldenCal, p Time, fn func()) (stop func()) {
 	var next goldenHandle
 	stopped := false
@@ -186,18 +165,14 @@ func replayGoldenTrace(c goldenCal) []string {
 
 func TestGoldenDispatchEquivalence(t *testing.T) {
 	want := replayGoldenTrace(&oldCal{newLegacyKernel(1)})
-	for name, got := range map[string][]string{
-		"arena kernel (At/After)": replayGoldenTrace(&newCal{NewKernel(1)}),
-		"arena kernel (AtCall)":   replayGoldenTrace(&callCal{NewKernel(1)}),
-	} {
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d log lines, legacy kernel produced %d", name, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s diverges from legacy kernel at line %d:\n got %q\nwant %q",
-					name, i, got[i], want[i])
-			}
+	got := replayGoldenTrace(&newCal{NewKernel(1)})
+	if len(got) != len(want) {
+		t.Fatalf("%d log lines, legacy kernel produced %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("arena kernel diverges from legacy kernel at line %d:\n got %q\nwant %q",
+				i, got[i], want[i])
 		}
 	}
 }

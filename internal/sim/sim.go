@@ -1,21 +1,21 @@
 // Package sim provides the discrete-event simulation kernel used by every
-// time-dependent subsystem model: a virtual clock, an event calendar, seeded
-// random-number streams, and simple queued resources.
+// time-dependent subsystem model: a virtual clock, an event calendar and
+// seeded random-number streams.
 //
-// The kernel is callback-based: an event is a function scheduled to run at a
-// virtual time. Ties are broken by insertion order so that runs are
-// deterministic for a fixed seed regardless of map iteration or goroutine
-// scheduling — the simulator never runs model code on more than one
-// goroutine.
+// The kernel is callback-based, with one scheduling form: At and After
+// schedule a (Callback, arg) pair to run at a virtual time. Ties are broken
+// by insertion order so that runs are deterministic for a fixed seed
+// regardless of map iteration or goroutine scheduling — the simulator never
+// runs model code on more than one goroutine.
 //
 // The event calendar is built for throughput: events live in a kernel-owned
 // arena (a flat slab with a free list) rather than being heap-allocated one
 // by one, the priority queue is an inlined 4-ary heap over arena indices
 // (no interface boxing, fewer cache-missing levels than a binary heap), and
-// the AtCall/AfterCall path schedules work as a (func, arg) pair so hot
-// producers such as the message transport pay zero allocations per event in
-// steady state. See DESIGN.md "Event calendar" for the layout and the
-// generation-stamp safety argument.
+// the (Callback, arg) pair is stored inline in the slot, so producers such
+// as the job stepper, the failure injector and the arrival stream pay zero
+// allocations per event in steady state. See DESIGN.md "Event calendar"
+// for the layout and the generation-stamp safety argument.
 package sim
 
 import (
@@ -29,10 +29,9 @@ import (
 // Time is a virtual timestamp in seconds since the start of the simulation.
 type Time = units.Seconds
 
-// Callback is the closure-free event function: the kernel passes arg back
-// at dispatch. Hot producers schedule a package-level Callback with a
-// pointer to pooled state as arg, which stores two words in the event slot
-// and allocates nothing.
+// Callback is an event function: the kernel passes arg back at dispatch.
+// Producers schedule a package-level Callback with a pointer to their own
+// state as arg, which the slot stores inline, so nothing is allocated.
 type Callback func(arg any)
 
 // slot lifecycle states. A slot on the free list keeps its last state
@@ -48,11 +47,9 @@ const (
 
 // slot is one arena entry of the event calendar. The (at, seq) ordering
 // key lives in the heap entry, not here, so heap comparisons never chase
-// arena pointers; at is kept for dispatch (clock advance) and Event.Time.
+// arena pointers.
 type slot struct {
-	at    Time
-	fn    func()   // closure path (At/After)
-	cb    Callback // closure-free path (AtCall/AfterCall)
+	cb    Callback
 	arg   any
 	gen   uint32 // generation stamp, bumped on (re)allocation
 	state uint8
@@ -78,10 +75,8 @@ type Kernel struct {
 	free  []int32
 	heap  []heapEntry
 
-	seq     uint64
-	seed    int64
-	rng     *rand.Rand
-	stopped bool
+	seq  uint64
+	seed int64
 
 	// Executed counts events that have run; useful for tests and for
 	// guarding against runaway simulations.
@@ -90,7 +85,7 @@ type Kernel struct {
 
 // NewKernel returns a kernel whose random streams derive from seed.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{seed: seed, rng: rng.New(seed)}
+	return &Kernel{seed: seed}
 }
 
 // Now returns the current virtual time.
@@ -99,15 +94,11 @@ func (k *Kernel) Now() Time { return k.now }
 // Executed reports how many events have been dispatched so far.
 func (k *Kernel) Executed() uint64 { return k.executed }
 
-// Rand returns the kernel's root random stream.
-func (k *Kernel) Rand() *rand.Rand { return k.rng }
-
 // Stream derives an independent, reproducible random stream for a named
 // model component. Distinct names give distinct streams; the same name
 // gives the same stream content for a fixed kernel seed. The derivation
-// is a pure function of (kernel seed, name) — it never draws from the
-// kernel's root stream — so the stream a component receives does not
-// depend on how many Stream calls (or root-stream draws) preceded it.
+// is a pure function of (kernel seed, name), so the stream a component
+// receives does not depend on how many Stream calls preceded it.
 func (k *Kernel) Stream(name string) *rand.Rand {
 	return rng.New(rng.Derive(k.seed, name))
 }
@@ -120,7 +111,6 @@ func (k *Kernel) Stream(name string) *rand.Rand {
 // matches, so Cancel and Cancelled cannot touch the new occupant.
 type Event struct {
 	k   *Kernel
-	at  Time
 	idx int32
 	gen uint32
 }
@@ -155,12 +145,15 @@ func (e Event) Cancelled() bool {
 	return s.gen == e.gen && s.state == slotCancelled
 }
 
-// Time returns the virtual time the event is (or was) scheduled for.
-func (e Event) Time() Time { return e.at }
-
-// schedule allocates a slot (recycling the free list before growing the
-// slab), stamps a fresh generation, and pushes it on the calendar.
-func (k *Kernel) schedule(t Time, fn func(), cb Callback, arg any) Event {
+// At schedules cb(arg) at absolute virtual time t. It allocates a slot
+// (recycling the free list before growing the slab), stamps a fresh
+// generation, and pushes it on the calendar, so scheduling allocates
+// nothing once the arena has grown to the calendar's peak size.
+// Scheduling in the past panics: it is always a model bug.
+func (k *Kernel) At(t Time, cb Callback, arg any) Event {
+	if cb == nil {
+		panic("sim: nil Callback")
+	}
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
@@ -174,14 +167,12 @@ func (k *Kernel) schedule(t Time, fn func(), cb Callback, arg any) Event {
 	}
 	s := &k.arena[idx]
 	s.gen++
-	s.at = t
-	s.fn = fn
 	s.cb = cb
 	s.arg = arg
 	s.state = slotPending
 	k.heapPush(heapEntry{at: t, seq: k.seq, idx: idx})
 	k.seq++
-	return Event{k: k, at: t, idx: idx, gen: s.gen}
+	return Event{k: k, idx: idx, gen: s.gen}
 }
 
 // freeSlot returns a slot to the free list, dropping its callback
@@ -189,7 +180,6 @@ func (k *Kernel) schedule(t Time, fn func(), cb Callback, arg any) Event {
 // given terminal state (and its generation) until reallocation.
 func (k *Kernel) freeSlot(idx int32, state uint8) {
 	s := &k.arena[idx]
-	s.fn = nil
 	s.cb = nil
 	s.arg = nil
 	s.state = state
@@ -197,100 +187,41 @@ func (k *Kernel) freeSlot(idx int32, state uint8) {
 	k.free = append(k.free, idx)
 }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// panics: it is always a model bug.
-func (k *Kernel) At(t Time, fn func()) Event {
-	if fn == nil {
-		panic("sim: nil event function")
-	}
-	return k.schedule(t, fn, nil, nil)
-}
-
-// After schedules fn to run delay seconds from now.
-func (k *Kernel) After(delay Time, fn func()) Event {
+// After schedules cb(arg) delay seconds from now; see At.
+func (k *Kernel) After(delay Time, cb Callback, arg any) Event {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
-	return k.At(k.now+delay, fn)
+	return k.At(k.now+delay, cb, arg)
 }
 
-// AtCall schedules cb(arg) at absolute virtual time t without allocating
-// a closure: the pair is stored inline in the event slot. arg is
-// typically a pointer to caller-pooled state, which keeps the whole
-// schedule/dispatch cycle allocation-free.
-func (k *Kernel) AtCall(t Time, cb Callback, arg any) Event {
-	if cb == nil {
-		panic("sim: nil Callback")
-	}
-	return k.schedule(t, nil, cb, arg)
-}
-
-// AfterCall schedules cb(arg) delay seconds from now; see AtCall.
-func (k *Kernel) AfterCall(delay Time, cb Callback, arg any) Event {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", delay))
-	}
-	return k.AtCall(k.now+delay, cb, arg)
-}
-
-// Stop halts Run (or RunUntil) after the currently executing event
-// returns, leaving the clock at that event's time.
-func (k *Kernel) Stop() { k.stopped = true }
-
-// dispatch pops arena slot idx off the calendar's bookkeeping, advances
-// the clock, and runs the event. The slot is freed before the callback
-// runs so nested scheduling can recycle it immediately (the generation
-// stamp keeps old handles inert).
-func (k *Kernel) dispatch(idx int32) {
-	s := &k.arena[idx]
-	k.now = s.at
+// dispatch pops the earliest event off the calendar, advances the clock
+// to its time, and runs it. The slot is freed before the callback runs
+// so nested scheduling can recycle it immediately (the generation stamp
+// keeps old handles inert). Every queued slot is pending: Cancel removes
+// its event from the calendar eagerly.
+func (k *Kernel) dispatch() {
+	k.now = k.heap[0].at
+	idx := k.popMin()
 	k.executed++
-	fn, cb, arg := s.fn, s.cb, s.arg
+	s := &k.arena[idx]
+	cb, arg := s.cb, s.arg
 	k.freeSlot(idx, slotExecuted)
-	if cb != nil {
-		cb(arg)
-	} else {
-		fn()
-	}
+	cb(arg)
 }
 
-// Run dispatches events until the calendar is empty or Stop is called.
+// Run dispatches events until the calendar is empty.
 func (k *Kernel) Run() {
-	k.stopped = false
-	for !k.stopped && len(k.heap) > 0 {
-		idx := k.popMin()
-		if k.arena[idx].state != slotPending {
-			// Cancelled garbage (cannot normally occur: Cancel removes
-			// eagerly). Free without counting it as executed.
-			k.freeSlot(idx, k.arena[idx].state)
-			continue
-		}
-		k.dispatch(idx)
+	for len(k.heap) > 0 {
+		k.dispatch()
 	}
 }
 
 // RunUntil dispatches events with timestamps <= horizon, then advances the
 // clock to horizon. Events scheduled beyond the horizon remain queued.
-// Cancelled events it encounters are freed without being counted. If a
-// callback calls Stop, RunUntil returns immediately with the clock left
-// at that event's time rather than jumping ahead to the horizon.
 func (k *Kernel) RunUntil(horizon Time) {
-	k.stopped = false
-	for len(k.heap) > 0 {
-		e := k.heap[0]
-		if s := &k.arena[e.idx]; s.state != slotPending {
-			// Skip-and-free cancelled garbage without counting it.
-			k.popMin()
-			k.freeSlot(e.idx, s.state)
-			continue
-		}
-		if e.at > horizon {
-			break
-		}
-		k.dispatch(k.popMin())
-		if k.stopped {
-			return
-		}
+	for len(k.heap) > 0 && k.heap[0].at <= horizon {
+		k.dispatch()
 	}
 	if k.now < horizon {
 		k.now = horizon

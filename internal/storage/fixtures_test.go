@@ -51,7 +51,6 @@ func NewOrion() *Orion {
 	n := 225
 	o := &Orion{
 		SSUs:                n,
-		SSU:                 ssu,
 		DoMLimit:            256 * units.KB,
 		PFLPerformanceLimit: 8 * units.MB,
 		Tiers:               map[TierKind]Tier{},

@@ -65,7 +65,6 @@ type SSU struct {
 // Progressive File Layout.
 type Orion struct {
 	SSUs  int
-	SSU   SSU
 	Tiers map[TierKind]Tier
 	// DoMLimit is the Data-on-Metadata threshold: the first 256 KB of
 	// every file lands on the flash metadata servers.

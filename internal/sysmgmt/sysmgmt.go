@@ -249,21 +249,21 @@ func (h *HPCM) RecordHardware(component, state string) {
 	}
 }
 
-// discoveryTick is the closure-free sweep body: the HPCM itself is the
+// discoveryTick is the sweep body: the HPCM itself is the
 // event arg, so the periodic rescheduling allocates nothing per tick.
 func discoveryTick(arg any) {
 	h := arg.(*HPCM)
 	for c, s := range h.discoverPoll() {
 		h.RecordHardware(c, s)
 	}
-	h.discoverEvt = h.K.AfterCall(h.DiscoverInterval, discoveryTick, h)
+	h.discoverEvt = h.K.After(h.DiscoverInterval, discoveryTick, h)
 }
 
 // StartDiscovery schedules the periodic chassis sweep; poll is invoked
 // each interval and returns observations to record.
 func (h *HPCM) StartDiscovery(poll func() map[string]string) {
 	h.discoverPoll = poll
-	h.discoverEvt = h.K.AfterCall(h.DiscoverInterval, discoveryTick, h)
+	h.discoverEvt = h.K.After(h.DiscoverInterval, discoveryTick, h)
 }
 
 // StopDiscovery cancels the sweep.

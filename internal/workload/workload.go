@@ -192,8 +192,8 @@ func quantile(sorted []float64, q float64) float64 {
 	return sorted[idx]
 }
 
-// campaign is one Run's state, shared by the closure-free submission
-// and failure-handling steps: one allocation carries what used to be a
+// campaign is one Run's state, shared by the submission and
+// failure-handling steps: one allocation carries what used to be a
 // closure per arrival event plus a wrapper closure per submitted job.
 type campaign struct {
 	sys         *core.System
@@ -287,7 +287,7 @@ func campaignSubmit(arg any) {
 		c.stats.ByClass[cl.Name]++
 	}
 	gap := units.Seconds(c.arrivals.ExpFloat64() * float64(c.cfg.MeanInterarrival))
-	c.sys.Kernel.AfterCall(gap, campaignSubmit, c)
+	c.sys.Kernel.After(gap, campaignSubmit, c)
 }
 
 // onDone records a finished job: wait (started jobs only), state
@@ -345,7 +345,7 @@ func (c *campaign) handleFailure(f resilience.Failure) {
 	r := &c.repairs[c.nextRepair]
 	c.nextRepair++
 	r.node = node
-	c.sys.Kernel.AfterCall(c.cfg.RepairTime, doRepair, r)
+	c.sys.Kernel.After(c.cfg.RepairTime, doRepair, r)
 }
 
 // Run executes a campaign on the system. The system's kernel is consumed
@@ -392,7 +392,7 @@ func Run(sys *core.System, cfg Config, seed int64) (Stats, error) {
 	c.stats = Stats{ByClass: map[string]int{}, SlowdownByClass: map[string]float64{}, TailSlowdownByClass: map[string]SlowdownQuantiles{}}
 	c.onDoneFn = c.onDone
 
-	sys.Kernel.AtCall(0, campaignSubmit, c)
+	sys.Kernel.At(0, campaignSubmit, c)
 
 	// Failure injection: the whole trace is drawn up front, fed to the
 	// calendar one outstanding event at a time, and the repair pool is
