@@ -8,11 +8,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 
-	"frontiersim/internal/core"
+	"frontiersim/internal/machine"
 	"frontiersim/internal/power"
 	"frontiersim/internal/units"
 )
@@ -21,20 +22,17 @@ func main() {
 	nodes := flag.Int("nodes", 0, "Frontier nodes in the run (0 = all)")
 	flag.Parse()
 
-	frontier, err := core.NewFrontier(1)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "frontier-top:", err)
-		os.Exit(1)
-	}
-	summit, err := core.NewSummit(1)
-	if err != nil {
+	frontier, errF := machine.Frontier().HPLSpec()
+	frontierPower, errP := machine.Frontier().PowerMachine()
+	summit, errS := machine.Summit().HPLSpec()
+	if err := errors.Join(errF, errP, errS); err != nil {
 		fmt.Fprintln(os.Stderr, "frontier-top:", err)
 		os.Exit(1)
 	}
 
 	n := *nodes
-	if n == 0 || n > frontier.HPLSpec.Nodes {
-		n = frontier.HPLSpec.Nodes
+	if n == 0 || n > frontier.Nodes {
+		n = frontier.Nodes
 	}
 
 	fmt.Printf("%-10s %8s %12s %12s %12s %10s %10s\n",
@@ -43,17 +41,17 @@ func main() {
 		fmt.Printf("%-10s %8d %12s %12s %12s %10s %10.1f\n",
 			name, nodes, rpeak, rmax, hpcg, w, power.Efficiency(rmax, w)/1e9)
 	}
-	fw := frontier.Power.SystemHPL(n)
-	row("frontier", n, frontier.HPLSpec.RPeak(), frontier.HPLSpec.HPLRmax(n), frontier.HPLSpec.HPCG(n), fw)
+	fw := frontierPower.SystemHPL(n)
+	row("frontier", n, frontier.RPeak(), frontier.HPLRmax(n), frontier.HPCG(n), fw)
 	// Summit at ~10 MW (its TOP500 submission).
-	row("summit", summit.HPLSpec.Nodes, summit.HPLSpec.RPeak(),
-		summit.HPLSpec.HPLRmax(summit.HPLSpec.Nodes), summit.HPLSpec.HPCG(summit.HPLSpec.Nodes),
+	row("summit", summit.Nodes, summit.RPeak(),
+		summit.HPLRmax(summit.Nodes), summit.HPCG(summit.Nodes),
 		10.1*units.Megawatt)
 
 	fmt.Printf("\nHPL run plan on %d nodes: N = %.1fM, ~%v at ~%s\n",
-		n, float64(frontier.HPLSpec.HPLProblemSize(n, 0.85))/1e6,
-		frontier.HPLSpec.HPLRunTime(n, 0.85), fw)
+		n, float64(frontier.HPLProblemSize(n, 0.85))/1e6,
+		frontier.HPLRunTime(n, 0.85), fw)
 	fmt.Printf("the 2008 exascale report's targets: 50 GF/W, 20 MW/EF — Frontier: %.1f GF/W, %.1f MW/EF\n",
-		power.Efficiency(frontier.HPLSpec.HPLRmax(n), fw)/1e9,
-		power.MWPerExaflop(frontier.HPLSpec.HPLRmax(n), fw))
+		power.Efficiency(frontier.HPLRmax(n), fw)/1e9,
+		power.MWPerExaflop(frontier.HPLRmax(n), fw))
 }

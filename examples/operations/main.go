@@ -14,17 +14,27 @@ import (
 	"frontiersim/internal/core"
 	"frontiersim/internal/machine"
 	"frontiersim/internal/resilience"
+	"frontiersim/internal/sysmgmt"
 	"frontiersim/internal/units"
 	"frontiersim/internal/workload"
 )
 
 func main() {
-	sys, err := core.NewFrontier(2026)
+	spec := machine.Frontier()
+	sys, err := core.New(spec, 2026)
+	if err != nil {
+		log.Fatal(err)
+	}
+	mgmtCfg, err := spec.MgmtConfig()
+	if err != nil {
+		log.Fatal(err)
+	}
+	hpcm, err := sysmgmt.New(sys.Kernel, mgmtCfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println(sys)
-	fmt.Println(sys.HPCM)
+	fmt.Println(hpcm)
 
 	cfg := workload.DefaultConfig()
 	fmt.Printf("\nsimulating %v of operations (mean interarrival %v)...\n",
@@ -42,7 +52,7 @@ func main() {
 	// Checkpoint strategy for the hero jobs: absorb into the node-local
 	// burst buffer, drain to Orion behind the computation.
 	fmt.Println("\nhero-job checkpoint strategy:")
-	bb, err := machine.Frontier().BurstBuffer(0)
+	bb, err := spec.BurstBuffer(0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,9 +62,10 @@ func main() {
 		log.Fatal(err)
 	}
 	mtti := sys.Reliability.SystemMTTI()
-	tauDirect := resilience.OptimalCheckpointInterval(sys.Orion.IngestTime(state), mtti)
+	direct := bb.PFS.IngestTime(state) // straight to Orion
+	tauDirect := resilience.OptimalCheckpointInterval(direct, mtti)
 	tauBB := resilience.OptimalCheckpointInterval(absorb, mtti)
-	effDirect := resilience.CheckpointEfficiency(tauDirect, sys.Orion.IngestTime(state), 10*units.Minute, mtti)
+	effDirect := resilience.CheckpointEfficiency(tauDirect, direct, 10*units.Minute, mtti)
 	effBB := resilience.CheckpointEfficiency(tauBB, absorb, 10*units.Minute, mtti)
 	fmt.Printf("  state %v; NVMe absorb %v (Orion drain %v overlapped)\n", state, absorb, drain)
 	fmt.Printf("  direct-to-Orion: checkpoint every %v -> %.1f%% useful work\n", tauDirect, effDirect*100)

@@ -12,12 +12,13 @@ import (
 	"frontiersim/internal/core"
 	"frontiersim/internal/gpu"
 	"frontiersim/internal/job"
+	"frontiersim/internal/machine"
 	"frontiersim/internal/node"
 	"frontiersim/internal/units"
 )
 
 func main() {
-	sys, err := core.NewFrontier(1)
+	sys, err := core.New(machine.Frontier(), 1)
 	if err != nil {
 		log.Fatal(err)
 	}

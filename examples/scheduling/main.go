@@ -12,6 +12,7 @@ import (
 
 	"frontiersim/internal/core"
 	"frontiersim/internal/job"
+	"frontiersim/internal/machine"
 	"frontiersim/internal/scheduler"
 	"frontiersim/internal/units"
 )
@@ -19,7 +20,7 @@ import (
 func main() {
 	// A scaled Frontier (12 groups x 16 switches x 8 endpoints = 384
 	// nodes) keeps the run instant while preserving the topology.
-	sys, err := core.NewScaledFrontier(12, 16, 8, 7)
+	sys, err := core.New(machine.Scaled(12, 16, 8), 7)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -142,6 +142,10 @@ func TestRunRejectsBadRequests(t *testing.T) {
 		{"no scheduler", `{"experiment":"ext-year","machine":"summit","quick":true}`, "has no scheduler"},
 		{"no storage plant", `{"experiment":"table2","machine":"titan","quick":true}`, "no storage parameters"},
 		{"no scheduler for a campaign", `{"experiment":"ext-campaign","machine":"titan","quick":true}`, "has no scheduler"},
+		{"no node model for table1", `{"experiment":"table1","machine":"summit","quick":true}`, "no Bard Peak node model"},
+		{"no node model for table3", `{"experiment":"table3","machine":"summit","quick":true}`, "no Bard Peak node model"},
+		{"no dragonfly to taper", `{"experiment":"ablation-taper","machine":"summit","quick":true}`, "not a dragonfly"},
+		{"no dragonfly groups to place in", `{"experiment":"ablation-placement","machine":"summit","quick":true}`, "not a dragonfly"},
 	}
 	for _, c := range unrunnable {
 		for try := 0; try < 2; try++ {
@@ -155,6 +159,13 @@ func TestRunRejectsBadRequests(t *testing.T) {
 				t.Errorf("%s (try %d): body %q, want containing %q", c.name, try, body, c.wantErr)
 			}
 		}
+	}
+	// GPCNeT clamps its 9,400 nodes to a smaller fabric instead.
+	resp := post(t, ts.URL+"/v1/run", `{"experiment":"ablation-cc","machine":"summit","quick":true}`)
+	body := readAll(t, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "CC off") {
+		t.Errorf("ablation-cc on summit: status %d, body %q; want 200 with the table", resp.StatusCode, body)
 	}
 }
 

@@ -1,9 +1,9 @@
-// Package core composes the subsystem models into whole machines: the
-// full Frontier system (nodes, Slingshot fabric, scheduler, Orion and
-// node-local storage, power and reliability models) plus the Summit
-// comparison system, and derives the aggregate specifications of the
-// paper's Table 1. Machine parameters come from the declarative specs in
-// internal/machine; core only assembles.
+// Package core composes a machine spec into the system that simulates
+// it: one event kernel, the interconnect, the compute-node template, the
+// Slurm model and the reliability model that drives failure injection.
+// Every other subsystem (HPL, power, Orion, node-local storage, the
+// management plane) is derived from the spec in internal/machine, which
+// is its only entry point.
 package core
 
 import (
@@ -11,15 +11,11 @@ import (
 
 	"frontiersim/internal/fabric"
 	"frontiersim/internal/gpu"
-	"frontiersim/internal/hpl"
 	"frontiersim/internal/machine"
 	"frontiersim/internal/node"
-	"frontiersim/internal/power"
 	"frontiersim/internal/resilience"
 	"frontiersim/internal/scheduler"
 	"frontiersim/internal/sim"
-	"frontiersim/internal/storage"
-	"frontiersim/internal/sysmgmt"
 	"frontiersim/internal/units"
 )
 
@@ -28,28 +24,19 @@ type System struct {
 	Name   string
 	Kernel *sim.Kernel
 	Fabric *fabric.Fabric
-	// Node is the compute-node template (all nodes are identical); nil
-	// for baseline systems modelled at lower fidelity.
-	Node *node.Node
-	// Scheduler is the Slurm model over the fabric's compute nodes.
+	// Node is the compute-node template (all nodes are identical), and
+	// Scheduler the Slurm model over the fabric's compute nodes. Both
+	// exist only for machines with the Bard Peak node model; baseline
+	// systems modelled at lower fidelity leave both nil.
+	Node      *node.Node
 	Scheduler *scheduler.Scheduler
-	// Orion is the center-wide file system; NodeLocal the per-node NVMe.
-	Orion     *storage.Orion
-	NodeLocal *storage.NodeLocalStore
-	// HPCM is the system-management plane (§3.4.2).
-	HPCM *sysmgmt.HPCM
-	// Power and Reliability carry the §5 models.
-	Power       power.Machine
+	// Reliability carries the §5.4 failure model workload.Run injects
+	// from (zero when the spec has none).
 	Reliability resilience.Model
-	// HPLSpec drives the TOP500 benchmark models.
-	HPLSpec hpl.MachineSpec
 }
 
-// New composes a system from a machine spec. Subsystems the spec does
-// not describe (no power model, no storage plant, …) are left at their
-// zero values, matching the lower-fidelity treatment the paper gives
-// the comparison machines. The build is cheap enough (tens of
-// milliseconds at full scale) to use per experiment.
+// New composes a system from a machine spec. The build is cheap enough
+// (milliseconds at full scale) to use per experiment.
 func New(spec machine.Spec, seed int64) (*System, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -64,62 +51,22 @@ func New(spec machine.Spec, seed int64) (*System, error) {
 		Kernel: k,
 		Fabric: f,
 	}
-	// Jobs price their programs against the same fabric and storage
-	// instances the rest of the system holds.
-	env, err := spec.JobEnv(f)
-	if err != nil {
-		return nil, fmt.Errorf("core: building job environment: %w", err)
-	}
-	s.NodeLocal, s.Orion = env.NodeLocal, env.Orion
 	if spec.Node.BardPeak {
+		// Jobs price their programs against the same fabric instance
+		// the rest of the system holds.
+		env, err := spec.JobEnv(f)
+		if err != nil {
+			return nil, fmt.Errorf("core: building job environment: %w", err)
+		}
 		s.Node = node.New(0)
 		s.Scheduler = scheduler.New(k, env)
-	}
-	if spec.Power != nil {
-		if s.Power, err = spec.PowerMachine(); err != nil {
-			return nil, fmt.Errorf("core: building power model: %w", err)
-		}
 	}
 	if spec.Resilience != nil {
 		if s.Reliability, err = spec.ResilienceModel(); err != nil {
 			return nil, fmt.Errorf("core: building reliability model: %w", err)
 		}
 	}
-	if spec.HPL != nil {
-		if s.HPLSpec, err = spec.HPLSpec(); err != nil {
-			return nil, fmt.Errorf("core: building hpl spec: %w", err)
-		}
-	}
-	if spec.Mgmt != nil {
-		mgmtCfg, err := spec.MgmtConfig()
-		if err != nil {
-			return nil, fmt.Errorf("core: building management plane: %w", err)
-		}
-		hpcm, err := sysmgmt.New(k, mgmtCfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: building management plane: %w", err)
-		}
-		s.HPCM = hpcm
-	}
 	return s, nil
-}
-
-// NewFrontier builds the full 9,472-node Frontier system.
-func NewFrontier(seed int64) (*System, error) {
-	return New(machine.Frontier(), seed)
-}
-
-// NewScaledFrontier builds a structurally faithful small Frontier for
-// fast tests: groups × switchesPerGroup × endpointsPerSwitch.
-func NewScaledFrontier(groups, switchesPerGroup, endpointsPerSwitch int, seed int64) (*System, error) {
-	return New(machine.Scaled(groups, switchesPerGroup, endpointsPerSwitch), seed)
-}
-
-// NewSummit builds the Summit comparison system: a Clos fabric of 4,608
-// nodes. Node-level detail beyond what the comparisons need (per-NIC
-// rates, fat-tree behaviour) is not modelled.
-func NewSummit(seed int64) (*System, error) {
-	return New(machine.Summit(), seed)
 }
 
 // ComputeSpecs are the aggregate figures of the paper's Table 1.
@@ -138,11 +85,9 @@ type ComputeSpecs struct {
 	GlobalBandwidth  units.BytesPerSecond
 }
 
-// ComputeSpecs derives Table 1 from the composed models.
+// ComputeSpecs derives Table 1 from the composed models. It reads the
+// node template, so the system must have one (s.Node != nil).
 func (s *System) ComputeSpecs() ComputeSpecs {
-	if s.Node == nil {
-		return ComputeSpecs{Nodes: s.HPLSpec.Nodes}
-	}
 	n := units.Bytes(s.Fabric.Cfg.ComputeNodes())
 	nf := float64(s.Fabric.Cfg.ComputeNodes())
 	gemm := 0.0

@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"frontiersim/internal/job"
+	"frontiersim/internal/machine"
 	"frontiersim/internal/units"
 )
 
 // Table 1: Frontier compute peak specifications.
 func TestTable1ComputeSpecs(t *testing.T) {
-	s, err := NewFrontier(1)
+	s, err := New(machine.Frontier(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +53,11 @@ func TestTable1ComputeSpecs(t *testing.T) {
 }
 
 func TestFrontierComposition(t *testing.T) {
-	s, err := NewFrontier(1)
+	s, err := New(machine.Frontier(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Node == nil || s.Scheduler == nil || s.Orion == nil || s.NodeLocal == nil {
+	if s.Node == nil || s.Scheduler == nil || s.Scheduler.Env.Orion == nil || s.Scheduler.Env.NodeLocal == nil {
 		t.Fatal("incomplete composition")
 	}
 	if s.Fabric.Cfg.ComputeNodes() != 9472 {
@@ -71,7 +72,7 @@ func TestFrontierComposition(t *testing.T) {
 }
 
 func TestScaledFrontier(t *testing.T) {
-	s, err := NewScaledFrontier(6, 8, 4, 1)
+	s, err := New(machine.Scaled(6, 8, 4), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,30 +90,23 @@ func TestScaledFrontier(t *testing.T) {
 	}
 }
 
+// Summit composes at lower fidelity: its fat tree, but no Bard Peak
+// node model and hence no scheduler.
 func TestSummitSystem(t *testing.T) {
-	s, err := NewSummit(1)
+	s, err := New(machine.Summit(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Fabric.Cfg.ComputeNodes() != 4608 {
 		t.Errorf("summit nodes = %d, want 4608", s.Fabric.Cfg.ComputeNodes())
 	}
-	if s.HPLSpec.GCDsPerNode != 6 {
-		t.Errorf("summit devices = %d, want 6", s.HPLSpec.GCDsPerNode)
-	}
-	// Summit's ~200 PF peak / ~149 PF Rmax band.
-	rmax := float64(s.HPLSpec.HPLRmax(4608)) / 1e15
-	if rmax < 120 || rmax > 160 {
-		t.Errorf("summit Rmax = %.0f PF, want ~149", rmax)
-	}
-	// Specs degrade gracefully without a node model.
-	if s.ComputeSpecs().Nodes != 4608 {
-		t.Error("summit specs should carry node count")
+	if s.Node != nil || s.Scheduler != nil {
+		t.Error("summit has no Bard Peak node model, so no node template or scheduler")
 	}
 }
 
 func TestInvalidScaledConfig(t *testing.T) {
-	if _, err := NewScaledFrontier(0, 8, 4, 1); err == nil {
+	if _, err := New(machine.Scaled(0, 8, 4), 1); err == nil {
 		t.Error("zero groups should error")
 	}
 }

@@ -5,12 +5,13 @@ import (
 
 	"frontiersim/internal/core"
 	"frontiersim/internal/job"
+	"frontiersim/internal/machine"
 	"frontiersim/internal/units"
 )
 
 // Build the whole machine and read off the Table-1 aggregates.
-func ExampleNewFrontier() {
-	sys, err := core.NewFrontier(42)
+func ExampleNew() {
+	sys, err := core.New(machine.Frontier(), 42)
 	if err != nil {
 		panic(err)
 	}
@@ -26,7 +27,7 @@ func ExampleNewFrontier() {
 
 // Submit a job and run the clock forward.
 func ExampleSystem_scheduler() {
-	sys, err := core.NewScaledFrontier(6, 8, 4, 1)
+	sys, err := core.New(machine.Scaled(6, 8, 4), 1)
 	if err != nil {
 		panic(err)
 	}

@@ -104,10 +104,7 @@ func AblationCC(o Options) (*report.Table, error) {
 		return nil, err
 	}
 	t := &report.Table{ID: "ablation-cc", Title: "GPCNeT with congestion control on vs off"}
-	cfg := network.DefaultGPCNeTConfig()
-	if o.Quick {
-		cfg.LatencySamples = 600
-	}
+	cfg := o.gpcnetConfig(f, 600)
 	// Both arms measure one solve per phase: CC only derates after it.
 	arms := []bool{true, false}
 	results, err := network.RunGPCNeT(f, cfg, o.Seed, arms, o.Solutions, topoKey(o.machine()))
@@ -135,29 +132,35 @@ func AblationCC(o Options) (*report.Table, error) {
 
 // AblationPlacement quantifies the scheduler's topology policy: packed
 // placement maximises bandwidth for single-group jobs; spreading
-// maximises it for multi-group jobs.
+// maximises it for multi-group jobs. Group placement is a dragonfly
+// notion, so a fat tree has nothing to compare.
 func AblationPlacement(o Options) (*report.Table, error) {
-	f, err := o.machine().NewFabric()
+	cfg, err := o.machine().FabricConfig()
+	if err != nil {
+		return nil, err
+	}
+	f, err := fabric.NewDragonfly(cfg)
 	if err != nil {
 		return nil, err
 	}
 	t := &report.Table{ID: "ablation-placement", Title: "Pack vs spread placement (per-node all-to-all)"}
-	perGroup := f.Cfg.NodesPerGroup()
+	// One group's worth of nodes, and up to 32 groups' worth.
+	perGroup := cfg.NodesPerGroup()
+	large := min(32, cfg.ComputeGroups) * perGroup
 	cases := []struct {
-		name   string
 		nodes  int
-		spread bool
+		placed string
 	}{
-		{"128-node job, packed (1 group)", perGroup, false},
-		{"128-node job, spread (74 groups)", perGroup, true},
-		{"4096-node job, packed (32 groups)", 32 * perGroup, false},
-		{"4096-node job, spread (74 groups)", 32 * perGroup, true},
+		{perGroup, "packed"},
+		{perGroup, "spread"},
+		{large, "packed"},
+		{large, "spread"},
 	}
+	total := cfg.ComputeNodes()
 	for _, c := range cases {
-		total := f.Cfg.ComputeNodes()
 		nodes := make([]int, c.nodes)
 		for i := range nodes {
-			if c.spread {
+			if c.placed == "spread" {
 				nodes[i] = i * total / c.nodes
 			} else {
 				nodes[i] = i
@@ -171,12 +174,17 @@ func AblationPlacement(o Options) (*report.Table, error) {
 		// Global-link traffic this job's all-to-all injects: zero when
 		// packed into one group — the scarce 270 TB/s stays available
 		// to other jobs, which is the other half of Slurm's policy.
+		spans := comm.GroupsSpanned()
 		globalShare := 0.0
-		if comm.GroupsSpanned() > 1 {
-			globalShare = perNode * float64(c.nodes) * (1 - 1/float64(comm.GroupsSpanned()))
+		if spans > 1 {
+			globalShare = perNode * float64(c.nodes) * (1 - 1/float64(spans))
 		}
-		t.Add(c.name, "", report.GB(perNode)+" /node",
-			0, 0, fmt.Sprintf("spans %d groups; %s of global-link traffic", comm.GroupsSpanned(), report.GB(globalShare)))
+		unit := "groups"
+		if spans == 1 {
+			unit = "group"
+		}
+		t.Add(fmt.Sprintf("%d-node job, %s (%d %s)", c.nodes, c.placed, spans, unit), "", report.GB(perNode)+" /node",
+			0, 0, fmt.Sprintf("spans %d groups; %s of global-link traffic", spans, report.GB(globalShare)))
 	}
 	t.AddInfo("policy", "pack small jobs, spread large jobs", "Slurm's configuration on Frontier (§3.4.2)")
 	return t, nil

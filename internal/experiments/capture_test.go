@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -52,28 +53,68 @@ func TestCaptureUnknownID(t *testing.T) {
 	}
 }
 
-// A machine whose spec lacks what an experiment needs (a storage plant,
-// a failure model, a scheduler) must return an error wrapping
-// machine.ErrNotInSpec, never panic: the campaign server maps that error
-// to 422 and runs async jobs on goroutines a panic would take the whole
-// process down with. The scheduler campaigns once dereferenced a nil
-// scheduler on the comparison machines.
+// Every experiment runs on every comparison machine and on a Frontier
+// cut to 40 compute groups, or says at the source that the machine lacks
+// a part it needs: an error wrapping machine.ErrNotInSpec, which the
+// campaign server maps to 422. Never another error, and never a panic:
+// async jobs run on goroutines a panic would take the whole process
+// down with (the scheduler campaigns once dereferenced a nil scheduler
+// on the comparison machines).
 func TestUnrunnableMachineWrapsNotInSpec(t *testing.T) {
-	for _, c := range []struct{ exp, mach string }{
-		{"sec54", "summit"},
-		{"table2", "titan"},
-		{"ext-year", "summit"},
-		{"ext-llm", "titan"},
-		{"ext-operations", "summit"},
-		{"ext-campaign", "titan"},
-	} {
-		spec, err := machine.ByName(c.mach)
+	frontier40 := machine.Frontier()
+	frontier40.Topology.ComputeGroups = 40
+	specs := map[string]machine.Spec{"frontier-40-groups": frontier40}
+	for _, name := range []string{"summit", "titan", "mira", "theta", "cori"} {
+		spec, err := machine.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = Capture(c.exp, Options{Quick: true, Seed: 42, Machine: &spec}, false)
-		if !errors.Is(err, machine.ErrNotInSpec) {
-			t.Errorf("%s on %s: err = %v, want one wrapping machine.ErrNotInSpec", c.exp, c.mach, err)
-		}
+		specs[name] = spec
 	}
+	// Pairs whose outcome is part of the contract, not just its shape.
+	mustRun := map[[2]string]bool{
+		{"ablation-cc", "summit"}:             true,
+		{"ablation-cc", "frontier-40-groups"}: true,
+	}
+	mustRefuse := map[[2]string]bool{
+		{"table1", "summit"}:             true,
+		{"table3", "summit"}:             true,
+		{"ablation-taper", "summit"}:     true,
+		{"ablation-placement", "summit"}: true,
+		{"sec54", "summit"}:              true,
+		{"table2", "titan"}:              true,
+		{"ext-year", "summit"}:           true,
+		{"ext-llm", "titan"}:             true,
+		{"ext-operations", "summit"}:     true,
+		{"ext-campaign", "titan"}:        true,
+	}
+	for name, spec := range specs {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			for _, r := range Registry() {
+				out, err := captureRecovered(r.ID, Options{Quick: true, Seed: 42, Machine: &spec})
+				pair := [2]string{r.ID, name}
+				switch {
+				case err == nil && len(out) == 0:
+					t.Errorf("%s: empty table", r.ID)
+				case err != nil && !errors.Is(err, machine.ErrNotInSpec):
+					t.Errorf("%s: err = %v, want a table or an error wrapping machine.ErrNotInSpec", r.ID, err)
+				case err != nil && mustRun[pair]:
+					t.Errorf("%s: err = %v, want a table", r.ID, err)
+				case err == nil && mustRefuse[pair]:
+					t.Errorf("%s: ran, want an error wrapping machine.ErrNotInSpec", r.ID)
+				}
+			}
+		})
+	}
+}
+
+// captureRecovered is Capture with a panic turned into an error.
+func captureRecovered(id string, o Options) (out []byte, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("panic: %v", p)
+		}
+	}()
+	return Capture(id, o, false)
 }

@@ -42,16 +42,17 @@ type Options struct {
 	uncached bool
 }
 
-// schedulerSystem builds the system a scheduling experiment runs on. A
-// machine without a scheduler cannot run one: the error names the
-// experiment and wraps machine.ErrNotInSpec.
-func schedulerSystem(id string, spec machine.Spec, seed int64) (*core.System, error) {
+// bardPeakSystem builds the system an experiment reads the Bard Peak
+// node model or its scheduler from (core.New builds the two together).
+// A machine without them cannot run the experiment: the error names the
+// experiment and the missing part, and wraps machine.ErrNotInSpec.
+func bardPeakSystem(id, part string, spec machine.Spec, seed int64) (*core.System, error) {
 	sys, err := core.New(spec, seed)
 	if err != nil {
 		return nil, err
 	}
-	if sys.Scheduler == nil {
-		return nil, machine.NotInSpec("%s: machine has no scheduler", id)
+	if sys.Node == nil {
+		return nil, machine.NotInSpec("%s: machine has no %s", id, part)
 	}
 	return sys, nil
 }

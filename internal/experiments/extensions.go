@@ -26,14 +26,8 @@ func AblationPPN(o Options) (*report.Table, error) {
 	}
 	t := &report.Table{ID: "ablation-ppn", Title: "GPCNeT at 8 vs 32 processes per node"}
 	for _, ppn := range []int{8, 32} {
-		cfg := network.DefaultGPCNeTConfig()
-		if n := f.Cfg.ComputeNodes(); cfg.Nodes > n {
-			cfg.Nodes = n
-		}
+		cfg := o.gpcnetConfig(f, 600)
 		cfg.PPN = ppn
-		if o.Quick {
-			cfg.LatencySamples = 600
-		}
 		arms, err := network.RunGPCNeT(f, cfg, o.Seed, []bool{true}, o.Solutions, topoKey(o.machine()))
 		if err != nil {
 			return nil, err
@@ -141,7 +135,7 @@ func ExtSysmgmt(o Options) (*report.Table, error) {
 // with the reliability model injecting failures, reporting utilization,
 // queue waits, and observed MTTI.
 func ExtOperations(o Options) (*report.Table, error) {
-	sys, err := schedulerSystem("ext-operations", o.machine(), o.Seed)
+	sys, err := bardPeakSystem("ext-operations", "scheduler", o.machine(), o.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"frontiersim/internal/machine"
 	"frontiersim/internal/mpi"
 	"frontiersim/internal/network"
+	"frontiersim/internal/node"
 	"frontiersim/internal/power"
 	"frontiersim/internal/units"
 )
@@ -74,12 +75,9 @@ func TestAnalyticVsSolverAllToAll(t *testing.T) {
 // sustained DRAM rate — the paper's own cross-check ("matching the
 // Trento's STREAM performance").
 func TestFig4MatchesStream(t *testing.T) {
-	sys, err := core.NewScaledFrontier(2, 2, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2d := float64(sys.Node.HostToDeviceAggregate(8))
-	stream := float64(sys.Node.CPU.DRAM.Sustained())
+	n := node.New(0)
+	h2d := float64(n.HostToDeviceAggregate(8))
+	stream := float64(n.CPU.DRAM.Sustained())
 	if math.Abs(h2d-stream)/stream > 1e-9 {
 		t.Errorf("Fig4 aggregate %.4g != STREAM sustained %.4g", h2d, stream)
 	}
@@ -88,18 +86,22 @@ func TestFig4MatchesStream(t *testing.T) {
 // Power, HPL and the Green500 metric must be mutually consistent with
 // the paper's 52 GF/W.
 func TestPowerHPLConsistency(t *testing.T) {
-	sys, err := core.NewFrontier(1)
+	hs, err := machine.Frontier().HPLSpec()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rmax := sys.HPLSpec.HPLRmax(sys.HPLSpec.Nodes)
-	watts := sys.Power.SystemHPL(sys.Power.Nodes)
+	pw, err := machine.Frontier().PowerMachine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rmax := hs.HPLRmax(hs.Nodes)
+	watts := pw.SystemHPL(pw.Nodes)
 	gfw := power.Efficiency(rmax, watts) / 1e9
 	if gfw < 50 || gfw > 56 {
 		t.Errorf("cross-model efficiency = %.1f GF/W, want ~52", gfw)
 	}
 	// Energy for one HPL run: a couple of hours at ~21 MW is tens of MWh.
-	energyMWh := float64(watts) / 1e6 * float64(sys.HPLSpec.HPLRunTime(sys.HPLSpec.Nodes, 0.85)) / 3600
+	energyMWh := float64(watts) / 1e6 * float64(hs.HPLRunTime(hs.Nodes, 0.85)) / 3600
 	if energyMWh < 20 || energyMWh > 120 {
 		t.Errorf("HPL energy = %.0f MWh, want tens of MWh", energyMWh)
 	}
@@ -108,11 +110,11 @@ func TestPowerHPLConsistency(t *testing.T) {
 // The checkpoint interval used by the resiliency experiment must be
 // consistent with Orion's measured ingest rate for the same burst.
 func TestCheckpointIntervalUsesOrionRate(t *testing.T) {
-	sys, err := core.NewFrontier(1)
+	orion, err := machine.Frontier().Orion()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingest := float64(sys.Orion.IngestTime(700 * units.TiB))
+	ingest := float64(orion.IngestTime(700 * units.TiB))
 	if math.Abs(ingest-180)/180 > 0.15 {
 		t.Errorf("ingest = %.0f s; the sec54 experiment assumes ~180 s", ingest)
 	}
@@ -121,7 +123,7 @@ func TestCheckpointIntervalUsesOrionRate(t *testing.T) {
 // Scheduler placement and the communicator model must agree: a packed
 // job gets full NIC bandwidth, a spread job gets the taper-limited share.
 func TestPlacementCommConsistency(t *testing.T) {
-	sys, err := core.NewScaledFrontier(6, 8, 4, 3)
+	sys, err := core.New(machine.Scaled(6, 8, 4), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"frontiersim/internal/fabric"
 	"frontiersim/internal/machine"
@@ -68,6 +69,28 @@ func runCensus(f *fabric.Fabric, cfg network.MpiGraphConfig, o Options, topo str
 	})
 }
 
+// gpcnetConfig is the GPCNeT run of table5, ablation-ppn and
+// ablation-cc: the paper's 9,400-node, 8-PPN configuration, clamped to
+// the fabric's compute nodes, with quickSamples latency probes in quick
+// mode.
+func (o Options) gpcnetConfig(f *fabric.Fabric, quickSamples int) network.GPCNeTConfig {
+	cfg := network.DefaultGPCNeTConfig()
+	cfg.Nodes = min(cfg.Nodes, f.Cfg.ComputeNodes())
+	if o.Quick {
+		cfg.LatencySamples = quickSamples
+	}
+	return cfg
+}
+
+// thousands formats n with comma digit groups ("9,400").
+func thousands(n int) string {
+	s := strconv.Itoa(n)
+	for i := len(s) - 3; i > 0; i -= 3 {
+		s = s[:i] + "," + s[i:]
+	}
+	return s
+}
+
 // Table5 reproduces GPCNeT at 9,400 nodes and 8 PPN with congestion
 // control enabled.
 func Table5(o Options) (*report.Table, error) {
@@ -75,19 +98,14 @@ func Table5(o Options) (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := network.DefaultGPCNeTConfig()
-	if n := f.Cfg.ComputeNodes(); cfg.Nodes > n {
-		cfg.Nodes = n // variant machines smaller than the 9,400-node run
-	}
-	if o.Quick {
-		cfg.LatencySamples = 800
-	}
+	cfg := o.gpcnetConfig(f, 800)
 	arms, err := network.RunGPCNeT(f, cfg, o.Seed, []bool{true}, o.Solutions, topoKey(o.machine()))
 	if err != nil {
 		return nil, err
 	}
 	res := arms[0]
-	t := &report.Table{ID: "table5", Title: "GPCNeT on 9,400 nodes, 8 PPN (isolated | congested)"}
+	t := &report.Table{ID: "table5",
+		Title: fmt.Sprintf("GPCNeT on %s nodes, %d PPN (isolated | congested)", thousands(cfg.Nodes), cfg.PPN)}
 	us := func(s float64) string { return fmt.Sprintf("%.1f us", s*1e6) }
 	mib := func(b float64) string { return fmt.Sprintf("%.1f MiB/s", b/(1<<20)) }
 

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"frontiersim/internal/core"
 	"frontiersim/internal/gpu"
 	"frontiersim/internal/node"
 	"frontiersim/internal/report"
@@ -12,7 +11,7 @@ import (
 
 // Table1 reproduces the compute peak specifications.
 func Table1(o Options) (*report.Table, error) {
-	s, err := core.New(o.machine(), o.Seed)
+	s, err := bardPeakSystem("table1", "Bard Peak node model", o.machine(), o.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -40,12 +39,9 @@ func Table1(o Options) (*report.Table, error) {
 
 // Table3 reproduces CPU STREAM with temporal and non-temporal stores.
 func Table3(o Options) (*report.Table, error) {
-	s, err := core.New(o.machine(), o.Seed)
+	s, err := bardPeakSystem("table3", "Bard Peak node model", o.machine(), o.Seed)
 	if err != nil {
 		return nil, err
-	}
-	if s.Node == nil {
-		return nil, fmt.Errorf("experiments: table3 needs a machine with the Bard Peak node model")
 	}
 	t := &report.Table{ID: "table3", Title: "CPU STREAM (MB/s), 7.6 GB arrays, NPS-4"}
 	paper := map[string][2]float64{

@@ -305,6 +305,10 @@ func TestGoldenSummitHPLSpec(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Summit HPLSpec drifted:\n got %+v\nwant %+v", got, want)
 	}
+	// Summit's ~200 PF peak / ~149 PF Rmax band.
+	if rmax := float64(got.HPLRmax(got.Nodes)) / 1e15; rmax < 120 || rmax > 160 {
+		t.Errorf("summit Rmax = %.0f PF, want ~149", rmax)
+	}
 }
 
 func TestGoldenFrontierPower(t *testing.T) {

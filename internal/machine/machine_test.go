@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -225,13 +226,14 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
-// Cross-kind derivations fail loudly rather than producing zero configs.
+// Cross-kind derivations fail loudly rather than producing zero configs;
+// the wrong topology kind is a part the spec lacks (ErrNotInSpec).
 func TestWrongTopologyDerivations(t *testing.T) {
-	if _, err := Summit().FabricConfig(); err == nil {
-		t.Error("FabricConfig on a fat tree should error")
+	if _, err := Summit().FabricConfig(); !errors.Is(err, ErrNotInSpec) {
+		t.Errorf("FabricConfig on a fat tree: err = %v, want ErrNotInSpec", err)
 	}
-	if _, err := Frontier().ClosConfig(); err == nil {
-		t.Error("ClosConfig on a dragonfly should error")
+	if _, err := Frontier().ClosConfig(); !errors.Is(err, ErrNotInSpec) {
+		t.Errorf("ClosConfig on a dragonfly: err = %v, want ErrNotInSpec", err)
 	}
 	if _, err := Titan().PowerMachine(); err == nil {
 		t.Error("PowerMachine without power parameters should error")

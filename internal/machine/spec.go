@@ -446,7 +446,7 @@ func (s Spec) Validate() error {
 // FabricConfig derives the dragonfly fabric configuration.
 func (s Spec) FabricConfig() (fabric.Config, error) {
 	if s.Topology.Kind != Dragonfly {
-		return fabric.Config{}, fmt.Errorf("machine %s: topology is %q, not a dragonfly", s.Name, s.Topology.Kind)
+		return fabric.Config{}, NotInSpec("machine %s: topology is %q, not a dragonfly", s.Name, s.Topology.Kind)
 	}
 	t := s.Topology
 	return fabric.Config{
@@ -473,7 +473,7 @@ func (s Spec) FabricConfig() (fabric.Config, error) {
 // ClosConfig derives the fat-tree fabric configuration.
 func (s Spec) ClosConfig() (fabric.ClosConfig, error) {
 	if s.Topology.Kind != FatTree {
-		return fabric.ClosConfig{}, fmt.Errorf("machine %s: topology is %q, not a fat tree", s.Name, s.Topology.Kind)
+		return fabric.ClosConfig{}, NotInSpec("machine %s: topology is %q, not a fat tree", s.Name, s.Topology.Kind)
 	}
 	t := s.Topology
 	return fabric.ClosConfig{

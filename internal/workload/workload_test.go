@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"frontiersim/internal/core"
+	"frontiersim/internal/machine"
 	"frontiersim/internal/units"
 )
 
 func campaignSystem(t *testing.T) *core.System {
 	t.Helper()
 	// 12 groups x 16 switches x 8 endpoints = 384 nodes.
-	sys, err := core.NewScaledFrontier(12, 16, 8, 3)
+	sys, err := core.New(machine.Scaled(12, 16, 8), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
