@@ -139,11 +139,7 @@ func BenchmarkMaxMinSolve(b *testing.B) {
 		for i := 0; i < nodes; i++ {
 			src := f.NodeEndpoints(i)[0]
 			dst := f.NodeEndpoints((i + nodes/2) % nodes)[0]
-			ps, err := f.AdaptivePaths(src, dst, 4, rng)
-			if err != nil {
-				b.Fatal(err)
-			}
-			demands = append(demands, &network.Demand{Src: src, Dst: dst, Paths: ps.Paths})
+			demands = append(demands, benchDemand(b, f, src, dst, rng))
 		}
 		return demands
 	}
@@ -172,11 +168,7 @@ func BenchmarkSolverArenaReuse(b *testing.B) {
 	for i := 0; i < nodes; i++ {
 		src := f.NodeEndpoints(i)[0]
 		dst := f.NodeEndpoints((i + nodes/2) % nodes)[0]
-		ps, err := f.AdaptivePaths(src, dst, 4, rng)
-		if err != nil {
-			b.Fatal(err)
-		}
-		demands = append(demands, &network.Demand{Src: src, Dst: dst, Paths: ps.Paths})
+		demands = append(demands, benchDemand(b, f, src, dst, rng))
 	}
 	s := network.NewSolver()
 	if err := s.Solve(f, demands); err != nil {
@@ -287,36 +279,44 @@ func benchSolverDemands(b *testing.B, f *fabric.Fabric) []*network.Demand {
 	for i := 0; i < nodes; i++ {
 		src := f.NodeEndpoints(i)[0]
 		dst := f.NodeEndpoints((i + nodes/2) % nodes)[0]
-		ps, err := f.AdaptivePaths(src, dst, 4, rng)
-		if err != nil {
-			b.Fatal(err)
-		}
-		demands = append(demands, &network.Demand{Src: src, Dst: dst, Paths: ps.Paths})
+		demands = append(demands, benchDemand(b, f, src, dst, rng))
 	}
 	return demands
 }
 
-// fullScaleShiftPaths routes the census's far shift on Frontier: every
-// NIC of node i sends to the same NIC of node i+nodes/2 over the minimal
-// route and four Valiant detours, the path sets one Fig. 6 shift solves.
-func fullScaleShiftPaths(b *testing.B, f *fabric.Fabric, rng *rand.Rand) []fabric.PathSet {
+// benchDemand routes src→dst over the minimal route and four Valiant
+// detours, as the census does, into a demand of its own.
+func benchDemand(b *testing.B, f *fabric.Fabric, src, dst int, rng *rand.Rand) *network.Demand {
+	b.Helper()
+	links, ends, err := f.AppendAdaptivePaths(nil, []int{0}, src, dst, 4, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := &network.Demand{Src: src, Dst: dst, Paths: make([][]int, len(ends)-1)}
+	for r := range d.Paths {
+		d.Paths[r] = links[ends[r]:ends[r+1]:ends[r+1]]
+	}
+	return d
+}
+
+// fullScaleShiftDemands routes the census's far shift on Frontier: every
+// NIC of node i sends to the same NIC of node i+nodes/2, the demands one
+// Fig. 6 shift solves.
+func fullScaleShiftDemands(b *testing.B, f *fabric.Fabric, rng *rand.Rand) []*network.Demand {
 	b.Helper()
 	nodes, nics := f.Cfg.ComputeNodes(), f.Cfg.NICsPerNode
-	sets := make([]fabric.PathSet, 0, nodes*nics)
+	demands := make([]*network.Demand, 0, nodes*nics)
 	for i := 0; i < nodes; i++ {
 		for k := 0; k < nics; k++ {
-			ps, err := f.AdaptivePaths(f.NodeEndpoint(i, k), f.NodeEndpoint((i+nodes/2)%nodes, k), 4, rng)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sets = append(sets, ps)
+			demands = append(demands, benchDemand(b, f, f.NodeEndpoint(i, k), f.NodeEndpoint((i+nodes/2)%nodes, k), rng))
 		}
 	}
-	return sets
+	return demands
 }
 
 // BenchmarkAdaptivePathsFullScale measures path fill, the census's second
-// layer: building every path set of one full-machine far shift.
+// layer: routing every pair of one full-machine far shift into reused
+// buffers, as the census does.
 func BenchmarkAdaptivePathsFullScale(b *testing.B) {
 	if testing.Short() {
 		b.Skip("full-scale path fill in -short mode")
@@ -326,10 +326,20 @@ func BenchmarkAdaptivePathsFullScale(b *testing.B) {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
+	nodes, nics := f.Cfg.ComputeNodes(), f.Cfg.NICsPerNode
+	var links, ends []int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fullScaleShiftPaths(b, f, rng)
+		for n := 0; n < nodes; n++ {
+			for k := 0; k < nics; k++ {
+				links, ends, err = f.AppendAdaptivePaths(links[:0], append(ends[:0], 0),
+					f.NodeEndpoint(n, k), f.NodeEndpoint((n+nodes/2)%nodes, k), 4, rng)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
 	}
 }
 
@@ -345,11 +355,7 @@ func BenchmarkSolveColdFullScale(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sets := fullScaleShiftPaths(b, f, rand.New(rand.NewSource(3)))
-	demands := make([]*network.Demand, len(sets))
-	for i, ps := range sets {
-		demands[i] = &network.Demand{Src: ps.Src, Dst: ps.Dst, Paths: ps.Paths}
-	}
+	demands := fullScaleShiftDemands(b, f, rand.New(rand.NewSource(3)))
 	if err := network.NewSolver().Solve(f, demands); err != nil {
 		b.Fatal(err)
 	}
@@ -372,12 +378,13 @@ func BenchmarkSolutionCache(b *testing.B) {
 		b.Fatal(err)
 	}
 	demands := benchSolverDemands(b, f)
-	if err := network.Solve(f, demands); err != nil {
+	s := network.NewSolver()
+	if err := s.Solve(f, demands); err != nil {
 		b.Fatal(err)
 	}
 	cache := network.NewSolutionCache(0)
 	sig := network.DemandSignature(demands)
-	cache.Store(f, "", sig, demands)
+	cache.Store(f, "", sig, s.Solution())
 	b.Run("signature", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -15,8 +15,10 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strconv"
 	"sync"
 )
@@ -141,7 +143,9 @@ func New(budgetBytes int64, dir string) (*Cache, error) {
 // if no memory entry, disk entry, or in-flight identical computation can
 // satisfy the request. The returned slice must not be modified by the
 // caller. Errors are not cached: every request that finds no usable
-// result gets its own computation attempt.
+// result gets its own computation attempt. A compute that panics counts
+// as one that failed: its waiters get the error, and the panic's stack
+// goes to the log.
 func (c *Cache) GetOrCompute(key Key, compute func() ([]byte, error)) ([]byte, Outcome, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
@@ -166,7 +170,7 @@ func (c *Cache) GetOrCompute(key Key, compute func() ([]byte, error)) ([]byte, O
 		cl.bytes = b
 		outcome = Hit
 	} else {
-		cl.bytes, cl.err = compute()
+		cl.bytes, cl.err = recovered(compute)
 	}
 
 	c.mu.Lock()
@@ -185,6 +189,18 @@ func (c *Cache) GetOrCompute(key Key, compute func() ([]byte, error)) ([]byte, O
 	c.mu.Unlock()
 	close(cl.done)
 	return cl.bytes, outcome, cl.err
+}
+
+// recovered runs compute, turning a panic into an error so the
+// in-flight call still completes and is removed.
+func recovered(compute func() ([]byte, error)) (b []byte, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			log.Printf("cache: compute panicked: %v\n%s", p, debug.Stack())
+			b, err = nil, fmt.Errorf("cache: compute panicked: %v", p)
+		}
+	}()
+	return compute()
 }
 
 // Stats returns a snapshot of the counters.

@@ -3,6 +3,8 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -269,5 +271,45 @@ func TestStatsSnapshot(t *testing.T) {
 	s := c.Stats()
 	if s.Hits != 5 || s.Misses != 5 || s.Entries != 5 || s.Bytes != 50 || s.Budget != 100 {
 		t.Fatalf("stats = %+v", s)
+	}
+}
+
+// A compute that panics fails like one that returns an error: the
+// leader and a waiter coalesced onto it both get an error instead of a
+// panic or a hang, nothing is cached, and the next request computes
+// afresh.
+func TestPanickingComputeIsContained(t *testing.T) {
+	c, err := New(0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, gate := make(chan struct{}), make(chan struct{})
+	leader := make(chan error, 1)
+	go func() {
+		_, _, err := c.GetOrCompute(key("panics"), func() ([]byte, error) {
+			close(started)
+			<-gate
+			panic("boom")
+		})
+		leader <- err
+	}()
+	<-started
+	waiter := make(chan error, 1)
+	go func() {
+		_, _, err := c.GetOrCompute(key("panics"), func() ([]byte, error) { return []byte("unused"), nil })
+		waiter <- err
+	}()
+	for c.Stats().Coalesced == 0 {
+		runtime.Gosched()
+	}
+	close(gate)
+	for name, ch := range map[string]chan error{"leader": leader, "waiter": waiter} {
+		if err := <-ch; err == nil || !strings.Contains(err.Error(), "boom") {
+			t.Errorf("%s: err = %v, want the panic as an error", name, err)
+		}
+	}
+	b, outcome, err := c.GetOrCompute(key("panics"), func() ([]byte, error) { return []byte("ok"), nil })
+	if err != nil || string(b) != "ok" || outcome != Miss {
+		t.Fatalf("after the panic: %q %v %v, want ok/miss/nil", b, outcome, err)
 	}
 }

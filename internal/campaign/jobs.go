@@ -2,6 +2,8 @@ package campaign
 
 import (
 	"fmt"
+	"log"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -66,9 +68,19 @@ func newJob(id string, res resolved) *job {
 }
 
 // run computes the job's result, handing compute the job's progress
-// callback, and records the outcome.
+// callback, and records the outcome. It runs on its own goroutine, so a
+// panic in compute is recovered into the job's error (its stack goes to
+// the log) rather than taking the server down.
 func (j *job) run(compute func(progress func(string)) ([]byte, cache.Outcome, error)) {
-	b, outcome, err := compute(j.progress)
+	b, outcome, err := func() (b []byte, outcome cache.Outcome, err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				log.Printf("campaign: job %s panicked: %v\n%s", j.ID, p, debug.Stack())
+				b, err = nil, fmt.Errorf("job %s: compute panicked: %v", j.ID, p)
+			}
+		}()
+		return compute(j.progress)
+	}()
 	if err == nil {
 		j.progress("cache " + string(outcome))
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"slices"
+	"strings"
 	"testing"
 
 	"frontiersim/internal/campaign/cache"
@@ -211,5 +212,20 @@ func TestEvictedJobIs404(t *testing.T) {
 		if resp.StatusCode != c.want {
 			t.Errorf("GET %s: %d, want %d", c.id, resp.StatusCode, c.want)
 		}
+	}
+}
+
+// A panic in a job's compute, on the job's own goroutine, fails the job
+// with the panic as its error instead of killing the process.
+func TestJobRunRecoversPanic(t *testing.T) {
+	j := newJob("job-9", resolved{exp: "table2"})
+	go j.run(func(progress func(string)) ([]byte, cache.Outcome, error) {
+		progress("simulating")
+		panic("compute exploded")
+	})
+	evs := wait(j)
+	last := evs[len(evs)-1]
+	if last.State != jobFailed || !strings.Contains(last.Message, "compute exploded") {
+		t.Fatalf("final event = %+v, want failed naming the panic", last)
 	}
 }

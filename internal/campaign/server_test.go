@@ -609,3 +609,49 @@ func TestJobsBoundsEveryCapture(t *testing.T) {
 		t.Fatalf("%d captures ran at once, want at most Jobs = %d", got, jobs)
 	}
 }
+
+// A simulation that panics is contained: the synchronous request gets a
+// 500 and the async job fails, neither result is cached, an identical
+// second request gets its answer, and the server stays up.
+func TestPanickingCaptureIsContained(t *testing.T) {
+	srv, ts := newTestServer(t)
+	var calls sync.Map // per seed: the first capture panics
+	srv.capture = func(id string, o experiments.Options, _ bool) ([]byte, error) {
+		if _, seen := calls.LoadOrStore(o.Seed, true); !seen {
+			panic("capture exploded")
+		}
+		return []byte(fmt.Sprintf("%s seed %d", id, o.Seed)), nil
+	}
+	c := &http.Client{Timeout: 30 * time.Second}
+	run := `{"experiment":"table2","quick":true,"seed":1}`
+	for i, want := range []int{http.StatusInternalServerError, http.StatusOK} {
+		resp := post(t, ts.URL+"/v1/run", run)
+		body := readAll(t, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("run %d: %d %s, want %d", i, resp.StatusCode, body, want)
+		}
+		if i == 0 && !strings.Contains(string(body), "capture exploded") {
+			t.Errorf("run 0 body %s does not name the panic", body)
+		}
+	}
+
+	job := `{"experiment":"table2","quick":true,"seed":2}`
+	id := submitJob(t, c, ts.URL, job)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		j, ok := srv.jobs.get(id)
+		if ok && j.finished() {
+			if j.err == nil {
+				t.Fatal("job whose capture panicked finished without an error")
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job whose capture panicked never finished")
+		}
+	}
+	awaitJobState(t, c, ts.URL, submitJob(t, c, ts.URL, job), "done", time.Now().Add(10*time.Second))
+	if s := srv.cache.Stats(); s.Entries != 2 {
+		t.Errorf("cache holds %d entries, want the 2 successful results", s.Entries)
+	}
+}

@@ -104,7 +104,10 @@ func AblationCC(o Options) (*report.Table, error) {
 		return nil, err
 	}
 	t := &report.Table{ID: "ablation-cc", Title: "GPCNeT with congestion control on vs off"}
-	cfg := o.gpcnetConfig(f, 600)
+	cfg, err := o.gpcnetConfig(f, 600)
+	if err != nil {
+		return nil, err
+	}
 	// Both arms measure one solve per phase: CC only derates after it.
 	arms := []bool{true, false}
 	results, err := network.RunGPCNeT(f, cfg, o.Seed, arms, o.Solutions, topoKey(o.machine()))

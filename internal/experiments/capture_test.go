@@ -63,7 +63,16 @@ func TestCaptureUnknownID(t *testing.T) {
 func TestUnrunnableMachineWrapsNotInSpec(t *testing.T) {
 	frontier40 := machine.Frontier()
 	frontier40.Topology.ComputeGroups = 40
-	specs := map[string]machine.Spec{"frontier-40-groups": frontier40}
+	// Two compute groups of two switches of four endpoints: four nodes,
+	// fewer than GPCNeT needs, on a spec that Validate accepts.
+	tiny := machine.Frontier()
+	tiny.Topology.ComputeGroups = 2
+	tiny.Topology.ComputeGroupSwitches = 2
+	tiny.Topology.EndpointsPerSwitch = 4
+	if err := tiny.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	specs := map[string]machine.Spec{"frontier-40-groups": frontier40, "frontier-2x2x4": tiny}
 	for _, name := range []string{"summit", "titan", "mira", "theta", "cori"} {
 		spec, err := machine.ByName(name)
 		if err != nil {
@@ -77,16 +86,19 @@ func TestUnrunnableMachineWrapsNotInSpec(t *testing.T) {
 		{"ablation-cc", "frontier-40-groups"}: true,
 	}
 	mustRefuse := map[[2]string]bool{
-		{"table1", "summit"}:             true,
-		{"table3", "summit"}:             true,
-		{"ablation-taper", "summit"}:     true,
-		{"ablation-placement", "summit"}: true,
-		{"sec54", "summit"}:              true,
-		{"table2", "titan"}:              true,
-		{"ext-year", "summit"}:           true,
-		{"ext-llm", "titan"}:             true,
-		{"ext-operations", "summit"}:     true,
-		{"ext-campaign", "titan"}:        true,
+		{"table1", "summit"}:               true,
+		{"table3", "summit"}:               true,
+		{"ablation-taper", "summit"}:       true,
+		{"ablation-placement", "summit"}:   true,
+		{"sec54", "summit"}:                true,
+		{"table2", "titan"}:                true,
+		{"ext-year", "summit"}:             true,
+		{"ext-llm", "titan"}:               true,
+		{"ext-operations", "summit"}:       true,
+		{"ext-campaign", "titan"}:          true,
+		{"table5", "frontier-2x2x4"}:       true,
+		{"ablation-cc", "frontier-2x2x4"}:  true,
+		{"ablation-ppn", "frontier-2x2x4"}: true,
 	}
 	for name, spec := range specs {
 		t.Run(name, func(t *testing.T) {

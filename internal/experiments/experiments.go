@@ -45,14 +45,15 @@ type Options struct {
 // bardPeakSystem builds the system an experiment reads the Bard Peak
 // node model or its scheduler from (core.New builds the two together).
 // A machine without them cannot run the experiment: the error names the
-// experiment and the missing part, and wraps machine.ErrNotInSpec.
-func bardPeakSystem(id, part string, spec machine.Spec, seed int64) (*core.System, error) {
+// missing part and wraps machine.ErrNotInSpec. It leaves the experiment
+// id to the caller, which already prefixes it.
+func bardPeakSystem(part string, spec machine.Spec, seed int64) (*core.System, error) {
 	sys, err := core.New(spec, seed)
 	if err != nil {
 		return nil, err
 	}
 	if sys.Node == nil {
-		return nil, machine.NotInSpec("%s: machine has no %s", id, part)
+		return nil, machine.NotInSpec("machine has no %s", part)
 	}
 	return sys, nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"frontiersim/internal/fabric"
 	"frontiersim/internal/gpu"
+	"frontiersim/internal/machine"
 	"frontiersim/internal/miniapps"
 	"frontiersim/internal/network"
 	"frontiersim/internal/report"
@@ -26,7 +27,10 @@ func AblationPPN(o Options) (*report.Table, error) {
 	}
 	t := &report.Table{ID: "ablation-ppn", Title: "GPCNeT at 8 vs 32 processes per node"}
 	for _, ppn := range []int{8, 32} {
-		cfg := o.gpcnetConfig(f, 600)
+		cfg, err := o.gpcnetConfig(f, 600)
+		if err != nil {
+			return nil, err
+		}
 		cfg.PPN = ppn
 		arms, err := network.RunGPCNeT(f, cfg, o.Seed, []bool{true}, o.Solutions, topoKey(o.machine()))
 		if err != nil {
@@ -64,7 +68,9 @@ func ExtBurstBuffer(o Options) (*report.Table, error) {
 	size := 700 * units.TiB
 	absorb, drain, err := bb.CheckpointWrite(size)
 	if err != nil {
-		return nil, err
+		// Too few nodes to hold the checkpoint twice in NVMe: the
+		// machine cannot run this use case.
+		return nil, machine.NotInSpec("%v", err)
 	}
 	t.AddInfo("checkpoint absorb (NVMe)", fmt.Sprintf("%v", absorb), "application-visible stall")
 	t.AddInfo("background drain to Orion", fmt.Sprintf("%v", drain), "overlaps computation")
@@ -135,7 +141,7 @@ func ExtSysmgmt(o Options) (*report.Table, error) {
 // with the reliability model injecting failures, reporting utilization,
 // queue waits, and observed MTTI.
 func ExtOperations(o Options) (*report.Table, error) {
-	sys, err := bardPeakSystem("ext-operations", "scheduler", o.machine(), o.Seed)
+	sys, err := bardPeakSystem("scheduler", o.machine(), o.Seed)
 	if err != nil {
 		return nil, err
 	}

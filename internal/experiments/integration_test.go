@@ -48,11 +48,15 @@ func TestAnalyticVsSolverAllToAll(t *testing.T) {
 				continue
 			}
 			for k := 0; k < 4; k++ {
-				ps, err := f.AdaptivePaths(f.NodeEndpoints(i)[k], f.NodeEndpoints(j)[k], 4, rng)
+				links, ends, err := f.AppendAdaptivePaths(nil, []int{0}, f.NodeEndpoints(i)[k], f.NodeEndpoints(j)[k], 4, rng)
 				if err != nil {
 					t.Fatal(err)
 				}
-				demands = append(demands, &network.Demand{Paths: ps.Paths})
+				d := &network.Demand{}
+				for r := 1; r < len(ends); r++ {
+					d.Paths = append(d.Paths, links[ends[r-1]:ends[r]])
+				}
+				demands = append(demands, d)
 			}
 		}
 		if err := network.Solve(f, demands); err != nil {

@@ -21,7 +21,7 @@ import (
 // what-ifs (halving linkRate, taper changes) degrade the
 // collective-bound points and leave compute-bound ones alone.
 func ExtLLM(o Options) (*report.Table, error) {
-	sys, err := bardPeakSystem("ext-llm", "scheduler", o.machine(), o.Seed)
+	sys, err := bardPeakSystem("scheduler", o.machine(), o.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +126,7 @@ func ExtCampaign(o Options) (*report.Table, error) {
 	if o.Machine == nil {
 		spec = machine.Scaled(8, 16, 8)
 	}
-	sys, err := bardPeakSystem("ext-campaign", "scheduler", spec, o.Seed)
+	sys, err := bardPeakSystem("scheduler", spec, o.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -72,14 +72,18 @@ func runCensus(f *fabric.Fabric, cfg network.MpiGraphConfig, o Options, topo str
 // gpcnetConfig is the GPCNeT run of table5, ablation-ppn and
 // ablation-cc: the paper's 9,400-node, 8-PPN configuration, clamped to
 // the fabric's compute nodes, with quickSamples latency probes in quick
-// mode.
-func (o Options) gpcnetConfig(f *fabric.Fabric, quickSamples int) network.GPCNeTConfig {
+// mode. A machine too small for GPCNeT's victim/congestor split cannot
+// run it: the error wraps machine.ErrNotInSpec.
+func (o Options) gpcnetConfig(f *fabric.Fabric, quickSamples int) (network.GPCNeTConfig, error) {
 	cfg := network.DefaultGPCNeTConfig()
 	cfg.Nodes = min(cfg.Nodes, f.Cfg.ComputeNodes())
+	if cfg.Nodes < network.GPCNeTMinNodes {
+		return cfg, machine.NotInSpec("machine has %d compute nodes; GPCNeT needs at least %d", cfg.Nodes, network.GPCNeTMinNodes)
+	}
 	if o.Quick {
 		cfg.LatencySamples = quickSamples
 	}
-	return cfg
+	return cfg, nil
 }
 
 // thousands formats n with comma digit groups ("9,400").
@@ -98,7 +102,10 @@ func Table5(o Options) (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := o.gpcnetConfig(f, 800)
+	cfg, err := o.gpcnetConfig(f, 800)
+	if err != nil {
+		return nil, err
+	}
 	arms, err := network.RunGPCNeT(f, cfg, o.Seed, []bool{true}, o.Solutions, topoKey(o.machine()))
 	if err != nil {
 		return nil, err

@@ -11,7 +11,7 @@ import (
 
 // Table1 reproduces the compute peak specifications.
 func Table1(o Options) (*report.Table, error) {
-	s, err := bardPeakSystem("table1", "Bard Peak node model", o.machine(), o.Seed)
+	s, err := bardPeakSystem("Bard Peak node model", o.machine(), o.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -39,7 +39,7 @@ func Table1(o Options) (*report.Table, error) {
 
 // Table3 reproduces CPU STREAM with temporal and non-temporal stores.
 func Table3(o Options) (*report.Table, error) {
-	s, err := bardPeakSystem("table3", "Bard Peak node model", o.machine(), o.Seed)
+	s, err := bardPeakSystem("Bard Peak node model", o.machine(), o.Seed)
 	if err != nil {
 		return nil, err
 	}

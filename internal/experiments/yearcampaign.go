@@ -25,7 +25,7 @@ import (
 // on the same machine.
 func ExtYear(o Options) (*report.Table, error) {
 	spec := o.machine()
-	sys, err := bardPeakSystem("ext-year", "scheduler", spec, o.Seed)
+	sys, err := bardPeakSystem("scheduler", spec, o.Seed)
 	if err != nil {
 		return nil, err
 	}

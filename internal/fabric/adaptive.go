@@ -5,34 +5,11 @@ import (
 	"math/rand"
 )
 
-// PathSet is the set of routes adaptive routing spreads one traffic pair
-// across: the minimal route plus zero or more Valiant non-minimal routes.
-// Slingshot routes per packet, so at the flow level a pair's traffic
-// occupies all of these paths simultaneously and the bandwidth a pair
-// achieves is the sum over the set.
-//
-// Storage is CSR-style: every row of Paths aliases one flat backing
-// array, so a whole set costs two allocations (flat links + row headers)
-// instead of one slice per route. Rows are full-capacity slices —
-// appending to one reallocates rather than clobbering its neighbour —
-// but callers must still treat a PathSet as immutable once built; cached
-// sets are shared across workers.
-type PathSet struct {
-	Src, Dst int
-	Paths    [][]int
-}
-
-// seal materialises the nested-slice view over a CSR fill: flat holds
-// every route's links back to back, offs the row boundaries.
-func (ps *PathSet) seal(flat, offs []int) {
-	if len(offs) <= 1 {
-		return // no routes; keep Paths nil like the historical shape
-	}
-	ps.Paths = make([][]int, len(offs)-1)
-	for i := range ps.Paths {
-		ps.Paths[i] = flat[offs[i]:offs[i+1]:offs[i+1]]
-	}
-}
+// MaxRouteLinks is the most links one route can take: a Valiant detour's
+// inject, three intra-group hops, two global hops and eject. Minimal
+// dragonfly routes take at most five and fat-tree routes four, so
+// callers can size route buffers from a route count.
+const MaxRouteLinks = 7
 
 // containsInt reports membership in a small linear-scan set — the group
 // exclusion lists here never exceed 2+nValiant entries, where a slice
@@ -46,47 +23,44 @@ func containsInt(s []int, v int) bool {
 	return false
 }
 
-// AdaptivePaths builds the path set used by Slingshot's adaptive routing
-// for one endpoint pair: within a group (or on a fat tree) routing is
-// minimal-only; between dragonfly groups the minimal route is supplemented
-// by nValiant Valiant routes through distinct random intermediate groups.
-func (f *Fabric) AdaptivePaths(src, dst, nValiant int, rng *rand.Rand) (PathSet, error) {
-	ps := PathSet{Src: src, Dst: dst}
-	flat := make([]int, 0, 6+8*nValiant)
-	// Row ends live on the stack for up to seven detours (censuses use
-	// four); seal copies them out, and more detours spill to the heap.
-	var offsBuf [8]int
-	offs := offsBuf[:1]
-
-	next, minErr := f.appendMinimalPath(flat, src, dst, rng)
+// AppendAdaptivePaths appends the path set Slingshot's adaptive routing
+// spreads one endpoint pair across: within a group (or on a fat tree)
+// the minimal route only; between dragonfly groups the minimal route
+// plus up to nValiant Valiant routes through distinct random
+// intermediate groups. At the flow level a pair's traffic occupies all
+// of these routes at once, so its bandwidth is the sum over the set.
+//
+// The routes' links land in links back to back, and after each route
+// its end, len(links), is appended to ends. A caller that seeds ends
+// with len(links) gets CSR offsets: route r of the set spans
+// links[e[r]:e[r+1]] with e the ends from the seed on. Both buffers are
+// the caller's, so routing a census allocates nothing per pair.
+//
+// On error both slices come back at their original lengths. A pair
+// whose minimal route fails between groups on a fabric with no
+// intermediate group gets no route and no error.
+func (f *Fabric) AppendAdaptivePaths(links, ends []int, src, dst, nValiant int, rng *rand.Rand) ([]int, []int, error) {
+	nEnds := len(ends)
+	next, minErr := f.appendMinimalPath(links, src, dst, rng)
 	if minErr == nil {
-		flat = next
-		offs = append(offs, len(flat))
+		links = next
+		ends = append(ends, len(links))
 	}
 	if f.Kind == FatTree {
-		if minErr != nil {
-			return ps, minErr
-		}
-		ps.seal(flat, offs)
-		return ps, nil
+		return links, ends, minErr
 	}
 	g1, g2 := f.EndpointGroup(src), f.EndpointGroup(dst)
 	if g1 == g2 || nValiant <= 0 {
-		if minErr != nil {
-			return ps, minErr
-		}
-		ps.seal(flat, offs)
-		return ps, nil
+		return links, ends, minErr
 	}
 	total := f.Cfg.TotalGroups()
 	if total <= 2 {
-		ps.seal(flat, offs)
-		return ps, nil
+		return links, ends, nil
 	}
-	seen := make([]int, 0, 8)
-	seen = append(seen, g1, g2)
+	var seenBuf [8]int
+	seen := append(seenBuf[:0], g1, g2)
 	attempts := 0
-	for len(offs)-1 < 1+nValiant && attempts < 8*nValiant {
+	for len(ends)-nEnds < 1+nValiant && attempts < 8*nValiant {
 		attempts++
 		via := rng.Intn(total)
 		if containsInt(seen, via) {
@@ -98,16 +72,15 @@ func (f *Fabric) AdaptivePaths(src, dst, nValiant int, rng *rand.Rand) (PathSet,
 			continue
 		}
 		seen = append(seen, via)
-		next, err := f.appendValiantPath(flat, src, dst, via, rng)
+		next, err := f.appendValiantPath(links, src, dst, via, rng)
 		if err != nil {
 			continue // an empty bundle to or from via; try another
 		}
-		flat = next
-		offs = append(offs, len(flat))
+		links = next
+		ends = append(ends, len(links))
 	}
-	if len(offs) == 1 {
-		return ps, fmt.Errorf("fabric: no path %d->%d", src, dst)
+	if len(ends) == nEnds {
+		return links, ends, fmt.Errorf("fabric: no path %d->%d", src, dst)
 	}
-	ps.seal(flat, offs)
-	return ps, nil
+	return links, ends, nil
 }

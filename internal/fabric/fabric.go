@@ -418,11 +418,13 @@ func (f *Fabric) GlobalLinks(a, b int) []int {
 
 // pickUp returns the link at the rotation offset in a bundle; ok is
 // false only for an empty bundle, which a spec may legally configure.
+// Offsets are small and non-negative, so a 32-bit modulo gives the same
+// index as a full-width one at a fraction of the divide's latency.
 func pickUp(ids []int, offset int) (int, bool) {
 	if len(ids) == 0 {
 		return 0, false
 	}
-	return ids[offset%len(ids)], true
+	return ids[uint32(offset)%uint32(len(ids))], true
 }
 
 // MinimalPath returns the directed link sequence of the minimal route
@@ -436,8 +438,8 @@ func (f *Fabric) MinimalPath(src, dst int, rng *rand.Rand) ([]int, error) {
 // appendMinimalPath appends the minimal route's links to buf and returns
 // the extended slice. On error buf's visible contents are unchanged
 // (callers rewind by keeping their original slice header), which is what
-// lets AdaptivePaths fill every route of a path set into one flat
-// backing array.
+// lets AppendAdaptivePaths fill every route of a path set into the
+// caller's buffer.
 func (f *Fabric) appendMinimalPath(buf []int, src, dst int, rng *rand.Rand) ([]int, error) {
 	if src == dst {
 		return nil, fmt.Errorf("fabric: self path for endpoint %d", src)

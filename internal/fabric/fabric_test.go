@@ -3,6 +3,7 @@ package fabric
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -331,11 +332,11 @@ func TestPathConnectivityProperty(t *testing.T) {
 		if src == dst {
 			return true
 		}
-		ps, err := f.AdaptivePaths(src, dst, 3, rng)
+		paths, err := adaptivePaths(f, src, dst, 3, rng)
 		if err != nil {
 			return false
 		}
-		for _, p := range ps.Paths {
+		for _, p := range paths {
 			if f.Links[p[0]].Kind != Injection || int(f.Links[p[0]].From) != src {
 				return false
 			}
@@ -359,24 +360,66 @@ func TestPathConnectivityProperty(t *testing.T) {
 func TestAdaptivePathsIntraGroupMinimalOnly(t *testing.T) {
 	f := small(t)
 	rng := rand.New(rand.NewSource(3))
-	ps, err := f.AdaptivePaths(0, 9, 4, rng)
+	paths, err := adaptivePaths(f, 0, 9, 4, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ps.Paths) != 1 {
-		t.Errorf("intra-group adaptive paths = %d, want 1 (minimal only)", len(ps.Paths))
+	if len(paths) != 1 {
+		t.Errorf("intra-group adaptive paths = %d, want 1 (minimal only)", len(paths))
 	}
 }
 
 func TestAdaptivePathsInterGroup(t *testing.T) {
 	f := small(t)
 	rng := rand.New(rand.NewSource(3))
-	ps, err := f.AdaptivePaths(0, 40, 3, rng)
+	paths, err := adaptivePaths(f, 0, 40, 3, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ps.Paths) != 4 {
-		t.Errorf("adaptive paths = %d, want 1 minimal + 3 valiant", len(ps.Paths))
+	if len(paths) != 4 {
+		t.Errorf("adaptive paths = %d, want 1 minimal + 3 valiant", len(paths))
+	}
+}
+
+// adaptivePaths routes one pair into fresh buffers and returns each
+// route as its own slice.
+func adaptivePaths(f *Fabric, src, dst, nValiant int, rng *rand.Rand) ([][]int, error) {
+	links, ends, err := f.AppendAdaptivePaths(nil, []int{0}, src, dst, nValiant, rng)
+	if err != nil {
+		return nil, err
+	}
+	paths := make([][]int, len(ends)-1)
+	for r := range paths {
+		paths[r] = links[ends[r]:ends[r+1]]
+	}
+	return paths, nil
+}
+
+// Appending into buffers that already hold routes leaves them intact,
+// adds the same routes a fresh buffer gets from the same draws, and
+// records ends as offsets into the whole buffer.
+func TestAppendAdaptivePathsKeepsPrefix(t *testing.T) {
+	f := small(t)
+	want, err := adaptivePaths(f, 0, 40, 3, rand.New(rand.NewSource(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	links := []int{7, 7, 7}
+	ends := []int{0, 3}
+	links, ends, err = f.AppendAdaptivePaths(links, ends, 0, 40, 3, rand.New(rand.NewSource(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(links[:3], []int{7, 7, 7}) || ends[1] != 3 {
+		t.Fatalf("prefix clobbered: links %v ends %v", links[:3], ends[:2])
+	}
+	if len(ends)-2 != len(want) {
+		t.Fatalf("appended %d routes, want %d", len(ends)-2, len(want))
+	}
+	for r, p := range want {
+		if got := links[ends[r+1]:ends[r+2]]; !reflect.DeepEqual(got, p) {
+			t.Errorf("route %d = %v, want %v", r, got, p)
+		}
 	}
 }
 
@@ -401,11 +444,11 @@ func TestEmptyBundle(t *testing.T) {
 		t.Error("minimal path over an empty bundle should error")
 	}
 	rng := rand.New(rand.NewSource(12))
-	ps, err := f.AdaptivePaths(io0, io1, 2, rng)
-	if err != nil || len(ps.Paths) == 0 {
+	paths, err := adaptivePaths(f, io0, io1, 2, rng)
+	if err != nil || len(paths) == 0 {
 		t.Fatalf("adaptive routing should detour around an empty bundle: %v", err)
 	}
-	for _, p := range ps.Paths {
+	for _, p := range paths {
 		if p[0] != f.injectLink[io0] || p[len(p)-1] != f.ejectLink[io1] {
 			t.Errorf("detour %v does not join endpoint %d to %d", p, io0, io1)
 		}
@@ -416,8 +459,12 @@ func TestEmptyBundle(t *testing.T) {
 	if f, err = NewDragonfly(c); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.AdaptivePaths(io0, io1, 2, rng); err == nil {
+	links, ends, err := f.AppendAdaptivePaths([]int{5}, []int{0, 1}, io0, io1, 2, rng)
+	if err == nil {
 		t.Error("want an error when every route crosses an empty bundle")
+	}
+	if len(links) != 1 || len(ends) != 2 {
+		t.Errorf("a failed route grew the buffers to %d links, %d ends", len(links), len(ends))
 	}
 }
 
@@ -456,9 +503,9 @@ func TestClosSummit(t *testing.T) {
 		t.Errorf("clos path length = %d, want 4", len(p))
 	}
 	// Fat tree never takes valiant detours.
-	ps, err := f.AdaptivePaths(0, 4000, 4, rand.New(rand.NewSource(7)))
-	if err != nil || len(ps.Paths) != 1 {
-		t.Errorf("clos adaptive paths = %d (%v), want 1", len(ps.Paths), err)
+	paths, err := adaptivePaths(f, 0, 4000, 4, rand.New(rand.NewSource(7)))
+	if err != nil || len(paths) != 1 {
+		t.Errorf("clos adaptive paths = %d (%v), want 1", len(paths), err)
 	}
 }
 

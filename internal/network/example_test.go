@@ -18,11 +18,15 @@ func ExampleSolve() {
 	rng := rand.New(rand.NewSource(1))
 	var demands []*network.Demand
 	for _, src := range []int{0, 1} {
-		ps, err := f.AdaptivePaths(src, 9, 2, rng)
+		links, ends, err := f.AppendAdaptivePaths(nil, []int{0}, src, 9, 2, rng)
 		if err != nil {
 			panic(err)
 		}
-		demands = append(demands, &network.Demand{Src: src, Dst: 9, Paths: ps.Paths})
+		d := &network.Demand{Src: src, Dst: 9}
+		for r := 1; r < len(ends); r++ {
+			d.Paths = append(d.Paths, links[ends[r-1]:ends[r]])
+		}
+		demands = append(demands, d)
 	}
 	if err := network.Solve(f, demands); err != nil {
 		panic(err)

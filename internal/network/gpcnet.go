@@ -33,6 +33,10 @@ type GPCNeTConfig struct {
 	BWJitter float64
 }
 
+// GPCNeTMinNodes is the fewest nodes GPCNeT runs on; the 80/20 split
+// of ten nodes leaves two victims to form the victim ring.
+const GPCNeTMinNodes = 10
+
 // DefaultGPCNeTConfig mirrors the paper's 9,400-node, 8-PPN run.
 func DefaultGPCNeTConfig() GPCNeTConfig {
 	return GPCNeTConfig{
@@ -91,8 +95,8 @@ func RunGPCNeT(f *fabric.Fabric, cfg GPCNeTConfig, seed int64, cc []bool, soluti
 	if cfg.Nodes > f.Cfg.ComputeNodes() {
 		return nil, fmt.Errorf("network: %d nodes exceeds fabric's %d", cfg.Nodes, f.Cfg.ComputeNodes())
 	}
-	if cfg.Nodes < 10 {
-		return nil, fmt.Errorf("network: GPCNeT needs at least 10 nodes")
+	if cfg.Nodes < GPCNeTMinNodes {
+		return nil, fmt.Errorf("network: GPCNeT needs at least %d nodes", GPCNeTMinNodes)
 	}
 	if cfg.PPN < 1 {
 		return nil, fmt.Errorf("network: GPCNeT needs at least one process per node, got %d", cfg.PPN)
@@ -114,36 +118,38 @@ func RunGPCNeT(f *fabric.Fabric, cfg GPCNeTConfig, seed int64, cc []bool, soluti
 			congestors = append(congestors, n)
 		}
 	}
-	victimDemands := victimRing(f, victims, cfg, r)
-	if err := solveCached(f, victimDemands, solutions, topo); err != nil {
+	s := solverPool.Get().(*Solver)
+	defer solverPool.Put(s)
+	victimRing(s, f, victims, cfg, r, nil)
+	if err := s.solveCached(solutions, topo); err != nil {
 		return nil, err
 	}
-	isolated, err := measurePhase(f, cfg, victimDemands, victims, r, 0, nil)
+	isolated, err := measurePhase(f, cfg, s, len(s.keys), victims, r, 0, nil)
 	if err != nil {
 		return nil, err
 	}
-	congestorDemands := buildCongestors(f, congestors, cfg, r)
-	// Fresh victim demand objects (the solver mutates rates).
-	victimDemands = victimRing(f, victims, cfg, r)
-	all := make([]*Demand, 0, len(victimDemands)+len(congestorDemands))
-	all = append(all, victimDemands...)
-	all = append(all, congestorDemands...)
-	if err := solveCached(f, all, solutions, topo); err != nil {
+	// Congestor routes are drawn before the victims', but the victims
+	// come first in the solve: they wait in a route set meanwhile.
+	var cong routeSet
+	buildCongestors(&cong, f, congestors, cfg, r)
+	nVictims := victimRing(s, f, victims, cfg, r, &cong)
+	cong.addTo(s)
+	if err := s.solveCached(solutions, topo); err != nil {
 		return nil, err
 	}
 	fork := *src
-	var congestedLinks []bool
+	var hot []bool
 	out := make([]GPCNeTResult, len(cc))
 	for i, on := range cc {
 		*src = fork
 		hol := 0.0 // with no congestor traffic there is nothing to block behind
-		if len(congestorDemands) > 0 {
+		if len(cong.pairs) > 0 {
 			hol = holFactor(cfg, on)
 		}
-		if hol > 0 && congestedLinks == nil {
-			congestedLinks = holLinks(f, all, congestorDemands)
+		if hol > 0 && hot == nil {
+			hot = holLinks(s, nVictims)
 		}
-		congested, err := measurePhase(f, cfg, victimDemands, victims, r, hol, congestedLinks)
+		congested, err := measurePhase(f, cfg, s, nVictims, victims, r, hol, hot)
 		if err != nil {
 			return nil, err
 		}
@@ -170,19 +176,17 @@ func holFactor(cfg GPCNeTConfig, cc bool) float64 {
 	return 0
 }
 
-// holLinks marks, per fabric link, where victims meet head-of-line
+// holLinks marks, per link, where victims meet head-of-line
 // blocking: links other than injection links that congestor traffic
-// crosses at more than 98% of capacity after the solve of all.
-func holLinks(f *fabric.Fabric, all, congestors []*Demand) []bool {
-	used := linkUse(f, all)
-	hot := make([]bool, len(f.Links))
-	for _, d := range congestors {
-		for _, p := range d.Paths {
-			for _, lid := range p {
-				if used[lid]/f.Links[lid].Cap > 0.98 && f.Links[lid].Kind != fabric.Injection {
-					hot[lid] = true
-				}
-			}
+// (the demands from index congestors on) crosses at more than 98% of
+// capacity after the solve.
+func holLinks(s *Solver, congestors int) []bool {
+	links := s.fab.Links
+	used := s.linkUse()
+	hot := make([]bool, len(used))
+	for _, li := range s.subLinks[s.subStart[s.demSub[congestors]]:] {
+		if int(li) < len(links) && used[li]/s.linkCap[li] > 0.98 && links[li].Kind != fabric.Injection {
+			hot[li] = true
 		}
 	}
 	return hot
@@ -201,34 +205,80 @@ func victimCap(f *fabric.Fabric, cfg GPCNeTConfig) float64 {
 	return msg / (msg/share + float64(cfg.SyncOverhead))
 }
 
-// victimRing builds the victim random-ring bandwidth demands: rank r of
-// victim i sends to rank r of the next victim in a shuffled ring.
-func victimRing(f *fabric.Fabric, victims []int, cfg GPCNeTConfig, rng *rand.Rand) []*Demand {
+// victimRing begins a problem in s and adds the victim random-ring
+// bandwidth demands: rank r of victim i sends to rank r of the next
+// victim in a shuffled ring. The arena is reserved for the victims plus
+// the demands of later (nil for none), which join after them. It
+// returns the number of victim demands; a pair with no route is
+// skipped.
+func victimRing(s *Solver, f *fabric.Fabric, victims []int, cfg GPCNeTConfig, rng *rand.Rand, later *routeSet) int {
 	ring := append([]int(nil), victims...)
 	rng.Shuffle(len(ring), func(i, j int) { ring[i], ring[j] = ring[j], ring[i] })
+	n := len(ring) * cfg.PPN
+	routes, routeLinks := routedBound(n, cfg.ValiantPaths)
+	capped := routes
+	if later != nil {
+		n += len(later.pairs)
+		routes += len(later.ends) - 1
+		routeLinks += len(later.links)
+	}
+	s.begin(f, n, routes, routeLinks, capped)
 	cap := victimCap(f, cfg)
-	var demands []*Demand
-	for i, n := range ring {
+	for i, node := range ring {
 		next := ring[(i+1)%len(ring)]
 		for r := 0; r < cfg.PPN; r++ {
-			src := f.NodeEndpoint(n, r)
-			dst := f.NodeEndpoint(next, r)
-			ps, err := f.AdaptivePaths(src, dst, cfg.ValiantPaths, rng)
-			if err != nil {
-				continue
-			}
-			demands = append(demands, &Demand{Src: src, Dst: dst, Paths: ps.Paths, Cap: cap})
+			// An unroutable pair drops out of the ring.
+			_ = s.addRouted(f.NodeEndpoint(node, r), f.NodeEndpoint(next, r), cap, cfg.ValiantPaths, rng)
 		}
 	}
-	return demands
+	return len(s.keys)
 }
 
-// buildCongestors creates the adversarial traffic: half the congestor
-// ranks run a windowed all-to-all (random pairs), half run 16-to-1
-// incasts. Congestors are deliberately uncapped — with hardware CC the
-// fabric itself pushes them back to their bottleneck share.
-func buildCongestors(f *fabric.Fabric, congestors []int, cfg GPCNeTConfig, rng *rand.Rand) []*Demand {
-	var demands []*Demand
+// routeSet holds routed demands in generation order until they join a
+// problem: GPCNeT draws its congestors' routes before its victims' but
+// solves the victims first. Routes are CSR over links; pair p's routes
+// are ends[pairs[p].first : pairs[p+1].first+1].
+type routeSet struct {
+	links []int
+	ends  []int
+	pairs []routedPair
+}
+
+type routedPair struct {
+	src, dst, first int
+}
+
+// addRouted routes src→dst over its adaptive path set into the set. A
+// pair with no route is skipped.
+func (c *routeSet) addRouted(f *fabric.Fabric, src, dst, valiant int, rng *rand.Rand) {
+	if c.ends == nil {
+		c.ends = []int{0}
+	}
+	first := len(c.ends) - 1
+	links, ends, err := f.AppendAdaptivePaths(c.links, c.ends, src, dst, valiant, rng)
+	if err != nil {
+		return
+	}
+	c.links, c.ends = links, ends
+	c.pairs = append(c.pairs, routedPair{src, dst, first})
+}
+
+// addTo adds every held demand to s, uncapped, in generation order.
+func (c *routeSet) addTo(s *Solver) {
+	for p, pr := range c.pairs {
+		end := len(c.ends) - 1
+		if p+1 < len(c.pairs) {
+			end = c.pairs[p+1].first
+		}
+		s.add(pr.src, pr.dst, 0, c.links, c.ends[pr.first:end+1])
+	}
+}
+
+// buildCongestors routes the adversarial traffic into c: half the
+// congestor ranks run a windowed all-to-all (random pairs), half run
+// 16-to-1 incasts. Congestors are deliberately uncapped — with hardware
+// CC the fabric itself pushes them back to their bottleneck share.
+func buildCongestors(c *routeSet, f *fabric.Fabric, congestors []int, cfg GPCNeTConfig, rng *rand.Rand) {
 	nicRanks := f.Cfg.NICsPerNode
 	if cfg.PPN < nicRanks {
 		nicRanks = cfg.PPN
@@ -241,48 +291,36 @@ func buildCongestors(f *fabric.Fabric, congestors []int, cfg GPCNeTConfig, rng *
 				if peer == n {
 					continue
 				}
-				src := f.NodeEndpoint(n, r)
-				dst := f.NodeEndpoint(peer, r)
-				ps, err := f.AdaptivePaths(src, dst, cfg.ValiantPaths, rng)
-				if err != nil {
-					continue
-				}
-				demands = append(demands, &Demand{Src: src, Dst: dst, Paths: ps.Paths})
+				c.addRouted(f, f.NodeEndpoint(n, r), f.NodeEndpoint(peer, r), cfg.ValiantPaths, rng)
 			}
 		case 1: // incast: blocks of 16 nodes target the block leader
 			leader := congestors[(i/16)*16]
 			if leader == n {
 				continue
 			}
-			src := f.NodeEndpoint(n, 0)
-			dst := f.NodeEndpoint(leader, 0)
-			ps, err := f.AdaptivePaths(src, dst, cfg.ValiantPaths, rng)
-			if err != nil {
-				continue
-			}
-			demands = append(demands, &Demand{Src: src, Dst: dst, Paths: ps.Paths})
+			c.addRouted(f, f.NodeEndpoint(n, 0), f.NodeEndpoint(leader, 0), cfg.ValiantPaths, rng)
 		}
 	}
-	return demands
 }
 
-// measurePhase extracts victim stats from a solved phase. hol is the
-// head-of-line blocking strength (0 for none) and congested marks the
-// links where it applies; it may be nil when hol is 0.
-func measurePhase(f *fabric.Fabric, cfg GPCNeTConfig, victims []*Demand, victimNodes []int, rng *rand.Rand, hol float64, congested []bool) (GPCNeTPhase, error) {
+// measurePhase extracts victim stats from a solved phase, whose first
+// victims demands are the victims'. hol is the head-of-line blocking
+// strength (0 for none) and hot marks the links where it applies; it
+// may be nil when hol is 0.
+func measurePhase(f *fabric.Fabric, cfg GPCNeTConfig, s *Solver, victims int, victimNodes []int, rng *rand.Rand, hol float64, hot []bool) (GPCNeTPhase, error) {
 	var phase GPCNeTPhase
 	// Bandwidth stats over victim ranks.
-	bw := make([]float64, 0, len(victims))
+	bw := make([]float64, 0, victims)
 	var sum float64
-	for _, d := range victims {
-		v := d.Rate
+	for di := 0; di < victims; di++ {
+		v := s.demRate[di]
 		if hol > 0 {
+			// A victim's routes are one run of subLinks; its cap
+			// pseudo-links are never hot.
 			k := 0
-			for _, p := range d.Paths {
-				for _, lid := range p {
-					if congested[lid] {
-						k++
-					}
+			for _, li := range s.subLinks[s.subStart[s.demSub[di]]:s.subStart[s.demSub[di+1]]] {
+				if hot[li] {
+					k++
 				}
 			}
 			if k > 0 {

@@ -103,24 +103,57 @@ type Solution struct {
 	subRates []float64
 }
 
-// newSolution snapshots the allocation currently held by demands.
-func newSolution(demands []*Demand) *Solution {
-	sol := &Solution{
-		Rates:    make([]float64, len(demands)),
-		subStart: make([]int32, len(demands)+1),
+// Solution snapshots the allocation of the solver's last successful
+// solve, for storing in a SolutionCache.
+func (s *Solver) Solution() *Solution {
+	return &Solution{
+		Rates:    append([]float64(nil), s.demRate[:len(s.keys)]...),
+		subStart: append([]int32(nil), s.demSub...),
+		subRates: append([]float64(nil), s.subRate[:len(s.subDemand)]...),
 	}
-	total := 0
-	for i, d := range demands {
-		sol.Rates[i] = d.Rate
-		sol.subStart[i] = int32(total)
-		total += len(d.SubRates)
+}
+
+// apply writes a stored allocation into the arena in place of a solve,
+// reporting false (writing nothing) when the built problem's shape does
+// not match it.
+func (s *Solver) apply(sol *Solution) bool {
+	if len(sol.subStart) != len(s.demSub) {
+		return false
 	}
-	sol.subStart[len(demands)] = int32(total)
-	sol.subRates = make([]float64, total)
-	for i, d := range demands {
-		copy(sol.subRates[sol.subStart[i]:sol.subStart[i+1]], d.SubRates)
+	for i, off := range sol.subStart {
+		if off != s.demSub[i] {
+			return false
+		}
 	}
-	return sol
+	s.demRate = append(s.demRate[:0], sol.Rates...)
+	s.subRate = append(s.subRate[:0], sol.subRates...)
+	return true
+}
+
+// signature hashes the built problem in the words DemandSignature
+// hashes a demand set in, so a problem and the demand set it was built
+// from share one cache key.
+func (s *Solver) signature() Signature {
+	h := newSigHasher()
+	h.u64(uint64(len(s.keys)))
+	for di, k := range s.keys {
+		h.u64(uint64(k.src))
+		h.u64(uint64(k.dst))
+		h.u64(math.Float64bits(k.cap))
+		lo, hi := s.demSub[di], s.demSub[di+1]
+		h.u64(uint64(hi - lo))
+		for si := lo; si < hi; si++ {
+			route := s.subLinks[s.subStart[si]:s.subStart[si+1]]
+			if k.cap > 0 {
+				route = route[:len(route)-1] // the cap's pseudo-link
+			}
+			h.u64(uint64(len(route)))
+			for _, li := range route {
+				h.u64(uint64(li))
+			}
+		}
+	}
+	return h.sum()
 }
 
 // size is the entry's byte footprint for the cache's LRU budget.
@@ -223,14 +256,13 @@ func (c *SolutionCache) Lookup(f *fabric.Fabric, topo string, sig Signature) (*S
 	return e.sol, true
 }
 
-// Store snapshots the allocation currently held by demands under sig
-// and returns it; evicts least-recently-used entries past the byte
-// budget. Storing on a nil cache returns nil.
-func (c *SolutionCache) Store(f *fabric.Fabric, topo string, sig Signature, demands []*Demand) *Solution {
+// Store keeps sol under sig and returns the entry the cache holds;
+// evicts least-recently-used entries past the byte budget. Storing on a
+// nil cache returns nil.
+func (c *SolutionCache) Store(f *fabric.Fabric, topo string, sig Signature, sol *Solution) *Solution {
 	if c == nil {
 		return nil
 	}
-	sol := newSolution(demands)
 	key := solutionKey{topo: topo, sig: sig}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -253,22 +285,22 @@ func (c *SolutionCache) Store(f *fabric.Fabric, topo string, sig Signature, dema
 	return sol
 }
 
-// solveCached solves demands, serving from (and populating) the
-// solution cache by literal demand signature when one is provided. A
-// hit applies the stored allocation — bit-for-bit what the skipped
-// solve would have written — and never touches the water-filling heap.
-func solveCached(f *fabric.Fabric, demands []*Demand, solutions *SolutionCache, topo string) error {
+// solveCached solves the built problem, serving it from (and storing it
+// in) solutions by its literal signature when a cache is given. A hit
+// writes the stored allocation — bit-for-bit what the skipped solve
+// would have produced — and never touches the water-filling heap.
+func (s *Solver) solveCached(solutions *SolutionCache, topo string) error {
 	if solutions == nil {
-		return Solve(f, demands)
+		return s.solve()
 	}
-	sig := DemandSignature(demands)
-	if sol, ok := solutions.Lookup(f, topo, sig); ok && sol.Apply(demands) {
+	sig := s.signature()
+	if sol, ok := solutions.Lookup(s.fab, topo, sig); ok && s.apply(sol) {
 		return nil
 	}
-	if err := Solve(f, demands); err != nil {
+	if err := s.solve(); err != nil {
 		return err
 	}
-	solutions.Store(f, topo, sig, demands)
+	solutions.Store(s.fab, topo, sig, s.Solution())
 	return nil
 }
 

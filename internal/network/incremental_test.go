@@ -3,6 +3,7 @@ package network
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"frontiersim/internal/fabric"
@@ -221,13 +222,14 @@ func TestSolutionCacheCrossInstanceRule(t *testing.T) {
 		d := demand(t, f1, i, 20+i, 0, rng)
 		demands = append(demands, d)
 	}
-	if err := Solve(f1, demands); err != nil {
+	s := NewSolver()
+	if err := s.Solve(f1, demands); err != nil {
 		t.Fatal(err)
 	}
 	sig := DemandSignature(demands)
 
 	c := NewSolutionCache(0)
-	c.Store(f1, topo, sig, demands)
+	c.Store(f1, topo, sig, s.Solution())
 	if _, ok := c.Lookup(f2, topo, sig); !ok {
 		t.Fatal("virgin fabrics with the same topology hash should share entries")
 	}
@@ -236,15 +238,17 @@ func TestSolutionCacheCrossInstanceRule(t *testing.T) {
 	}
 }
 
-// Apply must refuse shape mismatches instead of writing a torn result.
+// Apply, and the arena's apply that GPCNeT's cached phases use, must
+// refuse shape mismatches instead of writing a torn result.
 func TestSolutionApplyShapeMismatch(t *testing.T) {
 	f := smallFabric(t)
 	rng := rand.New(rand.NewSource(58))
 	demands := randomDemands(t, f, rng, 6)
-	if err := Solve(f, demands); err != nil {
+	s := NewSolver()
+	if err := s.Solve(f, demands); err != nil {
 		t.Fatal(err)
 	}
-	sol := newSolution(demands)
+	sol := s.Solution()
 	if !sol.Apply(demands) {
 		t.Fatal("matching shape should apply")
 	}
@@ -256,6 +260,19 @@ func TestSolutionApplyShapeMismatch(t *testing.T) {
 	if len(demands[0].Paths) > 1 && sol.Apply(reshaped) {
 		t.Error("per-demand path-count mismatch should be refused")
 	}
+	for name, set := range map[string][]*Demand{"shorter": demands[:len(demands)-1], "reshaped": reshaped} {
+		if name == "reshaped" && len(demands[0].Paths) == 1 {
+			continue
+		}
+		s.load(f, set)
+		if s.apply(sol) {
+			t.Errorf("arena: %s problem should be refused", name)
+		}
+	}
+	s.load(f, demands)
+	if !s.apply(sol) {
+		t.Fatal("arena: matching shape should apply")
+	}
 }
 
 // The LRU budget evicts oldest entries but always retains at least one.
@@ -264,17 +281,18 @@ func TestSolutionCacheEviction(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	a := randomDemands(t, f, rng, 6)
 	b := randomDemands(t, f, rng, 6)
-	if err := Solve(f, a); err != nil {
+	s := NewSolver()
+	if err := s.Solve(f, a); err != nil {
 		t.Fatal(err)
 	}
 	sigA := DemandSignature(a)
 	c := NewSolutionCache(1) // everything oversized: each store evicts the rest
-	c.Store(f, "", sigA, a)
-	if err := Solve(f, b); err != nil {
+	c.Store(f, "", sigA, s.Solution())
+	if err := s.Solve(f, b); err != nil {
 		t.Fatal(err)
 	}
 	sigB := DemandSignature(b)
-	c.Store(f, "", sigB, b)
+	c.Store(f, "", sigB, s.Solution())
 	if st := c.Stats(); st.Entries != 1 {
 		t.Fatalf("entries = %d, want 1 (budget forces eviction, floor keeps one)", st.Entries)
 	}
@@ -295,7 +313,11 @@ func TestSolutionCacheNil(t *testing.T) {
 	if _, ok := c.Lookup(f, "", Signature{}); ok {
 		t.Error("nil cache must never hit")
 	}
-	if c.Store(f, "", Signature{}, demands) != nil {
+	s := NewSolver()
+	if err := s.Solve(f, demands); err != nil {
+		t.Fatal(err)
+	}
+	if c.Store(f, "", Signature{}, s.Solution()) != nil {
 		t.Error("nil cache store should return nil")
 	}
 	if st := c.Stats(); st != (SolutionCacheStats{}) {
@@ -304,6 +326,19 @@ func TestSolutionCacheNil(t *testing.T) {
 	if err := solveCached(f, demands, nil, ""); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// solveCached solves demands through the arena's cached solve, the path
+// GPCNeT's phases take, and copies the result back.
+func solveCached(f *fabric.Fabric, demands []*Demand, solutions *SolutionCache, topo string) error {
+	s := NewSolver()
+	s.load(f, demands)
+	if err := s.solveCached(solutions, topo); err != nil {
+		zeroDemandRates(demands)
+		return err
+	}
+	s.writeRates(demands)
+	return nil
 }
 
 // A cache hit must reproduce the skipped solve bit-for-bit.
@@ -425,5 +460,49 @@ func TestGPCNeTCachedMatchesUncachedAcrossCCArms(t *testing.T) {
 	// its phases should have hit.
 	if st := c.Stats(); st.Hits < 2 {
 		t.Errorf("hits = %d, want >= 2 (CC=false arm reusing CC=true arm's solves)", st.Hits)
+	}
+}
+
+// RunMpiGraph and RunGPCNeT return identical results with Solutions nil
+// and non-nil, on a cold cache and a warm one, with both congestion
+// control arms and the head-of-line derating they read from the solve:
+// the benchmark's traced run attaches a cache, so what it measures must
+// be what an uncached run computes.
+func TestCensusSolutionsNilAndNonNilMatch(t *testing.T) {
+	f := smallFabric(t)
+	mcfg := DefaultMpiGraphConfig()
+	mcfg.Shifts = 4
+	gcfg := DefaultGPCNeTConfig()
+	gcfg.Nodes = 45
+	gcfg.PPN = 32
+	gcfg.LatencySamples = 200
+	arms := []bool{true, false}
+	census, err := RunMpiGraph(context.Background(), f, mcfg, ParallelConfig{Jobs: 2, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gpcnet, err := RunGPCNeT(f, gcfg, 11, arms, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewSolutionCache(0)
+	for _, pass := range []string{"cold", "warm"} {
+		res, err := RunMpiGraph(context.Background(), f, mcfg, ParallelConfig{Jobs: 2, Seed: 11, Solutions: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, census) {
+			t.Errorf("%s mpiGraph with a cache differs from the uncached census", pass)
+		}
+		got, err := RunGPCNeT(f, gcfg, 11, arms, c, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, gpcnet) {
+			t.Errorf("%s GPCNeT with a cache:\n got %+v\nwant %+v", pass, got, gpcnet)
+		}
+	}
+	if st := c.Stats(); st.Hits < uint64(mcfg.Shifts)+2 {
+		t.Errorf("hits = %d, want every shift and both GPCNeT phases served warm", st.Hits)
 	}
 }

@@ -48,18 +48,3 @@ func Solve(f *fabric.Fabric, demands []*Demand) error {
 	solverPool.Put(s)
 	return err
 }
-
-// linkUse sums the solved subflow rates crossing each fabric link, in
-// demand, path and link order.
-func linkUse(f *fabric.Fabric, demands []*Demand) []float64 {
-	used := make([]float64, len(f.Links))
-	for _, d := range demands {
-		for pi, p := range d.Paths {
-			r := d.SubRates[pi]
-			for _, lid := range p {
-				used[lid] += r
-			}
-		}
-	}
-	return used
-}

@@ -12,15 +12,20 @@ import (
 
 // LinkLoad reports post-solve utilisation of fabric links: a map from
 // fabric link id to the fraction of capacity in use. Only links crossed
-// by at least one demand appear.
+// by at least one demand appear. It re-solves the demands in a fresh
+// arena (bit-identical to any earlier solve) and reads the arena's
+// linkUse, the per-link sums GPCNeT's head-of-line test reads; the
+// demands must solve.
 func LinkLoad(f *fabric.Fabric, demands []*Demand) map[int]float64 {
-	used := linkUse(f, demands)
+	s := NewSolver()
+	if err := s.Solve(f, demands); err != nil {
+		panic(err)
+	}
+	used := s.linkUse()
 	out := make(map[int]float64)
-	for _, d := range demands {
-		for _, p := range d.Paths {
-			for _, lid := range p {
-				out[lid] = used[lid] / f.Links[lid].Cap
-			}
+	for _, li := range s.order {
+		if int(li) < len(f.Links) {
+			out[int(li)] = used[li] / s.linkCap[li]
 		}
 	}
 	return out
@@ -37,11 +42,25 @@ func smallFabric(t *testing.T) *fabric.Fabric {
 
 func demand(t *testing.T, f *fabric.Fabric, src, dst, valiant int, rng *rand.Rand) *Demand {
 	t.Helper()
-	ps, err := f.AdaptivePaths(src, dst, valiant, rng)
+	paths, err := adaptivePaths(f, src, dst, valiant, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Demand{Src: src, Dst: dst, Paths: ps.Paths}
+	return &Demand{Src: src, Dst: dst, Paths: paths}
+}
+
+// adaptivePaths routes one pair into fresh buffers and returns each
+// route as its own slice, the shape a Demand carries.
+func adaptivePaths(f *fabric.Fabric, src, dst, valiant int, rng *rand.Rand) ([][]int, error) {
+	links, ends, err := f.AppendAdaptivePaths(nil, []int{0}, src, dst, valiant, rng)
+	if err != nil {
+		return nil, err
+	}
+	paths := make([][]int, len(ends)-1)
+	for r := range paths {
+		paths[r] = links[ends[r]:ends[r+1]:ends[r+1]]
+	}
+	return paths, nil
 }
 
 func TestSolveSingleFlow(t *testing.T) {
@@ -142,11 +161,11 @@ func TestNoOversubscriptionProperty(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			ps, err := f.AdaptivePaths(src, dst, 3, rng)
+			paths, err := adaptivePaths(f, src, dst, 3, rng)
 			if err != nil {
 				return false
 			}
-			d := &Demand{Src: src, Dst: dst, Paths: ps.Paths}
+			d := &Demand{Src: src, Dst: dst, Paths: paths}
 			if r.Intn(2) == 0 {
 				d.Cap = float64(1+r.Intn(20)) * 1e9
 			}

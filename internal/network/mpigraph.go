@@ -136,19 +136,20 @@ func RunMpiGraph(ctx context.Context, f *fabric.Fabric, cfg MpiGraphConfig, pcfg
 				if sol, ok := pcfg.Solutions.Lookup(f, pcfg.TopoKey, sig); ok {
 					return sampleRates(sol.Rates, cfg.MeasureJitter, r), nil
 				}
+				sv := solverPool.Get().(*Solver)
+				defer solverPool.Put(sv)
 				paths := rng.New(rng.DeriveN(pathSeed, uint64(s)))
-				demands, err := buildShiftDemands(f, nodes, ranks, s, cfg.ValiantPaths, paths)
-				if err != nil {
+				if err := routeShift(sv, f, nodes, ranks, s, cfg.ValiantPaths, paths); err != nil {
 					return nil, err
 				}
-				if err := Solve(f, demands); err != nil {
+				if err := sv.solve(); err != nil {
 					return nil, err
 				}
-				sol := pcfg.Solutions.Store(f, pcfg.TopoKey, sig, demands)
-				if sol == nil {
-					sol = newSolution(demands)
+				rates := sv.demRate
+				if pcfg.Solutions != nil {
+					rates = pcfg.Solutions.Store(f, pcfg.TopoKey, sig, sv.Solution()).Rates
 				}
-				return sampleRates(sol.Rates, cfg.MeasureJitter, r), nil
+				return sampleRates(rates, cfg.MeasureJitter, r), nil
 			},
 		}
 	}
@@ -223,34 +224,24 @@ func sampleShifts(nodes, shifts int, rng *rand.Rand) []int {
 	return order
 }
 
-// buildShiftDemands constructs one shift's demand set: rank k of node i
-// sends to rank k of node i+s, each pair routed over adaptive paths with
-// valiant detours drawn from paths.
-func buildShiftDemands(f *fabric.Fabric, nodes, ranks, s, valiant int, paths *rand.Rand) ([]*Demand, error) {
-	// One slab allocation for the Demand objects themselves: a full-scale
-	// shift is ~75k demands, and a per-demand heap object apiece was a
-	// visible slice of the census's allocation bill. The slab is sized
-	// exactly (s in [1, nodes) means j == i never fires), so the pointers
-	// handed out below stay valid.
-	slab := make([]Demand, 0, nodes*ranks)
-	demands := make([]*Demand, 0, nodes*ranks)
+// routeShift builds one shift's problem in s: rank k of node i sends to
+// rank k of node i+shift, each pair routed over adaptive paths with
+// valiant detours drawn from paths, straight into the solver arena.
+func routeShift(s *Solver, f *fabric.Fabric, nodes, ranks, shift, valiant int, paths *rand.Rand) error {
+	routes, routeLinks := routedBound(nodes*ranks, valiant)
+	s.begin(f, nodes*ranks, routes, routeLinks, 0)
 	for i := 0; i < nodes; i++ {
-		j := (i + s) % nodes
+		j := (i + shift) % nodes
 		if j == i {
 			continue
 		}
 		for k := 0; k < ranks; k++ {
-			src := f.NodeEndpoint(i, k)
-			dst := f.NodeEndpoint(j, k)
-			ps, err := f.AdaptivePaths(src, dst, valiant, paths)
-			if err != nil {
-				return nil, err
+			if err := s.addRouted(f.NodeEndpoint(i, k), f.NodeEndpoint(j, k), 0, valiant, paths); err != nil {
+				return err
 			}
-			slab = append(slab, Demand{Src: src, Dst: dst, Paths: ps.Paths})
-			demands = append(demands, &slab[len(slab)-1])
 		}
 	}
-	return demands, nil
+	return nil
 }
 
 // finishMpiGraph sorts the samples and fills the summary statistics.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"frontiersim/internal/fabric"
+	"frontiersim/internal/machine"
 )
 
 // referenceSolve is the pre-arena solver (per-call map link index,
@@ -189,6 +190,107 @@ func TestSolverMatchesReference(t *testing.T) {
 		}
 		compare("re-solve")
 	}
+}
+
+// FuzzSolverMatchesReference builds one random demand set three ways —
+// routed straight into a pooled arena as the census does, loaded from
+// []*Demand through Solve, and solved by referenceSolve — and requires
+// bit-identical rates from all three, the same errors, and one cache
+// signature for the arena and the demand set. Demands draw 1–5 routes
+// on a small dragonfly, so routes share links; some are capped, some
+// repeat an earlier pair's routes exactly, and a rare one has no route.
+func FuzzSolverMatchesReference(f *testing.F) {
+	fab, err := machine.Scaled(6, 8, 4).NewFabric()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(int64(1), uint8(12), uint8(4), uint8(3))
+	f.Add(int64(42), uint8(40), uint8(0), uint8(1))
+	f.Add(int64(7), uint8(3), uint8(2), uint8(0))
+	f.Add(int64(-5), uint8(255), uint8(255), uint8(2))
+	// Heap ties here make demand 9's rate depend on seeding the heap in
+	// the order the problem first met its links.
+	f.Add(int64(-113), uint8(34), uint8(0), uint8(6))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, valiantRaw, capEvery uint8) {
+		n, valiant := 1+int(nRaw)%48, int(valiantRaw)%5
+		pick := rand.New(rand.NewSource(seed))
+		fusedRoutes := rand.New(rand.NewSource(seed + 1))
+		demandRoutes := rand.New(rand.NewSource(seed + 1))
+
+		s := solverPool.Get().(*Solver)
+		defer solverPool.Put(s)
+		routes, routeLinks := routedBound(n, valiant)
+		s.begin(fab, n, routes, routeLinks, routes)
+		var demands []*Demand
+		for len(demands) < n {
+			limit := 0.0
+			if capEvery > 0 && pick.Intn(int(capEvery)+1) == 0 {
+				limit = float64(1+pick.Intn(40)) * 1e9
+			}
+			switch k := pick.Intn(20); {
+			case k == 0:
+				d := &Demand{Src: 1, Dst: 2, Cap: limit}
+				s.add(d.Src, d.Dst, limit, nil, []int{0})
+				demands = append(demands, d)
+				continue
+			case k < 4 && len(demands) > 0:
+				// The same routes again: every link shared.
+				prev := demands[pick.Intn(len(demands))]
+				links, ends := []int(nil), []int{0}
+				for _, p := range prev.Paths {
+					links = append(links, p...)
+					ends = append(ends, len(links))
+				}
+				d := &Demand{Src: prev.Src, Dst: prev.Dst, Paths: prev.Paths, Cap: limit}
+				s.add(d.Src, d.Dst, limit, links, ends)
+				demands = append(demands, d)
+				continue
+			}
+			src, dst := pick.Intn(fab.NumEndpoints), pick.Intn(fab.NumEndpoints)
+			if src == dst {
+				continue
+			}
+			paths, err := adaptivePaths(fab, src, dst, valiant, demandRoutes)
+			fusedErr := s.addRouted(src, dst, limit, valiant, fusedRoutes)
+			if (err == nil) != (fusedErr == nil) {
+				t.Fatalf("routing %d->%d: demand err %v, arena err %v", src, dst, err, fusedErr)
+			}
+			if err != nil {
+				continue
+			}
+			demands = append(demands, &Demand{Src: src, Dst: dst, Paths: paths, Cap: limit})
+		}
+		if got, want := s.signature(), DemandSignature(demands); got != want {
+			t.Fatal("arena signature differs from DemandSignature of the same demands")
+		}
+		ref := cloneDemands(demands)
+		refErr := referenceSolve(fab, ref)
+		loadErr := NewSolver().Solve(fab, demands)
+		fusedErr := s.solve()
+		if (refErr == nil) != (loadErr == nil) || (refErr == nil) != (fusedErr == nil) {
+			t.Fatalf("errors differ: reference %v, Solve %v, arena %v", refErr, loadErr, fusedErr)
+		}
+		if refErr != nil {
+			if refErr.Error() != loadErr.Error() || refErr.Error() != fusedErr.Error() {
+				t.Fatalf("error text differs: reference %q, Solve %q, arena %q", refErr, loadErr, fusedErr)
+			}
+			return
+		}
+		for di, d := range demands {
+			if d.Rate != ref[di].Rate || s.demRate[di] != ref[di].Rate {
+				t.Fatalf("demand %d: Solve %v, arena %v, reference %v", di, d.Rate, s.demRate[di], ref[di].Rate)
+			}
+			sub := s.subRate[s.demSub[di]:s.demSub[di+1]]
+			if len(sub) != len(ref[di].SubRates) || len(d.SubRates) != len(ref[di].SubRates) {
+				t.Fatalf("demand %d: %d arena and %d Solve subflows, want %d", di, len(sub), len(d.SubRates), len(ref[di].SubRates))
+			}
+			for r, want := range ref[di].SubRates {
+				if d.SubRates[r] != want || sub[r] != want {
+					t.Fatalf("demand %d route %d: Solve %v, arena %v, reference %v", di, r, d.SubRates[r], sub[r], want)
+				}
+			}
+		}
+	})
 }
 
 // A dedicated Solver re-solving the same demand set allocates nothing in
