@@ -368,6 +368,76 @@ func BenchmarkSolveColdFullScale(b *testing.B) {
 	}
 }
 
+// gpcnetCongestedDemands routes GPCNeT's congested phase at 32 PPN on
+// Frontier, the largest problem ablation-ppn solves. Every fifth of the
+// 9,400 nodes is a victim: each of its 32 ranks sends to the same rank
+// of the next victim in a shuffled ring, capped at the BW+Sync window
+// rate. The other nodes run uncapped all-to-all and 16-to-1 incasts.
+// Most of the problem's links are the victims' cap pseudo-links.
+func gpcnetCongestedDemands(b *testing.B, f *fabric.Fabric, rng *rand.Rand) []*network.Demand {
+	b.Helper()
+	cfg := network.DefaultGPCNeTConfig()
+	cfg.PPN = 32
+	var victims, congestors []int
+	for n := 0; n < cfg.Nodes; n++ {
+		if n%5 == 0 {
+			victims = append(victims, n)
+		} else {
+			congestors = append(congestors, n)
+		}
+	}
+	rng.Shuffle(len(victims), func(i, j int) { victims[i], victims[j] = victims[j], victims[i] })
+	share := float64(f.Cfg.LinkRate) * f.Cfg.EndpointEfficiency * float64(f.Cfg.NICsPerNode) / float64(cfg.PPN)
+	msg := float64(cfg.RRMessageBytes)
+	limit := msg / (msg/share + float64(cfg.SyncOverhead))
+	var demands []*network.Demand
+	for i, n := range victims {
+		next := victims[(i+1)%len(victims)]
+		for r := 0; r < cfg.PPN; r++ {
+			d := benchDemand(b, f, f.NodeEndpoint(n, r), f.NodeEndpoint(next, r), rng)
+			d.Cap = limit
+			demands = append(demands, d)
+		}
+	}
+	for i, n := range congestors {
+		if (i/16)%2 == 0 {
+			for r := 0; r < f.Cfg.NICsPerNode; r++ {
+				if peer := congestors[rng.Intn(len(congestors))]; peer != n {
+					demands = append(demands, benchDemand(b, f, f.NodeEndpoint(n, r), f.NodeEndpoint(peer, r), rng))
+				}
+			}
+		} else if leader := congestors[(i/16)*16]; leader != n {
+			demands = append(demands, benchDemand(b, f, f.NodeEndpoint(n, 0), f.NodeEndpoint(leader, 0), rng))
+		}
+	}
+	return demands
+}
+
+// BenchmarkGPCNeTSolveFullScale is BenchmarkSolveColdFullScale's capped
+// counterpart: a fresh Solver per solve of GPCNeT's 32-PPN congested
+// phase, where the victims' pseudo-links, whose bounds cannot rise before
+// they freeze or drain, outnumber the fabric links.
+func BenchmarkGPCNeTSolveFullScale(b *testing.B) {
+	if testing.Short() {
+		b.Skip("full-scale solve in -short mode")
+	}
+	f, err := machine.Frontier().NewFabric()
+	if err != nil {
+		b.Fatal(err)
+	}
+	demands := gpcnetCongestedDemands(b, f, rand.New(rand.NewSource(3)))
+	if err := network.NewSolver().Solve(f, demands); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := network.NewSolver().Solve(f, demands); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSolutionCache measures the per-solve overhead and payoff of
 // the solution cache: "signature" is the SHA-256 demand-set hash every
 // literal-keyed lookup pays, "hit" a full lookup-and-apply serving a

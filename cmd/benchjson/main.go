@@ -202,12 +202,14 @@ func runCompare(paths []string, threshold float64) int {
 // Two families are stable enough to gate on wall time: the
 // event-calendar hot path (the kernel benchmarks and
 // BenchmarkResiliencyYear, which drives the kernel through the
-// production failure injector), and the
-// max-min solver (the full-scale census plus the solution-cache
-// micro-benchmarks) — long, single-path inner loops where a >threshold
-// ns/op increase is a real solver regression, not runner noise. Names
-// are matched after the -procs suffix has been stripped by parseLine;
-// sub-benchmarks keep their slash-separated path, so the prefixes cover
+// production failure injector), and the max-min solver (the full-scale
+// census; one cold full-scale solve each of an uncapped far shift and of
+// GPCNeT's capped 32-PPN congested phase, so that both of the freeze
+// loop's queues are covered; and the solution-cache micro-benchmarks) —
+// long, single-path inner loops where a >threshold ns/op increase is a
+// real solver regression, not runner noise. Names are matched after the
+// -procs suffix has been stripped by parseLine; sub-benchmarks keep
+// their slash-separated path, so the prefixes cover
 // BenchmarkSolutionCache/hit and friends. The phase-structured job layer
 // adds more: the LLM train-step Bind pricing micro-benchmark and the
 // campaign replays (BenchmarkCampaignWeek and the year-at-scale
@@ -217,6 +219,8 @@ func nsGated(name string) bool {
 	return strings.HasPrefix(name, "BenchmarkKernel") ||
 		name == "BenchmarkResiliencyYear" ||
 		strings.HasPrefix(name, "BenchmarkFig6FullScale") ||
+		name == "BenchmarkSolveColdFullScale" ||
+		name == "BenchmarkGPCNeTSolveFullScale" ||
 		strings.HasPrefix(name, "BenchmarkSolutionCache") ||
 		strings.HasPrefix(name, "BenchmarkLLMTrainStep") ||
 		strings.HasPrefix(name, "BenchmarkCampaign")

@@ -62,12 +62,14 @@ func TestParseLineBenchmem(t *testing.T) {
 
 func TestNsGated(t *testing.T) {
 	for name, want := range map[string]bool{
-		"BenchmarkKernelSchedule": true,
-		"BenchmarkResiliencyYear": true,
-		"BenchmarkCampaignWeek":   true,
-		"BenchmarkCampaignYear":   true,
-		"BenchmarkMaxMinSolve":    false,
-		"BenchmarkRunAllParallel": false,
+		"BenchmarkKernelSchedule":       true,
+		"BenchmarkResiliencyYear":       true,
+		"BenchmarkCampaignWeek":         true,
+		"BenchmarkCampaignYear":         true,
+		"BenchmarkSolveColdFullScale":   true,
+		"BenchmarkGPCNeTSolveFullScale": true,
+		"BenchmarkMaxMinSolve":          false,
+		"BenchmarkRunAllParallel":       false,
 		// No transport benchmark exists: its old prefix is not gated.
 		"BenchmarkTransportStorm": false,
 	} {

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"frontiersim/internal/machine"
 )
 
 func quickOpts() Options { return Options{Quick: true, Seed: 42} }
@@ -111,6 +113,28 @@ func TestHeadlineClaims(t *testing.T) {
 			if r.MeasuredVal <= 1 {
 				t.Errorf("%s/%s: speedup %.2f must exceed 1", fn.ID, r.Name, r.MeasuredVal)
 			}
+		}
+	}
+}
+
+// ext-burstbuffer's ML read-cache job takes 1,000 nodes, or the whole
+// machine when it has fewer.
+func TestExtBurstBufferFitsTheMachine(t *testing.T) {
+	small := machine.Frontier()
+	small.Topology.ComputeGroups = 4
+	for _, c := range []struct {
+		spec machine.Spec
+		want string
+	}{
+		{machine.Frontier(), "1 PB dataset on 1,000 nodes"},
+		{small, "1 PB dataset on 512 nodes"},
+	} {
+		out, err := Capture("ext-burstbuffer", Options{Quick: true, Seed: 42, Machine: &c.spec}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(out), c.want) {
+			t.Errorf("%d nodes: output lacks %q:\n%s", c.spec.Nodes(), c.want, out)
 		}
 	}
 }

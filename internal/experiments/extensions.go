@@ -76,7 +76,8 @@ func ExtBurstBuffer(o Options) (*report.Table, error) {
 	t.AddInfo("background drain to Orion", fmt.Sprintf("%v", drain), "overlaps computation")
 	t.AddInfo("stall reduction vs direct PFS", fmt.Sprintf("%.1fx", bb.CheckpointSpeedup(size)), "")
 
-	ml, err := m.BurstBuffer(1000)
+	mlNodes := min(1000, m.Nodes())
+	ml, err := m.BurstBuffer(mlNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +90,7 @@ func ExtBurstBuffer(o Options) (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.AddInfo("ML epoch 1 (cold, via Orion)", fmt.Sprintf("%v", cold), "1 PB dataset on 1,000 nodes")
+	t.AddInfo("ML epoch 1 (cold, via Orion)", fmt.Sprintf("%v", cold), fmt.Sprintf("1 PB dataset on %s nodes", thousands(mlNodes)))
 	t.AddInfo("ML epoch 2+ (warm, via NVMe)", fmt.Sprintf("%v", warm),
 		fmt.Sprintf("%.1fx faster per epoch", ml.TrainingSpeedup(dataset)))
 	return t, nil

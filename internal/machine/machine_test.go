@@ -271,6 +271,11 @@ func TestBurstBufferNodeDefault(t *testing.T) {
 	if bb.Nodes != 1000 {
 		t.Errorf("job burst buffer Nodes = %d, want 1000", bb.Nodes)
 	}
+	for _, n := range []int{-1, 9473} {
+		if _, err := Frontier().BurstBuffer(n); err == nil {
+			t.Errorf("BurstBuffer(%d) on 9,472 nodes: no error", n)
+		}
+	}
 }
 
 // TestCanonicalFabricsExactlySized builds every canonical machine's

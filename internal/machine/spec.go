@@ -633,8 +633,12 @@ func (s Spec) Orion() (*storage.Orion, error) {
 }
 
 // BurstBuffer derives the burst-buffer view for an n-node job on this
-// machine (n = 0 means the whole machine).
+// machine (n = 0 means the whole machine). A job larger than the machine
+// is an error.
 func (s Spec) BurstBuffer(n int) (*storage.BurstBuffer, error) {
+	if n < 0 || n > s.Nodes() {
+		return nil, fmt.Errorf("machine %s: a %d-node job does not fit its %d nodes", s.Name, n, s.Nodes())
+	}
 	local, err := s.NodeLocal()
 	if err != nil {
 		return nil, err

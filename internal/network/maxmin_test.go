@@ -23,7 +23,7 @@ func LinkLoad(f *fabric.Fabric, demands []*Demand) map[int]float64 {
 	}
 	used := s.linkUse()
 	out := make(map[int]float64)
-	for _, li := range s.order {
+	for _, li := range s.subLinks {
 		if int(li) < len(f.Links) {
 			out[int(li)] = used[li] / s.linkCap[li]
 		}

@@ -1,9 +1,12 @@
 package network
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"frontiersim/internal/fabric"
@@ -25,9 +28,9 @@ import (
 //
 // Arena links are indexed by fabric link id, so a route needs no
 // translation; each capped route's pseudo-link takes the next index past
-// the fabric's links. The freeze loop seeds its heap in the order the
-// problem first met its links, kept in order, because heap ties, and so
-// the output's bits, depend on it.
+// the fabric's links. The freeze loop takes links in (bound, link id)
+// order, a total order, so its sequence, and so the output's bits,
+// depend only on the problem and not on how the queue is laid out.
 type Solver struct {
 	fab *fabric.Fabric
 
@@ -38,9 +41,10 @@ type Solver struct {
 	linkCount []int32 // unfrozen subflows crossing the link; 0 if unused
 	linkStart []int32 // CSR offsets into linkSubs (len nlinks+1)
 	linkSubs  []int32 // subflow indices, grouped by link
-	// order lists the problem's links, real and pseudo, in the order
-	// they were first met.
-	order []int32
+	// run lists the problem's links, real and pseudo, in (initial
+	// bound, link id) order: the freeze loop's queue before any link's
+	// bound rises.
+	run []int32
 
 	// Per-subflow state, indexed by subflow index. Subflows are numbered
 	// in demand order, route by route.
@@ -67,7 +71,8 @@ type Solver struct {
 	// Route scratch for addRouted: one path set at a time.
 	pathLinks, pathEnds []int
 
-	// The freeze loop's lazy min-heap of (bound, link), see heapPop.
+	// The freeze loop's min-heap of re-pushed (bound, link) entries, see
+	// heapPop. Before the loop, sortRun borrows it as its value table.
 	heapB []float64
 	heapL []int32
 }
@@ -93,7 +98,8 @@ var solverPool = sync.Pool{New: func() any { return NewSolver() }}
 // once; upper bounds do too at a little memory, and an undercount only
 // costs append growth. The problem's links are the distinct fabric links
 // (at most min(routeLinks, fabric links)) plus one pseudo-link per
-// capped route; the heap never holds more entries than that.
+// capped route; neither the run nor the heap ever holds more entries
+// than that, and the heap has room for sortRun's smallest value table.
 func (s *Solver) begin(f *fabric.Fabric, demands, routes, routeLinks, capped int) {
 	s.fab = f
 	n := len(f.Links)
@@ -107,14 +113,14 @@ func (s *Solver) begin(f *fabric.Fabric, demands, routes, routeLinks, capped int
 	s.linkCount = grow(s.linkCount, n+capped)[:n]
 	clear(s.linkCount)
 	nlinks := min(routeLinks, n) + capped
-	s.order = emptyWithCap(s.order, nlinks)
+	s.run = emptyWithCap(s.run, nlinks)
 	s.subDemand = emptyWithCap(s.subDemand, routes)
 	s.subStart = append(emptyWithCap(s.subStart, routes+1), 0)
 	s.subLinks = emptyWithCap(s.subLinks, routeLinks+capped)
 	s.keys = emptyWithCap(s.keys, demands)
 	s.demSub = append(emptyWithCap(s.demSub, demands+1), 0)
-	s.heapB = emptyWithCap(s.heapB, nlinks)
-	s.heapL = emptyWithCap(s.heapL, nlinks)
+	s.heapB = emptyWithCap(s.heapB, max(nlinks, minValueTable))
+	s.heapL = emptyWithCap(s.heapL, max(nlinks, minValueTable))
 	s.empty = -1
 }
 
@@ -175,15 +181,11 @@ func (s *Solver) open(src, dst int, limit float64, routes int) {
 	s.pseudoCap = limit / float64(routes)
 }
 
-// route appends one subflow of the open demand, noting each link the
-// first time the problem meets it. A capped demand's private
-// pseudo-link, enforcing its cap split evenly across its routes, is met
-// right after each route's links.
+// route appends one subflow of the open demand, counting it on each of
+// its links. A capped demand's private pseudo-link, enforcing its cap
+// split evenly across its routes, follows each route's links.
 func (s *Solver) route(links []int) {
 	for _, lid := range links {
-		if s.linkCount[lid] == 0 {
-			s.order = append(s.order, int32(lid))
-		}
 		s.linkCount[lid]++
 		s.subLinks = append(s.subLinks, int32(lid))
 	}
@@ -191,7 +193,6 @@ func (s *Solver) route(links []int) {
 		pseudo := int32(len(s.linkCap))
 		s.linkCap = append(s.linkCap, s.pseudoCap)
 		s.linkCount = append(s.linkCount, 1)
-		s.order = append(s.order, pseudo)
 		s.subLinks = append(s.subLinks, pseudo)
 	}
 	s.subDemand = append(s.subDemand, int32(len(s.keys)-1))
@@ -276,12 +277,12 @@ func zeroDemandRates(demands []*Demand) {
 
 // Solve computes the max-min fair allocation for the demands on fabric f.
 // It loads the demands through the same builder the census uses and
-// copies the result back, so results are byte-identical to the pre-arena
-// package-level Solve (TestSolverMatchesReference pins this against a
-// verbatim copy of the original implementation). The load reserves
-// every arena slice at its final size from the path lengths, so a cold
-// solve costs the same 16 slice allocations whatever the demand count
-// (TestColdSolveAllocationsBounded).
+// copies the result back, so the census and Solve agree bit for bit;
+// TestSolverMatchesReference holds both to referenceSolve, a map and
+// container/heap oracle with the same (bound, link id) freeze order.
+// The load reserves every arena slice at its final size from the path
+// lengths, so a cold solve costs the same 16 slice allocations whatever
+// the demand count (TestColdSolveAllocationsBounded).
 //
 // On error every demand is left with Rate 0 and all SubRates zeroed.
 func (s *Solver) Solve(f *fabric.Fabric, demands []*Demand) error {
@@ -311,6 +312,12 @@ func (s *Solver) linkUse() []float64 {
 // produced, consuming the per-link degrees as it freezes: zero usage,
 // then repeatedly freeze the subflows crossing the tightest bottleneck,
 // adding each frozen level to its demand's rate.
+//
+// Links are taken in (bound, link id) order from two queues: the run,
+// every link at its initial bound, and a heap of the links whose bound
+// rose after the run listed them. Bounds only grow as flows freeze, so a
+// taken link whose bound has risen is stale and moves to the heap at its
+// new bound. A drained link, with no unfrozen subflow left, is dropped.
 func (s *Solver) fill() error {
 	nlinks := len(s.linkCap)
 	nsubs := len(s.subDemand)
@@ -323,36 +330,44 @@ func (s *Solver) fill() error {
 	s.demRate = grow(s.demRate, len(s.keys))
 	clear(s.demRate)
 
-	// Lazy heap of (bound, link): bounds only grow as flows freeze, so a
-	// stale entry is re-pushed with its recomputed bound.
+	// bound is an undrained link's current fair share.
 	bound := func(li int32) float64 {
-		if s.linkCount[li] == 0 {
-			return math.Inf(1)
-		}
 		b := (s.linkCap[li] - s.linkUsed[li]) / float64(s.linkCount[li])
 		if b < 0 {
 			b = 0
 		}
 		return b
 	}
-	for _, li := range s.order {
-		s.heapPush(boundEntry{bound(li), li})
-	}
+	s.sortRun()
 
+	run, next := s.run, 0
+	var nextB float64 // run[next]'s initial bound
+	if len(run) > 0 {
+		nextB = s.initialBound(run[0])
+	}
 	remaining := nsubs
-	for remaining > 0 && len(s.heapB) > 0 {
-		e := s.heapPop()
-		if s.linkCount[e.link] == 0 {
+	for remaining > 0 && (next < len(run) || len(s.heapB) > 0) {
+		var li int32
+		var b float64
+		if next < len(run) && (len(s.heapB) == 0 || before(nextB, run[next], s.heapB[0], s.heapL[0])) {
+			li, b = run[next], nextB
+			if next++; next < len(run) {
+				nextB = s.initialBound(run[next])
+			}
+		} else {
+			b, li = s.heapPop()
+		}
+		if s.linkCount[li] == 0 {
 			continue // drained: no bound to recompute
 		}
-		cur := bound(e.link)
-		if cur > e.bound+1e-15 {
-			s.heapPush(boundEntry{cur, e.link})
+		cur := bound(li)
+		if cur > b+1e-15 {
+			s.heapPush(cur, li)
 			continue
 		}
 		level := cur
 		// Freeze every unfrozen subflow crossing the bottleneck.
-		for _, fsi := range s.linkSubs[s.linkStart[e.link]:s.linkStart[e.link+1]] {
+		for _, fsi := range s.linkSubs[s.linkStart[li]:s.linkStart[li+1]] {
 			w, bit := fsi>>6, uint64(1)<<(fsi&63)
 			if s.frozen[w]&bit != 0 {
 				continue
@@ -361,13 +376,13 @@ func (s *Solver) fill() error {
 			s.subRate[fsi] = level
 			remaining--
 			s.demRate[s.subDemand[fsi]] += level
-			for _, li := range s.subLinks[s.subStart[fsi]:s.subStart[fsi+1]] {
-				s.linkUsed[li] += level
-				s.linkCount[li]--
+			for _, sl := range s.subLinks[s.subStart[fsi]:s.subStart[fsi+1]] {
+				s.linkUsed[sl] += level
+				s.linkCount[sl]--
 			}
 		}
-		// Neighbouring links got new bounds; lazy revalidation handles
-		// them when popped, but the bottleneck itself is done.
+		// Neighbouring links got new bounds; they are revalidated when
+		// taken, but the bottleneck itself is done.
 	}
 	if remaining > 0 {
 		return fmt.Errorf("network: solver left %d subflows unallocated", remaining)
@@ -375,37 +390,128 @@ func (s *Solver) fill() error {
 	return nil
 }
 
-type boundEntry struct {
-	bound float64
-	link  int32
+// minValueTable is the size sortRun's value table starts at: room for
+// 128 distinct initial bounds, past the 90 a census solve has.
+const minValueTable = 256
+
+// sortRun fills s.run with the problem's links, those crossed by a
+// subflow, in (initial bound, link id) order. It is a counting sort
+// keyed by bound: one pass in link-id order counts the links of each
+// distinct bound in an open-addressing value table, and a second places
+// each link after the links of all smaller bounds, so the links of one
+// bound stay in id order. The table borrows the heap's arrays, which
+// stay empty until the freeze loop: a slot's bound in heapB, and in
+// heapL its link count, then its next run position. It doubles, and
+// counting starts over, whenever it is half full.
+func (s *Solver) sortRun() {
+	size, shift := minValueTable, 64-bits.TrailingZeros(minValueTable)
+	var keys []float64
+	var counts []int32 // 0 for a free slot
+	var distinct, links int
+count:
+	for {
+		s.heapB, s.heapL = grow(s.heapB, size), grow(s.heapL, size)
+		keys, counts = s.heapB, s.heapL
+		clear(counts)
+		distinct, links = 0, 0
+		for li, c := range s.linkCount {
+			if c == 0 {
+				continue
+			}
+			b := s.initialBound(int32(li))
+			key := math.Float64bits(b)
+			h := valueSlot(key, shift)
+			for counts[h] != 0 && math.Float64bits(keys[h]) != key {
+				h = (h + 1) & (size - 1)
+			}
+			if counts[h] == 0 {
+				if distinct++; 2*distinct > size {
+					size, shift = 2*size, shift-1
+					continue count
+				}
+				keys[h] = b
+			}
+			counts[h]++
+			links++
+		}
+		break
+	}
+	// List the used slots in the run's first entries, in bound order,
+	// and turn each count into the run position its links start at.
+	s.run = grow(s.run, links)
+	slots := s.run[:0]
+	for h, c := range counts {
+		if c != 0 {
+			slots = append(slots, int32(h))
+		}
+	}
+	slices.SortFunc(slots, func(x, y int32) int { return cmp.Compare(keys[x], keys[y]) })
+	pos := int32(0)
+	for _, h := range slots {
+		pos, counts[h] = pos+counts[h], pos
+	}
+	for li, c := range s.linkCount {
+		if c == 0 {
+			continue
+		}
+		key := math.Float64bits(s.initialBound(int32(li)))
+		h := valueSlot(key, shift)
+		for math.Float64bits(keys[h]) != key {
+			h = (h + 1) & (size - 1)
+		}
+		s.run[counts[h]] = int32(li)
+		counts[h]++
+	}
+	s.heapB, s.heapL = s.heapB[:0], s.heapL[:0]
 }
 
-// heapPush and heapPop are container/heap's push/pop specialised to a
-// heap of boundEntry kept as two parallel arrays, heapB of bounds and
-// heapL of links, so the sift loops compare within the dense bounds
-// alone. The loops move a hole instead of swapping, which leaves every
-// entry where heap.up/heap.down's swaps would, so pop order — including
-// ties — matches the pre-arena solver exactly, without boxing every
-// entry through an interface.
-func (s *Solver) heapPush(e boundEntry) {
-	s.heapB = append(s.heapB, e.bound)
-	s.heapL = append(s.heapL, e.link)
+// initialBound is link li's bound before anything froze, when its
+// degree is still the length of its CSR block: the freeze loop's bound
+// at that time, bit for bit.
+func (s *Solver) initialBound(li int32) float64 {
+	b := s.linkCap[li] / float64(s.linkStart[li+1]-s.linkStart[li])
+	if b < 0 {
+		b = 0
+	}
+	return b
+}
+
+// valueSlot hashes a bound's bits to its home slot in a value table of
+// 1<<(64-shift) slots (Fibonacci hashing).
+func valueSlot(key uint64, shift int) int {
+	return int(key * 0x9e3779b97f4a7c15 >> shift)
+}
+
+// before reports whether the freeze loop takes entry (b1, l1) before
+// (b2, l2): the lower bound first, and of equal bounds the lower link id.
+func before(b1 float64, l1 int32, b2 float64, l2 int32) bool {
+	return b1 < b2 || b1 == b2 && l1 < l2
+}
+
+// heapPush and heapPop keep a binary min-heap in before's order as two
+// parallel arrays, heapB of bounds and heapL of links, so the sift loops
+// read a link only on a tie. The loops move a hole instead of swapping.
+// The order is total, so entries come out in one sequence whatever the
+// heap's shape.
+func (s *Solver) heapPush(b float64, l int32) {
+	s.heapB = append(s.heapB, b)
+	s.heapL = append(s.heapL, l)
 	hb, hl := s.heapB, s.heapL[:len(s.heapB)]
 	j := len(hb) - 1
 	for j > 0 {
 		i := (j - 1) / 2
-		if e.bound >= hb[i] {
+		if !before(b, l, hb[i], hl[i]) {
 			break
 		}
 		hb[j], hl[j] = hb[i], hl[i]
 		j = i
 	}
-	hb[j], hl[j] = e.bound, e.link
+	hb[j], hl[j] = b, l
 }
 
-func (s *Solver) heapPop() boundEntry {
+func (s *Solver) heapPop() (float64, int32) {
 	n := len(s.heapB) - 1
-	top := boundEntry{s.heapB[0], s.heapL[0]}
+	topB, topL := s.heapB[0], s.heapL[0]
 	xb, xl := s.heapB[n], s.heapL[n]
 	// Sift x, the last entry, down from the root over heap[:n].
 	hb, hl := s.heapB[:n], s.heapL[:n]
@@ -416,10 +522,10 @@ func (s *Solver) heapPop() boundEntry {
 			break
 		}
 		j := j1
-		if j2 := j1 + 1; j2 < len(hb) && hb[j2] < hb[j1] {
+		if j2 := j1 + 1; j2 < len(hb) && before(hb[j2], hl[j2], hb[j1], hl[j1]) {
 			j = j2
 		}
-		if hb[j] >= xb {
+		if !before(hb[j], hl[j], xb, xl) {
 			break
 		}
 		hb[i], hl[i] = hb[j], hl[j]
@@ -429,5 +535,5 @@ func (s *Solver) heapPop() boundEntry {
 		hb[i], hl[i] = xb, xl
 	}
 	s.heapB, s.heapL = hb, hl
-	return top
+	return topB, topL
 }

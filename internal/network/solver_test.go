@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"frontiersim/internal/fabric"
@@ -12,10 +13,13 @@ import (
 )
 
 // referenceSolve is the pre-arena solver (per-call map link index,
-// container/heap, fresh slices per call), kept verbatim as an oracle: the
-// arena solver must match it float-for-float on any input.
+// container/heap with lazy re-push, fresh slices per call), kept as an
+// oracle: the arena solver must match it float-for-float on any input.
+// Its heap breaks equal bounds by the arena's link ids: the fabric link
+// id, and for each cap pseudo-link the next id past the fabric's links.
 func referenceSolve(f *fabric.Fabric, demands []*Demand) error {
 	type link struct {
+		id    int32
 		cap   float64
 		used  float64
 		count int
@@ -30,6 +34,7 @@ func referenceSolve(f *fabric.Fabric, demands []*Demand) error {
 		links  []int32
 	}
 	var subs []subflow
+	pseudo := int32(len(f.Links))
 
 	for di, d := range demands {
 		if len(d.Paths) == 0 {
@@ -46,7 +51,7 @@ func referenceSolve(f *fabric.Fabric, demands []*Demand) error {
 					li = int32(len(links))
 					linkIdx[lid] = li
 					fl := f.Links[lid]
-					links = append(links, link{cap: fl.Cap})
+					links = append(links, link{id: int32(lid), cap: fl.Cap})
 				}
 				links[li].count++
 				links[li].subs = append(links[li].subs, si)
@@ -54,7 +59,8 @@ func referenceSolve(f *fabric.Fabric, demands []*Demand) error {
 			}
 			if d.Cap > 0 {
 				li := int32(len(links))
-				links = append(links, link{cap: d.Cap / float64(len(d.Paths)), count: 1, subs: []int32{si}})
+				links = append(links, link{id: pseudo, cap: d.Cap / float64(len(d.Paths)), count: 1, subs: []int32{si}})
+				pseudo++
 				sf.links = append(sf.links, li)
 			}
 			subs = append(subs, sf)
@@ -74,19 +80,19 @@ func referenceSolve(f *fabric.Fabric, demands []*Demand) error {
 		return b
 	}
 	for li := range links {
-		heap.Push(h, boundEntry{bound(int32(li)), int32(li)})
+		heap.Push(h, refEntry{bound(int32(li)), int32(li), links[li].id})
 	}
 
 	frozen := make([]bool, len(subs))
 	remaining := len(subs)
 	for remaining > 0 && h.Len() > 0 {
-		e := heap.Pop(h).(boundEntry)
+		e := heap.Pop(h).(refEntry)
 		cur := bound(e.link)
 		if links[e.link].count == 0 {
 			continue
 		}
 		if cur > e.bound+1e-15 {
-			heap.Push(h, boundEntry{cur, e.link})
+			heap.Push(h, refEntry{cur, e.link, e.id})
 			continue
 		}
 		level := cur
@@ -111,12 +117,22 @@ func referenceSolve(f *fabric.Fabric, demands []*Demand) error {
 	return nil
 }
 
-type refBoundHeap []boundEntry
+// refEntry is a heap entry of referenceSolve: a bound, the index of its
+// link in the per-call table, and that link's arena id.
+type refEntry struct {
+	bound float64
+	link  int32
+	id    int32
+}
 
-func (h refBoundHeap) Len() int           { return len(h) }
-func (h refBoundHeap) Less(i, j int) bool { return h[i].bound < h[j].bound }
-func (h refBoundHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *refBoundHeap) Push(x any)        { *h = append(*h, x.(boundEntry)) }
+type refBoundHeap []refEntry
+
+func (h refBoundHeap) Len() int { return len(h) }
+func (h refBoundHeap) Less(i, j int) bool {
+	return h[i].bound < h[j].bound || h[i].bound == h[j].bound && h[i].id < h[j].id
+}
+func (h refBoundHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refBoundHeap) Push(x any)   { *h = append(*h, x.(refEntry)) }
 func (h *refBoundHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -197,21 +213,27 @@ func TestSolverMatchesReference(t *testing.T) {
 // []*Demand through Solve, and solved by referenceSolve — and requires
 // bit-identical rates from all three, the same errors, and one cache
 // signature for the arena and the demand set. Demands draw 1–5 routes
-// on a small dragonfly, so routes share links; some are capped, some
-// repeat an earlier pair's routes exactly, and a rare one has no route.
+// on a small dragonfly, so routes share links; some are capped (with
+// oneCap, every demand at one value), some repeat an earlier pair's
+// routes exactly, and a rare one has no route.
 func FuzzSolverMatchesReference(f *testing.F) {
 	fab, err := machine.Scaled(6, 8, 4).NewFabric()
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(int64(1), uint8(12), uint8(4), uint8(3))
-	f.Add(int64(42), uint8(40), uint8(0), uint8(1))
-	f.Add(int64(7), uint8(3), uint8(2), uint8(0))
-	f.Add(int64(-5), uint8(255), uint8(255), uint8(2))
-	// Heap ties here make demand 9's rate depend on seeding the heap in
-	// the order the problem first met its links.
-	f.Add(int64(-113), uint8(34), uint8(0), uint8(6))
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, valiantRaw, capEvery uint8) {
+	f.Add(int64(1), uint8(12), uint8(4), uint8(3), false)
+	f.Add(int64(42), uint8(40), uint8(0), uint8(1), false)
+	f.Add(int64(7), uint8(3), uint8(2), uint8(0), false)
+	f.Add(int64(-5), uint8(255), uint8(255), uint8(2), false)
+	// Equal bounds here decide demand 9's rate: the arena and the
+	// oracle agree only because both take tied links in link-id order.
+	f.Add(int64(-113), uint8(34), uint8(0), uint8(6), false)
+	// Here ties meet in the heap, which must break them by link id too.
+	f.Add(int64(-28), uint8(79), uint8(222), uint8(138), false)
+	// One cap for all: every demand of a route count has pseudo-links
+	// of one bound, so most of the problem's links tie.
+	f.Add(int64(3), uint8(47), uint8(4), uint8(0), true)
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, valiantRaw, capEvery uint8, oneCap bool) {
 		n, valiant := 1+int(nRaw)%48, int(valiantRaw)%5
 		pick := rand.New(rand.NewSource(seed))
 		fusedRoutes := rand.New(rand.NewSource(seed + 1))
@@ -224,7 +246,10 @@ func FuzzSolverMatchesReference(f *testing.F) {
 		var demands []*Demand
 		for len(demands) < n {
 			limit := 0.0
-			if capEvery > 0 && pick.Intn(int(capEvery)+1) == 0 {
+			switch {
+			case oneCap:
+				limit = 8e9
+			case capEvery > 0 && pick.Intn(int(capEvery)+1) == 0:
 				limit = float64(1+pick.Intn(40)) * 1e9
 			}
 			switch k := pick.Intn(20); {
@@ -291,6 +316,173 @@ func FuzzSolverMatchesReference(f *testing.F) {
 			}
 		}
 	})
+}
+
+// solveMatchesReference solves demands with a fresh arena and with
+// referenceSolve and requires bit-identical rates.
+func solveMatchesReference(t *testing.T, f *fabric.Fabric, demands []*Demand) {
+	t.Helper()
+	ref := cloneDemands(demands)
+	if err := referenceSolve(f, ref); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewSolver().Solve(f, demands); err != nil {
+		t.Fatal(err)
+	}
+	for di, d := range demands {
+		if d.Rate != ref[di].Rate {
+			t.Fatalf("demand %d: arena rate %v != reference %v", di, d.Rate, ref[di].Rate)
+		}
+		for r, want := range ref[di].SubRates {
+			if d.SubRates[r] != want {
+				t.Fatalf("demand %d route %d: arena %v != reference %v", di, r, d.SubRates[r], want)
+			}
+		}
+	}
+}
+
+// equalCapLinks returns the ids of the fabric's injection links, which
+// all have one capacity.
+func equalCapLinks(t *testing.T, f *fabric.Fabric) []int {
+	t.Helper()
+	var ids []int
+	for lid, l := range f.Links {
+		if l.Kind == fabric.Injection {
+			if len(ids) > 0 && l.Cap != f.Links[ids[0]].Cap {
+				t.Fatalf("injection links %d and %d differ in capacity", ids[0], lid)
+			}
+			ids = append(ids, lid)
+		}
+	}
+	if len(ids) < 8 {
+		t.Fatalf("only %d injection links", len(ids))
+	}
+	return ids
+}
+
+// A stale link re-enters the queue at exactly the bound of a link still
+// in the run. Link a (capacity c) carries demand 0, capped at c/4, and
+// uncapped demand 1; link b carries demand 2, capped at c - c/4. The
+// run starts: demand 0's pseudo-link at c/4, a at c/2, demand 2's
+// pseudo-link at c - c/4. Freezing demand 0 raises a's bound to
+// c - c/4, so a is stale when taken and moves to the heap, where it ties
+// the run's next entry. a's fabric id is below every pseudo-link's, so
+// the heap goes first; either way each demand ends at its fair share.
+func TestStaleLinkReentersAtRunBound(t *testing.T) {
+	f := smallFabric(t)
+	inj := equalCapLinks(t, f)
+	a, b := inj[0], inj[1]
+	c := f.Links[a].Cap
+	demands := []*Demand{
+		{Src: 0, Dst: 1, Paths: [][]int{{a}}, Cap: c / 4},
+		{Src: 0, Dst: 1, Paths: [][]int{{a}}},
+		{Src: 2, Dst: 3, Paths: [][]int{{b}}, Cap: c - c/4},
+	}
+	s := NewSolver()
+	s.load(f, demands)
+	s.index()
+	s.sortRun()
+	pseudo := int32(len(f.Links))
+	if want := []int32{pseudo, int32(a), pseudo + 1, int32(b)}; !slices.Equal(s.run, want) {
+		t.Fatalf("run = %v, want %v", s.run, want)
+	}
+	solveMatchesReference(t, f, demands)
+	for di, want := range []float64{c / 4, c - c/4, c - c/4} {
+		if demands[di].Rate != want {
+			t.Errorf("demand %d rate %v, want %v", di, demands[di].Rate, want)
+		}
+	}
+}
+
+// checkRun requires the built problem's run to list each of its links,
+// the links some subflow crosses, once, by initial bound and then link
+// id. It returns the number of distinct initial bounds.
+func checkRun(t *testing.T, s *Solver) int {
+	t.Helper()
+	links := 0
+	for _, c := range s.linkCount {
+		if c > 0 {
+			links++
+		}
+	}
+	if len(s.run) != links {
+		t.Fatalf("run lists %d links, the problem has %d", len(s.run), links)
+	}
+	seen := make(map[int32]bool, links)
+	distinct := 0
+	for i, li := range s.run {
+		if s.linkCount[li] == 0 || seen[li] {
+			t.Fatalf("run[%d] = link %d: not in the problem, or listed twice", i, li)
+		}
+		seen[li] = true
+		b := s.initialBound(li)
+		if i == 0 {
+			distinct++
+			continue
+		}
+		pl := s.run[i-1]
+		switch pb := s.initialBound(pl); {
+		case pb > b || pb == b && pl > li:
+			t.Fatalf("run[%d] = (%v, link %d) after (%v, link %d)", i, b, li, pb, pl)
+		case pb < b:
+			distinct++
+		}
+	}
+	return distinct
+}
+
+// Over 500 distinct initial bounds outgrow the smallest value table
+// twice, and still come out in (bound, link id) order.
+func TestRunOrderManyBounds(t *testing.T) {
+	f := smallFabric(t)
+	rng := rand.New(rand.NewSource(50))
+	var demands []*Demand
+	for len(demands) < 600 {
+		src, dst := rng.Intn(f.NumEndpoints), rng.Intn(f.NumEndpoints)
+		if src == dst {
+			continue
+		}
+		d := demand(t, f, src, dst, rng.Intn(3), rng)
+		d.Cap = float64(1+len(demands)) * 1e7
+		demands = append(demands, d)
+	}
+	s := NewSolver()
+	s.load(f, demands)
+	s.index()
+	s.sortRun()
+	if distinct := checkRun(t, s); distinct < 500 {
+		t.Fatalf("%d distinct initial bounds, want at least 500", distinct)
+	}
+	solveMatchesReference(t, f, demands)
+}
+
+// When every link, real or pseudo, starts at one bound, the run is the
+// problem's links in id order, whatever order the demands met them in.
+// Each of eight equal links carries three demands capped at a third of
+// its capacity, added from the highest link id down.
+func TestRunOrderAllTies(t *testing.T) {
+	f := smallFabric(t)
+	inj := equalCapLinks(t, f)[:8]
+	limit := f.Links[inj[0]].Cap / 3
+	var demands []*Demand
+	for i := len(inj) - 1; i >= 0; i-- {
+		for k := 0; k < 3; k++ {
+			demands = append(demands, &Demand{Src: i, Dst: k, Paths: [][]int{{inj[i]}}, Cap: limit})
+		}
+	}
+	s := NewSolver()
+	s.load(f, demands)
+	s.index()
+	s.sortRun()
+	if distinct := checkRun(t, s); distinct != 1 {
+		t.Fatalf("%d distinct initial bounds, want 1", distinct)
+	}
+	solveMatchesReference(t, f, demands)
+	for di, d := range demands {
+		if d.Rate != limit {
+			t.Errorf("demand %d rate %v, want its cap %v", di, d.Rate, limit)
+		}
+	}
 }
 
 // A dedicated Solver re-solving the same demand set allocates nothing in
