@@ -5,123 +5,127 @@ import (
 	"frontiersim/internal/units"
 )
 
-// Exec runs a bound program on the event kernel. Each phase boundary is
-// a real simulation event: one event is outstanding at a time and the
-// completion callback schedules the next phase, so a 10k-iteration
-// program costs the calendar one slot, not one per phase instance. That
-// also means an interrupt at any simulated instant lands *inside* a
-// specific phase, which is what lets the resilience layer charge
-// lost-work-since-last-checkpoint.
+// Exec runs a bound program on the event kernel with one event per run.
+// Start walks the bound phase times in program order (setup, then
+// Iterations passes of the loop), adding each to a clock that begins at
+// the kernel's current time, and arms one event at the instant the walk
+// ends. Those are the additions a chain of one event per phase boundary
+// would make, so the run completes at the same instant bit for bit, and
+// a 10k-iteration program costs the calendar one event, not one per
+// phase.
+//
+// Stop (an interrupt or a walltime kill) walks the same times up to the
+// kernel's current time: the phase the stop lands in is abandoned, and
+// Checkpoints and LostWork are settled from the boundaries before it.
+//
+// Tie rule. A stop at exactly a phase boundary is ordered as a chain of
+// boundary events ordered it against a stop armed right after Start, as
+// the scheduler's walltime kill is: boundary 0's event was armed before
+// the stop and had run, and every later boundary's event was armed after
+// it and had not. So at the kill instant boundary 0 has completed and a
+// later boundary has not. A run whose computed end equals Limit times
+// out if the program has more than one phase instance, and completes if
+// it has exactly one (its end is boundary 0).
 type Exec struct {
 	Bound *Bound
 	K     *sim.Kernel
 
 	// OnDone fires when the last phase completes (nil for fire-and-forget).
 	OnDone func()
+	// Limit is the instant a walltime kill armed after Start will Stop
+	// the run, or zero for none. A run that cannot end before it, under
+	// the tie rule, arms no event.
+	Limit units.Seconds
 
-	// TimeByKind accumulates completed simulated time per phase kind.
-	TimeByKind [kinds]units.Seconds
-	// Checkpoints counts completed checkpoint phases.
+	// Checkpoints counts completed checkpoint phases, and LostWork is the
+	// simulated time from the last completed checkpoint (or the program
+	// start) to the stop: the work an interrupt destroyed. Both are
+	// settled when the run completes or stops.
 	Checkpoints int
+	LostWork    units.Seconds
 
-	// lastCkpt is when the most recent checkpoint phase *completed* —
-	// work since then is lost on interrupt. Before any checkpoint it is
-	// the program start.
-	lastCkpt units.Seconds
-	// cursor walks phase instances: iter counts completed loop passes.
-	inSetup bool
-	idx     int
-	iter    int
-	done    bool
-	stopped bool
+	start   units.Seconds
+	ended   bool // completed or stopped
 	pending sim.Event
 }
 
-// execStep is the phase-boundary event callback; arg is the Exec.
-func execStep(arg any) { arg.(*Exec).step() }
+// execDone is the completion event callback; arg is the Exec.
+func execDone(arg any) {
+	x := arg.(*Exec)
+	x.ended = true
+	p := x.Bound.Prog
+	x.Checkpoints = checkpoints(p.Setup) + p.Iterations*checkpoints(p.Loop)
+	if x.OnDone != nil {
+		x.OnDone()
+	}
+}
+
+// checkpoints counts the checkpoint phases in phases.
+func checkpoints(phases []Phase) int {
+	n := 0
+	for _, ph := range phases {
+		if ph.Kind == Checkpoint {
+			n++
+		}
+	}
+	return n
+}
 
 // Start begins execution at the kernel's current time. It returns the
 // Exec so callers can chain.
 func (x *Exec) Start() *Exec {
-	x.lastCkpt = x.K.Now()
-	x.inSetup = len(x.Bound.Prog.Setup) > 0
-	x.idx, x.iter = 0, 0
-	x.schedule()
+	b, p := x.Bound, x.Bound.Prog
+	x.start = x.K.Now()
+	end := x.start
+	for _, d := range b.SetupTimes {
+		end += d
+	}
+	for range p.Iterations {
+		for _, d := range b.LoopTimes {
+			end += d
+		}
+	}
+	if x.Limit > 0 && (end > x.Limit || end == x.Limit && len(p.Setup)+p.Iterations*len(p.Loop) > 1) {
+		return x
+	}
+	x.pending = x.K.At(end, execDone, x)
 	return x
 }
 
-// current returns the in-flight phase and its bound duration, or false
-// when the program has run out of phases.
-func (x *Exec) current() (Phase, units.Seconds, bool) {
-	p := x.Bound.Prog
-	if x.inSetup {
-		if x.idx < len(p.Setup) {
-			return p.Setup[x.idx], x.Bound.SetupTimes[x.idx], true
-		}
-		return Phase{}, 0, false
-	}
-	if x.iter < p.Iterations && x.idx < len(p.Loop) {
-		return p.Loop[x.idx], x.Bound.LoopTimes[x.idx], true
-	}
-	return Phase{}, 0, false
-}
-
-// schedule arms the boundary event for the current phase, or completes.
-func (x *Exec) schedule() {
-	if x.stopped || x.done {
-		return
-	}
-	_, d, ok := x.current()
-	if !ok {
-		x.done = true
-		if x.OnDone != nil {
-			x.OnDone()
-		}
-		return
-	}
-	x.pending = x.K.After(d, execStep, x)
-}
-
-// step retires the completed phase and advances the cursor.
-func (x *Exec) step() {
-	if x.stopped || x.done {
-		return
-	}
-	ph, d, _ := x.current()
-	x.TimeByKind[ph.Kind] += d
-	if ph.Kind == Checkpoint {
-		x.Checkpoints++
-		x.lastCkpt = x.K.Now()
-	}
-	x.idx++
-	p := x.Bound.Prog
-	if x.inSetup && x.idx >= len(p.Setup) {
-		x.inSetup = false
-		x.idx = 0
-	} else if !x.inSetup && x.idx >= len(p.Loop) {
-		x.idx = 0
-		x.iter++
-	}
-	x.schedule()
-}
-
-// Stop cancels the in-flight phase boundary (interrupt or walltime
-// kill). The partial phase is abandoned — its time is NOT credited to
-// TimeByKind, matching a real job that dies mid-collective.
+// Stop abandons the run at the kernel's current time and settles
+// Checkpoints and LostWork. The phase in flight is not credited,
+// matching a real job that dies mid-collective.
 func (x *Exec) Stop() {
-	if x.stopped || x.done {
+	if x.ended {
 		return
 	}
-	x.stopped = true
+	x.ended = true
 	x.pending.Cancel()
-}
-
-// LostWork returns the simulated time since the last completed
-// checkpoint (or program start): the work an interrupt at the current
-// kernel time destroys.
-func (x *Exec) LostWork() units.Seconds {
-	if x.done {
-		return 0
+	b, p := x.Bound, x.Bound.Prog
+	now := x.K.Now()
+	t, ckpt, n := x.start, x.start, 0
+	// reach advances the walk through phases until a boundary the stop
+	// precedes, and reports whether every boundary in phases was reached.
+	reach := func(phases []Phase, times []units.Seconds) bool {
+		for i, d := range times {
+			t += d
+			if t > now || t == now && n > 0 {
+				return false
+			}
+			n++
+			if phases[i].Kind == Checkpoint {
+				x.Checkpoints++
+				ckpt = t
+			}
+		}
+		return true
 	}
-	return x.K.Now() - x.lastCkpt
+	if reach(p.Setup, b.SetupTimes) {
+		for range p.Iterations {
+			if !reach(p.Loop, b.LoopTimes) {
+				break
+			}
+		}
+	}
+	x.LostWork = now - ckpt
 }

@@ -4,9 +4,10 @@
 // I/O, checkpoints, and fixed-duration work — whose runtime *emerges*
 // from the machine the job lands on. Binding a program to a concrete
 // node placement builds an mpi.Comm over those nodes, so topology-aware
-// placement changes the collective phases' durations; executing a bound
-// program on the event kernel makes every phase boundary a real
-// simulation event, which is what lets mid-phase interrupts charge
+// placement changes the collective phases' durations. Executing a bound
+// program on the event kernel computes its end from the phase times and
+// arms one event there; an interrupt walks the same times to the phase
+// it lands in, which is what lets it charge
 // lost-work-since-last-checkpoint.
 //
 // The package deliberately depends only on the subsystem models it
@@ -43,9 +44,6 @@ const (
 	// prices the same on any placement: a job known only by its
 	// runtime.
 	Fixed
-
-	// kinds is the number of phase kinds.
-	kinds = iota
 )
 
 // String implements fmt.Stringer.
@@ -244,10 +242,10 @@ func (p *Program) Validate() error {
 // Coarsen returns a copy of the program in which each loop pass stands
 // for chunk original iterations: phase work quantities are multiplied by
 // chunk and the iteration count divided (rounding up), so a
-// million-step job costs the calendar thousands of events instead of
-// millions. Per-phase latency terms are folded away — acceptable at
-// campaign granularity, where bandwidth terms dominate. A chunk < 2
-// returns the program unchanged.
+// million-step job is priced and walked as thousands of phases instead
+// of millions. Per-phase latency terms are folded away, which changes
+// the job's priced runtime — acceptable at campaign granularity, where
+// bandwidth terms dominate. A chunk < 2 returns the program unchanged.
 func Coarsen(p *Program, chunk int) *Program {
 	if chunk < 2 || len(p.Loop) == 0 {
 		return p

@@ -273,3 +273,63 @@ func TestLaunchFailureFailsAtStart(t *testing.T) {
 		t.Error("a job that failed to bind has a Bound")
 	}
 }
+
+// TestWalltimeKillTie pins the scheduler's outcome when a job's walltime
+// kill lands exactly on one of its phase boundaries: boundary 0 has
+// completed, a later boundary has not, a multi-phase program ending on
+// the kill times out and a one-phase program completes. Each job starts
+// at t0 on an empty machine, on node 0.
+func TestWalltimeKillTie(t *testing.T) {
+	const t0 = 1000
+	below4 := units.Seconds(math.Nextafter(4, 0))
+	fixed := func(d units.Seconds) job.Phase { return job.Phase{Name: "w", Kind: job.Fixed, Seconds: d} }
+	ck := job.Phase{Name: "ckpt", Kind: job.Checkpoint, Write: 1 * units.GiB}
+	_, _, s := testRig(t)
+	priced, err := s.Env.Bind(&job.Program{Name: "ck", Nodes: 1, PPN: 1, Setup: []job.Phase{ck}}, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc := priced.SetupTimes[0]
+	cases := []struct {
+		name            string
+		setup, loop     []job.Phase
+		walltime        units.Seconds
+		state           JobState
+		end             units.Seconds // the phase boundary the kill lands on
+		ckpts           int
+		lastCkptOrStart units.Seconds
+	}{
+		{"boundary 0 completes", []job.Phase{ck}, []job.Phase{fixed(1.5)},
+			dc, Timeout, t0 + dc, 1, t0 + dc},
+		{"a later boundary does not", []job.Phase{fixed(1.5), ck}, []job.Phase{fixed(1.5)},
+			t0 + 1.5 + dc - t0, Timeout, t0 + 1.5 + dc, 0, t0},
+		{"a multi-phase program ending on the kill times out", []job.Phase{fixed(1.5), fixed(2.5)}, nil,
+			below4, Timeout, t0 + 4, 0, t0},
+		{"a one-phase program ending on the kill completes", []job.Phase{fixed(4)}, nil,
+			below4, Completed, t0 + 4, 0, t0 + 4},
+	}
+	for _, c := range cases {
+		if t0+c.walltime != c.end {
+			t.Fatalf("%s: kill at %v, not on the boundary %v", c.name, t0+c.walltime, c.end)
+		}
+		k := sim.NewKernel(1)
+		s := newScheduler(t, k, machine.Scaled(6, 8, 4))
+		k.RunUntil(t0)
+		p := &job.Program{Name: "tie", Nodes: 1, PPN: 1, Setup: c.setup, Loop: c.loop, Walltime: c.walltime}
+		if len(c.loop) > 0 {
+			p.Iterations = 1
+		}
+		j, err := s.Submit(p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.Bound == nil || j.Alloc[0] != 0 || j.Bound.Total <= j.Walltime {
+			t.Fatalf("%s: not started on node 0 with a kill armed", c.name)
+		}
+		k.Run()
+		if j.State != c.state || j.End != c.end || j.Checkpoints != c.ckpts || j.LostWork != c.end-c.lastCkptOrStart {
+			t.Errorf("%s: %v at %v, %d checkpoints, lost %v; want %v at %v, %d, %v",
+				c.name, j.State, j.End, j.Checkpoints, j.LostWork, c.state, c.end, c.ckpts, c.end-c.lastCkptOrStart)
+		}
+	}
+}

@@ -433,9 +433,9 @@ func (s *Scheduler) start(j *Job) bool {
 }
 
 // launch binds a job's program to its granted allocation and begins
-// executing it on the event kernel. Completion is driven by the
-// program's last phase boundary; the requested walltime survives only as
-// a kill limit, exactly like Slurm's TIMEOUT.
+// executing it on the event kernel. Completion is the instant the
+// program's phases end; the requested walltime survives only as a kill
+// limit, exactly like Slurm's TIMEOUT.
 func (s *Scheduler) launch(j *Job) {
 	bound, err := s.Env.Bind(j.Program, j.Alloc)
 	if err != nil {
@@ -449,9 +449,15 @@ func (s *Scheduler) launch(j *Job) {
 	if bound.Total <= j.Walltime {
 		j.End = j.Start + bound.Total
 	}
-	j.exec = (&job.Exec{Bound: bound, K: s.K, OnDone: func() { s.finish(j, Completed) }}).Start()
-	if bound.Total > j.Walltime {
-		j.endEvent = s.K.At(j.Start+j.Walltime, killAtWalltime, j)
+	x := &job.Exec{Bound: bound, K: s.K, OnDone: func() { s.finish(j, Completed) }}
+	kill := bound.Total > j.Walltime
+	if kill {
+		x.Limit = j.Start + j.Walltime
+	}
+	j.exec = x.Start()
+	if kill {
+		// Armed after Start, as Exec's tie rule assumes.
+		j.endEvent = s.K.At(x.Limit, killAtWalltime, j)
 	}
 }
 
@@ -472,13 +478,12 @@ func (s *Scheduler) finish(j *Job, state JobState) {
 	}
 	j.endEvent.Cancel()
 	if j.exec != nil {
-		// Interrupts and kills land mid-phase: charge the work since the
-		// last completed checkpoint before abandoning the partial phase.
-		if state != Completed {
-			j.LostWork = j.exec.LostWork()
-		}
-		j.Checkpoints = j.exec.Checkpoints
+		// Interrupts and kills land mid-phase: Stop settles the completed
+		// checkpoints and the work since the last one (none for a run that
+		// completed) before the partial phase is abandoned.
 		j.exec.Stop()
+		j.LostWork = j.exec.LostWork
+		j.Checkpoints = j.exec.Checkpoints
 	}
 	j.State = state
 	j.End = s.K.Now()

@@ -65,8 +65,8 @@ func LeadershipMix() []JobClass {
 // submission builds a real application program — stencil miniapps for
 // debug jobs, spectral and hydro proxies for the mid strata, LLM
 // training for hero jobs — so runtimes emerge from placement instead of
-// being drawn. Programs are coarsened so even million-step jobs cost the
-// calendar bounded events.
+// being drawn. Programs are coarsened to about 64 loop passes, so even
+// million-step jobs are priced and walked as a bounded number of phases.
 func ProgramMix(p *apps.Platform, node job.NodeModel) []JobClass {
 	coarse := func(prog *job.Program, err error) (*job.Program, error) {
 		if err != nil {
