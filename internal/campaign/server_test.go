@@ -330,6 +330,63 @@ func TestSweepPerVariantErrors(t *testing.T) {
 	}
 }
 
+// A spec whose fabric cannot be built is the request's fault, found by
+// Validate before any simulation: an inline spec gets 400 at resolve, and
+// a sweep variant fails in Apply, without taking a slot. From 7 links a
+// Frontier compute group needs more than its 512 L2 ports.
+func TestInfeasibleFabricIsRejectedUpFront(t *testing.T) {
+	_, ts := newTestServer(t)
+	spec := machine.Frontier()
+	spec.Topology.ComputeComputeLinks = 8
+	b, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := post(t, ts.URL+"/v1/run", `{"experiment":"table1","quick":true,"spec":`+string(b)+`}`)
+	body := readAll(t, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "computeComputeLinks") {
+		t.Errorf("inline spec with computeComputeLinks 8: %d %s, want 400 naming computeComputeLinks", resp.StatusCode, body)
+	}
+
+	sw, err := ParseSweep("computeComputeLinks: 4..8 step 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{7, 8} {
+		if _, err := sw.Apply(machine.Frontier(), v); err == nil || !strings.Contains(err.Error(), "computeComputeLinks") {
+			t.Errorf("Apply(%v): err = %v, want a validation error naming computeComputeLinks", v, err)
+		}
+	}
+	resp = post(t, ts.URL+"/v1/sweep", `{"experiment":"table1","quick":true,"sweep":"computeComputeLinks: 4..8 step 1"}`)
+	body = readAll(t, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep: %d %s", resp.StatusCode, body)
+	}
+	var sweepResp struct {
+		Variants []SweepVariant `json:"variants"`
+	}
+	if err := json.Unmarshal(body, &sweepResp); err != nil {
+		t.Fatal(err)
+	}
+	if len(sweepResp.Variants) != 5 {
+		t.Fatalf("got %d variants, want 5", len(sweepResp.Variants))
+	}
+	for _, v := range sweepResp.Variants {
+		if v.Value <= 6 {
+			if v.Error != "" || v.Result == "" {
+				t.Errorf("links %v: %+v, want a clean result", v.Value, v)
+			}
+			continue
+		}
+		// No key: the variant never reached the result cache.
+		if !strings.Contains(v.Error, "computeComputeLinks") || len(v.Key) != 0 {
+			t.Errorf("links %v: error %q, key %s; want a validation error and no key", v.Value, v.Error, v.Key)
+		}
+	}
+}
+
 func TestSweepCap(t *testing.T) {
 	srv, err := New(Config{Jobs: 1, CodeVersion: "test", MaxSweepVariants: 4})
 	if err != nil {

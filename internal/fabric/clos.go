@@ -22,15 +22,21 @@ type ClosConfig struct {
 	EndpointLatency    units.Seconds
 }
 
+// Validate checks the fat tree's counts and link physics, naming fields
+// as a machine spec's JSON spells them.
+func (c ClosConfig) Validate() error {
+	if c.Leaves < 1 || c.EndpointsPerLeaf < 1 {
+		return fmt.Errorf("fabric: fat tree needs positive leaves and endpointsPerLeaf (got %d, %d)", c.Leaves, c.EndpointsPerLeaf)
+	}
+	return checkEndpoints(c.NICsPerNode, c.LinkRate, c.EndpointEfficiency)
+}
+
 // NewClos builds a fat-tree fabric. Switch ids 0..Leaves-1 are leaves;
 // switch id Leaves is the idealised core (a folded multi-stage network
 // collapsed into one non-blocking stage).
 func NewClos(cfg ClosConfig) (*Fabric, error) {
-	if cfg.Leaves < 1 || cfg.EndpointsPerLeaf < 1 || cfg.NICsPerNode < 1 {
-		return nil, fmt.Errorf("fabric: clos needs leaves, endpoints and NICs per node")
-	}
-	if cfg.EndpointEfficiency <= 0 || cfg.EndpointEfficiency > 1 {
-		return nil, fmt.Errorf("fabric: endpoint efficiency %v out of (0,1]", cfg.EndpointEfficiency)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	f := &Fabric{
 		Cfg: Config{

@@ -68,55 +68,75 @@ type Config struct {
 	EndpointLatency units.Seconds // NIC + software per endpoint
 }
 
-// Validate checks structural invariants: the port budget of the 64-port
-// switch (16 L0 + 32 L1 + 16 L2 on compute blades) must not be exceeded.
+// Validate checks structural invariants: the counts, the link physics,
+// the port budget of the 64-port switch (16 L0 + 32 L1 + 16 L2 on
+// compute blades), and nodes whole within a group. Machine specs defer
+// to it, so messages spell fields as the spec's JSON does.
 func (c Config) Validate() error {
 	if c.ComputeGroups < 1 {
-		return fmt.Errorf("fabric: need at least one compute group")
+		return fmt.Errorf("fabric: dragonfly needs at least one compute group (computeGroups %d)", c.ComputeGroups)
 	}
-	if c.ComputeGroupSwitches < 2 && c.ComputeGroups > 1 {
-		return fmt.Errorf("fabric: need at least two switches per group")
+	if need := min(c.ComputeGroups, 2); c.ComputeGroupSwitches < need {
+		return fmt.Errorf("fabric: %d compute groups need computeGroupSwitches of at least %d (got %d)",
+			c.ComputeGroups, need, c.ComputeGroupSwitches)
 	}
 	if c.EndpointsPerSwitch < 1 {
-		return fmt.Errorf("fabric: need endpoints")
-	}
-	if c.ComputeGroupSwitches < 1 {
-		return fmt.Errorf("fabric: need at least one switch per compute group")
+		return fmt.Errorf("fabric: dragonfly needs endpointsPerSwitch of at least 1 (got %d)", c.EndpointsPerSwitch)
 	}
 	if c.IOGroups < 0 || c.MgmtGroups < 0 {
-		return fmt.Errorf("fabric: negative group count (io %d, mgmt %d)", c.IOGroups, c.MgmtGroups)
+		return fmt.Errorf("fabric: ioGroups and mgmtGroups must not be negative (got %d, %d)", c.IOGroups, c.MgmtGroups)
 	}
 	if c.IOGroups+c.MgmtGroups > 0 && c.TORGroupSwitches < 1 {
-		return fmt.Errorf("fabric: need at least one switch per I/O or management group (got %d)", c.TORGroupSwitches)
+		return fmt.Errorf("fabric: I/O and management groups need torGroupSwitches of at least 1 (got %d)", c.TORGroupSwitches)
 	}
 	// Bundle counts size the global-link table; a negative one would
 	// make its per-pair offsets decrease.
 	if min(c.ComputeComputeLinks, c.ComputeIOLinks, c.ComputeMgmtLinks, c.IOIOLinks, c.IOMgmtLinks) < 0 {
-		return fmt.Errorf("fabric: negative global link count")
+		return fmt.Errorf("fabric: global link counts (computeComputeLinks, computeIOLinks, computeMgmtLinks, ioIOLinks, ioMgmtLinks) must not be negative")
 	}
 	if c.ComputeGroups > 1 && c.ComputeComputeLinks < 1 {
-		return fmt.Errorf("fabric: %d compute groups need ComputeComputeLinks of at least 1 (got %d), or no route joins them",
+		return fmt.Errorf("fabric: %d compute groups need computeComputeLinks of at least 1 (got %d), or no route joins them",
 			c.ComputeGroups, c.ComputeComputeLinks)
 	}
-	if c.NICsPerNode < 1 {
-		return fmt.Errorf("fabric: need at least one NIC per node")
-	}
-	if c.EndpointEfficiency <= 0 || c.EndpointEfficiency > 1 {
-		return fmt.Errorf("fabric: endpoint efficiency %v out of (0,1]", c.EndpointEfficiency)
+	if err := checkEndpoints(c.NICsPerNode, c.LinkRate, c.EndpointEfficiency); err != nil {
+		return err
 	}
 	// L1: full connectivity within a group needs switches-1 ports.
 	if c.ComputeGroupSwitches-1 > 32 {
-		return fmt.Errorf("fabric: %d switches per group exceeds 32 L1 ports", c.ComputeGroupSwitches)
+		return fmt.Errorf("fabric: computeGroupSwitches %d needs %d L1 ports per switch, over the 32 of a Rosetta switch",
+			c.ComputeGroupSwitches, c.ComputeGroupSwitches-1)
 	}
 	if c.EndpointsPerSwitch > 16 {
-		return fmt.Errorf("fabric: %d endpoints per switch exceeds 16 L0 ports", c.EndpointsPerSwitch)
+		return fmt.Errorf("fabric: endpointsPerSwitch %d exceeds the 16 L0 ports of a Rosetta switch", c.EndpointsPerSwitch)
 	}
 	// L2: global ports per group must cover all peer groups.
 	needed := (c.ComputeGroups-1)*c.ComputeComputeLinks +
 		c.IOGroups*c.ComputeIOLinks + c.MgmtGroups*c.ComputeMgmtLinks
-	avail := c.ComputeGroupSwitches * 16
-	if needed > avail {
-		return fmt.Errorf("fabric: compute group needs %d global links but has %d L2 ports", needed, avail)
+	if avail := c.ComputeGroupSwitches * 16; needed > avail {
+		return fmt.Errorf("fabric: compute group needs %d global links (computeComputeLinks, computeIOLinks, computeMgmtLinks to its peer groups) but has %d L2 ports",
+			needed, avail)
+	}
+	// A node's NICs sit in one group. With a remainder some nodes would
+	// straddle two groups, and ComputeNodes would exceed ComputeGroups ×
+	// NodesPerGroup, by which per-group node tables are sized.
+	if ep := c.ComputeGroupSwitches * c.EndpointsPerSwitch; ep%c.NICsPerNode != 0 {
+		return fmt.Errorf("fabric: nicsPerNode %d does not divide a compute group's %d endpoints (computeGroupSwitches × endpointsPerSwitch)",
+			c.NICsPerNode, ep)
+	}
+	return nil
+}
+
+// checkEndpoints holds the endpoint wiring and link physics every
+// topology shares.
+func checkEndpoints(nicsPerNode int, rate units.BytesPerSecond, efficiency float64) error {
+	if nicsPerNode < 1 {
+		return fmt.Errorf("fabric: nicsPerNode must be positive (got %d)", nicsPerNode)
+	}
+	if rate <= 0 {
+		return fmt.Errorf("fabric: link rate must be positive (got %v)", rate)
+	}
+	if efficiency <= 0 || efficiency > 1 {
+		return fmt.Errorf("fabric: endpoint efficiency %v out of (0,1]", efficiency)
 	}
 	return nil
 }

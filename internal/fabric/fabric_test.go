@@ -53,41 +53,46 @@ func TestFrontierConfigAggregates(t *testing.T) {
 	}
 }
 
+// TestConfigValidation checks each topology rule against Frontier's
+// fabric. A machine spec's Validate hands its topology to this check, so
+// every message names the field as the spec's JSON spells it.
 func TestConfigValidation(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		set   func(*Config)
+		field string
+	}{
+		{"L1 overflow", func(c *Config) { c.ComputeGroupSwitches = 40 }, "computeGroupSwitches"}, // 39 L1 ports > 32
+		{"L1 overflow by two", func(c *Config) { c.ComputeGroupSwitches = 34 }, "computeGroupSwitches"},
+		{"L0 overflow", func(c *Config) { c.EndpointsPerSwitch = 17 }, "endpointsPerSwitch"},
+		{"L2 overflow by groups", func(c *Config) { c.ComputeGroups = 200 }, "computeComputeLinks"}, // 199*4 > 512 L2 ports
+		{"L2 overflow by bundle", func(c *Config) { c.ComputeComputeLinks = 8 }, "computeComputeLinks"},
+		{"one switch per group", func(c *Config) { c.ComputeGroups, c.ComputeGroupSwitches = 8, 1 }, "computeGroupSwitches"},
+		{"no endpoints", func(c *Config) { c.EndpointsPerSwitch = 0 }, "endpointsPerSwitch"},
+		{"zero efficiency", func(c *Config) { c.EndpointEfficiency = 0 }, "efficiency"},
+		{"zero link rate", func(c *Config) { c.LinkRate = 0 }, "link rate"},
+		{"zero NICs", func(c *Config) { c.NICsPerNode = 0 }, "nicsPerNode"},
+		// 512 endpoints per group do not split into 3-NIC nodes: 12,629
+		// nodes would outnumber 74 groups × 170 nodes.
+		{"NICs straddle groups", func(c *Config) { c.NICsPerNode = 3 }, "nicsPerNode"},
+		// Without compute-to-compute links no path joins two compute groups.
+		{"disconnected compute groups", func(c *Config) { c.ComputeComputeLinks = 0 }, "computeComputeLinks"},
+	} {
+		c := FrontierConfig()
+		tc.set(&c)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: err = %v, want one naming %s", tc.name, err, tc.field)
+		}
+	}
 	c := FrontierConfig()
-	c.ComputeGroupSwitches = 40 // needs 39 L1 ports > 32
-	if err := c.Validate(); err == nil {
-		t.Error("want L1 overflow error")
-	}
-	c = FrontierConfig()
-	c.EndpointsPerSwitch = 20
-	if err := c.Validate(); err == nil {
-		t.Error("want L0 overflow error")
-	}
-	c = FrontierConfig()
-	c.ComputeGroups = 200 // 199*4 > 512 L2 ports
-	if err := c.Validate(); err == nil {
-		t.Error("want L2 overflow error")
-	}
-	c = FrontierConfig()
-	c.EndpointEfficiency = 0
-	if err := c.Validate(); err == nil {
-		t.Error("want efficiency error")
-	}
-	c = FrontierConfig()
-	c.NICsPerNode = 0
-	if err := c.Validate(); err == nil {
-		t.Error("want NIC count error")
-	}
-	// Without compute-to-compute links no path joins two compute groups.
-	c = FrontierConfig()
-	c.ComputeComputeLinks = 0
-	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "ComputeComputeLinks") {
-		t.Errorf("disconnected compute groups: err = %v, want one naming ComputeComputeLinks", err)
-	}
-	c.ComputeGroups = 1
+	c.ComputeGroups, c.ComputeComputeLinks = 1, 0
 	if err := c.Validate(); err != nil {
 		t.Errorf("one compute group needs no compute-to-compute links: %v", err)
+	}
+	c = FrontierConfig()
+	c.ComputeGroups, c.ComputeGroupSwitches = 1, 1
+	if err := c.Validate(); err != nil {
+		t.Errorf("one compute group may have one switch: %v", err)
 	}
 }
 
@@ -510,13 +515,18 @@ func TestClosSummit(t *testing.T) {
 }
 
 func TestClosValidation(t *testing.T) {
-	if _, err := NewClos(ClosConfig{}); err == nil {
-		t.Error("empty clos config should error")
+	if _, err := NewClos(ClosConfig{}); err == nil || !strings.Contains(err.Error(), "leaves") {
+		t.Errorf("empty clos config: err = %v, want one naming leaves", err)
 	}
 	c := SummitClosConfig()
 	c.EndpointEfficiency = 2
 	if _, err := NewClos(c); err == nil {
 		t.Error("bad efficiency should error")
+	}
+	c = SummitClosConfig()
+	c.LinkRate = 0
+	if _, err := NewClos(c); err == nil || !strings.Contains(err.Error(), "link rate") {
+		t.Errorf("zero link rate: err = %v, want one naming the link rate", err)
 	}
 }
 

@@ -192,6 +192,18 @@ func TestValidationErrors(t *testing.T) {
 		{"huge top-of-rack groups", func(s *Spec) { s.Topology.TORGroupSwitches = 4096 }, "torGroupSwitches"},
 		{"huge global bundle", func(s *Spec) { s.Topology.IOIOLinks = 1 << 30 }, "bundle"},
 		{"disconnected compute groups", func(s *Spec) { s.Topology.ComputeComputeLinks = 0 }, "computeComputeLinks"},
+		// Topology rules come from the fabric, which would refuse to
+		// build these: the Rosetta port budget (16 L0 + 32 L1 + 16 L2),
+		// two switches per group, and nodes that fit inside one group.
+		{"L2 ports over budget", func(s *Spec) { s.Topology.ComputeComputeLinks = 8 }, "computeComputeLinks"},
+		{"L1 ports over budget", func(s *Spec) { s.Topology.ComputeGroupSwitches = 34 }, "computeGroupSwitches"},
+		{"L0 ports over budget", func(s *Spec) { s.Topology.EndpointsPerSwitch = 17 }, "endpointsPerSwitch"},
+		{"one switch per group", func(s *Spec) {
+			s.Topology.ComputeGroups, s.Topology.ComputeGroupSwitches = 8, 1
+		}, "computeGroupSwitches"},
+		// 512 endpoints per group do not split into 3-NIC nodes; the
+		// scheduler's per-group tables then miss nodes and panic.
+		{"NICs straddle groups", func(s *Spec) { s.Topology.NICsPerNode = 3 }, "nicsPerNode"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -211,6 +223,11 @@ func TestValidationErrors(t *testing.T) {
 	s.Topology.Leaves = 0
 	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "leaves") {
 		t.Errorf("fat-tree leaf validation: %v", err)
+	}
+	s = Summit()
+	s.Topology.LinkRate = 0
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "link rate") {
+		t.Errorf("fat-tree link rate: %v", err)
 	}
 	s = Summit()
 	s.Topology.Leaves = 1 << 40

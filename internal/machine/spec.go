@@ -325,58 +325,34 @@ func (t Topology) checkSize(name string) error {
 }
 
 // Validate checks the spec for structural and numeric sanity, returning
-// a descriptive error naming the offending field.
+// a descriptive error naming the offending field. After the size
+// ceilings, which keep later arithmetic on untrusted input from
+// overflowing, it hands the topology to the fabric config's own
+// Validate, so every spec it accepts builds its fabric.
 func (s Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("machine: spec needs a name")
 	}
 	t := s.Topology
-	switch t.Kind {
-	case Dragonfly:
-		if t.ComputeGroups < 1 {
-			return fmt.Errorf("machine %s: dragonfly needs at least one compute group (got %d)", s.Name, t.ComputeGroups)
-		}
-		if t.ComputeGroupSwitches < 1 || t.EndpointsPerSwitch < 1 {
-			return fmt.Errorf("machine %s: dragonfly needs positive switches per group and endpoints per switch (got %d, %d)",
-				s.Name, t.ComputeGroupSwitches, t.EndpointsPerSwitch)
-		}
-		if t.IOGroups < 0 || t.MgmtGroups < 0 {
-			return fmt.Errorf("machine %s: dragonfly group counts must not be negative (got io %d, mgmt %d)", s.Name, t.IOGroups, t.MgmtGroups)
-		}
-		if t.IOGroups+t.MgmtGroups > 0 && t.TORGroupSwitches < 1 {
-			return fmt.Errorf("machine %s: dragonfly I/O and management groups need positive torGroupSwitches (got %d)", s.Name, t.TORGroupSwitches)
-		}
-		if min(t.ComputeComputeLinks, t.ComputeIOLinks, t.ComputeMgmtLinks, t.IOIOLinks, t.IOMgmtLinks) < 0 {
-			return fmt.Errorf("machine %s: dragonfly global link counts must not be negative", s.Name)
-		}
-		if t.ComputeGroups > 1 && t.ComputeComputeLinks < 1 {
-			return fmt.Errorf("machine %s: %d compute groups need computeComputeLinks of at least 1 (got %d), or no route joins them",
-				s.Name, t.ComputeGroups, t.ComputeComputeLinks)
-		}
-	case FatTree:
-		if t.Leaves < 1 || t.EndpointsPerLeaf < 1 {
-			return fmt.Errorf("machine %s: fat tree needs positive leaves and endpoints per leaf (got %d, %d)",
-				s.Name, t.Leaves, t.EndpointsPerLeaf)
-		}
-	case "":
-		return fmt.Errorf("machine %s: topology kind is empty (want %q or %q)", s.Name, Dragonfly, FatTree)
-	default:
+	if t.Kind != Dragonfly && t.Kind != FatTree {
 		return fmt.Errorf("machine %s: unknown topology kind %q (want %q or %q)", s.Name, t.Kind, Dragonfly, FatTree)
 	}
 	if err := t.checkSize(s.Name); err != nil {
 		return err
 	}
-	if t.NICsPerNode < 1 {
-		return fmt.Errorf("machine %s: NICsPerNode must be positive (got %d)", s.Name, t.NICsPerNode)
-	}
-	if t.LinkRate <= 0 {
-		return fmt.Errorf("machine %s: link rate must be positive (got %v)", s.Name, t.LinkRate)
-	}
-	if t.EndpointEfficiency <= 0 || t.EndpointEfficiency > 1 {
-		return fmt.Errorf("machine %s: endpoint efficiency %v out of (0,1]", s.Name, t.EndpointEfficiency)
-	}
 	if t.Nodes < 0 {
 		return fmt.Errorf("machine %s: node-count override must not be negative (got %d)", s.Name, t.Nodes)
+	}
+	var err error
+	if t.Kind == Dragonfly {
+		cfg, _ := s.FabricConfig()
+		err = cfg.Validate()
+	} else {
+		cfg, _ := s.ClosConfig()
+		err = cfg.Validate()
+	}
+	if err != nil {
+		return fmt.Errorf("machine %s: %w", s.Name, err)
 	}
 	if s.Nodes() < 1 {
 		return fmt.Errorf("machine %s: topology yields %d compute nodes", s.Name, s.Nodes())
@@ -492,16 +468,10 @@ func (s Spec) ClosConfig() (fabric.ClosConfig, error) {
 func (s Spec) NewFabric() (*fabric.Fabric, error) {
 	switch s.Topology.Kind {
 	case Dragonfly:
-		cfg, err := s.FabricConfig()
-		if err != nil {
-			return nil, err
-		}
+		cfg, _ := s.FabricConfig() // errs only on the other kind
 		return fabric.NewDragonfly(cfg)
 	case FatTree:
-		cfg, err := s.ClosConfig()
-		if err != nil {
-			return nil, err
-		}
+		cfg, _ := s.ClosConfig()
 		return fabric.NewClos(cfg)
 	}
 	return nil, fmt.Errorf("machine %s: unknown topology kind %q", s.Name, s.Topology.Kind)

@@ -13,8 +13,8 @@
 // by one, the priority queue is an inlined 4-ary heap over arena indices
 // (no interface boxing, fewer cache-missing levels than a binary heap), and
 // the (Callback, arg) pair is stored inline in the slot, so producers such
-// as the job stepper, the failure injector and the arrival stream pay zero
-// allocations per event in steady state. See DESIGN.md "Event calendar"
+// as a job run's completion, the failure injector and the arrival stream
+// pay zero allocations per event in steady state. See DESIGN.md "Event calendar"
 // for the layout and the generation-stamp safety argument.
 package sim
 
