@@ -636,7 +636,7 @@ func BenchmarkLLMTrainStep(b *testing.B) {
 		b.Fatal(err)
 	}
 	prog := step.WithSteps(1, 0)
-	placement := env.SpreadPlacement(prog.Nodes)
+	placement := env.Fabric.SpreadPlacement(prog.Nodes)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -72,15 +72,10 @@ func (p *Platform) Comm(n, ppn int) (*mpi.Comm, error) {
 	if err != nil {
 		return nil, err
 	}
-	total := f.Cfg.ComputeNodes()
-	if n > total {
+	if total := f.Cfg.ComputeNodes(); n > total {
 		return nil, fmt.Errorf("apps: %d nodes exceeds %s's %d", n, p.Name, total)
 	}
-	nodes := make([]int, n)
-	for i := range nodes {
-		nodes[i] = i * total / n
-	}
-	return mpi.NewComm(f, nodes, ppn)
+	return mpi.NewComm(f, f.SpreadPlacement(n), ppn)
 }
 
 // Devices returns the device count for an n-node job.

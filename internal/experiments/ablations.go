@@ -30,11 +30,8 @@ func AblationTaper(o Options) (*report.Table, error) {
 			// overrun its compute groups' L2 ports.
 			return nil, machine.NotInSpec("bundle %d: %v", links/2, err)
 		}
-		nodes := make([]int, cfg.ComputeNodes())
-		for i := range nodes {
-			nodes[i] = i
-		}
-		c, err := mpi.NewComm(f, nodes, 8)
+		// A spread over every node is the whole machine.
+		c, err := mpi.NewComm(f, f.SpreadPlacement(cfg.ComputeNodes()), 8)
 		if err != nil {
 			return nil, err
 		}
@@ -159,13 +156,10 @@ func AblationPlacement(o Options) (*report.Table, error) {
 		{large, "packed"},
 		{large, "spread"},
 	}
-	total := cfg.ComputeNodes()
 	for _, c := range cases {
-		nodes := make([]int, c.nodes)
-		for i := range nodes {
-			if c.placed == "spread" {
-				nodes[i] = i * total / c.nodes
-			} else {
+		nodes := f.SpreadPlacement(c.nodes)
+		if c.placed == "packed" {
+			for i := range nodes {
 				nodes[i] = i
 			}
 		}

@@ -75,6 +75,5 @@ func NewClos(cfg ClosConfig) (*Fabric, error) {
 			f.cableEndpoint(s*cfg.EndpointsPerLeaf+e, s, epCap)
 		}
 	}
-	f.indexNodeGroups()
 	return f, nil
 }

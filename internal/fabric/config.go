@@ -70,8 +70,9 @@ type Config struct {
 
 // Validate checks structural invariants: the counts, the link physics,
 // the port budget of the 64-port switch (16 L0 + 32 L1 + 16 L2 on
-// compute blades), and nodes whole within a group. Machine specs defer
-// to it, so messages spell fields as the spec's JSON does.
+// compute blades, one pool of 64 on top-of-rack switches), and nodes
+// whole within a group. Machine specs defer to it, so messages spell
+// fields as the spec's JSON does.
 func (c Config) Validate() error {
 	if c.ComputeGroups < 1 {
 		return fmt.Errorf("fabric: dragonfly needs at least one compute group (computeGroups %d)", c.ComputeGroups)
@@ -115,6 +116,18 @@ func (c Config) Validate() error {
 	if avail := c.ComputeGroupSwitches * 16; needed > avail {
 		return fmt.Errorf("fabric: compute group needs %d global links (computeComputeLinks, computeIOLinks, computeMgmtLinks to its peer groups) but has %d L2 ports",
 			needed, avail)
+	}
+	// Top-of-rack switches share their 64 ports among endpoints, the
+	// group's intra links and its global links. globalLinksBetween
+	// cables management pairs like I/O–management ones.
+	torPorts := c.TORGroupSwitches * (64 - c.EndpointsPerSwitch - (c.TORGroupSwitches - 1))
+	if need := c.ComputeGroups*c.ComputeIOLinks + (c.IOGroups-1)*c.IOIOLinks + c.MgmtGroups*c.IOMgmtLinks; c.IOGroups > 0 && need > torPorts {
+		return fmt.Errorf("fabric: an I/O group needs %d global links (computeIOLinks, ioIOLinks, ioMgmtLinks to its peer groups) but its torGroupSwitches have %d ports left after endpoints and intra-group links",
+			need, max(torPorts, 0))
+	}
+	if need := c.ComputeGroups*c.ComputeMgmtLinks + (c.IOGroups+c.MgmtGroups-1)*c.IOMgmtLinks; c.MgmtGroups > 0 && need > torPorts {
+		return fmt.Errorf("fabric: a management group needs %d global links (computeMgmtLinks, ioMgmtLinks to its peer groups) but its torGroupSwitches have %d ports left after endpoints and intra-group links",
+			need, max(torPorts, 0))
 	}
 	// A node's NICs sit in one group. With a remainder some nodes would
 	// straddle two groups, and ComputeNodes would exceed ComputeGroups ×

@@ -106,11 +106,6 @@ type Fabric struct {
 	endpointSwitch []int
 	injectLink     []int
 	ejectLink      []int
-	// nodeGroup[n] is compute node n's group, the group of its first
-	// NIC. stretchEnd[n] is one past the last node of the run of
-	// consecutive node ids from n that share n's group, so sorted
-	// placements are read one stretch at a time instead of per node.
-	nodeGroup, stretchEnd []int32
 
 	// uplink and downlink join each leaf to the core in FatTree fabrics.
 	uplink, downlink []int
@@ -228,7 +223,6 @@ func NewDragonfly(cfg Config) (*Fabric, error) {
 	for ep := range endpoints {
 		f.cableEndpoint(ep, ep/cfg.EndpointsPerSwitch, epCap)
 	}
-	f.indexNodeGroups()
 	// Intra-group: full connectivity.
 	for _, ids := range f.groupSwitches {
 		for i := 0; i < len(ids); i++ {
@@ -308,97 +302,59 @@ func (f *Fabric) NodeEndpoint(n, i int) int {
 	return n*f.Cfg.NICsPerNode + i%f.Cfg.NICsPerNode
 }
 
-// indexNodeGroups fills the node→group and stretch-end tables.
-// Constructors call it once every endpoint is cabled.
-func (f *Fabric) indexNodeGroups() {
-	k := f.Cfg.NICsPerNode
+// NodeGroup returns the dragonfly group of compute node n. Every
+// constructor cables compute group g as the node range
+// [g·NodesPerGroup, (g+1)·NodesPerGroup), the arithmetic communicators,
+// placement signatures and the scheduler share.
+func (f *Fabric) NodeGroup(n int) int { return n / f.Cfg.NodesPerGroup() }
+
+// SpreadPlacement is the nominal large-job placement: n of the
+// fabric's compute nodes spread evenly across it, node i·total/n for
+// rank block i. For 1 <= n <= total it is a placement. The scheduler's
+// walltime quotes price programs on it; the placement a job actually
+// receives re-prices the program.
+func (f *Fabric) SpreadPlacement(n int) []int {
 	total := f.Cfg.ComputeNodes()
-	f.nodeGroup = make([]int32, total)
-	f.stretchEnd = make([]int32, total)
-	for n := range f.nodeGroup {
-		f.nodeGroup[n] = int32(f.SwitchGroup[f.endpointSwitch[n*k]])
+	nodes := make([]int, n)
+	for i := range nodes {
+		nodes[i] = i * total / n
 	}
-	for n := total - 1; n >= 0; n-- {
-		f.stretchEnd[n] = int32(n + 1)
-		if n+1 < total && f.nodeGroup[n+1] == f.nodeGroup[n] {
-			f.stretchEnd[n] = f.stretchEnd[n+1]
-		}
-	}
+	return nodes
 }
 
-// NodeGroup returns the dragonfly group of compute node n: the group of
-// its first NIC. It is the one node→group mapping communicators,
-// placement signatures and the scheduler share.
-func (f *Fabric) NodeGroup(n int) int { return int(f.nodeGroup[n]) }
-
 // NextStretch returns the index of the first element of nodes after i
-// that lies outside nodes[i]'s stretch: the run of consecutive compute
-// node ids from nodes[i] that share its group. Stretches are exact for
-// any layout, including groups that are not contiguous id ranges, so
-// every element in between is in nodes[i]'s group. nodes must be
-// strictly increasing from i; then nodes[i+k] >= nodes[i]+k, and the
-// binary search never looks past the stretch's length.
+// that lies outside nodes[i]'s group. nodes must be a placement (see
+// CheckNodes); then nodes[i+k] >= nodes[i]+k, so the binary search
+// never looks past the group's remaining length.
 func (f *Fabric) NextStretch(nodes []int, i int) int {
-	end := int(f.stretchEnd[nodes[i]])
+	per := f.Cfg.NodesPerGroup()
+	end := (nodes[i]/per + 1) * per
 	hi := min(len(nodes), i+end-nodes[i])
 	return i + sort.SearchInts(nodes[i:hi], end)
 }
 
-// CheckNodes reports the first node that is not a compute node of the
-// fabric or appears twice: the placements communicators and pricing
-// accept. Strictly increasing lists — every scheduler allocation — need
-// no set.
+// CheckNodes holds nodes to the placement contract that communicators
+// and pricing assume: a strictly increasing list of the fabric's compute
+// node ids. The error names the first node that breaks it.
 func (f *Fabric) CheckNodes(nodes []int) error {
-	total := len(f.nodeGroup)
-	increasing := true
+	total := f.Cfg.ComputeNodes()
 	for i, n := range nodes {
 		if n < 0 || n >= total {
 			return fmt.Errorf("node %d outside fabric (0..%d)", n, total-1)
 		}
 		if i > 0 && n <= nodes[i-1] {
-			increasing = false
+			return fmt.Errorf("node %d follows node %d: a placement is strictly increasing", n, nodes[i-1])
 		}
-	}
-	if increasing {
-		return nil
-	}
-	seen := make([]uint64, (total+63)/64)
-	for _, n := range nodes {
-		if seen[n/64]&(1<<(n%64)) != 0 {
-			return fmt.Errorf("node %d appears twice", n)
-		}
-		seen[n/64] |= 1 << (n % 64)
 	}
 	return nil
 }
 
-// GroupsSpanned returns how many distinct dragonfly groups the compute
-// nodes touch. A strictly increasing list — every scheduler allocation
-// and its rank-0 subgroups — is read one group stretch at a time.
+// GroupsSpanned returns how many dragonfly groups a placement touches,
+// read one group at a time.
 func (f *Fabric) GroupsSpanned(nodes []int) int {
-	var stack [128]bool // every canonical machine fits: no allocation
-	var seen []bool
-	if f.numGroups <= len(stack) {
-		seen = stack[:f.numGroups]
-	} else {
-		seen = make([]bool, f.numGroups)
-	}
-	increasing := true
-	for i := 1; i < len(nodes) && increasing; i++ {
-		increasing = nodes[i] > nodes[i-1]
-	}
 	groups := 0
-	for i := 0; i < len(nodes); {
-		g := f.nodeGroup[nodes[i]]
-		if increasing {
-			i = f.NextStretch(nodes, i)
-		} else {
-			i++
-		}
-		if !seen[g] {
-			seen[g] = true
-			groups++
-		}
+	for i := 0; i < len(nodes); i = f.NextStretch(nodes, i) {
+		groups++
 	}
 	return groups
 }

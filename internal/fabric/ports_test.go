@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -103,6 +104,36 @@ func TestPortBudgetRejectsOverbuild(t *testing.T) {
 	}
 	if err := auditPorts(f); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A top-of-rack switch spends its 64 ports on endpoints, its
+// group-mates and global links. Frontier's I/O group needs 194 global
+// links of the 16 × (64 − 16 − 15) = 528 its switches have left;
+// computeIOLinks 12 asks 74 × 12 + 4 × 10 + 6 = 934, and Validate must
+// refuse to build it, naming the spec's fields.
+func TestPortBudgetTopOfRackGroups(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		want   []string
+	}{
+		{"I/O bundles", func(c *Config) { c.ComputeIOLinks = 12 }, []string{"I/O group", "934", "computeIOLinks", "528"}},
+		{"management bundles", func(c *Config) { c.ComputeMgmtLinks = 12 }, []string{"management group", "918", "computeMgmtLinks"}},
+		{"intra links alone", func(c *Config) { c.TORGroupSwitches = 60 }, []string{"torGroupSwitches", "0 ports left"}},
+	} {
+		cfg := FrontierConfig()
+		tc.mutate(&cfg)
+		err := cfg.Validate()
+		if err == nil {
+			t.Errorf("%s: Validate accepted %+v", tc.name, cfg)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not mention %q", tc.name, err, w)
+			}
+		}
 	}
 }
 

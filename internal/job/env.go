@@ -80,19 +80,6 @@ func (e *Env) Validate() error {
 	return nil
 }
 
-// SpreadPlacement is the nominal large-job placement: n nodes spread
-// evenly across the machine, the same shape Platform.Comm uses. The
-// scheduler estimates queue-time walltimes against it; the placement a
-// job actually receives re-prices the program.
-func (e *Env) SpreadPlacement(n int) []int {
-	total := e.Fabric.Cfg.ComputeNodes()
-	nodes := make([]int, n)
-	for i := range nodes {
-		nodes[i] = i * total / n
-	}
-	return nodes
-}
-
 // Bound is a program priced against an env and a concrete placement:
 // per-phase durations and the total runtime the scheduler uses as the
 // job's derived duration.
@@ -126,30 +113,25 @@ func (e *Env) Bind(p *Program, nodes []int) (*Bound, error) {
 	if len(nodes) != p.Nodes {
 		return nil, fmt.Errorf("job: program %s needs %d nodes, placement has %d", p.Name, p.Nodes, len(nodes))
 	}
+	if err := e.Fabric.CheckNodes(nodes); err != nil {
+		return nil, fmt.Errorf("job: binding %s: %w", p.Name, err)
+	}
 	if e.Cache != nil {
-		if place, ok := e.PlacementSignature(nodes); ok {
-			key := pricingKey{env: e.CacheKey, prog: ProgramSignature(p), place: place}
-			if pr, hit := e.Cache.lookup(key); hit {
-				return &Bound{Prog: p, Env: e, Nodes: nodes,
-					SetupTimes: pr.setupTimes, LoopTimes: pr.loopTimes,
-					Total: pr.total(p.Iterations)}, nil
-			}
-			return e.price(p, nodes, &key)
+		key := pricingKey{env: e.CacheKey, prog: ProgramSignature(p), place: e.PlacementSignature(nodes)}
+		if pr, hit := e.Cache.lookup(key); hit {
+			return &Bound{Prog: p, Env: e, Nodes: nodes,
+				SetupTimes: pr.setupTimes, LoopTimes: pr.loopTimes,
+				Total: pr.total(p.Iterations)}, nil
 		}
+		return e.price(p, nodes, &key)
 	}
 	return e.price(p, nodes, nil)
 }
 
-// price is Bind past the cache lookup: it prices every phase and, given
-// the key of a cache miss, stores the result under it. A keyed placement
-// was already checked by PlacementSignature (or is the nominal spread
-// placement); an unkeyed one is checked here.
+// price is Bind past the contract check and the cache lookup: it prices
+// every phase and, given the key of a cache miss, stores the result
+// under it.
 func (e *Env) price(p *Program, nodes []int, key *pricingKey) (*Bound, error) {
-	if key == nil {
-		if err := e.Fabric.CheckNodes(nodes); err != nil {
-			return nil, fmt.Errorf("job: binding %s: %w", p.Name, err)
-		}
-	}
 	b := &Bound{Prog: p, Env: e, Nodes: nodes}
 	timed := func(phases []Phase) ([]units.Seconds, units.Seconds, error) {
 		times := make([]units.Seconds, len(phases))
@@ -193,7 +175,7 @@ func (e *Env) Estimate(p *Program) (units.Seconds, error) {
 			p.Name, p.Nodes, e.Fabric.Cfg.ComputeNodes())
 	}
 	if e.Cache == nil {
-		b, err := e.Bind(p, e.SpreadPlacement(p.Nodes))
+		b, err := e.Bind(p, e.Fabric.SpreadPlacement(p.Nodes))
 		if err != nil {
 			return 0, err
 		}
@@ -206,7 +188,7 @@ func (e *Env) Estimate(p *Program) (units.Seconds, error) {
 	if pr, hit := e.Cache.lookup(key); hit {
 		return pr.total(p.Iterations), nil
 	}
-	b, err := e.price(p, e.SpreadPlacement(p.Nodes), &key)
+	b, err := e.price(p, e.Fabric.SpreadPlacement(p.Nodes), &key)
 	if err != nil {
 		return 0, err
 	}

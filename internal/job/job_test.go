@@ -154,7 +154,7 @@ func TestBindPlacementSensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spread, err := env.Bind(p, env.SpreadPlacement(n))
+	spread, err := env.Bind(p, env.Fabric.SpreadPlacement(n))
 	if err != nil {
 		t.Fatal(err)
 	}

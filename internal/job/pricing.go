@@ -12,9 +12,9 @@ import (
 // This file is the placement-signature pricing cache. Binding a program
 // prices every phase through mpi.Comm, and every quantity that pricing
 // reads — Size, PPN, GroupsSpanned, rank-to-node equality for SendRecv,
-// and the sub-communicators Split derives from rank indices — is
-// invariant under relabeling the placement's nodes by order of
-// appearance and its dragonfly groups by first appearance. Two
+// and the rank-0 sub-communicators RankZeroGroup derives from rank
+// indices — is invariant under relabeling the placement's nodes by order
+// of appearance and its dragonfly groups by first appearance. Two
 // placements with the same relabeled per-node group sequence therefore
 // price to bit-identical per-phase times, and a campaign's thousands of
 // same-class jobs landing on isomorphic placements collapse to one
@@ -23,8 +23,8 @@ import (
 // The counterexample that keeps the signature honest: group sequences
 // [0,0,1] and [0,1,1] have the same per-group occupancy multiset, but
 // their rank-0 contiguous subgroups span different group counts, so a
-// sorted occupancy shape alone is NOT a sound key — the signature encodes
-// the full relabeled sequence.
+// sorted occupancy shape alone is NOT a sound key — the signature keeps
+// the per-group counts in group order.
 
 // Sig is a program's content signature, a pricing cache key component.
 type Sig [sha256.Size]byte
@@ -88,77 +88,24 @@ func ProgramSignature(p *Program) Sig {
 }
 
 // PlacementSignature canonicalizes a placement for pricing: the node
-// count, then the per-node dragonfly-group sequence (Fabric.NodeGroup,
-// the mapping mpi.NewComm uses) with groups relabeled by first
-// appearance, run-length encoded as (label, run length) pairs. Every
-// value is a uvarint. The encoding is lossless, so two placements share
-// a signature exactly when their relabeled sequences are equal:
-// placements isomorphic under group relabeling do, placements whose ranks
-// interleave groups differently (different comm-group layout) do not. A
-// scheduler allocation is sorted, so each group is one run, the key is
-// at most 2×groups+1 varints, and the runs are read one group stretch
-// at a time (Fabric.NextStretch) rather than per node. ok is false when
-// a node is outside the machine or repeated — the relabeled sequence
-// cannot tell [3,3] from [3,2], which Fabric.CheckNodes rejects and accepts —
-// so callers fall back to the uncached path, where Bind surfaces the
-// canonical error.
-func (e *Env) PlacementSignature(nodes []int) (string, bool) {
+// count, then each spanned group's node count in ascending group order,
+// every value a uvarint. nodes must be a placement (Fabric.CheckNodes):
+// then it lists each group's nodes in one run, its rank-to-group
+// sequence is exactly those counts in order, and the encoding is
+// lossless. Two placements share a signature exactly when their group
+// sequences are equal up to relabeling the groups; placements whose
+// ranks split across groups differently do not. The counts are read
+// one group at a time (Fabric.NextStretch), so the key costs O(groups).
+func (e *Env) PlacementSignature(nodes []int) string {
 	f := e.Fabric
-	total := f.Cfg.ComputeNodes()
-	var stack [128]int32 // every canonical machine fits: no allocation
-	var labels []int32
-	if groups := f.Cfg.TotalGroups(); groups <= len(stack) {
-		labels = stack[:groups]
-	} else {
-		labels = make([]int32, groups)
-	}
-	for i := range labels {
-		labels[i] = -1
-	}
-	increasing, prev := true, -1
-	for _, node := range nodes {
-		if uint(node) >= uint(total) { // negative or past the machine
-			return "", false
-		}
-		if node <= prev {
-			increasing = false
-		}
-		prev = node
-	}
-	// A strictly increasing placement (every scheduler allocation) has
-	// no repeats; only other orders need the set check.
-	if !increasing && f.CheckNodes(nodes) != nil {
-		return "", false
-	}
-	next := int32(0)
 	var buf [64]byte
 	key := binary.AppendUvarint(buf[:0], uint64(len(nodes)))
-	run, runLen := int32(-1), uint64(0)
 	for i := 0; i < len(nodes); {
-		g := f.NodeGroup(nodes[i])
-		// An increasing placement advances a whole group stretch at a
-		// time; any other order advances one node.
-		j := i + 1
-		if increasing {
-			j = f.NextStretch(nodes, i)
-		}
-		if labels[g] < 0 {
-			labels[g] = next
-			next++
-		}
-		if labels[g] != run {
-			if runLen > 0 {
-				key = binary.AppendUvarint(binary.AppendUvarint(key, uint64(run)), runLen)
-			}
-			run, runLen = labels[g], 0
-		}
-		runLen += uint64(j - i)
+		j := f.NextStretch(nodes, i)
+		key = binary.AppendUvarint(key, uint64(j-i))
 		i = j
 	}
-	if runLen > 0 {
-		key = binary.AppendUvarint(binary.AppendUvarint(key, uint64(run)), runLen)
-	}
-	return string(key), true
+	return string(key)
 }
 
 // pricingKey identifies one priced (program, placement, machine)
@@ -218,16 +165,16 @@ func NewPricingCache() *PricingCache {
 	}
 }
 
-// nominal returns the placement signature of e.SpreadPlacement(n),
-// computing it on first use. A spread of 1 <= n <= nodes is strictly
-// increasing and inside the machine, so its signature always exists.
+// nominal returns the placement signature of e.Fabric.SpreadPlacement(n),
+// computing it on first use. A spread of 1 <= n <= nodes is a
+// placement, so it needs no check.
 func (c *PricingCache) nominal(e *Env, n int) string {
 	k := nominalKey{env: e.CacheKey, nodes: n}
 	c.mu.Lock()
 	place, ok := c.nominals[k]
 	c.mu.Unlock()
 	if !ok {
-		place, _ = e.PlacementSignature(e.SpreadPlacement(n))
+		place = e.PlacementSignature(e.Fabric.SpreadPlacement(n))
 		c.mu.Lock()
 		c.nominals[k] = place
 		c.mu.Unlock()

@@ -66,7 +66,7 @@ func TestPricingCacheBitIdentical(t *testing.T) {
 
 	placements := [][]int{
 		contiguous(4),
-		warm.SpreadPlacement(4),
+		warm.Fabric.SpreadPlacement(4),
 		{1, 2, 5, 9}, // spans groups unevenly
 	}
 	for _, iters := range []int{1, 7, 1000} {
@@ -90,17 +90,13 @@ func TestPricingCacheBitIdentical(t *testing.T) {
 }
 
 // Placements isomorphic under group relabeling share a signature; a
-// different group interleaving (comm-group layout) does not, and
-// placements spanning different group counts price differently.
+// different split of ranks across groups (comm-group layout) does not,
+// and placements spanning different group counts price differently.
+// Lists outside the placement contract never reach the signature: Bind
+// rejects them, with or without a cache.
 func TestPlacementSignatureCanonicalization(t *testing.T) {
 	env := testEnv(t) // Scaled(4,4,4): 16 nodes, 4 per group
-	sig := func(nodes []int) string {
-		s, ok := env.PlacementSignature(nodes)
-		if !ok {
-			t.Fatalf("signature rejected in-range placement %v", nodes)
-		}
-		return s
-	}
+	sig := env.PlacementSignature
 	a := sig([]int{0, 1, 4}) // groups 0,0,1
 	b := sig([]int{4, 5, 8}) // groups 1,1,2 — isomorphic to a
 	c := sig([]int{0, 4, 5}) // groups 0,1,1 — same occupancy multiset, different layout
@@ -110,22 +106,19 @@ func TestPlacementSignatureCanonicalization(t *testing.T) {
 	if a == c {
 		t.Error("different group interleavings share a signature (occupancy multiset is not a sound key)")
 	}
-	// Non-monotone sequences: a group that recurs after another starts a
-	// new run, and relabeling by first appearance still applies.
-	d := sig([]int{0, 4, 1}) // groups 0,1,0
-	e := sig([]int{4, 0, 5}) // groups 1,0,1 — relabels to 0,1,0
-	if d == c {
-		t.Error("group sequences [0,1,0] and [0,1,1] share a signature")
-	}
-	if d != e {
-		t.Error("group sequences [0,1,0] and [1,0,1] (isomorphic) do not share a signature")
-	}
-
 	if s1, s2 := sig([]int{0, 1, 2}), sig([]int{0, 4, 8}); s1 == s2 {
 		t.Error("packed and spanning placements share a signature")
 	}
-	if _, ok := env.PlacementSignature([]int{0, 1 << 20}); ok {
-		t.Error("out-of-machine node accepted by the signature")
+	warm := testEnv(t)
+	warm.Cache = job.NewPricingCache()
+	trio := &job.Program{Name: "trio", Nodes: 3, PPN: 1, Iterations: 1,
+		Loop: []job.Phase{{Kind: job.Collective, Op: job.Allreduce, Payload: units.MiB}}}
+	for _, e := range []*job.Env{env, warm} {
+		for _, nodes := range [][]int{{0, 4, 1}, {4, 0, 5}, {0, 1, 1 << 20}, {-1, 0, 1}} {
+			if _, err := e.Bind(trio, nodes); err == nil {
+				t.Errorf("cache %v: Bind accepted %v, which is not a placement", e.Cache != nil, nodes)
+			}
+		}
 	}
 
 	// The layout distinction is not pedantry: at a scale where the
@@ -143,12 +136,12 @@ func TestPlacementSignatureCanonicalization(t *testing.T) {
 	p := &job.Program{Name: "wide", Nodes: 128, PPN: big.Node.Devices, Iterations: 5,
 		Loop: []job.Phase{{Kind: job.Collective, Op: job.Allreduce, Payload: 128 * units.MiB}}}
 	packed := bindOrFatal(t, big, p, contiguous(128))
-	spread := bindOrFatal(t, big, p, big.SpreadPlacement(128))
+	spread := bindOrFatal(t, big, p, big.Fabric.SpreadPlacement(128))
 	if packed.Total == spread.Total {
 		t.Error("packed and spread 128-node placements priced identically; layout does not matter at this scale")
 	}
-	ps, _ := big.PlacementSignature(contiguous(128))
-	ss, _ := big.PlacementSignature(big.SpreadPlacement(128))
+	ps := big.PlacementSignature(contiguous(128))
+	ss := big.PlacementSignature(big.Fabric.SpreadPlacement(128))
 	if ps == ss {
 		t.Error("packed and spread 128-node placements share a signature")
 	}
@@ -201,7 +194,7 @@ func TestBindBlobIsExact(t *testing.T) {
 		env := testEnv(t)
 		env.Cache = cache
 		blob := job.Blob("blob", 8, d)
-		for _, nodes := range [][]int{contiguous(8), env.SpreadPlacement(8)} {
+		for _, nodes := range [][]int{contiguous(8), env.Fabric.SpreadPlacement(8)} {
 			for pass := 0; pass < 2; pass++ { // with a cache, the second pass hits
 				if b := bindOrFatal(t, env, blob, nodes); b.Total != d {
 					t.Errorf("cache %v, nodes %v, pass %d: Total = %v, want %v", cache != nil, nodes, pass, b.Total, d)
@@ -266,8 +259,9 @@ func TestPricingCacheCountsAndNil(t *testing.T) {
 
 // A placement that repeats a node is not a placement: it used to price
 // its exchange as intra-node and, sharing a signature with the distinct
-// placement [3,2], poison the cache for it. Bind rejects it with or
-// without a cache, and the cache then serves [3,2] its cold price.
+// placement [3,2], poison the cache for it. Bind rejects it, and every
+// other list that is not strictly increasing, with or without a cache;
+// the cache then serves [2,3] its cold price.
 func TestRepeatedNodeDoesNotPoisonCache(t *testing.T) {
 	cold := testEnv(t)
 	warm := testEnv(t)
@@ -275,19 +269,15 @@ func TestRepeatedNodeDoesNotPoisonCache(t *testing.T) {
 	p := &job.Program{Name: "pair", Nodes: 2, PPN: 1, Iterations: 1,
 		Loop: []job.Phase{{Kind: job.Collective, Op: job.SendRecv, Payload: units.MiB}}}
 	for _, env := range []*job.Env{cold, warm} {
-		if _, err := env.Bind(p, []int{3, 3}); err == nil {
-			t.Fatalf("cache %v: Bind accepted the repeated placement [3 3]", env.Cache != nil)
+		for _, nodes := range [][]int{{3, 3}, {3, 2}} {
+			if _, err := env.Bind(p, nodes); err == nil {
+				t.Fatalf("cache %v: Bind accepted %v", env.Cache != nil, nodes)
+			}
 		}
 	}
-	if _, ok := warm.PlacementSignature([]int{3, 3}); ok {
-		t.Error("signature accepted a repeated node")
-	}
-	if _, ok := warm.PlacementSignature([]int{5, 2, 9, 2}); ok {
-		t.Error("signature accepted a repeated node in an unsorted placement")
-	}
-	want := bindOrFatal(t, cold, p, []int{3, 2}).Total
-	if got := bindOrFatal(t, warm, p, []int{3, 2}).Total; got != want {
-		t.Errorf("cached [3 2] priced %v, cold %v", got, want)
+	want := bindOrFatal(t, cold, p, []int{2, 3}).Total
+	if got := bindOrFatal(t, warm, p, []int{2, 3}).Total; got != want {
+		t.Errorf("cached [2 3] priced %v, cold %v", got, want)
 	}
 }
 
@@ -343,7 +333,7 @@ func TestEstimateCachedMatchesUncached(t *testing.T) {
 					if got != want {
 						t.Fatalf("%s n=%d iters=%d pass=%d: cached Estimate %v, uncached %v", p.Name, p.Nodes, iters, pass, got, want)
 					}
-					if bound := bindOrFatal(t, twin, p, twin.SpreadPlacement(p.Nodes)); bound.Total != want {
+					if bound := bindOrFatal(t, twin, p, twin.Fabric.SpreadPlacement(p.Nodes)); bound.Total != want {
 						t.Fatalf("%s n=%d iters=%d pass=%d: Bind on the spread placement %v, Estimate %v", p.Name, p.Nodes, iters, pass, bound.Total, want)
 					}
 				}
@@ -351,7 +341,7 @@ func TestEstimateCachedMatchesUncached(t *testing.T) {
 				// and no other placement's: Bind on the spread hits it,
 				// a packed placement prices cold.
 				h0, _ := cached.Cache.Stats()
-				if bound := bindOrFatal(t, cached, p, cached.SpreadPlacement(p.Nodes)); bound.Total != want {
+				if bound := bindOrFatal(t, cached, p, cached.Fabric.SpreadPlacement(p.Nodes)); bound.Total != want {
 					t.Fatalf("%s n=%d: cached Bind on the spread placement %v, Estimate %v", p.Name, p.Nodes, bound.Total, want)
 				}
 				if h1, _ := cached.Cache.Stats(); h1 != h0+1 {
@@ -361,7 +351,7 @@ func TestEstimateCachedMatchesUncached(t *testing.T) {
 				if got, cold := bindOrFatal(t, cached, p, packed).Total, bindOrFatal(t, cold, p, packed).Total; got != cold {
 					t.Fatalf("%s n=%d: cached Bind on a packed placement %v, cold %v", p.Name, p.Nodes, got, cold)
 				}
-				bindOrFatal(t, twin, p, twin.SpreadPlacement(p.Nodes))
+				bindOrFatal(t, twin, p, twin.Fabric.SpreadPlacement(p.Nodes))
 				bindOrFatal(t, twin, p, packed)
 			}
 		}

@@ -9,51 +9,38 @@ import (
 )
 
 // referenceSignature is the per-node PlacementSignature encoder the
-// stretch-walking one replaced, kept as the reference it must equal:
-// one NodeGroup lookup and one run-length step per node.
+// stretch-walking one replaced, kept as the reference it must equal: one
+// NodeGroup lookup per node, and one count per run of equal groups.
+// ok is false for a list outside the placement contract — not strictly
+// increasing, or holding an id outside the machine — tested node by node.
 func referenceSignature(e *job.Env, nodes []int) (string, bool) {
 	f := e.Fabric
 	total := f.Cfg.ComputeNodes()
-	labels := make([]int32, f.Cfg.TotalGroups())
-	for i := range labels {
-		labels[i] = -1
-	}
-	next := int32(0)
 	key := binary.AppendUvarint(nil, uint64(len(nodes)))
-	run, runLen := int32(-1), uint64(0)
-	increasing := true
+	run, runLen := -1, uint64(0)
 	for i, node := range nodes {
-		if node < 0 || node >= total {
+		if node < 0 || node >= total || (i > 0 && node <= nodes[i-1]) {
 			return "", false
 		}
-		if i > 0 && node <= nodes[i-1] {
-			increasing = false
-		}
-		g := f.NodeGroup(node)
-		if labels[g] < 0 {
-			labels[g] = next
-			next++
-		}
-		if labels[g] != run {
+		if g := f.NodeGroup(node); g != run {
 			if runLen > 0 {
-				key = binary.AppendUvarint(binary.AppendUvarint(key, uint64(run)), runLen)
+				key = binary.AppendUvarint(key, runLen)
 			}
-			run, runLen = labels[g], 0
+			run, runLen = g, 0
 		}
 		runLen++
 	}
-	if !increasing && f.CheckNodes(nodes) != nil {
-		return "", false
-	}
 	if runLen > 0 {
-		key = binary.AppendUvarint(binary.AppendUvarint(key, uint64(run)), runLen)
+		key = binary.AppendUvarint(key, runLen)
 	}
 	return string(key), true
 }
 
-// FuzzPlacementSignature holds PlacementSignature to the per-node
-// reference for arbitrary node lists on a 6-group machine of 32 nodes
-// per group. Each byte is a node id offset by -16 (raw mode) or the
+// FuzzPlacementSignature holds Fabric.CheckNodes and PlacementSignature
+// to the per-node reference for arbitrary node lists on a 6-group
+// machine of 32 nodes per group: CheckNodes rejects exactly the lists
+// the contract excludes, and on the rest the signature equals the
+// reference. Each byte is a node id offset by -16 (raw mode) or the
 // step from the previous node, starting at -17 (delta mode): raw lists
 // are unsorted with repeats, delta lists are sorted and strictly
 // increasing wherever no step is zero, and both reach negative and
@@ -79,10 +66,15 @@ func FuzzPlacementSignature(f *testing.F) {
 				nodes[i] = int(b) - 16
 			}
 		}
-		got, ok := env.PlacementSignature(nodes)
-		want, wantOK := referenceSignature(env, nodes)
-		if got != want || ok != wantOK {
-			t.Fatalf("PlacementSignature(%v) = %q, %v; reference %q, %v", nodes, got, ok, want, wantOK)
+		want, valid := referenceSignature(env, nodes)
+		if err := fab.CheckNodes(nodes); (err == nil) != valid {
+			t.Fatalf("CheckNodes(%v) = %v; contract says valid = %v", nodes, err, valid)
+		}
+		if !valid {
+			return
+		}
+		if got := env.PlacementSignature(nodes); got != want {
+			t.Fatalf("PlacementSignature(%v) = %q; reference %q", nodes, got, want)
 		}
 	})
 }

@@ -189,15 +189,22 @@ func TestValidationErrors(t *testing.T) {
 			s.Topology.Nodes = 9472
 		}, "computeGroupSwitches"},
 		{"huge node override", func(s *Spec) { s.Topology.Nodes = 1 << 40 }, "override"},
+		// Four compute groups carry 512 nodes; the other models would
+		// count 1,000 while the scheduler allocates from 512.
+		{"node override above the fabric", func(s *Spec) {
+			s.Topology.ComputeGroups, s.Topology.Nodes = 4, 1000
+		}, "fabric's 512 compute nodes"},
 		{"huge top-of-rack groups", func(s *Spec) { s.Topology.TORGroupSwitches = 4096 }, "torGroupSwitches"},
 		{"huge global bundle", func(s *Spec) { s.Topology.IOIOLinks = 1 << 30 }, "bundle"},
 		{"disconnected compute groups", func(s *Spec) { s.Topology.ComputeComputeLinks = 0 }, "computeComputeLinks"},
 		// Topology rules come from the fabric, which would refuse to
-		// build these: the Rosetta port budget (16 L0 + 32 L1 + 16 L2),
+		// build these: the Rosetta port budget (16 L0 + 32 L1 + 16 L2 on
+		// compute blades, a pool of 64 on top-of-rack switches),
 		// two switches per group, and nodes that fit inside one group.
 		{"L2 ports over budget", func(s *Spec) { s.Topology.ComputeComputeLinks = 8 }, "computeComputeLinks"},
 		{"L1 ports over budget", func(s *Spec) { s.Topology.ComputeGroupSwitches = 34 }, "computeGroupSwitches"},
 		{"L0 ports over budget", func(s *Spec) { s.Topology.EndpointsPerSwitch = 17 }, "endpointsPerSwitch"},
+		{"I/O group ports over budget", func(s *Spec) { s.Topology.ComputeIOLinks = 12 }, "computeIOLinks"},
 		{"one switch per group", func(s *Spec) {
 			s.Topology.ComputeGroups, s.Topology.ComputeGroupSwitches = 8, 1
 		}, "computeGroupSwitches"},

@@ -354,6 +354,13 @@ func (s Spec) Validate() error {
 	if err != nil {
 		return fmt.Errorf("machine %s: %w", s.Name, err)
 	}
+	// The override may leave fabric endpoints to service nodes (Cori),
+	// but every compute node the other models count must have a place
+	// on the fabric the scheduler allocates from.
+	if t.Nodes > t.DerivedNodes() {
+		return fmt.Errorf("machine %s: node-count override (nodes) %d exceeds the fabric's %d compute nodes",
+			s.Name, t.Nodes, t.DerivedNodes())
+	}
 	if s.Nodes() < 1 {
 		return fmt.Errorf("machine %s: topology yields %d compute nodes", s.Name, s.Nodes())
 	}

@@ -47,8 +47,9 @@ type Comm struct {
 }
 
 // NewComm creates a communicator over the given compute nodes with ppn
-// ranks per node. A node may appear once: allocations are exclusive, and
-// a repeated node would price its cross-node exchanges as intra-node.
+// ranks per node. nodes must be a placement (fabric.CheckNodes): a
+// repeated node would price its cross-node exchanges as intra-node, and
+// the group count is read one group at a time.
 func NewComm(f *fabric.Fabric, nodes []int, ppn int) (*Comm, error) {
 	if len(nodes) == 0 || ppn < 1 {
 		return nil, fmt.Errorf("mpi: communicator needs nodes and ppn >= 1")
@@ -210,45 +211,17 @@ func (c *Comm) String() string {
 		c.Size(), len(c.Nodes), c.PPN, c.GroupsSpanned())
 }
 
-// Split partitions the communicator into disjoint sub-communicators by
-// color (ranks keep their relative order), the building block for the
-// row/column communicators a 2-D pencil decomposition uses.
-func (c *Comm) Split(color func(rank int) int) (map[int]*Comm, error) {
-	nodesByColor := map[int][]int{}
-	seen := map[int]map[int]bool{}
-	for r := 0; r < c.Size(); r++ {
-		col := color(r)
-		n := c.NodeOf(r)
-		if seen[col] == nil {
-			seen[col] = map[int]bool{}
-		}
-		if !seen[col][n] {
-			seen[col][n] = true
-			nodesByColor[col] = append(nodesByColor[col], n)
-		}
-	}
-	out := make(map[int]*Comm, len(nodesByColor))
-	for col, nodes := range nodesByColor {
-		sub, err := NewComm(c.F, nodes, c.PPN)
-		if err != nil {
-			return nil, fmt.Errorf("mpi: split color %d: %w", col, err)
-		}
-		out[col] = sub
-	}
-	return out, nil
-}
-
 // RankZeroGroup returns the sub-communicator holding rank 0 of a
 // congruent decomposition: the size consecutive ranks 0..size-1 when
 // stride <= 1, else the size ranks 0, stride, 2·stride, …. It equals
-// Split(color)[0] for color r/size or r%stride respectively — the same
-// nodes in the same order and the same PPN, so it prices bit-identically
-// — but costs O(subgroup) instead of a color call per rank. Ranks are
-// block-distributed and a communicator's nodes are distinct, so a block
-// group is the first ceil(size/PPN) nodes, and a strided group visits
-// node indices in non-decreasing order, each node once. Job pricing uses
-// it because congruent-subgroup collectives only ever price the rank-0
-// subgroup.
+// the rank-0 communicator of an MPI split by color r/size or r%stride —
+// the same nodes in the same order and the same PPN, so it prices
+// bit-identically — but costs O(subgroup) instead of a color call per
+// rank. Ranks are block-distributed over a placement, so a block group
+// is the first ceil(size/PPN) nodes, and a strided group visits node
+// indices in increasing order, each node once: both are placements.
+// Job pricing uses it because congruent-subgroup collectives only ever
+// price the rank-0 subgroup.
 func (c *Comm) RankZeroGroup(size, stride int) *Comm {
 	size = min(max(size, 1), c.Size())
 	var nodes []int

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -182,15 +183,44 @@ func TestSplitRowColumns(t *testing.T) {
 	}
 }
 
+// Split partitions the communicator into disjoint sub-communicators by
+// color (ranks keep their relative order), MPI_Comm_split's semantics.
+// It is the reference RankZeroGroup must equal: one color call per rank.
+func (c *Comm) Split(color func(rank int) int) (map[int]*Comm, error) {
+	nodesByColor := map[int][]int{}
+	seen := map[int]map[int]bool{}
+	for r := 0; r < c.Size(); r++ {
+		col := color(r)
+		n := c.NodeOf(r)
+		if seen[col] == nil {
+			seen[col] = map[int]bool{}
+		}
+		if !seen[col][n] {
+			seen[col][n] = true
+			nodesByColor[col] = append(nodesByColor[col], n)
+		}
+	}
+	out := make(map[int]*Comm, len(nodesByColor))
+	for col, nodes := range nodesByColor {
+		sub, err := NewComm(c.F, nodes, c.PPN)
+		if err != nil {
+			return nil, fmt.Errorf("mpi: split color %d: %w", col, err)
+		}
+		out[col] = sub
+	}
+	return out, nil
+}
+
 // RankZeroGroup must return exactly the rank-0 sub-communicator Split
 // builds: same nodes in the same order, same PPN and group span, for
 // every block size and every full stride Program.Validate accepts, on
-// random (unsorted) placements.
+// random placements.
 func TestRankZeroGroupMatchesSplit(t *testing.T) {
 	f := testFabric(t)
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 60; trial++ {
 		nodes := rng.Perm(f.Cfg.ComputeNodes())[:1+rng.Intn(12)]
+		slices.Sort(nodes)
 		ppn := 1 + rng.Intn(8)
 		c, err := NewComm(f, nodes, ppn)
 		if err != nil {
@@ -229,16 +259,22 @@ func TestRankZeroGroupMatchesSplit(t *testing.T) {
 }
 
 // A repeated node would price cross-node exchanges as intra-node, so
-// NewComm rejects it whether or not the placement is sorted.
+// NewComm rejects it, and any other list that is not strictly
+// increasing, naming the first node out of order.
 func TestCommRejectsRepeatedNode(t *testing.T) {
 	f := testFabric(t)
-	for _, nodes := range [][]int{{3, 3}, {5, 2, 9, 2}, {0, 1, 1, 2}} {
-		if _, err := NewComm(f, nodes, 4); err == nil || !strings.Contains(err.Error(), "twice") {
-			t.Errorf("NewComm(%v) = %v, want a repeated-node error", nodes, err)
+	for _, tc := range []struct {
+		nodes []int
+		first string
+	}{
+		{[]int{3, 3}, "node 3 follows node 3"},
+		{[]int{5, 2, 9, 2}, "node 2 follows node 5"},
+		{[]int{0, 1, 1, 2}, "node 1 follows node 1"},
+		{[]int{9, 2, 5}, "node 2 follows node 9"},
+	} {
+		if _, err := NewComm(f, tc.nodes, 4); err == nil || !strings.Contains(err.Error(), tc.first) {
+			t.Errorf("NewComm(%v) = %v, want an error naming %q", tc.nodes, err, tc.first)
 		}
-	}
-	if _, err := NewComm(f, []int{9, 2, 5}, 4); err != nil {
-		t.Errorf("distinct unsorted nodes rejected: %v", err)
 	}
 }
 
