@@ -63,7 +63,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("  job %d: %d nodes across %d dragonfly groups, VNI %d\n",
-		j.ID, len(j.Alloc), j.GroupsSpanned(sys.Fabric), j.VNI)
+		j.ID, j.Nodes, j.Alloc.GroupsSpanned(), j.VNI)
 	gemmTime := sys.Node.GCDs[0].GemmTime(gpu.FP64, 16384)
 	fmt.Printf("  one 16384^3 DGEMM per GCD: %v at %v\n",
 		gemmTime, sys.Node.GCDs[0].GemmAchieved(gpu.FP64, 16384))

@@ -39,7 +39,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-9s %3d nodes -> %d group(s), VNI %d\n",
-			name, j.Nodes, j.GroupsSpanned(sys.Fabric), j.VNI)
+			name, j.Nodes, j.Alloc.GroupsSpanned(), j.VNI)
 	}
 	// A full-system job: queued behind the small ones, spreads wide.
 	big, err := sys.Scheduler.Submit(job.Blob("hero", 384, 4*units.Hour), onDone)
@@ -62,7 +62,7 @@ func main() {
 	fmt.Printf("  jobs started   %d\n", sys.Scheduler.Started)
 	fmt.Printf("  jobs finished  %d (failed: %d)\n", sys.Scheduler.Finished, sys.Scheduler.FailedJobs)
 	fmt.Printf("  completions    %v\n", completions)
-	fmt.Printf("  hero job       %v (spanned %d groups)\n", big.State, big.GroupsSpanned(sys.Fabric))
+	fmt.Printf("  hero job       %v (spanned %d groups)\n", big.State, big.Alloc.GroupsSpanned())
 	fmt.Printf("  free nodes     %d\n", sys.Scheduler.FreeNodes())
 }
 

@@ -37,7 +37,7 @@ func ExampleSystem_scheduler() {
 	}
 	sys.Kernel.Run()
 	fmt.Println("state:", j.State)
-	fmt.Println("groups spanned:", j.GroupsSpanned(sys.Fabric))
+	fmt.Println("groups spanned:", j.Alloc.GroupsSpanned())
 	// Output:
 	// state: completed
 	// groups spanned: 1

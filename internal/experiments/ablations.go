@@ -159,9 +159,9 @@ func AblationPlacement(o Options) (*report.Table, error) {
 	for _, c := range cases {
 		nodes := f.SpreadPlacement(c.nodes)
 		if c.placed == "packed" {
-			for i := range nodes {
-				nodes[i] = i
-			}
+			b := f.NewPlacementBuilder()
+			b.Append(0, c.nodes)
+			nodes = b.Placement()
 		}
 		comm, err := mpi.NewComm(f, nodes, 8)
 		if err != nil {

@@ -24,11 +24,7 @@ func TestAnalyticVsSolverAllToAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes := f.Cfg.ComputeNodes() // 64
-	list := make([]int, nodes)
-	for i := range list {
-		list[i] = i
-	}
-	comm, err := mpi.NewComm(f, list, 4)
+	comm, err := mpi.NewComm(f, f.SpreadPlacement(nodes), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

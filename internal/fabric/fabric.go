@@ -3,7 +3,6 @@ package fabric
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"frontiersim/internal/units"
 )
@@ -307,57 +306,6 @@ func (f *Fabric) NodeEndpoint(n, i int) int {
 // [g·NodesPerGroup, (g+1)·NodesPerGroup), the arithmetic communicators,
 // placement signatures and the scheduler share.
 func (f *Fabric) NodeGroup(n int) int { return n / f.Cfg.NodesPerGroup() }
-
-// SpreadPlacement is the nominal large-job placement: n of the
-// fabric's compute nodes spread evenly across it, node i·total/n for
-// rank block i. For 1 <= n <= total it is a placement. The scheduler's
-// walltime quotes price programs on it; the placement a job actually
-// receives re-prices the program.
-func (f *Fabric) SpreadPlacement(n int) []int {
-	total := f.Cfg.ComputeNodes()
-	nodes := make([]int, n)
-	for i := range nodes {
-		nodes[i] = i * total / n
-	}
-	return nodes
-}
-
-// NextStretch returns the index of the first element of nodes after i
-// that lies outside nodes[i]'s group. nodes must be a placement (see
-// CheckNodes); then nodes[i+k] >= nodes[i]+k, so the binary search
-// never looks past the group's remaining length.
-func (f *Fabric) NextStretch(nodes []int, i int) int {
-	per := f.Cfg.NodesPerGroup()
-	end := (nodes[i]/per + 1) * per
-	hi := min(len(nodes), i+end-nodes[i])
-	return i + sort.SearchInts(nodes[i:hi], end)
-}
-
-// CheckNodes holds nodes to the placement contract that communicators
-// and pricing assume: a strictly increasing list of the fabric's compute
-// node ids. The error names the first node that breaks it.
-func (f *Fabric) CheckNodes(nodes []int) error {
-	total := f.Cfg.ComputeNodes()
-	for i, n := range nodes {
-		if n < 0 || n >= total {
-			return fmt.Errorf("node %d outside fabric (0..%d)", n, total-1)
-		}
-		if i > 0 && n <= nodes[i-1] {
-			return fmt.Errorf("node %d follows node %d: a placement is strictly increasing", n, nodes[i-1])
-		}
-	}
-	return nil
-}
-
-// GroupsSpanned returns how many dragonfly groups a placement touches,
-// read one group at a time.
-func (f *Fabric) GroupsSpanned(nodes []int) int {
-	groups := 0
-	for i := 0; i < len(nodes); i = f.NextStretch(nodes, i) {
-		groups++
-	}
-	return groups
-}
 
 // GroupClassOf returns a group's class.
 func (f *Fabric) GroupClassOf(g int) GroupClass { return f.groupClass[g] }

@@ -186,9 +186,43 @@ func TestNodeGroupTable(t *testing.T) {
 	}
 }
 
-// NextStretch and GroupsSpanned must agree with a per-node walk and a
-// map-based count over random placements, on a dragonfly and a fat tree
-// (one group).
+// checkRuns fails unless p is the canonical run form of the node list
+// want: its runs are ascending, maximal and inside one group, they expand
+// to exactly want, and its node and group counts and Contains agree with
+// a per-node walk and a map-based count.
+func checkRuns(t *testing.T, f *Fabric, p Placement, want []int) {
+	t.Helper()
+	per := f.Cfg.NodesPerGroup()
+	runs := p.Runs()
+	for i, r := range runs {
+		if r.Count < 1 || r.First/per != (r.End()-1)/per {
+			t.Fatalf("%s: run %v is empty or crosses a group", f.Cfg.Name, r)
+		}
+		if i > 0 && (r.First < runs[i-1].End() || r.First == runs[i-1].End() && r.First%per != 0) {
+			t.Fatalf("%s: run %v after %v is out of order or not maximal", f.Cfg.Name, r, runs[i-1])
+		}
+	}
+	if got := p.AppendNodes(nil); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+		t.Fatalf("%s: placement expands to %v, want %v", f.Cfg.Name, got, want)
+	}
+	seen, in := map[int]bool{}, map[int]bool{}
+	for _, n := range want {
+		seen[f.NodeGroup(n)] = true
+		in[n] = true
+	}
+	if p.Nodes() != len(want) || p.GroupsSpanned() != len(seen) {
+		t.Fatalf("%s: %d nodes in %d groups, want %d in %d", f.Cfg.Name, p.Nodes(), p.GroupsSpanned(), len(want), len(seen))
+	}
+	for n := -1; n <= f.Cfg.ComputeNodes(); n++ {
+		if p.Contains(n) != in[n] {
+			t.Fatalf("%s: Contains(%d) = %v", f.Cfg.Name, n, p.Contains(n))
+		}
+	}
+}
+
+// A placement built from any sorted node list is that list's canonical
+// run form with its group count, on a dragonfly and a fat tree (one
+// group), as is every prefix of it.
 func TestGroupsSpannedMatchesReference(t *testing.T) {
 	summit, err := NewClos(SummitClosConfig())
 	if err != nil {
@@ -197,19 +231,6 @@ func TestGroupsSpannedMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(18))
 	for _, f := range []*Fabric{small(t), summit} {
 		total := f.Cfg.ComputeNodes()
-		all := make([]int, total)
-		for n := range all {
-			all[n] = n
-		}
-		for n := 0; n < total; n++ {
-			end := n + 1
-			for end < total && f.NodeGroup(end) == f.NodeGroup(n) {
-				end++
-			}
-			if got := f.NextStretch(all, n); got != end {
-				t.Fatalf("%s: stretch from node %d ends at %d, want %d", f.Cfg.Name, n, got, end)
-			}
-		}
 		for trial := 0; trial < 100; trial++ {
 			var nodes []int
 			p := r.Float64()
@@ -218,15 +239,78 @@ func TestGroupsSpannedMatchesReference(t *testing.T) {
 					nodes = append(nodes, n)
 				}
 			}
-			seen := map[int]bool{}
-			for _, n := range nodes {
-				seen[f.NodeGroup(n)] = true
+			pl, err := f.NewPlacement(nodes)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got := f.GroupsSpanned(nodes); got != len(seen) {
-				t.Fatalf("%s trial %d: GroupsSpanned(%d nodes) = %d, want %d", f.Cfg.Name, trial, len(nodes), got, len(seen))
+			checkRuns(t, f, pl, nodes)
+			for range 3 {
+				k := r.Intn(len(nodes) + 1)
+				checkRuns(t, f, pl.Prefix(k), nodes[:k])
 			}
 		}
 	}
+}
+
+// NewPlacement rejects the lists outside the placement contract, naming
+// the first offending node; the builder splits a range at group
+// boundaries, extends the last run with a contiguous one, and refuses a
+// range that does not extend the placement; a spread takes node
+// i·total/n.
+func TestPlacementConstruction(t *testing.T) {
+	f := small(t) // 6 groups of 8 nodes
+	for _, tc := range []struct {
+		nodes []int
+		err   string
+	}{
+		{[]int{3, 3}, "node 3 follows node 3: a placement is strictly increasing"},
+		{[]int{9, 2, 5}, "node 2 follows node 9"},
+		{[]int{0, 48}, "node 48 outside fabric (0..47)"},
+		{[]int{-1}, "node -1 outside fabric"},
+	} {
+		if _, err := f.NewPlacement(tc.nodes); err == nil || !strings.Contains(err.Error(), tc.err) {
+			t.Errorf("NewPlacement(%v) = %v, want an error naming %q", tc.nodes, err, tc.err)
+		}
+	}
+	b := f.NewPlacementBuilder()
+	b.Append(2, 3)  // [2,5) in group 0
+	b.Append(5, 10) // [5,8) extends it, [8,15) starts group 1
+	b.Append(15, 1) // extends group 1's run
+	b.Append(20, 1)
+	p := b.Placement()
+	if want := []Run{{2, 6}, {8, 8}, {20, 1}}; !reflect.DeepEqual(p.Runs(), want) || p.GroupsSpanned() != 3 || p.Nodes() != 15 {
+		t.Errorf("built runs %v (%d nodes, %d groups), want %v (15 nodes, 3 groups)", p.Runs(), p.Nodes(), p.GroupsSpanned(), want)
+	}
+	b.Reset()
+	b.Append(0, 1)
+	if !reflect.DeepEqual(p.Runs(), []Run{{2, 6}, {8, 8}, {20, 1}}) || b.Placement().Nodes() != 1 {
+		t.Error("resetting the builder changed a placement it returned")
+	}
+	for _, bad := range [][2]int{{0, 1}, {1, 0}, {47, 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Append(%d, %d) after node 0 did not panic", bad[0], bad[1])
+				}
+			}()
+			b.Append(bad[0], bad[1])
+		}()
+	}
+	spread := f.SpreadPlacement(12)
+	want := make([]int, 12)
+	for i := range want {
+		want[i] = i * 48 / 12
+	}
+	checkRuns(t, f, spread, want)
+	checkRuns(t, f, f.SpreadPlacement(48), small48())
+}
+
+func small48() []int {
+	all := make([]int, 48)
+	for i := range all {
+		all[i] = i
+	}
+	return all
 }
 
 // NodeEndpoint maps (node, rank-ish index) onto the node's NICs,

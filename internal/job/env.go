@@ -84,9 +84,9 @@ func (e *Env) Validate() error {
 // per-phase durations and the total runtime the scheduler uses as the
 // job's derived duration.
 type Bound struct {
-	Prog  *Program
-	Env   *Env
-	Nodes []int
+	Prog      *Program
+	Env       *Env
+	Placement fabric.Placement
 
 	// SetupTimes and LoopTimes are per-phase durations in program order.
 	SetupTimes, LoopTimes []units.Seconds
@@ -99,40 +99,41 @@ type Bound struct {
 	subs map[Group]*mpi.Comm
 }
 
-// Bind prices a program on a concrete placement. Collectives run on a
-// communicator over the placement's actual nodes, so a packed allocation
-// and a spread allocation yield different collective times — placement
-// policy is visible in job runtime.
-func (e *Env) Bind(p *Program, nodes []int) (*Bound, error) {
+// Bind prices a program on a concrete placement on the env's fabric.
+// Collectives run on a communicator over the placement's actual nodes,
+// so a packed allocation and a spread allocation yield different
+// collective times — placement policy is visible in job runtime. A
+// placement is checked when it is built, so Bind reads only its counts.
+func (e *Env) Bind(p *Program, pl fabric.Placement) (*Bound, error) {
 	if err := e.Validate(); err != nil {
 		return nil, err
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if len(nodes) != p.Nodes {
-		return nil, fmt.Errorf("job: program %s needs %d nodes, placement has %d", p.Name, p.Nodes, len(nodes))
+	if pl.Nodes() != p.Nodes {
+		return nil, fmt.Errorf("job: program %s needs %d nodes, placement has %d", p.Name, p.Nodes, pl.Nodes())
 	}
-	if err := e.Fabric.CheckNodes(nodes); err != nil {
-		return nil, fmt.Errorf("job: binding %s: %w", p.Name, err)
+	if pl.Fabric() != e.Fabric {
+		return nil, fmt.Errorf("job: binding %s: placement is on another fabric", p.Name)
 	}
 	if e.Cache != nil {
-		key := pricingKey{env: e.CacheKey, prog: ProgramSignature(p), place: e.PlacementSignature(nodes)}
+		key := pricingKey{env: e.CacheKey, prog: ProgramSignature(p), place: e.PlacementSignature(pl)}
 		if pr, hit := e.Cache.lookup(key); hit {
-			return &Bound{Prog: p, Env: e, Nodes: nodes,
+			return &Bound{Prog: p, Env: e, Placement: pl,
 				SetupTimes: pr.setupTimes, LoopTimes: pr.loopTimes,
 				Total: pr.total(p.Iterations)}, nil
 		}
-		return e.price(p, nodes, &key)
+		return e.price(p, pl, &key)
 	}
-	return e.price(p, nodes, nil)
+	return e.price(p, pl, nil)
 }
 
-// price is Bind past the contract check and the cache lookup: it prices
-// every phase and, given the key of a cache miss, stores the result
-// under it.
-func (e *Env) price(p *Program, nodes []int, key *pricingKey) (*Bound, error) {
-	b := &Bound{Prog: p, Env: e, Nodes: nodes}
+// price is Bind past the argument checks and the cache lookup: it
+// prices every phase and, given the key of a cache miss, stores the
+// result under it.
+func (e *Env) price(p *Program, pl fabric.Placement, key *pricingKey) (*Bound, error) {
+	b := &Bound{Prog: p, Env: e, Placement: pl}
 	timed := func(phases []Phase) ([]units.Seconds, units.Seconds, error) {
 		times := make([]units.Seconds, len(phases))
 		var sum units.Seconds
@@ -273,7 +274,7 @@ func (b *Bound) collectiveTime(ph Phase) (units.Seconds, error) {
 	if err != nil {
 		return 0, err
 	}
-	if len(c.Nodes) == 1 {
+	if c.Placement.Nodes() == 1 {
 		if d, ok := nodeLocalCollective(ph.Op, ph.Payload, float64(c.Size())); ok {
 			return d, nil
 		}
@@ -316,7 +317,7 @@ func (b *Bound) collectiveTime(ph Phase) (units.Seconds, error) {
 // phase.
 func (b *Bound) groupComm(g Group) (*mpi.Comm, error) {
 	if b.comm == nil {
-		comm, err := mpi.NewComm(b.Env.Fabric, b.Nodes, b.Prog.PPN)
+		comm, err := mpi.NewComm(b.Env.Fabric, b.Placement, b.Prog.PPN)
 		if err != nil {
 			return nil, err
 		}
@@ -343,7 +344,7 @@ func (b *Bound) ioTime(ph Phase) (units.Seconds, error) {
 	if e.NodeLocal == nil && e.Orion == nil {
 		return 0, fmt.Errorf("%s phase needs a storage plant", ph.Kind)
 	}
-	n := units.BytesPerSecond(len(b.Nodes))
+	n := units.BytesPerSecond(b.Placement.Nodes())
 	var t units.Seconds
 	if ph.Read > 0 {
 		switch {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"frontiersim/internal/fabric"
 	"frontiersim/internal/gpu"
 	"frontiersim/internal/job"
 	"frontiersim/internal/machine"
@@ -27,12 +28,21 @@ func testEnv(t *testing.T) *job.Env {
 	return env
 }
 
-func contiguous(n int) []int {
-	nodes := make([]int, n)
-	for i := range nodes {
-		nodes[i] = i
+// contiguous is the placement of env's first n nodes.
+func contiguous(env *job.Env, n int) fabric.Placement {
+	b := env.Fabric.NewPlacementBuilder()
+	b.Append(0, n)
+	return b.Placement()
+}
+
+// placement is a node list on env's fabric as a placement.
+func placement(t *testing.T, env *job.Env, nodes ...int) fabric.Placement {
+	t.Helper()
+	p, err := env.Fabric.NewPlacement(nodes)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return nodes
+	return p
 }
 
 // loopTime is the duration of one loop pass of b.
@@ -106,7 +116,7 @@ func TestBindPricesRoofline(t *testing.T) {
 			{Name: "stream", Kind: job.Compute, Bytes: units.Bytes(float64(env.Node.MemBW) / 2)},
 		},
 	}
-	b, err := env.Bind(p, contiguous(2))
+	b, err := env.Bind(p, contiguous(env, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +132,7 @@ func TestBindPricesRoofline(t *testing.T) {
 	}
 	// Efficiency derates the denominator.
 	p.Loop[0].Efficiency = 0.5
-	b2, err := env.Bind(p, contiguous(2))
+	b2, err := env.Bind(p, contiguous(env, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +160,7 @@ func TestBindPlacementSensitivity(t *testing.T) {
 		Name: "a2a", Nodes: n, PPN: env.Node.Devices, Iterations: 1,
 		Loop: []job.Phase{{Name: "x", Kind: job.Collective, Op: job.AllToAll, Payload: 16 * units.MiB}},
 	}
-	packed, err := env.Bind(p, contiguous(n))
+	packed, err := env.Bind(p, contiguous(env, n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +185,7 @@ func TestNodeLocalGroupCheaper(t *testing.T) {
 			Loop: []job.Phase{{Name: "ar", Kind: job.Collective, Op: job.Allreduce,
 				Payload: 256 * units.MiB, Group: g}},
 		}
-		b, err := env.Bind(p, contiguous(ppn))
+		b, err := env.Bind(p, contiguous(env, ppn))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +210,7 @@ func TestExecAccounting(t *testing.T) {
 			{Name: "ckpt", Kind: job.Checkpoint, Write: 1 * units.GiB},
 		},
 	}
-	b, err := env.Bind(p, contiguous(2))
+	b, err := env.Bind(p, contiguous(env, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +243,7 @@ func TestExecStopLostWork(t *testing.T) {
 			{Name: "ckpt", Kind: job.Checkpoint, Write: 1 * units.MiB},
 		},
 	}
-	b, err := env.Bind(p, contiguous(1))
+	b, err := env.Bind(p, contiguous(env, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

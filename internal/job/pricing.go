@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync"
 
+	"frontiersim/internal/fabric"
 	"frontiersim/internal/units"
 )
 
@@ -89,21 +90,26 @@ func ProgramSignature(p *Program) Sig {
 
 // PlacementSignature canonicalizes a placement for pricing: the node
 // count, then each spanned group's node count in ascending group order,
-// every value a uvarint. nodes must be a placement (Fabric.CheckNodes):
-// then it lists each group's nodes in one run, its rank-to-group
-// sequence is exactly those counts in order, and the encoding is
-// lossless. Two placements share a signature exactly when their group
-// sequences are equal up to relabeling the groups; placements whose
-// ranks split across groups differently do not. The counts are read
-// one group at a time (Fabric.NextStretch), so the key costs O(groups).
-func (e *Env) PlacementSignature(nodes []int) string {
-	f := e.Fabric
+// every value a uvarint. A placement lists each group's nodes in one
+// stretch of its runs, so its rank-to-group sequence is exactly those
+// counts in order, and the encoding is lossless. Two placements share a
+// signature exactly when their group sequences are equal up to
+// relabeling the groups; placements whose ranks split across groups
+// differently do not. The counts sum consecutive runs inside one
+// group's node range, so the key costs O(runs) and divides once per
+// group (in 32 bits: node ids are small and non-negative).
+func (e *Env) PlacementSignature(pl fabric.Placement) string {
+	per := e.Fabric.Cfg.NodesPerGroup()
 	var buf [64]byte
-	key := binary.AppendUvarint(buf[:0], uint64(len(nodes)))
-	for i := 0; i < len(nodes); {
-		j := f.NextStretch(nodes, i)
-		key = binary.AppendUvarint(key, uint64(j-i))
-		i = j
+	key := binary.AppendUvarint(buf[:0], uint64(pl.Nodes()))
+	runs := pl.Runs()
+	for i := 0; i < len(runs); {
+		groupEnd := (int(uint32(runs[i].First)/uint32(per)) + 1) * per
+		count := runs[i].Count
+		for i++; i < len(runs) && runs[i].First < groupEnd; i++ {
+			count += runs[i].Count
+		}
+		key = binary.AppendUvarint(key, uint64(count))
 	}
 	return string(key)
 }
@@ -166,8 +172,7 @@ func NewPricingCache() *PricingCache {
 }
 
 // nominal returns the placement signature of e.Fabric.SpreadPlacement(n),
-// computing it on first use. A spread of 1 <= n <= nodes is a
-// placement, so it needs no check.
+// computing it on first use.
 func (c *PricingCache) nominal(e *Env, n int) string {
 	k := nominalKey{env: e.CacheKey, nodes: n}
 	c.mu.Lock()

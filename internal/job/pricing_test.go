@@ -1,9 +1,11 @@
 package job_test
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
+	"frontiersim/internal/fabric"
 	"frontiersim/internal/gpu"
 	"frontiersim/internal/job"
 	"frontiersim/internal/machine"
@@ -34,9 +36,9 @@ func richProgram(env *job.Env, nodes, iters int) *job.Program {
 	}
 }
 
-func bindOrFatal(t *testing.T, env *job.Env, p *job.Program, nodes []int) *job.Bound {
+func bindOrFatal(t *testing.T, env *job.Env, p *job.Program, pl fabric.Placement) *job.Bound {
 	t.Helper()
-	b, err := env.Bind(p, nodes)
+	b, err := env.Bind(p, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,16 +67,16 @@ func TestPricingCacheBitIdentical(t *testing.T) {
 	warm.CacheKey = "test-machine"
 
 	placements := [][]int{
-		contiguous(4),
-		warm.Fabric.SpreadPlacement(4),
+		{0, 1, 2, 3},
+		warm.Fabric.SpreadPlacement(4).AppendNodes(nil),
 		{1, 2, 5, 9}, // spans groups unevenly
 	}
 	for _, iters := range []int{1, 7, 1000} {
 		p := richProgram(cold, 4, iters)
 		for _, nodes := range placements {
-			want := bindOrFatal(t, cold, p, nodes)
+			want := bindOrFatal(t, cold, p, placement(t, cold, nodes...))
 			for pass := 0; pass < 2; pass++ { // miss then hit
-				got := bindOrFatal(t, warm, p, nodes)
+				got := bindOrFatal(t, warm, p, placement(t, warm, nodes...))
 				if got.Total != want.Total {
 					t.Fatalf("iters=%d pass=%d: Total %v != cold %v", iters, pass, got.Total, want.Total)
 				}
@@ -92,32 +94,45 @@ func TestPricingCacheBitIdentical(t *testing.T) {
 // Placements isomorphic under group relabeling share a signature; a
 // different split of ranks across groups (comm-group layout) does not,
 // and placements spanning different group counts price differently.
-// Lists outside the placement contract never reach the signature: Bind
-// rejects them, with or without a cache.
+// Lists outside the placement contract never reach the signature: the
+// placement constructor rejects them, naming the first offending node,
+// and Bind refuses a placement on another fabric, with or without a
+// cache.
 func TestPlacementSignatureCanonicalization(t *testing.T) {
 	env := testEnv(t) // Scaled(4,4,4): 16 nodes, 4 per group
-	sig := env.PlacementSignature
-	a := sig([]int{0, 1, 4}) // groups 0,0,1
-	b := sig([]int{4, 5, 8}) // groups 1,1,2 — isomorphic to a
-	c := sig([]int{0, 4, 5}) // groups 0,1,1 — same occupancy multiset, different layout
+	sig := func(nodes ...int) string { return env.PlacementSignature(placement(t, env, nodes...)) }
+	a := sig(0, 1, 4) // groups 0,0,1
+	b := sig(4, 5, 8) // groups 1,1,2 — isomorphic to a
+	c := sig(0, 4, 5) // groups 0,1,1 — same occupancy multiset, different layout
 	if a != b {
 		t.Error("isomorphic placements (relabeled groups) do not share a signature")
 	}
 	if a == c {
 		t.Error("different group interleavings share a signature (occupancy multiset is not a sound key)")
 	}
-	if s1, s2 := sig([]int{0, 1, 2}), sig([]int{0, 4, 8}); s1 == s2 {
+	if s1, s2 := sig(0, 1, 2), sig(0, 4, 8); s1 == s2 {
 		t.Error("packed and spanning placements share a signature")
+	}
+	for _, tc := range []struct {
+		nodes []int
+		err   string
+	}{
+		{[]int{0, 4, 1}, "node 1 follows node 4: a placement is strictly increasing"},
+		{[]int{4, 0, 5}, "node 0 follows node 4"},
+		{[]int{0, 1, 1 << 20}, "node 1048576 outside fabric (0..15)"},
+		{[]int{-1, 0, 1}, "node -1 outside fabric"},
+	} {
+		if _, err := env.Fabric.NewPlacement(tc.nodes); err == nil || !strings.Contains(err.Error(), tc.err) {
+			t.Errorf("NewPlacement(%v) = %v, want an error naming %q", tc.nodes, err, tc.err)
+		}
 	}
 	warm := testEnv(t)
 	warm.Cache = job.NewPricingCache()
 	trio := &job.Program{Name: "trio", Nodes: 3, PPN: 1, Iterations: 1,
 		Loop: []job.Phase{{Kind: job.Collective, Op: job.Allreduce, Payload: units.MiB}}}
 	for _, e := range []*job.Env{env, warm} {
-		for _, nodes := range [][]int{{0, 4, 1}, {4, 0, 5}, {0, 1, 1 << 20}, {-1, 0, 1}} {
-			if _, err := e.Bind(trio, nodes); err == nil {
-				t.Errorf("cache %v: Bind accepted %v, which is not a placement", e.Cache != nil, nodes)
-			}
+		if _, err := e.Bind(trio, contiguous(testEnv(t), 3)); err == nil {
+			t.Errorf("cache %v: Bind accepted a placement on another fabric", e.Cache != nil)
 		}
 	}
 
@@ -135,12 +150,12 @@ func TestPlacementSignatureCanonicalization(t *testing.T) {
 	}
 	p := &job.Program{Name: "wide", Nodes: 128, PPN: big.Node.Devices, Iterations: 5,
 		Loop: []job.Phase{{Kind: job.Collective, Op: job.Allreduce, Payload: 128 * units.MiB}}}
-	packed := bindOrFatal(t, big, p, contiguous(128))
+	packed := bindOrFatal(t, big, p, contiguous(big, 128))
 	spread := bindOrFatal(t, big, p, big.Fabric.SpreadPlacement(128))
 	if packed.Total == spread.Total {
 		t.Error("packed and spread 128-node placements priced identically; layout does not matter at this scale")
 	}
-	ps := big.PlacementSignature(contiguous(128))
+	ps := big.PlacementSignature(contiguous(big, 128))
 	ss := big.PlacementSignature(big.Fabric.SpreadPlacement(128))
 	if ps == ss {
 		t.Error("packed and spread 128-node placements share a signature")
@@ -194,10 +209,10 @@ func TestBindBlobIsExact(t *testing.T) {
 		env := testEnv(t)
 		env.Cache = cache
 		blob := job.Blob("blob", 8, d)
-		for _, nodes := range [][]int{contiguous(8), env.Fabric.SpreadPlacement(8)} {
+		for _, pl := range []fabric.Placement{contiguous(env, 8), env.Fabric.SpreadPlacement(8)} {
 			for pass := 0; pass < 2; pass++ { // with a cache, the second pass hits
-				if b := bindOrFatal(t, env, blob, nodes); b.Total != d {
-					t.Errorf("cache %v, nodes %v, pass %d: Total = %v, want %v", cache != nil, nodes, pass, b.Total, d)
+				if b := bindOrFatal(t, env, blob, pl); b.Total != d {
+					t.Errorf("cache %v, runs %v, pass %d: Total = %v, want %v", cache != nil, pl.Runs(), pass, b.Total, d)
 				}
 			}
 		}
@@ -206,11 +221,13 @@ func TestBindBlobIsExact(t *testing.T) {
 				t.Errorf("cache hits = %d, want 2", hits)
 			}
 		}
-		// A blob never builds a communicator, yet its placement is
-		// still checked.
-		bad := append(contiguous(7), 3)
-		if _, err := env.Bind(blob, bad); err == nil {
-			t.Errorf("cache %v: Bind accepted the repeated-node placement %v", cache != nil, bad)
+		// A blob never builds a communicator, yet its placement must
+		// still be its size and on its fabric.
+		if _, err := env.Bind(blob, contiguous(env, 7)); err == nil {
+			t.Errorf("cache %v: Bind accepted a 7-node placement for an 8-node blob", cache != nil)
+		}
+		if _, err := env.Bind(blob, contiguous(testEnv(t), 8)); err == nil {
+			t.Errorf("cache %v: Bind accepted a placement on another fabric", cache != nil)
 		}
 	}
 }
@@ -221,7 +238,7 @@ func TestPricingCacheCountsAndNil(t *testing.T) {
 	env := testEnv(t)
 	env.Cache = job.NewPricingCache()
 	p := richProgram(env, 3, 5)
-	a, b := []int{0, 1, 2}, []int{0, 4, 8}
+	a, b := placement(t, env, 0, 1, 2), placement(t, env, 0, 4, 8)
 	bindOrFatal(t, env, p, a) // miss, stored
 	bindOrFatal(t, env, p, b) // miss, stored
 	if n := env.Cache.Len(); n != 2 {
@@ -245,38 +262,46 @@ func TestPricingCacheCountsAndNil(t *testing.T) {
 		t.Error("nil cache reports state")
 	}
 
-	// An invalid placement must surface Bind's canonical error, cache
+	// A placement of the wrong size must surface Bind's error, cache
 	// or no cache, and must not poison the cache.
-	bad := []int{0, 1, 1 << 20}
+	bad := contiguous(env, 4)
 	if _, err := env.Bind(p, bad); err == nil {
-		t.Error("cached env accepted an out-of-machine placement")
+		t.Error("cached env accepted a 4-node placement for a 3-node program")
 	}
 	plain := testEnv(t)
-	if _, err := plain.Bind(p, bad); err == nil {
-		t.Error("uncached env accepted an out-of-machine placement")
+	if _, err := plain.Bind(p, contiguous(plain, 4)); err == nil {
+		t.Error("uncached env accepted a 4-node placement for a 3-node program")
+	}
+	if n := env.Cache.Len(); n != 2 {
+		t.Errorf("cache holds %d entries after a rejected bind, want 2", n)
 	}
 }
 
-// A placement that repeats a node is not a placement: it used to price
-// its exchange as intra-node and, sharing a signature with the distinct
-// placement [3,2], poison the cache for it. Bind rejects it, and every
-// other list that is not strictly increasing, with or without a cache;
-// the cache then serves [2,3] its cold price.
+// A list that repeats a node is not a placement: it used to price its
+// exchange as intra-node and, sharing a signature with the distinct
+// placement [3,2], poison the cache for it. The placement constructor
+// rejects it, and every other list that is not strictly increasing, so
+// no such list reaches Bind or the cache; the cache serves [2,3] its
+// cold price.
 func TestRepeatedNodeDoesNotPoisonCache(t *testing.T) {
 	cold := testEnv(t)
 	warm := testEnv(t)
 	warm.Cache = job.NewPricingCache()
 	p := &job.Program{Name: "pair", Nodes: 2, PPN: 1, Iterations: 1,
 		Loop: []job.Phase{{Kind: job.Collective, Op: job.SendRecv, Payload: units.MiB}}}
-	for _, env := range []*job.Env{cold, warm} {
-		for _, nodes := range [][]int{{3, 3}, {3, 2}} {
-			if _, err := env.Bind(p, nodes); err == nil {
-				t.Fatalf("cache %v: Bind accepted %v", env.Cache != nil, nodes)
-			}
+	for _, tc := range []struct {
+		nodes []int
+		err   string
+	}{
+		{[]int{3, 3}, "node 3 follows node 3: a placement is strictly increasing"},
+		{[]int{3, 2}, "node 2 follows node 3: a placement is strictly increasing"},
+	} {
+		if _, err := warm.Fabric.NewPlacement(tc.nodes); err == nil || !strings.Contains(err.Error(), tc.err) {
+			t.Fatalf("NewPlacement(%v) = %v, want an error naming %q", tc.nodes, err, tc.err)
 		}
 	}
-	want := bindOrFatal(t, cold, p, []int{2, 3}).Total
-	if got := bindOrFatal(t, warm, p, []int{2, 3}).Total; got != want {
+	want := bindOrFatal(t, cold, p, placement(t, cold, 2, 3)).Total
+	if got := bindOrFatal(t, warm, p, placement(t, warm, 2, 3)).Total; got != want {
 		t.Errorf("cached [2 3] priced %v, cold %v", got, want)
 	}
 }
@@ -347,7 +372,7 @@ func TestEstimateCachedMatchesUncached(t *testing.T) {
 				if h1, _ := cached.Cache.Stats(); h1 != h0+1 {
 					t.Fatalf("%s n=%d: Bind on the spread placement missed the entry Estimate stored", p.Name, p.Nodes)
 				}
-				packed := contiguous(p.Nodes)
+				packed := contiguous(cached, p.Nodes)
 				if got, cold := bindOrFatal(t, cached, p, packed).Total, bindOrFatal(t, cold, p, packed).Total; got != cold {
 					t.Fatalf("%s n=%d: cached Bind on a packed placement %v, cold %v", p.Name, p.Nodes, got, cold)
 				}
@@ -372,11 +397,13 @@ func TestPricingCacheConcurrent(t *testing.T) {
 	env := testEnv(t)
 	env.Cache = job.NewPricingCache()
 	p := richProgram(env, 3, 5)
-	placements := [][]int{{0, 1, 2}, {0, 4, 8}, {0, 1, 4}, {4, 5, 8}}
-	want := make([]units.Seconds, len(placements))
+	lists := [][]int{{0, 1, 2}, {0, 4, 8}, {0, 1, 4}, {4, 5, 8}}
+	placements := make([]fabric.Placement, len(lists))
+	want := make([]units.Seconds, len(lists))
 	coldEnv := testEnv(t)
-	for i, nodes := range placements {
-		want[i] = bindOrFatal(t, coldEnv, p, nodes).Total
+	for i, nodes := range lists {
+		placements[i] = placement(t, env, nodes...)
+		want[i] = bindOrFatal(t, coldEnv, p, placement(t, coldEnv, nodes...)).Total
 	}
 	estimate, err := coldEnv.Estimate(p)
 	if err != nil {
@@ -388,14 +415,14 @@ func TestPricingCacheConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				nodes := placements[i%len(placements)]
-				b, err := env.Bind(p, nodes)
+				pl := placements[i%len(placements)]
+				b, err := env.Bind(p, pl)
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				if b.Total != want[i%len(placements)] {
-					t.Errorf("concurrent bind diverged on %v", nodes)
+					t.Errorf("concurrent bind diverged on %v", pl.Runs())
 					return
 				}
 				if got, err := env.Estimate(p); err != nil || got != estimate {

@@ -35,39 +35,33 @@ const (
 	rendezvousOverhead = 1.2 * units.Microsecond
 )
 
-// Comm is a communicator: ranks round-robin across the NICs of a set of
-// compute nodes.
+// Comm is a communicator: ranks round-robin across the NICs of a
+// placement's compute nodes, block-distributed over its nodes in
+// ascending order.
 type Comm struct {
-	F     *fabric.Fabric
-	Nodes []int
-	PPN   int
-
-	// groups is the number of distinct dragonfly groups Nodes touch.
-	groups int
+	F         *fabric.Fabric
+	Placement fabric.Placement
+	PPN       int
 }
 
-// NewComm creates a communicator over the given compute nodes with ppn
-// ranks per node. nodes must be a placement (fabric.CheckNodes): a
-// repeated node would price its cross-node exchanges as intra-node, and
-// the group count is read one group at a time.
-func NewComm(f *fabric.Fabric, nodes []int, ppn int) (*Comm, error) {
-	if len(nodes) == 0 || ppn < 1 {
+// NewComm creates a communicator over a placement on f with ppn ranks
+// per node. A placement is checked when it is built, so this reads only
+// its counts.
+func NewComm(f *fabric.Fabric, p fabric.Placement, ppn int) (*Comm, error) {
+	if p.Nodes() == 0 || ppn < 1 {
 		return nil, fmt.Errorf("mpi: communicator needs nodes and ppn >= 1")
 	}
-	if err := f.CheckNodes(nodes); err != nil {
-		return nil, fmt.Errorf("mpi: %w", err)
+	if p.Fabric() != f {
+		return nil, fmt.Errorf("mpi: placement is on another fabric")
 	}
-	return &Comm{F: f, Nodes: nodes, PPN: ppn, groups: f.GroupsSpanned(nodes)}, nil
+	return &Comm{F: f, Placement: p, PPN: ppn}, nil
 }
 
 // Size returns the rank count.
-func (c *Comm) Size() int { return len(c.Nodes) * c.PPN }
-
-// NodeOf returns the node hosting a rank (block distribution).
-func (c *Comm) NodeOf(rank int) int { return c.Nodes[rank/c.PPN] }
+func (c *Comm) Size() int { return c.Placement.Nodes() * c.PPN }
 
 // GroupsSpanned reports how many dragonfly groups the job covers.
-func (c *Comm) GroupsSpanned() int { return c.groups }
+func (c *Comm) GroupsSpanned() int { return c.Placement.GroupsSpanned() }
 
 // ranksPerNIC is how many ranks share one NIC.
 func (c *Comm) ranksPerNIC() float64 {
@@ -102,7 +96,7 @@ func (c *Comm) globalHops() float64 {
 // globalShare is the per-endpoint share of global capacity for this
 // job's placement under all-inter-group traffic.
 func (c *Comm) globalShare() float64 {
-	endpoints := float64(len(c.Nodes) * c.F.Cfg.NICsPerNode)
+	endpoints := float64(c.Placement.Nodes() * c.F.Cfg.NICsPerNode)
 	globalDirected := 2 * float64(c.F.Cfg.TotalGlobalBandwidth())
 	// Only the fraction of traffic leaving the group crosses globals.
 	interFrac := 1 - 1/float64(c.GroupsSpanned())
@@ -127,7 +121,7 @@ func (c *Comm) PerRankBandwidth() units.BytesPerSecond {
 
 // SendRecv models one pairwise exchange of b bytes between two ranks.
 func (c *Comm) SendRecv(src, dst int, b units.Bytes) units.Seconds {
-	if c.NodeOf(src) == c.NodeOf(dst) {
+	if src/c.PPN == dst/c.PPN { // nodes are distinct, so one node per rank block
 		// Intra-node: the runtime moves data over xGMI; model at the
 		// CU-copy single-link rate.
 		return smallMsgLatency/2 + units.TimeToMove(b, 37.5*units.GBps)
@@ -208,7 +202,7 @@ func (c *Comm) logStages() units.Seconds {
 // String summarises the communicator.
 func (c *Comm) String() string {
 	return fmt.Sprintf("comm: %d ranks (%d nodes x %d ppn), %d groups",
-		c.Size(), len(c.Nodes), c.PPN, c.GroupsSpanned())
+		c.Size(), c.Placement.Nodes(), c.PPN, c.GroupsSpanned())
 }
 
 // RankZeroGroup returns the sub-communicator holding rank 0 of a
@@ -216,29 +210,33 @@ func (c *Comm) String() string {
 // stride <= 1, else the size ranks 0, stride, 2·stride, …. It equals
 // the rank-0 communicator of an MPI split by color r/size or r%stride —
 // the same nodes in the same order and the same PPN, so it prices
-// bit-identically — but costs O(subgroup) instead of a color call per
-// rank. Ranks are block-distributed over a placement, so a block group
-// is the first ceil(size/PPN) nodes, and a strided group visits node
-// indices in increasing order, each node once: both are placements.
-// Job pricing uses it because congruent-subgroup collectives only ever
-// price the rank-0 subgroup.
+// bit-identically — but costs O(runs) when stride <= PPN and
+// O(runs + subgroup) otherwise, instead of a color call per rank. Ranks
+// are block-distributed over the placement, so rank r is on node index
+// r/PPN, and the group's node indices increase, each node once. A
+// stride of at most PPN skips no node index, so the group is a prefix
+// of the placement. Job pricing uses it because congruent-subgroup
+// collectives only ever price the rank-0 subgroup.
 func (c *Comm) RankZeroGroup(size, stride int) *Comm {
-	size = min(max(size, 1), c.Size())
-	var nodes []int
-	if stride <= 1 {
-		k := (size + c.PPN - 1) / c.PPN
-		nodes = c.Nodes[:k:k]
-	} else {
-		nodes = make([]int, 0, min(size, len(c.Nodes)))
-		last := -1
-		for j := 0; j < size && j*stride < c.Size(); j++ {
-			if i := j * stride / c.PPN; i != last {
-				nodes = append(nodes, c.Nodes[i])
-				last = i
-			}
-		}
+	stride = max(stride, 1)
+	// The group's ranks are j·stride for j < members.
+	members := min(max(size, 1), (c.Size()+stride-1)/stride)
+	if stride <= c.PPN {
+		last := (members - 1) * stride / c.PPN
+		return &Comm{F: c.F, Placement: c.Placement.Prefix(last + 1), PPN: c.PPN}
 	}
-	return &Comm{F: c.F, Nodes: nodes, PPN: c.PPN, groups: c.F.GroupsSpanned(nodes)}
+	b := c.F.NewPlacementBuilder()
+	runs := c.Placement.Runs()
+	r, base := 0, 0 // base is the node index of runs[r].First
+	for j := 0; j < members; j++ {
+		i := j * stride / c.PPN
+		for i >= base+runs[r].Count {
+			base += runs[r].Count
+			r++
+		}
+		b.Append(runs[r].First+i-base, 1)
+	}
+	return &Comm{F: c.F, Placement: b.Placement(), PPN: c.PPN}
 }
 
 // AllGather models an allgather of b bytes contributed per rank: ring

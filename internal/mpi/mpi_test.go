@@ -22,24 +22,26 @@ func testFabric(t *testing.T) *fabric.Fabric {
 	return f
 }
 
-func nodeRange(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
+// nodeRange is the placement of f's first n nodes.
+func nodeRange(f *fabric.Fabric, n int) fabric.Placement {
+	b := f.NewPlacementBuilder()
+	b.Append(0, n)
+	return b.Placement()
 }
+
+// nodeOf returns the node hosting a rank (block distribution).
+func nodeOf(c *Comm, rank int) int { return c.Placement.AppendNodes(nil)[rank/c.PPN] }
 
 func TestCommConstruction(t *testing.T) {
 	f := testFabric(t)
-	c, err := NewComm(f, nodeRange(16), 8)
+	c, err := NewComm(f, nodeRange(f, 16), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Size() != 128 {
 		t.Errorf("size = %d, want 128", c.Size())
 	}
-	if c.NodeOf(0) != 0 || c.NodeOf(127) != 15 {
+	if nodeOf(c, 0) != 0 || nodeOf(c, 127) != 15 {
 		t.Error("rank-to-node mapping wrong")
 	}
 	if c.String() == "" {
@@ -49,24 +51,28 @@ func TestCommConstruction(t *testing.T) {
 
 func TestCommValidation(t *testing.T) {
 	f := testFabric(t)
-	if _, err := NewComm(f, nil, 8); err == nil {
-		t.Error("empty node list should error")
+	if _, err := NewComm(f, fabric.Placement{}, 8); err == nil {
+		t.Error("empty placement should error")
 	}
-	if _, err := NewComm(f, []int{99999}, 8); err == nil {
-		t.Error("out-of-range node should error")
+	if _, err := f.NewPlacement([]int{99999}); err == nil || !strings.Contains(err.Error(), "node 99999 outside fabric") {
+		t.Errorf("out-of-range node: %v, want an error naming it", err)
 	}
-	if _, err := NewComm(f, nodeRange(4), 0); err == nil {
+	other := testFabric(t)
+	if _, err := NewComm(f, nodeRange(other, 4), 8); err == nil {
+		t.Error("a placement on another fabric should error")
+	}
+	if _, err := NewComm(f, nodeRange(f, 4), 0); err == nil {
 		t.Error("zero ppn should error")
 	}
 }
 
 func TestGroupsSpanned(t *testing.T) {
 	f := testFabric(t)
-	packed, _ := NewComm(f, nodeRange(8), 8) // all in group 0
+	packed, _ := NewComm(f, nodeRange(f, 8), 8) // all in group 0
 	if packed.GroupsSpanned() != 1 {
 		t.Errorf("packed job spans %d groups, want 1", packed.GroupsSpanned())
 	}
-	spread, _ := NewComm(f, nodeRange(48), 8) // all 6 groups
+	spread, _ := NewComm(f, nodeRange(f, 48), 8) // all 6 groups
 	if spread.GroupsSpanned() != 6 {
 		t.Errorf("spread job spans %d groups, want 6", spread.GroupsSpanned())
 	}
@@ -74,7 +80,7 @@ func TestGroupsSpanned(t *testing.T) {
 
 func TestPackedJobGetsNICRate(t *testing.T) {
 	f := testFabric(t)
-	c, _ := NewComm(f, nodeRange(8), 8)
+	c, _ := NewComm(f, nodeRange(f, 8), 8)
 	want := float64(f.Cfg.LinkRate) * f.Cfg.EndpointEfficiency
 	if got := float64(c.PerNICBandwidth()); math.Abs(got-want)/want > 1e-9 {
 		t.Errorf("packed per-NIC = %.3g, want %.3g", got, want)
@@ -83,8 +89,8 @@ func TestPackedJobGetsNICRate(t *testing.T) {
 
 func TestSpreadJobTaperLimited(t *testing.T) {
 	f := testFabric(t)
-	packed, _ := NewComm(f, nodeRange(8), 8)
-	spread, _ := NewComm(f, nodeRange(48), 8)
+	packed, _ := NewComm(f, nodeRange(f, 8), 8)
+	spread, _ := NewComm(f, nodeRange(f, 48), 8)
 	if spread.PerNICBandwidth() >= packed.PerNICBandwidth() {
 		t.Errorf("spread job %v should be below packed %v", spread.PerNICBandwidth(), packed.PerNICBandwidth())
 	}
@@ -97,7 +103,7 @@ func TestFrontierAllToAllCalibration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewComm(f, nodeRange(9472), 8)
+	c, err := NewComm(f, nodeRange(f, 9472), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +115,7 @@ func TestFrontierAllToAllCalibration(t *testing.T) {
 
 func TestCollectiveOrderings(t *testing.T) {
 	f := testFabric(t)
-	c, _ := NewComm(f, nodeRange(32), 8)
+	c, _ := NewComm(f, nodeRange(f, 32), 8)
 	// Small allreduce is latency bound; big one costs more.
 	small := c.Allreduce(8)
 	big := c.Allreduce(64 * units.MiB)
@@ -135,7 +141,7 @@ func TestCollectiveOrderings(t *testing.T) {
 
 func TestSendRecvLocality(t *testing.T) {
 	f := testFabric(t)
-	c, _ := NewComm(f, nodeRange(32), 8)
+	c, _ := NewComm(f, nodeRange(f, 32), 8)
 	intra := c.SendRecv(0, 1, units.MiB)  // same node
 	inter := c.SendRecv(0, 16, units.MiB) // different node, 1 MiB
 	if intra >= inter {
@@ -150,8 +156,8 @@ func TestSendRecvLocality(t *testing.T) {
 
 func TestAllreduceScalesLogarithmically(t *testing.T) {
 	f := testFabric(t)
-	small, _ := NewComm(f, nodeRange(8), 8)  // 64 ranks: 6 stages
-	large, _ := NewComm(f, nodeRange(32), 8) // 256 ranks: 8 stages
+	small, _ := NewComm(f, nodeRange(f, 8), 8)  // 64 ranks: 6 stages
+	large, _ := NewComm(f, nodeRange(f, 32), 8) // 256 ranks: 8 stages
 	ratio := float64(large.Allreduce(8)) / float64(small.Allreduce(8))
 	if math.Abs(ratio-8.0/6.0) > 0.05 {
 		t.Errorf("stage ratio = %.3f, want ~1.33", ratio)
@@ -160,7 +166,7 @@ func TestAllreduceScalesLogarithmically(t *testing.T) {
 
 func TestSplitRowColumns(t *testing.T) {
 	f := testFabric(t)
-	c, _ := NewComm(f, nodeRange(16), 4) // 64 ranks
+	c, _ := NewComm(f, nodeRange(f, 16), 4) // 64 ranks
 	// 8x8 grid: row communicators.
 	rows, err := c.Split(func(rank int) int { return rank / 8 })
 	if err != nil {
@@ -191,7 +197,7 @@ func (c *Comm) Split(color func(rank int) int) (map[int]*Comm, error) {
 	seen := map[int]map[int]bool{}
 	for r := 0; r < c.Size(); r++ {
 		col := color(r)
-		n := c.NodeOf(r)
+		n := nodeOf(c, r)
 		if seen[col] == nil {
 			seen[col] = map[int]bool{}
 		}
@@ -202,7 +208,11 @@ func (c *Comm) Split(color func(rank int) int) (map[int]*Comm, error) {
 	}
 	out := make(map[int]*Comm, len(nodesByColor))
 	for col, nodes := range nodesByColor {
-		sub, err := NewComm(c.F, nodes, c.PPN)
+		p, err := c.F.NewPlacement(nodes)
+		if err != nil {
+			return nil, fmt.Errorf("mpi: split color %d: %w", col, err)
+		}
+		sub, err := NewComm(c.F, p, c.PPN)
 		if err != nil {
 			return nil, fmt.Errorf("mpi: split color %d: %w", col, err)
 		}
@@ -222,7 +232,11 @@ func TestRankZeroGroupMatchesSplit(t *testing.T) {
 		nodes := rng.Perm(f.Cfg.ComputeNodes())[:1+rng.Intn(12)]
 		slices.Sort(nodes)
 		ppn := 1 + rng.Intn(8)
-		c, err := NewComm(f, nodes, ppn)
+		p, err := f.NewPlacement(nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewComm(f, p, ppn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,19 +262,20 @@ func TestRankZeroGroupMatchesSplit(t *testing.T) {
 					t.Fatal(err)
 				}
 				want, got := all[0], c.RankZeroGroup(sh.size, sh.stride)
-				if !slices.Equal(got.Nodes, want.Nodes) || got.PPN != want.PPN ||
+				if !slices.Equal(got.Placement.Runs(), want.Placement.Runs()) || got.PPN != want.PPN ||
 					got.GroupsSpanned() != want.GroupsSpanned() {
-					t.Fatalf("nodes %v ppn=%d %s %dx%d: RankZeroGroup nodes %v groups %d, Split nodes %v groups %d",
-						nodes, ppn, sh.name, sh.size, sh.stride, got.Nodes, got.GroupsSpanned(), want.Nodes, want.GroupsSpanned())
+					t.Fatalf("nodes %v ppn=%d %s %dx%d: RankZeroGroup runs %v groups %d, Split runs %v groups %d",
+						nodes, ppn, sh.name, sh.size, sh.stride, got.Placement.Runs(), got.GroupsSpanned(), want.Placement.Runs(), want.GroupsSpanned())
 				}
 			}
 		}
 	}
 }
 
-// A repeated node would price cross-node exchanges as intra-node, so
-// NewComm rejects it, and any other list that is not strictly
-// increasing, naming the first node out of order.
+// A repeated node would price cross-node exchanges as intra-node, so no
+// communicator can be built on one: the placement constructor rejects
+// it, and any other list that is not strictly increasing, naming the
+// first node out of order.
 func TestCommRejectsRepeatedNode(t *testing.T) {
 	f := testFabric(t)
 	for _, tc := range []struct {
@@ -272,15 +287,15 @@ func TestCommRejectsRepeatedNode(t *testing.T) {
 		{[]int{0, 1, 1, 2}, "node 1 follows node 1"},
 		{[]int{9, 2, 5}, "node 2 follows node 9"},
 	} {
-		if _, err := NewComm(f, tc.nodes, 4); err == nil || !strings.Contains(err.Error(), tc.first) {
-			t.Errorf("NewComm(%v) = %v, want an error naming %q", tc.nodes, err, tc.first)
+		if _, err := f.NewPlacement(tc.nodes); err == nil || !strings.Contains(err.Error(), tc.first) {
+			t.Errorf("NewPlacement(%v) = %v, want an error naming %q", tc.nodes, err, tc.first)
 		}
 	}
 }
 
 func TestAllGatherReduceScatter(t *testing.T) {
 	f := testFabric(t)
-	c, _ := NewComm(f, nodeRange(16), 4)
+	c, _ := NewComm(f, nodeRange(f, 16), 4)
 	ag := c.AllGather(units.MiB)
 	rs := c.ReduceScatter(units.MiB)
 	if ag <= 0 || rs <= 0 {
@@ -290,7 +305,7 @@ func TestAllGatherReduceScatter(t *testing.T) {
 	if rs >= ag {
 		t.Errorf("reduce-scatter %v should be cheaper than allgather %v", rs, ag)
 	}
-	single, _ := NewComm(f, nodeRange(1), 1)
+	single, _ := NewComm(f, nodeRange(f, 1), 1)
 	if single.AllGather(units.MiB) != 0 || single.ReduceScatter(units.MiB) != 0 {
 		t.Error("single-rank collectives are free")
 	}
@@ -305,7 +320,7 @@ func TestBandwidthInvariantsProperty(t *testing.T) {
 	check := func(rawNodes uint8, rawPPN uint8) bool {
 		n := int(rawNodes)%47 + 2
 		ppn := int(rawPPN)%15 + 1
-		c, err := NewComm(f, nodeRange(n), ppn)
+		c, err := NewComm(f, nodeRange(f, n), ppn)
 		if err != nil {
 			return false
 		}

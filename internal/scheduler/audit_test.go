@@ -18,23 +18,35 @@ import (
 // it, busy as the running jobs' allocations say — and fails on any
 // difference from the scheduler's word-granular bookkeeping. It also
 // checks node conservation, that no node is in two running allocations,
-// and that no running job holds a down node (MarkUnhealthy fails the
-// holder at once).
+// that no running job holds a down node (MarkUnhealthy fails the holder
+// at once), that no node of a running job's runs is idle or free in the
+// bitmaps, and that holder answers the owning job for each run's first
+// and last node.
 func auditIndex(t *testing.T, s *Scheduler, down []bool, ctx string) {
 	t.Helper()
 	holder := make([]*Job, s.totalNodes)
 	busy := 0
 	for _, j := range s.Running() {
-		for _, n := range j.Alloc {
+		for _, n := range j.Alloc.AppendNodes(nil) {
 			if holder[n] != nil {
 				t.Fatalf("%s: node %d in jobs %d and %d", ctx, n, holder[n].ID, j.ID)
 			}
 			if down[n] {
 				t.Fatalf("%s: running job %d holds down node %d", ctx, j.ID, n)
 			}
+			if b := uint64(1) << (n & 63); (s.idle[n>>6]|s.freeBits[n>>6])&b != 0 {
+				t.Fatalf("%s: node %d of running job %d is idle or free in the bitmaps", ctx, n, j.ID)
+			}
 			holder[n] = j
 		}
-		busy += len(j.Alloc)
+		for _, r := range j.Alloc.Runs() {
+			for _, n := range []int{r.First, r.End() - 1} {
+				if h := s.holder(n); h != j {
+					t.Fatalf("%s: holder(%d) = %v, want job %d (run %v)", ctx, n, h, j.ID, r)
+				}
+			}
+		}
+		busy += j.Alloc.Nodes()
 	}
 	words := len(s.idle)
 	idle, downBits, free := make([]uint64, words), make([]uint64, words), make([]uint64, words)
@@ -112,7 +124,7 @@ func TestIndexAudit(t *testing.T) {
 					continue
 				}
 				j := running[r.Intn(len(running))]
-				node := j.Alloc[r.Intn(len(j.Alloc))]
+				node := j.Alloc.AppendNodes(nil)[r.Intn(j.Nodes)]
 				s.MarkUnhealthy(node)
 				s.MarkHealthy(node)
 				op = fmt.Sprintf("kill job %d via node %d", j.ID, node)
@@ -122,7 +134,7 @@ func TestIndexAudit(t *testing.T) {
 					continue
 				}
 				holder := running[r.Intn(len(running))]
-				node := holder.Alloc[r.Intn(len(holder.Alloc))]
+				node := holder.Alloc.AppendNodes(nil)[r.Intn(holder.Nodes)]
 				failed := s.FailedJobs
 				s.MarkUnhealthy(node)
 				down[node] = true

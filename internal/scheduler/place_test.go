@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"fmt"
 	"math/bits"
 	"slices"
 	"sort"
@@ -140,11 +141,61 @@ func setState(s *Scheduler, free, unhealthy []bool) {
 	}
 }
 
+// checkPlace fails unless place(n) picks exactly the nodes the
+// sort-based reference picks, as canonical runs — ascending, maximal,
+// none crossing a group — whose eachWord masks equal a per-node build,
+// and leaves no take count behind.
+func checkPlace(t *testing.T, s *Scheduler, n int, ctx string) {
+	t.Helper()
+	got, ok := s.place(n)
+	want := referencePlace(s, n)
+	if ok != (want != nil) || !slices.Equal(got.AppendNodes(nil), want) {
+		t.Fatalf("%s: place(%d) with %d free = %v (ok %v), reference %v",
+			ctx, n, s.freeHealthy, got.AppendNodes(nil), ok, want)
+	}
+	runs := got.Runs()
+	for i, r := range runs {
+		if r.Count < 1 || r.First/s.nodesPerGroup != (r.End()-1)/s.nodesPerGroup {
+			t.Fatalf("%s: place(%d) run %v is empty or crosses a group", ctx, n, r)
+		}
+		if i > 0 && (r.First < runs[i-1].End() || r.First == runs[i-1].End() && r.First%s.nodesPerGroup != 0) {
+			t.Fatalf("%s: place(%d) run %v after %v is out of order or not maximal", ctx, n, r, runs[i-1])
+		}
+	}
+	type mask struct {
+		g, w int
+		m    uint64
+	}
+	var masks, perNode []mask
+	s.eachWord(got, func(g, w int, m uint64) { masks = append(masks, mask{g, w, m}) })
+	for _, node := range want {
+		g, w := node/s.nodesPerGroup, node>>6
+		if k := len(perNode) - 1; k >= 0 && perNode[k].g == g && perNode[k].w == w {
+			perNode[k].m |= 1 << (node & 63)
+		} else {
+			perNode = append(perNode, mask{g, w, 1 << (node & 63)})
+		}
+	}
+	if !slices.Equal(masks, perNode) {
+		t.Fatalf("%s: eachWord over place(%d) = %x, per-node build %x", ctx, n, masks, perNode)
+	}
+	for g, tk := range s.take {
+		if tk != 0 {
+			t.Fatalf("%s: take[%d] = %d left behind", ctx, g, tk)
+		}
+	}
+}
+
+// placeShapes are the (groups, switches per group, endpoints per switch)
+// machines the placement tests draw from: groups inside one word, of one
+// word, of 60 nodes (group edges mid-word), and of two whole words.
+var placeShapes = [][3]int{{6, 8, 4}, {10, 16, 8}, {5, 15, 16}, {3, 32, 16}}
+
 // place must pick exactly the nodes the sort-based reference picks, in
 // the same order, over random idle/unhealthy bitmaps and job sizes —
 // sparse and dense machines, pack and spread paths, fits and misses.
 func TestPlaceMatchesReference(t *testing.T) {
-	for _, shape := range [][3]int{{6, 8, 4}, {10, 16, 8}, {3, 32, 16}} {
+	for _, shape := range placeShapes {
 		s := newScheduler(t, sim.NewKernel(1), machine.Scaled(shape[0], shape[1], shape[2]))
 		r := rng.New(int64(shape[0]*1000 + shape[1]))
 		free := make([]bool, s.totalNodes)
@@ -161,17 +212,38 @@ func TestPlaceMatchesReference(t *testing.T) {
 				if k%2 == 0 && s.freeHealthy > 0 {
 					n = 1 + r.Intn(s.freeHealthy) // mostly jobs that fit
 				}
-				got, want := s.place(n), referencePlace(s, n)
-				if !slices.Equal(got, want) {
-					t.Fatalf("%v trial %d: place(%d) with %d free = %v, reference %v",
-						shape, trial, n, s.freeHealthy, got, want)
-				}
-			}
-			for g, tk := range s.take {
-				if tk != 0 {
-					t.Fatalf("%v trial %d: take[%d] = %d left behind", shape, trial, g, tk)
-				}
+				checkPlace(t, s, n, fmt.Sprintf("%v trial %d", shape, trial))
 			}
 		}
 	}
+}
+
+// FuzzPlaceMatchesReference holds place to the reference on a machine
+// drawn from placeShapes, idle and unhealthy bitmaps drawn from seed at
+// the densities pFree/255 and pSick/255, and a job of 1 + size mod the
+// machine's nodes.
+func FuzzPlaceMatchesReference(f *testing.F) {
+	f.Add(uint8(0), int64(1), uint8(200), uint8(10), uint16(5))
+	f.Add(uint8(1), int64(2), uint8(255), uint8(0), uint16(33))
+	f.Add(uint8(2), int64(3), uint8(128), uint8(40), uint16(150))
+	f.Add(uint8(3), int64(4), uint8(250), uint8(5), uint16(200))
+	scheds := map[int]*Scheduler{}
+	f.Fuzz(func(t *testing.T, shape uint8, seed int64, pFree, pSick uint8, size uint16) {
+		i := int(shape) % len(placeShapes)
+		s := scheds[i]
+		if s == nil {
+			sh := placeShapes[i]
+			s = newScheduler(t, sim.NewKernel(1), machine.Scaled(sh[0], sh[1], sh[2]))
+			scheds[i] = s
+		}
+		r := rng.New(seed)
+		free := make([]bool, s.totalNodes)
+		unhealthy := make([]bool, s.totalNodes)
+		for n := range free {
+			free[n] = r.Intn(255) < int(pFree)
+			unhealthy[n] = r.Intn(255) < int(pSick)
+		}
+		setState(s, free, unhealthy)
+		checkPlace(t, s, 1+int(size)%s.totalNodes, fmt.Sprintf("%v", placeShapes[i]))
+	})
 }

@@ -92,7 +92,7 @@ func TestProgramVsBlobEquivalence(t *testing.T) {
 			if j.State != Completed {
 				t.Fatalf("%s: state %v", j.Name, j.State)
 			}
-			out = append(out, shot{j.Start, j.End, j.Alloc})
+			out = append(out, shot{j.Start, j.End, j.Alloc.AppendNodes(nil)})
 		}
 		return out
 	}
@@ -145,7 +145,7 @@ func TestProgramInterruptLostWork(t *testing.T) {
 	}
 	// Kill a node mid-way through the compute phase of the 6th pass.
 	cut := j.Start + 5*pass + j.Bound.LoopTimes[0]/2
-	k.After(cut-k.Now(), func(any) { s.MarkUnhealthy(j.Alloc[0]) }, nil)
+	k.After(cut-k.Now(), func(any) { s.MarkUnhealthy(j.Alloc.Runs()[0].First) }, nil)
 	k.RunUntil(cut + 1)
 	if final != Failed {
 		t.Fatalf("final state = %v, want failed", final)
@@ -285,7 +285,7 @@ func TestWalltimeKillTie(t *testing.T) {
 	fixed := func(d units.Seconds) job.Phase { return job.Phase{Name: "w", Kind: job.Fixed, Seconds: d} }
 	ck := job.Phase{Name: "ckpt", Kind: job.Checkpoint, Write: 1 * units.GiB}
 	_, _, s := testRig(t)
-	priced, err := s.Env.Bind(&job.Program{Name: "ck", Nodes: 1, PPN: 1, Setup: []job.Phase{ck}}, []int{0})
+	priced, err := s.Env.Bind(&job.Program{Name: "ck", Nodes: 1, PPN: 1, Setup: []job.Phase{ck}}, s.Env.Fabric.SpreadPlacement(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestWalltimeKillTie(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if j.Bound == nil || j.Alloc[0] != 0 || j.Bound.Total <= j.Walltime {
+		if j.Bound == nil || j.Alloc.Runs()[0].First != 0 || j.Bound.Total <= j.Walltime {
 			t.Fatalf("%s: not started on node 0 with a kill armed", c.name)
 		}
 		k.Run()

@@ -57,8 +57,8 @@ func TestQueueOrderMatchesReferenceModel(t *testing.T) {
 			// backfill plucks queued jobs from the middle
 			if running := s.Running(); len(running) > 0 {
 				j := running[r.Intn(len(running))]
-				s.MarkUnhealthy(j.Alloc[0])
-				s.MarkHealthy(j.Alloc[0])
+				s.MarkUnhealthy(j.Alloc.Runs()[0].First)
+				s.MarkHealthy(j.Alloc.Runs()[0].First)
 			}
 		case op == 8: // fail a node, then repair it
 			node := r.Intn(48)

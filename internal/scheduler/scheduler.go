@@ -8,18 +8,21 @@
 //
 // The hot paths are indexed for full-machine campaigns. Node state lives
 // in 64-node bitmap words (idle, down, and their difference: free AND
-// healthy) beside a per-group free-count table, so place() is
-// near-O(groups) and start/finish commit or release an allocation with
-// one mask per bitmap word and one count per group rather than a store
-// per node. Failure attribution binary-searches the sorted allocations
-// of the running jobs, and the pending queue is an index-tracked
-// structure with tombstoned removal so backfill never pays the old O(n)
-// slice deletes. All index structures are pure accelerators: placement
-// decisions, queue order, and therefore every downstream RNG draw are
-// bit-identical to the linear-scan implementation they replace.
+// healthy) beside a per-group free-count table. An allocation is a
+// fabric.Placement, its maximal in-group node runs, so place() peels
+// runs straight off the free words in near-O(groups + runs), and
+// start/finish commit or release it with one mask per bitmap word and
+// one count per group rather than a store per node. Failure attribution
+// binary-searches the runs of the running jobs, and the pending queue is
+// an index-tracked structure with tombstoned removal so backfill never
+// pays the old O(n) slice deletes. All index structures are pure
+// accelerators: placement decisions, queue order, and therefore every
+// downstream RNG draw are bit-identical to the linear-scan
+// implementation they replace.
 package scheduler
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -80,7 +83,7 @@ type Job struct {
 	Start  units.Seconds
 	End    units.Seconds
 	// Alloc is the exclusive node allocation.
-	Alloc []int
+	Alloc fabric.Placement
 	// VNI is the job step's Virtual Network Identifier.
 	VNI int
 	// OnComplete, if set, runs when the job finishes (any final state).
@@ -110,9 +113,6 @@ func (j *Job) Class() string {
 	}
 	return j.Name
 }
-
-// GroupsSpanned reports how many dragonfly groups the allocation touches.
-func (j *Job) GroupsSpanned(f *fabric.Fabric) int { return f.GroupsSpanned(j.Alloc) }
 
 // Scheduler is the system-level batch scheduler.
 type Scheduler struct {
@@ -152,6 +152,9 @@ type Scheduler struct {
 	// by (free desc, id asc), and bucket the counting-sort offsets indexed
 	// by free count.
 	take, order, bucket []int
+	// build assembles place's runs; ends is reservation's sort buffer.
+	build fabric.PlacementBuilder
+	ends  []*Job
 
 	// Stats.
 	Started, Finished, FailedJobs int
@@ -180,6 +183,7 @@ func New(k *sim.Kernel, env *job.Env) *Scheduler {
 		take:          make([]int, f.Cfg.ComputeGroups),
 		order:         make([]int, f.Cfg.ComputeGroups),
 		bucket:        make([]int, f.Cfg.NodesPerGroup()+1),
+		build:         f.NewPlacementBuilder(),
 	}
 	for w := range s.idle {
 		s.idle[w] = ^uint64(0)
@@ -210,32 +214,38 @@ func (s *Scheduler) clearFree(node int) {
 	s.freeHealthy--
 }
 
-// eachWord calls fn once per bitmap word of each group a sorted
-// allocation touches, with g the group, w the word and m the mask of the
-// allocation's nodes in both. Groups are contiguous node ranges, so the
-// loop tracks the group boundary instead of dividing per node.
-// Allocations are strictly increasing, so when the last node of a
-// (group, word) span is present the whole span is, and its mask is built
-// without visiting its nodes.
-func (s *Scheduler) eachWord(alloc []int, fn func(g, w int, m uint64)) {
-	g, groupEnd := -1, 0
-	for i := 0; i < len(alloc); {
-		n := alloc[i]
-		if n >= groupEnd {
-			g = n / s.nodesPerGroup
+// eachWord calls fn once per bitmap word of each group a placement
+// touches, with g the group, w the word and m the mask of the
+// placement's nodes in both. Each run lies in one group, so a run's
+// words take their masks whole; runs that share a (group, word) merge
+// into one call. It divides once per group, in 32 bits (node ids are
+// small and non-negative).
+func (s *Scheduler) eachWord(p fabric.Placement, fn func(g, w int, m uint64)) {
+	g, groupEnd, w, m := -1, 0, -1, uint64(0)
+	for _, r := range p.Runs() {
+		if r.First >= groupEnd {
+			if m != 0 {
+				fn(g, w, m)
+				m = 0
+			}
+			g = int(uint32(r.First) / uint32(s.nodesPerGroup))
 			groupEnd = (g + 1) * s.nodesPerGroup
 		}
-		w := n >> 6
-		limit := min((w+1)<<6, groupEnd)
-		var m uint64
-		if k := limit - n; i+k <= len(alloc) && alloc[i+k-1] == limit-1 {
-			m = ^uint64(0) >> (64 - k) << (n & 63)
-			i += k
-		} else {
-			for ; i < len(alloc) && alloc[i] < limit; i++ {
-				m |= 1 << (alloc[i] & 63)
+		for n, end := r.First, r.End(); n < end; {
+			nw := n >> 6
+			if nw != w {
+				if m != 0 {
+					fn(g, w, m)
+					m = 0
+				}
+				w = nw
 			}
+			limit := min((nw+1)<<6, end)
+			m |= ^uint64(0) >> (64 - (limit - n)) << (n & 63)
+			n = limit
 		}
+	}
+	if m != 0 {
 		fn(g, w, m)
 	}
 }
@@ -265,11 +275,11 @@ func (s *Scheduler) MarkUnhealthy(node int) {
 }
 
 // holder returns the running job whose allocation contains node.
-// Allocations are sorted and exclusive, so at most one job matches and
-// the map's iteration order cannot change the answer.
+// Allocations are exclusive, so at most one job matches and the map's
+// iteration order cannot change the answer.
 func (s *Scheduler) holder(node int) *Job {
 	for _, j := range s.running {
-		if _, ok := slices.BinarySearch(j.Alloc, node); ok {
+		if j.Alloc.Contains(node) {
 			return j
 		}
 	}
@@ -383,30 +393,36 @@ func (s *Scheduler) trySchedule() {
 }
 
 // reservation estimates when the head job can start: walk running jobs by
-// end time accumulating freed nodes.
+// end time accumulating freed nodes. Jobs with tied ends are consecutive
+// in any sort, and the answer is an end time, so their order (and the
+// map's) cannot change it.
 func (s *Scheduler) reservation(head *Job) (units.Seconds, int) {
 	free := s.FreeNodes()
 	if free >= head.Nodes {
 		return s.K.Now(), head.Nodes
 	}
-	ends := make([]*Job, 0, len(s.running))
+	ends := s.ends[:0]
 	for _, j := range s.running {
 		ends = append(ends, j)
 	}
-	sort.Slice(ends, func(i, k int) bool { return ends[i].End < ends[k].End })
+	slices.SortFunc(ends, func(a, b *Job) int { return cmp.Compare(a.End, b.End) })
+	s.ends = ends
+	at := s.K.Now() + head.Walltime // unreachable in practice
 	for _, j := range ends {
-		free += len(j.Alloc)
+		free += j.Nodes
 		if free >= head.Nodes {
-			return j.End, head.Nodes
+			at = j.End
+			break
 		}
 	}
-	return s.K.Now() + head.Walltime, head.Nodes // unreachable in practice
+	clear(ends) // the buffer keeps no finished job alive
+	return at, head.Nodes
 }
 
 // start attempts to place and launch a job; reports success.
 func (s *Scheduler) start(j *Job) bool {
-	alloc := s.place(j.Nodes)
-	if alloc == nil {
+	alloc, ok := s.place(j.Nodes)
+	if !ok {
 		return false
 	}
 	vni, ok := s.vni.acquire()
@@ -425,7 +441,7 @@ func (s *Scheduler) start(j *Job) bool {
 		s.freeBits[w] &^= m
 		s.groupFree[g] -= bits.OnesCount64(m)
 	})
-	s.freeHealthy -= len(alloc)
+	s.freeHealthy -= j.Nodes
 	s.running[j.ID] = j
 	s.Started++
 	s.launch(j)
@@ -509,10 +525,11 @@ func (s *Scheduler) finish(j *Job, state JobState) {
 	s.trySchedule()
 }
 
-// place chooses nodes for a job of size n, in ascending node order, or
-// nil if it cannot fit now. It only reads the scheduling index; start()
-// commits the allocation.
-func (s *Scheduler) place(n int) []int {
+// place chooses nodes for a job of size n, or reports false if it
+// cannot fit now. It only reads the scheduling index; start() commits
+// the allocation.
+func (s *Scheduler) place(n int) (fabric.Placement, bool) {
+	s.build.Reset()
 	if n <= s.nodesPerGroup {
 		// Pack: best-fit group (smallest free count that fits) to keep
 		// large contiguous blocks available.
@@ -524,12 +541,13 @@ func (s *Scheduler) place(n int) []int {
 			}
 		}
 		if best >= 0 {
-			return s.appendFromGroup(make([]int, 0, n), best, n)
+			s.appendFromGroup(best, n)
+			return s.build.Placement(), true
 		}
 		// No single group fits; fall through to spreading.
 	}
 	if s.freeHealthy < n {
-		return nil
+		return fabric.Placement{}, false
 	}
 	// Spread: take from the groups with the most free nodes so the job
 	// touches as many groups as evenly as possible. First pass: an equal
@@ -554,15 +572,14 @@ func (s *Scheduler) place(n int) []int {
 		s.take[g] += t
 		remaining -= t
 	}
-	// Collecting groups in id order yields the allocation already sorted.
-	alloc := make([]int, 0, n)
+	// Collecting groups in id order yields the runs already ascending.
 	for g, t := range s.take {
 		if t > 0 {
-			alloc = s.appendFromGroup(alloc, g, t)
+			s.appendFromGroup(g, t)
 			s.take[g] = 0
 		}
 	}
-	return alloc
+	return s.build.Placement(), true
 }
 
 // groupsByFree returns the groups with free nodes ordered by free count
@@ -591,10 +608,11 @@ func (s *Scheduler) groupsByFree() []int {
 }
 
 // appendFromGroup appends the lowest n free healthy nodes of group g to
-// dst in ascending node order. It walks the free bitmap a word at a
-// time, takes a full word as a run of 64 nodes, and peels set bits
-// lowest first only from partial words.
-func (s *Scheduler) appendFromGroup(dst []int, g, n int) []int {
+// the placement being built. It walks the free bitmap a word at a time
+// and peels each run of set bits whole: the run starts at the word's
+// lowest set bit tz and is as long as the ones of w>>tz. A run that
+// continues across a word boundary extends the previous one.
+func (s *Scheduler) appendFromGroup(g, n int) {
 	start := g * s.nodesPerGroup
 	end := min(start+s.nodesPerGroup, s.totalNodes)
 	for base := start &^ 63; base < end && n > 0; base += 64 {
@@ -605,19 +623,14 @@ func (s *Scheduler) appendFromGroup(dst []int, g, n int) []int {
 		if end-base < 64 {
 			w &= 1<<(end-base) - 1
 		}
-		if w == ^uint64(0) && n >= 64 {
-			for i := range 64 {
-				dst = append(dst, base+i)
-			}
-			n -= 64
-			continue
-		}
-		for ; w != 0 && n > 0; n-- {
-			dst = append(dst, base+bits.TrailingZeros64(w))
-			w &= w - 1
+		for w != 0 && n > 0 {
+			tz := bits.TrailingZeros64(w)
+			k := min(bits.TrailingZeros64(^(w >> tz)), n)
+			s.build.Append(base+tz, k)
+			w &^= (uint64(1)<<k - 1) << tz
+			n -= k
 		}
 	}
-	return dst
 }
 
 // jobQueue is the pending queue: FIFO order with O(1) removal anywhere.

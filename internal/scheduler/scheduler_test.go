@@ -35,7 +35,7 @@ func testRig(t *testing.T) (*sim.Kernel, *fabric.Fabric, *Scheduler) {
 }
 
 func TestSmallJobPacksIntoOneGroup(t *testing.T) {
-	k, f, s := testRig(t)
+	k, _, s := testRig(t)
 	j, err := s.Submit(job.Blob("small", 6, 100), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +43,7 @@ func TestSmallJobPacksIntoOneGroup(t *testing.T) {
 	if j.State != Running {
 		t.Fatalf("job state = %v, want running", j.State)
 	}
-	if got := j.GroupsSpanned(f); got != 1 {
+	if got := j.Alloc.GroupsSpanned(); got != 1 {
 		t.Errorf("small job spans %d groups, want 1 (packed)", got)
 	}
 	k.Run()
@@ -58,12 +58,12 @@ func TestLargeJobSpreadsAcrossGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := j.GroupsSpanned(f); got < 5 {
+	if got := j.Alloc.GroupsSpanned(); got < 5 {
 		t.Errorf("large job spans %d groups, want spread over >=5", got)
 	}
 	// Spread should be even: no group should hold more than ceil share+1.
 	counts := map[int]int{}
-	for _, n := range j.Alloc {
+	for _, n := range j.Alloc.AppendNodes(nil) {
 		counts[f.EndpointGroup(f.NodeEndpoints(n)[0])]++
 	}
 	for g, c := range counts {
@@ -81,7 +81,7 @@ func TestExclusiveAllocation(t *testing.T) {
 		t.Fatal("second 30-node job cannot run on 48 nodes concurrently")
 	}
 	seen := map[int]bool{}
-	for _, n := range j1.Alloc {
+	for _, n := range j1.Alloc.AppendNodes(nil) {
 		if seen[n] {
 			t.Fatal("duplicate node in allocation")
 		}
@@ -176,7 +176,7 @@ func TestChecknodeGate(t *testing.T) {
 	if j2.State != Running {
 		t.Fatal("47-node job should run")
 	}
-	for _, n := range j2.Alloc {
+	for _, n := range j2.Alloc.AppendNodes(nil) {
 		if n == 0 {
 			t.Error("allocation includes unhealthy node")
 		}
@@ -190,7 +190,7 @@ func TestNodeFailureKillsJob(t *testing.T) {
 	if j.State != Running {
 		t.Fatal("job should run")
 	}
-	k.After(10, func(any) { s.MarkUnhealthy(j.Alloc[0]) }, nil)
+	k.After(10, func(any) { s.MarkUnhealthy(j.Alloc.Runs()[0].First) }, nil)
 	k.RunUntil(20)
 	if final != Failed {
 		t.Errorf("final state = %v, want failed", final)
@@ -207,7 +207,7 @@ func TestNodeFailureKillsJob(t *testing.T) {
 	if j2.State == Running {
 		t.Error("full-machine job should wait for repair")
 	}
-	s.MarkHealthy(j.Alloc[0])
+	s.MarkHealthy(j.Alloc.Runs()[0].First)
 	if j2.State != Running {
 		t.Error("repair should release the waiting job")
 	}
@@ -252,7 +252,7 @@ func TestNodeConservationProperty(t *testing.T) {
 			used := map[int]bool{}
 			count := 0
 			for _, j := range s.Running() {
-				for _, n := range j.Alloc {
+				for _, n := range j.Alloc.AppendNodes(nil) {
 					if used[n] {
 						ok = false
 					}

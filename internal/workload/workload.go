@@ -325,7 +325,7 @@ func (c *campaign) onDone(j *scheduler.Job) {
 		c.slowCount[j.Class()]++
 		c.slowSamples[j.Class()] = append(c.slowSamples[j.Class()], slow)
 	}
-	c.usedNodeSeconds += float64(len(j.Alloc)) * float64(j.End-j.Start)
+	c.usedNodeSeconds += float64(j.Nodes) * float64(j.End-j.Start)
 }
 
 // handleFailure maps an interrupting component failure onto a node:
@@ -419,7 +419,7 @@ func Run(sys *core.System, cfg Config, seed int64) (Stats, error) {
 	}
 	// Credit still-running jobs for the node-time they have consumed.
 	for _, j := range sys.Scheduler.Running() {
-		c.usedNodeSeconds += float64(len(j.Alloc)) * float64(sys.Kernel.Now()-j.Start)
+		c.usedNodeSeconds += float64(j.Nodes) * float64(sys.Kernel.Now()-j.Start)
 	}
 	stats.Unfinished = stats.Submitted - stats.Completed - stats.Failed - stats.Timeouts
 	stats.Utilization = c.usedNodeSeconds / (float64(c.total) * float64(cfg.Duration))
